@@ -1,0 +1,438 @@
+"""Pipeline driver: ``uepo <stage> --config <path> [--seed N] [--out DIR]``.
+
+Each stage reads its inputs from the output directory, writes its
+artifacts atomically, and leaves a ``<stage>.manifest`` recording the
+config hash, the seed, and the sha256 of every input and output file.
+Wall time goes to a ``<stage>.time.txt`` sidecar so reruns of the same
+config stay byte-identical. A ``.lock`` file guards the directory while
+a stage runs.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import time
+from functools import partial
+
+import numpy as np
+
+from . import augmentation, diffusion, divergence, dynamics, envs, finetune, nets
+from .config import RunConfig, load_config
+from .datasets import TrajectoryDataset, initial_states, load_dataset, save_dataset, transitions
+from .errors import ConfigError, MissingArtifactError
+
+STAGES = ("gen-data", "train-diffusion", "sample-ensemble", "augment",
+          "train-dynamics", "select", "finetune", "eval", "div-check")
+
+# relative artifact name -> stage that produces it, for missing-input messages
+_PRODUCERS_STATIC = {
+    "policy.bin": "train-diffusion",
+    "dynamics_init.bin": "augment",
+    "dynamics_joint.bin": "train-dynamics",
+    "selection.txt": "select",
+    "head.bin": "finetune",
+}
+
+
+def _sha256(buf: bytes) -> str:
+    return hashlib.sha256(buf).hexdigest()
+
+
+class StageRun:
+    """Bookkeeping for one stage execution: paths, hashes, manifest."""
+
+    def __init__(self, stage: str, cfg: RunConfig):
+        self.stage = stage
+        self.cfg = cfg
+        self.out = cfg["out"]
+        self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, str] = {}
+        self.producers = dict(_PRODUCERS_STATIC)
+        self.producers[cfg["data.dataset"]] = "gen-data"
+        self.producers[cfg["data.gap"]] = "gen-data"
+        self.producers[cfg["data.augmented"]] = "augment"
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.out, name)
+
+    def input_path(self, name: str) -> str:
+        p = self.path(name)
+        if not os.path.isfile(p):
+            producer = self.producers.get(name, "an earlier")
+            raise MissingArtifactError(
+                f"{self.stage}: missing input {name!r} in {self.out}; "
+                f"run the {producer} stage first")
+        with open(p, "rb") as fh:
+            self.inputs[name] = _sha256(fh.read())
+        return p
+
+    def register_output(self, name: str) -> None:
+        with open(self.path(name), "rb") as fh:
+            self.outputs[name] = _sha256(fh.read())
+
+    def write_text(self, name: str, text: str) -> None:
+        nets.atomic_write_bytes(self.path(name), text.encode())
+        self.outputs[name] = _sha256(text.encode())
+
+    def manifest_text(self) -> str:
+        lines = [f"stage = {self.stage}",
+                 f"config_hash = {self.cfg.config_hash()}",
+                 f"seed = {self.cfg['seed']}"]
+        lines += [f"input.{k} = {v}" for k, v in sorted(self.inputs.items())]
+        lines += [f"output.{k} = {v}" for k, v in sorted(self.outputs.items())]
+        return "\n".join(lines) + "\n"
+
+
+def _make_env(cfg: RunConfig):
+    overrides = {"sigma_env": cfg["env.sigma_env"]}
+    if cfg["env.horizon"] > 0:
+        overrides["horizon"] = cfg["env.horizon"]
+    return envs.make_env(cfg["env.name"], **overrides)
+
+
+def _load_policy_for_env(run: StageRun, env) -> diffusion.DiffusionPolicy:
+    path = run.input_path("policy.bin")
+    return diffusion.load_policy(path, action_low=env.action_low,
+                                 action_high=env.action_high)
+
+
+def _windows(cfg: RunConfig, ds: TrajectoryDataset):
+    stride = cfg["diffusion.window_stride"]
+    if stride == 0:
+        return diffusion.prefix_windows(ds, cfg["diffusion.T"])
+    return diffusion.sliding_windows(ds, cfg["diffusion.T"], stride)
+
+
+def _real_batch(ds: TrajectoryDataset) -> dynamics.TransitionBatch:
+    s, a, s_next = transitions(ds)
+    return dynamics.TransitionBatch(s, a, s_next, "real")
+
+
+def _loss_csv(header: str, values) -> str:
+    lines = [header]
+    lines += [f"{i},{float(v)!r}" for i, v in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
+# --- stage bodies -----------------------------------------------------------
+
+
+def _stage_gen_data(cfg: RunConfig, run: StageRun, ss: np.random.SeedSequence):
+    env = _make_env(cfg)
+    rng = np.random.default_rng(ss)
+    mix = cfg["env.mode_mix"]
+    ds = envs.make_offline_dataset(env, cfg["env.n_traj"], (mix, 1.0 - mix), rng)
+    if cfg["env.coverage_gap"]:
+        kept, gap = envs.apply_coverage_gap(ds)
+        save_dataset(kept, run.path(cfg["data.dataset"]))
+        save_dataset(gap, run.path(cfg["data.gap"]))
+        run.register_output(cfg["data.dataset"])
+        run.register_output(cfg["data.gap"])
+        print(f"gen-data: {len(kept.trajectories)} kept trajectories, "
+              f"{len(gap.trajectories)} withheld")
+    else:
+        save_dataset(ds, run.path(cfg["data.dataset"]))
+        run.register_output(cfg["data.dataset"])
+        print(f"gen-data: {len(ds.trajectories)} trajectories")
+
+
+def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
+    env = _make_env(cfg)
+    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    windows_s, windows_a = _windows(cfg, ds)
+    sched = diffusion.make_linear_schedule(cfg["diffusion.k"],
+                                           cfg["diffusion.beta_min"],
+                                           cfg["diffusion.beta_max"])
+    init_ss, train_ss = ss.spawn(2)
+    policy = diffusion.make_policy(cfg["diffusion.T"], env.d_a, env.d_s,
+                                   cfg["diffusion.widths"],
+                                   np.random.default_rng(init_ss),
+                                   schedule=sched,
+                                   action_low=env.action_low,
+                                   action_high=env.action_high)
+    losses = diffusion.train_denoiser(policy, windows_s, windows_a,
+                                      cfg["diffusion.train_steps"],
+                                      cfg["diffusion.batch_size"],
+                                      cfg["diffusion.step_size"],
+                                      np.random.default_rng(train_ss))
+    diffusion.save_policy(policy, run.path("policy.bin"))
+    run.register_output("policy.bin")
+    run.write_text("diffusion_loss.csv", _loss_csv("step,loss", losses))
+    print(f"train-diffusion: {len(windows_s)} windows, "
+          f"final loss {losses[-1]:.4f}")
+
+
+def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
+    env = _make_env(cfg)
+    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    policy = _load_policy_for_env(run, env)
+    pool = initial_states(ds)
+    rng = np.random.default_rng(ss)
+    n_states = min(cfg["ensemble.n_states"], len(pool))
+    picks = rng.choice(len(pool), size=n_states, replace=False)
+    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
+                                       cfg["ensemble.guided_steps"])
+    spec = diffusion.make_ensemble_spec(cfg["ensemble.n"],
+                                        cfg["ensemble.base_seed"], dcfg)
+    act_lines = ["state_index,member,t," +
+                 ",".join(f"a{j}" for j in range(policy.d_a))]
+    div_lines = ["state_index,min_pairwise_div"]
+    for si in picks:
+        window = diffusion.state_window(pool[si], policy.T)
+        seqs = diffusion.sample_ensemble(policy, window, spec)
+        for m, seq in enumerate(seqs):
+            for t in range(policy.T):
+                vals = ",".join(repr(float(x)) for x in seq[t])
+                act_lines.append(f"{si},{m},{t},{vals}")
+        if len(seqs) > 1:
+            div_lines.append(f"{si},{divergence.min_pairwise_div(seqs)!r}")
+    run.write_text("ensemble_actions.csv", "\n".join(act_lines) + "\n")
+    run.write_text("ensemble_div.csv", "\n".join(div_lines) + "\n")
+    print(f"sample-ensemble: {n_states} states x {cfg['ensemble.n']} members")
+
+
+def _stage_augment(cfg: RunConfig, run: StageRun, ss):
+    env = _make_env(cfg)
+    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    policy = _load_policy_for_env(run, env)
+    init_ss, shuffle_ss, aug_ss = ss.spawn(3)
+    model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
+                                   np.random.default_rng(init_ss))
+    dynamics.train_joint(model, _real_batch(ds), None, cfg["dynamics.epochs"],
+                         np.random.default_rng(shuffle_ss),
+                         batch_size=cfg["dynamics.batch_size"],
+                         step_size=cfg["dynamics.step_size"])
+    dynamics.save_dynamics(model, run.path("dynamics_init.bin"))
+    run.register_output("dynamics_init.bin")
+    max_attempts = cfg["filter.max_attempts"] or None
+    fcfg = augmentation.FilterConfig(cfg["filter.epsilon"], cfg["filter.ratio"],
+                                     max_attempts)
+    synthetic, report = augmentation.build_augmented(
+        env, policy, model, ds, fcfg, np.random.default_rng(aug_ss))
+    save_dataset(synthetic, run.path(cfg["data.augmented"]))
+    run.register_output(cfg["data.augmented"])
+    run.write_text("augment_report.txt",
+                   "\n".join(augmentation.report_lines(report)) + "\n")
+    hist_lines = ["bin_low,bin_high,count"]
+    hist_lines += [f"{lo!r},{hi!r},{n}"
+                   for lo, hi, n in augmentation.kl_histogram(report.kl_values)]
+    run.write_text("kl_hist.csv", "\n".join(hist_lines) + "\n")
+    print(f"augment: accepted {report.n_accepted}/{report.n_attempts} rollouts, "
+          f"{report.achieved_transitions} synthetic transitions")
+
+
+def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
+    env = _make_env(cfg)
+    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    synthetic = None
+    if cfg["dynamics.use_augmented"]:
+        synthetic = _real_batch(load_dataset(run.input_path(cfg["data.augmented"])))
+    init_ss, shuffle_ss = ss.spawn(2)
+    model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
+                                   np.random.default_rng(init_ss))
+    curve = dynamics.train_joint(model, _real_batch(ds), synthetic,
+                                 cfg["dynamics.epochs"],
+                                 np.random.default_rng(shuffle_ss),
+                                 batch_size=cfg["dynamics.batch_size"],
+                                 step_size=cfg["dynamics.step_size"])
+    dynamics.save_dynamics(model, run.path("dynamics_joint.bin"))
+    run.register_output("dynamics_joint.bin")
+    run.write_text("dynamics_loss.csv", _loss_csv("epoch,pool_nll", curve))
+    print(f"train-dynamics: pool NLL {curve[0]:.4f} -> {curve[-1]:.4f}")
+
+
+def _stage_select(cfg: RunConfig, run: StageRun, ss):
+    env = _make_env(cfg)
+    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    policy = _load_policy_for_env(run, env)
+    model = dynamics.load_dynamics(run.input_path("dynamics_joint.bin"))
+    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
+                                       cfg["ensemble.guided_steps"])
+    spec = diffusion.make_ensemble_spec(cfg["ensemble.n"],
+                                        cfg["ensemble.base_seed"], dcfg)
+    best, scores = finetune.select_policy(policy, spec, model,
+                                          partial(envs.reward, env),
+                                          cfg["select.n_rollouts"],
+                                          initial_states(ds),
+                                          np.random.default_rng(ss))
+    run.write_text("selection.txt",
+                   f"best_index = {best}\nbest_seed = {spec.seeds[best]}\n"
+                   f"n_members = {len(spec.seeds)}\n")
+    score_lines = ["member,seed,score"]
+    score_lines += [f"{i},{spec.seeds[i]},{scores[i]!r}"
+                    for i in range(len(spec.seeds))]
+    run.write_text("selection_scores.csv", "\n".join(score_lines) + "\n")
+    print(f"select: best sub-policy {best} (seed {spec.seeds[best]})")
+
+
+def _read_key_values(path: str) -> dict:
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if "=" in line:
+                key, _, val = line.partition("=")
+                values[key.strip()] = val.strip()
+    return values
+
+
+def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
+    env = _make_env(cfg)
+    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    policy = _load_policy_for_env(run, env)
+    selection = _read_key_values(run.input_path("selection.txt"))
+    try:
+        best_seed = int(selection["best_seed"])
+    except (KeyError, ValueError):
+        raise ConfigError(f"selection.txt in {run.out} has no usable best_seed")
+    windows_s, _ = _windows(cfg, ds)
+    anchors = windows_s[:, 0, :]
+    distill_ss, ppo_ss = ss.spawn(2)
+    distill_rng = np.random.default_rng(distill_ss)
+    perm = distill_rng.permutation(len(anchors))
+    pool = anchors[perm[: cfg["distill.pool"]]]
+    head, mse = finetune.distill(policy, best_seed, pool, distill_rng,
+                                 epochs=cfg["distill.epochs"])
+    pcfg = finetune.PpoConfig(clip_ratio=cfg["ppo.clip_ratio"],
+                              discount=cfg["ppo.discount"],
+                              gae_lambda=cfg["ppo.gae_lambda"],
+                              epochs_per_batch=cfg["ppo.epochs_per_batch"],
+                              batch_episodes=cfg["ppo.batch_episodes"],
+                              step_size=cfg["ppo.step_size"],
+                              value_step_size=cfg["ppo.value_step_size"])
+    head, curve = finetune.ppo_finetune(head, env, pcfg, cfg["ppo.iterations"],
+                                        np.random.default_rng(ppo_ss))
+    finetune.save_head(run.path("head.bin"), head)
+    run.register_output("head.bin")
+    run.write_text("finetune_curve.csv", finetune.curve_csv(curve))
+    run.write_text("distill.txt",
+                   f"best_seed = {best_seed}\ndistill_mse = {mse!r}\n")
+    print(f"finetune: distill mse {mse:.4f}, "
+          f"final mean return {curve[-1][0]:.3f}")
+
+
+def _stage_eval(cfg: RunConfig, run: StageRun, ss):
+    env = _make_env(cfg)
+    head = finetune.load_head(run.input_path("head.bin"))
+    rng = np.random.default_rng(ss)
+    _, _, _, ep_returns = finetune.collect_episodes(head, env,
+                                                    cfg["eval.episodes"], rng)
+    lines = ["episode,return"]
+    lines += [f"{i},{float(r)!r}" for i, r in enumerate(ep_returns)]
+    run.write_text("eval.csv", "\n".join(lines) + "\n")
+    mean = float(ep_returns.mean())
+    run.write_text("eval.txt", f"mean_return = {mean!r}\n"
+                               f"episodes = {len(ep_returns)}\n")
+    print(f"eval: mean return {mean:.3f} over {len(ep_returns)} episodes")
+
+
+_DIV_FIXTURE_VALUE = 0.75
+
+
+def _stage_div_check(cfg: RunConfig, run: StageRun, ss):
+    """Self-test of the divergence arithmetic against a hand-stepped pair."""
+    a_i = np.zeros((4, 1))
+    a_j = np.array([[0.0], [1.0], [2.0], [3.0]])
+    d = divergence.div(a_i, a_j)
+    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
+                                       cfg["ensemble.guided_steps"])
+    at_zero = divergence.sigma_div(0.0, dcfg)
+    at_tau = divergence.sigma_div(cfg["ensemble.tau"], dcfg)
+    ok = (abs(d - _DIV_FIXTURE_VALUE) < 1e-12
+          and abs(at_zero - cfg["ensemble.eta"]) < 1e-12
+          and at_tau == 0.0)
+    text = (f"fixture_div = {d!r}\nexpected = {_DIV_FIXTURE_VALUE!r}\n"
+            f"sigma_div_at_zero = {at_zero!r}\n"
+            f"sigma_div_at_tau = {at_tau!r}\n"
+            f"status = {'ok' if ok else 'fail'}\n")
+    run.write_text("div_check.txt", text)
+    print(text, end="")
+    if not ok:
+        raise RuntimeError("divergence self-test failed")
+
+
+_STAGE_FNS = {
+    "gen-data": _stage_gen_data,
+    "train-diffusion": _stage_train_diffusion,
+    "sample-ensemble": _stage_sample_ensemble,
+    "augment": _stage_augment,
+    "train-dynamics": _stage_train_dynamics,
+    "select": _stage_select,
+    "finetune": _stage_finetune,
+    "eval": _stage_eval,
+    "div-check": _stage_div_check,
+}
+
+
+def run_stage(stage: str, cfg: RunConfig) -> StageRun:
+    """Execute one stage under the out-dir lock and write its manifest."""
+    if stage not in _STAGE_FNS:
+        raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
+    os.makedirs(cfg["out"], exist_ok=True)
+    lock_path = os.path.join(cfg["out"], ".lock")
+    try:
+        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise RuntimeError(
+            f"lock file {lock_path} exists; another stage may be running "
+            f"(delete it if that run is dead)") from None
+    os.write(fd, f"{os.getpid()}\n".encode())
+    os.close(fd)
+    try:
+        run = StageRun(stage, cfg)
+        ss = np.random.SeedSequence((cfg["seed"], STAGES.index(stage)))
+        started = time.perf_counter()
+        _STAGE_FNS[stage](cfg, run, ss)
+        elapsed = time.perf_counter() - started
+        nets.atomic_write_bytes(run.path(f"{stage}.manifest"),
+                                run.manifest_text().encode())
+        # wall time lives outside the manifest so reruns stay bit-identical
+        nets.atomic_write_bytes(run.path(f"{stage}.time.txt"),
+                                f"wall_seconds = {elapsed!r}\n".encode())
+    finally:
+        os.unlink(lock_path)
+    return run
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="uepo", description=__doc__, add_help=True)
+    parser.add_argument("stage", choices=STAGES, metavar="stage",
+                        help=f"one of: {', '.join(STAGES)}")
+    parser.add_argument("--config", required=True, help="key=value config file")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+    parser.add_argument("--out", default=None,
+                        help="override the output directory")
+    return parser
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+        cfg = load_config(args.config)
+        overrides = {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.out is not None:
+            overrides["out"] = args.out
+        if overrides:
+            cfg = cfg.replaced(**overrides)
+    except ConfigError as exc:
+        print(f"uepo: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:  # argparse --help exits 0 through here
+        return 0 if exc.code in (0, None) else 1
+    try:
+        run_stage(args.stage, cfg)
+    except ConfigError as exc:
+        print(f"uepo: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"uepo: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    return 0

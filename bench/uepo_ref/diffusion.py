@@ -1,0 +1,372 @@
+"""State-conditional denoising diffusion over whole action sequences.
+
+A policy here is a distribution over (T, d_a) action matrices
+conditioned on a (T, d_s) state window. Training fits an MLP denoiser
+to predict the injected noise; sampling runs the ancestral reverse
+chain from seeded Gaussian noise, so each seed deterministically picks
+out one behavior. An ensemble of sub-policies is just one trained model
+sampled under n distinct seeds, optionally steered apart by the
+divergence module while the chain runs.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import nets
+from .divergence import DivergenceConfig, guide
+from .errors import ConfigError, EmptyBatchError, ShapeError
+
+DEFAULT_K = 50
+DEFAULT_BETA_MIN = 1e-4
+DEFAULT_BETA_MAX = 0.02
+
+
+@dataclass(frozen=True)
+class NoiseSchedule:
+    """Forward-process coefficients: per-step beta, alpha = 1 - beta and
+    the cumulative product alpha_bar."""
+
+    k: int
+    beta: np.ndarray
+    alpha: np.ndarray
+    alpha_bar: np.ndarray
+
+
+def make_linear_schedule(k: int, beta_min: float = DEFAULT_BETA_MIN,
+                         beta_max: float = DEFAULT_BETA_MAX) -> NoiseSchedule:
+    """Linearly interpolated noise rates; alpha_bar comes out strictly decreasing."""
+    if k < 1:
+        raise ConfigError(f"step count must be >= 1, got {k}")
+    if not (0 < beta_min <= beta_max < 1):
+        raise ConfigError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
+    beta = np.linspace(beta_min, beta_max, k)
+    alpha = 1.0 - beta
+    return NoiseSchedule(k, beta, alpha, np.cumprod(alpha))
+
+
+def schedule_from_beta(beta: np.ndarray) -> NoiseSchedule:
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim != 1 or beta.size < 1 or np.any(beta <= 0) or np.any(beta >= 1):
+        raise ConfigError("beta must be a vector with entries in (0, 1)")
+    alpha = 1.0 - beta
+    return NoiseSchedule(beta.size, beta, alpha, np.cumprod(alpha))
+
+
+@dataclass
+class DiffusionPolicy:
+    """Denoiser MLP plus schedule and sequence dimensions.
+
+    The denoiser maps [flattened noisy actions | flattened state window |
+    time embedding] to the predicted noise, so its input width must be
+    T*d_a + T*d_s + emb_dim and its output width T*d_a. Sampled actions
+    are clipped to [action_low, action_high] after the final step.
+    """
+
+    denoiser: nets.Mlp
+    schedule: NoiseSchedule
+    T: int
+    d_a: int
+    d_s: int
+    emb_dim: int = 16
+    action_low: np.ndarray = field(default=None)
+    action_high: np.ndarray = field(default=None)
+
+    def __post_init__(self):
+        if self.action_low is None:
+            self.action_low = -np.ones(self.d_a)
+        if self.action_high is None:
+            self.action_high = np.ones(self.d_a)
+        self.action_low = np.broadcast_to(np.asarray(self.action_low, float), (self.d_a,)).copy()
+        self.action_high = np.broadcast_to(np.asarray(self.action_high, float), (self.d_a,)).copy()
+        want_in = self.T * self.d_a + self.T * self.d_s + self.emb_dim
+        if self.denoiser.in_width != want_in or self.denoiser.out_width != self.T * self.d_a:
+            raise ShapeError(
+                f"denoiser widths ({self.denoiser.in_width} -> {self.denoiser.out_width}) "
+                f"do not match T={self.T}, d_a={self.d_a}, d_s={self.d_s}, "
+                f"emb_dim={self.emb_dim}"
+            )
+
+
+def make_policy(T: int, d_a: int, d_s: int, hidden, rng: np.random.Generator,
+                schedule: NoiseSchedule | None = None, emb_dim: int = 16,
+                action_low=None, action_high=None) -> DiffusionPolicy:
+    if schedule is None:
+        schedule = make_linear_schedule(DEFAULT_K)
+    widths = [T * d_a + T * d_s + emb_dim, *hidden, T * d_a]
+    net = nets.mlp_init(widths, rng)
+    return DiffusionPolicy(net, schedule, T, d_a, d_s, emb_dim, action_low, action_high)
+
+
+def state_window(s0: np.ndarray, T: int) -> np.ndarray:
+    """Tile one observed state into the (T, d_s) conditioning window.
+
+    At generation time only the anchor state is known, so the window
+    repeats it; training uses the same construction to stay consistent.
+    """
+    s0 = np.asarray(s0, dtype=float)
+    if s0.ndim != 1:
+        raise ShapeError(f"anchor state must be a vector, got shape {s0.shape}")
+    return np.tile(s0, (T, 1))
+
+
+def _check_seq(policy: DiffusionPolicy, a: np.ndarray, s: np.ndarray):
+    if a.shape != (policy.T, policy.d_a):
+        raise ShapeError(f"action sequence shape {a.shape} != {(policy.T, policy.d_a)}")
+    if s.shape != (policy.T, policy.d_s):
+        raise ShapeError(f"state window shape {s.shape} != {(policy.T, policy.d_s)}")
+
+
+def prefix_windows(ds, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start-anchored training windows from a trajectory dataset.
+
+    Each trajectory with at least T transitions contributes one example:
+    its first T actions, conditioned on the tiled initial state. Shorter
+    trajectories are skipped so every window has a real length-T
+    continuation behind it.
+    """
+    states, actions = [], []
+    for tr in ds.trajectories:
+        if len(tr) >= T:
+            states.append(state_window(tr.states[0], T))
+            actions.append(tr.actions[:T])
+    if not states:
+        raise EmptyBatchError(f"no trajectory has {T}+ transitions")
+    return np.stack(states), np.stack(actions)
+
+
+def sliding_windows(ds, T: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Windows anchored at every stride-th timestep of every trajectory.
+
+    Anchor t contributes actions[t:t+T] conditioned on the tiled state
+    s_t, so the trained policy stays in-distribution when asked to act
+    from mid-trajectory states, not just initial ones.
+    """
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+    states, actions = [], []
+    for tr in ds.trajectories:
+        for t in range(0, len(tr) - T + 1, stride):
+            states.append(state_window(tr.states[t], T))
+            actions.append(tr.actions[t:t + T])
+    if not states:
+        raise EmptyBatchError(f"no trajectory has {T}+ transitions")
+    return np.stack(states), np.stack(actions)
+
+
+def q_sample(a0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """Forward-noise a clean sequence to level t:
+    sqrt(alpha_bar[t]) * a0 + sqrt(1 - alpha_bar[t]) * eps."""
+    a0 = np.asarray(a0, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if a0.shape != eps.shape:
+        raise ShapeError(f"noise shape {eps.shape} != sequence shape {a0.shape}")
+    if not 0 <= t < sched.k:
+        raise ConfigError(f"step index {t} outside [0, {sched.k})")
+    ab = sched.alpha_bar[t]
+    return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
+
+
+def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
+    """Denoiser's noise estimate for one noisy sequence at step t."""
+    _check_seq(policy, a_t, s)
+    emb = nets.time_embedding(t, policy.schedule.k, policy.emb_dim)
+    x = np.concatenate([a_t.ravel(), s.ravel(), emb])
+    return nets.forward(policy.denoiser, x).reshape(policy.T, policy.d_a)
+
+
+def denoising_loss(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndarray,
+                   rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """Noise-prediction MSE on a batch plus its parameter gradient.
+
+    ``states`` is (B, T, d_s) and ``actions`` (B, T, d_a). For each
+    example one step index is drawn uniformly and one noise matrix is
+    injected (indices first, then noise, so runs reproduce); the loss
+    averages squared prediction error over batch and elements.
+    """
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    if states.ndim != 3 or states.shape[0] == 0:
+        raise EmptyBatchError(f"need a non-empty (B, T, d_s) state batch, got {states.shape}")
+    batch = states.shape[0]
+    if actions.shape != (batch, policy.T, policy.d_a) or states.shape[1:] != (policy.T, policy.d_s):
+        raise ShapeError(
+            f"batch shapes {states.shape}, {actions.shape} do not match policy dims"
+        )
+    k = policy.schedule.k
+    t_idx = rng.integers(0, k, size=batch)
+    eps = rng.standard_normal(actions.shape)
+    ab = policy.schedule.alpha_bar[t_idx][:, None, None]
+    noisy = np.sqrt(ab) * actions + np.sqrt(1.0 - ab) * eps
+
+    embs = np.stack([nets.time_embedding(int(t), k, policy.emb_dim) for t in t_idx])
+    x = np.concatenate(
+        [noisy.reshape(batch, -1), states.reshape(batch, -1), embs], axis=1
+    )
+    acts = nets.forward_activations(policy.denoiser, x)
+    resid = acts[-1] - eps.reshape(batch, -1)
+    n_elem = batch * policy.T * policy.d_a
+    loss = float(np.sum(resid**2) / n_elem)
+    grad = nets.backward(policy.denoiser, acts, 2.0 * resid / n_elem)
+    return loss, grad
+
+
+def train_denoiser(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndarray,
+                   steps: int, batch_size: int, step_size: float,
+                   rng: np.random.Generator) -> list[float]:
+    """Minibatch Adam on the denoising loss; returns the per-step losses."""
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    if len(states) == 0:
+        raise EmptyBatchError("no training windows")
+    params = nets.get_params(policy.denoiser)
+    opt = nets.adam_init(params.size, step_size=step_size)
+    losses = []
+    n = len(states)
+    for _ in range(steps):
+        idx = rng.integers(0, n, size=min(batch_size, n))
+        loss, grad = denoising_loss(policy, states[idx], actions[idx], rng)
+        nets.optimizer_step(opt, params, grad)
+        nets.set_params(policy.denoiser, params)
+        losses.append(loss)
+    return losses
+
+
+def reverse_mean(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
+    """Posterior mean of one denoising step:
+    (a_t - beta[t]/sqrt(1 - alpha_bar[t]) * eps_pred) / sqrt(alpha[t])."""
+    a_t = np.asarray(a_t, dtype=float)
+    sched = policy.schedule
+    if not 0 <= t < sched.k:
+        raise ConfigError(f"step index {t} outside [0, {sched.k})")
+    eps_pred = predict_eps(policy, a_t, s, t)
+    coef = sched.beta[t] / np.sqrt(1.0 - sched.alpha_bar[t])
+    return (a_t - coef * eps_pred) / np.sqrt(sched.alpha[t])
+
+
+def reverse_step(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One ancestral denoising step: the posterior mean plus
+    sqrt(beta[t]) * z for t > 0; the final step t = 0 is noiseless."""
+    mean = reverse_mean(policy, a_t, s, t)
+    if t == 0:
+        return mean
+    return mean + np.sqrt(policy.schedule.beta[t]) * rng.standard_normal(mean.shape)
+
+
+def _seed_rng(seed: int) -> np.random.Generator:
+    # map arbitrary python ints (incl. negative) onto the u64 seed space
+    return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _reverse_chain(policy: DiffusionPolicy, s: np.ndarray, rng: np.random.Generator,
+                   guide_fn=None) -> np.ndarray:
+    a = rng.standard_normal((policy.T, policy.d_a))
+    for t in range(policy.schedule.k - 1, -1, -1):
+        if guide_fn is not None:
+            a = guide_fn(a, t, rng)
+        a = reverse_step(policy, a, s, t, rng)
+    return np.clip(a, policy.action_low, policy.action_high)
+
+
+def sample(policy: DiffusionPolicy, s: np.ndarray, seed: int) -> np.ndarray:
+    """Draw one action sequence; a pure function of (parameters, s, seed)."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (policy.T, policy.d_s):
+        raise ShapeError(f"state window shape {s.shape} != {(policy.T, policy.d_s)}")
+    return _reverse_chain(policy, s, _seed_rng(seed))
+
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """n sub-policy seeds plus the divergence-guidance configuration
+    (None disables guidance entirely)."""
+
+    seeds: tuple[int, ...]
+    divergence_config: DivergenceConfig | None = None
+
+    def __post_init__(self):
+        if len(self.seeds) < 1:
+            raise ConfigError("ensemble needs at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"ensemble seeds must be pairwise distinct: {self.seeds}")
+
+    @property
+    def n(self) -> int:
+        return len(self.seeds)
+
+
+def derive_seed(base_seed: int, i: int) -> int:
+    """Stable per-sub-policy seed from one base seed."""
+    ss = np.random.SeedSequence((int(base_seed) & 0xFFFFFFFFFFFFFFFF, i))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def make_ensemble_spec(n: int, base_seed: int,
+                       divergence_config: DivergenceConfig | None = None) -> EnsembleSpec:
+    if n < 1:
+        raise ConfigError(f"ensemble size must be >= 1, got {n}")
+    return EnsembleSpec(tuple(derive_seed(base_seed, i) for i in range(n)),
+                        divergence_config)
+
+
+def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray,
+                    spec: EnsembleSpec) -> list[np.ndarray]:
+    """Generate the n sub-policy sequences in seed order.
+
+    Sub-policy i > 0 runs the same seeded reverse chain as
+    :func:`sample`, except that during the last ``guided_steps`` steps
+    its current estimate is perturbed away from the finished sequences
+    of sub-policies j < i. Guidance that never fires (eta = 0, or all
+    divergences at or above tau) consumes no random draws, so those
+    outputs match :func:`sample` bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    cfg = spec.divergence_config
+    outs: list[np.ndarray] = []
+    for i, seed in enumerate(spec.seeds):
+        guide_fn = None
+        if cfg is not None and i > 0:
+            predecessors = list(outs)
+
+            def guide_fn(a, t, rng, _pred=predecessors):
+                if t < cfg.guided_steps:
+                    return guide(a, _pred, cfg, rng)
+                return a
+
+        outs.append(_reverse_chain(policy, s, _seed_rng(seed), guide_fn))
+    return outs
+
+
+# --- checkpoint i/o ---------------------------------------------------------
+
+
+def save_policy(policy: DiffusionPolicy, path: str) -> None:
+    """Core MLP block followed by the schedule (k, beta) and (T, d_a, d_s)."""
+    buf = nets.file_header() + nets.mlp_block_bytes(policy.denoiser)
+    buf += struct.pack("<I", policy.schedule.k)
+    buf += policy.schedule.beta.astype("<f8").tobytes()
+    buf += struct.pack("<III", policy.T, policy.d_a, policy.d_s)
+    nets.atomic_write_bytes(path, buf)
+
+
+def load_policy(path: str, emb_dim: int = 16, action_low=None,
+                action_high=None) -> DiffusionPolicy:
+    """Rebuild a policy; the action box is not persisted and defaults to +-1."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    offset = nets.check_file_header(buf)
+    net, offset = nets.read_mlp_block(buf, offset)
+    (k,) = struct.unpack_from("<I", buf, offset)
+    offset += 4
+    beta = np.frombuffer(buf, dtype="<f8", count=k, offset=offset).astype(float)
+    offset += 8 * k
+    T, d_a, d_s = struct.unpack_from("<III", buf, offset)
+    offset += 12
+    if offset != len(buf):
+        raise ConfigError(f"{path}: {len(buf) - offset} trailing bytes")
+    return DiffusionPolicy(net, schedule_from_beta(beta), T, d_a, d_s, emb_dim,
+                           action_low, action_high)

@@ -1,0 +1,146 @@
+"""Dynamics-level divergence between action sequences and adaptive guidance.
+
+Two sequences count as different here only if they *move* differently:
+the metric compares first differences (velocity) by L2 distance and
+second differences (acceleration) by cosine, so constant offsets between
+sequences contribute nothing. When a sequence being sampled is too close
+to an already-generated one, a Gaussian perturbation whose strength
+shrinks linearly with the measured divergence nudges it elsewhere.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ConfigError, DegenerateHorizonError, ShapeError
+
+
+@dataclass(frozen=True)
+class DivergenceConfig:
+    """Guidance knobs: threshold ``tau``, strength ``eta``, and how many
+    final reverse steps apply the perturbation."""
+
+    tau: float
+    eta: float
+    guided_steps: int = 10
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if self.eta < 0:
+            raise ConfigError(f"eta must be non-negative, got {self.eta}")
+        if self.guided_steps <= 0:
+            raise ConfigError(f"guided_steps must be positive, got {self.guided_steps}")
+
+
+@dataclass(frozen=True)
+class PairDivergence:
+    """Divergence value for one unordered sub-policy pair."""
+
+    i: int
+    j: int
+    value: float
+
+
+def velocity(a: np.ndarray) -> np.ndarray:
+    """First differences along time; row t is a[t+1] - a[t]."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 2:
+        raise DegenerateHorizonError(f"velocity needs a (T>=2, d) sequence, got {a.shape}")
+    return np.diff(a, axis=0)
+
+
+def acceleration(a: np.ndarray) -> np.ndarray:
+    """Second differences along time."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 3:
+        raise DegenerateHorizonError(f"acceleration needs a (T>=3, d) sequence, got {a.shape}")
+    return np.diff(a, n=2, axis=0)
+
+
+def div(a_i: np.ndarray, a_j: np.ndarray) -> float:
+    """Dynamics divergence between two same-shape (T, d) action sequences.
+
+    Sums ||v_i - v_j||_2 over the T-1 velocity rows and (1 - cos) of the
+    acceleration rows over the T-2 defined rows, then divides by T. The
+    cosine involving an exactly-zero acceleration vector is taken as 1,
+    so that term vanishes. Symmetric, non-negative, and zero on
+    identical sequences.
+    """
+    a_i = np.asarray(a_i, dtype=float)
+    a_j = np.asarray(a_j, dtype=float)
+    if a_i.shape != a_j.shape:
+        raise ShapeError(f"sequence shapes differ: {a_i.shape} vs {a_j.shape}")
+    horizon = a_i.shape[0]
+    vel_term = np.linalg.norm(velocity(a_i) - velocity(a_j), axis=1).sum()
+    acc_i = acceleration(a_i)
+    acc_j = acceleration(a_j)
+    norms_i = np.linalg.norm(acc_i, axis=1)
+    norms_j = np.linalg.norm(acc_j, axis=1)
+    dots = np.einsum("td,td->t", acc_i, acc_j)
+    nonzero = (norms_i > 0.0) & (norms_j > 0.0)
+    cos = np.ones(len(dots))
+    # rounding can put dot/(ni*nj) an ulp off 1 even for equal rows, which
+    # would break div(a, a) = 0; equal rows are cosine 1 by definition and
+    # the true cosine never leaves [-1, 1]
+    cos[nonzero] = np.clip(dots[nonzero] / (norms_i[nonzero] * norms_j[nonzero]),
+                           -1.0, 1.0)
+    cos[np.all(acc_i == acc_j, axis=1)] = 1.0
+    acc_term = (1.0 - cos).sum()
+    return float((vel_term + acc_term) / horizon)
+
+
+def sigma_div(d: float, cfg: DivergenceConfig) -> float:
+    """Perturbation strength eta * (tau - d) / tau, gated to 0 once d >= tau."""
+    if d < 0:
+        raise ShapeError(f"divergence must be non-negative, got {d}")
+    if d >= cfg.tau:
+        return 0.0
+    return cfg.eta * (cfg.tau - d) / cfg.tau
+
+
+def perturb(a: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Add N(0, sigma^2) noise elementwise; sigma = 0 returns the input
+    unchanged without consuming any random draws."""
+    if sigma < 0:
+        raise ConfigError(f"sigma must be non-negative, got {sigma}")
+    a = np.asarray(a, dtype=float)
+    if sigma == 0.0:
+        return a
+    return a + sigma * rng.standard_normal(a.shape)
+
+
+def guide(a: np.ndarray, predecessors, cfg: DivergenceConfig,
+          rng: np.random.Generator) -> np.ndarray:
+    """Perturb ``a`` away from its most similar predecessor.
+
+    Computes the minimum divergence to the sequences in ``predecessors``
+    and, if that falls below ``cfg.tau``, applies :func:`perturb` at the
+    matching adaptive strength. With no predecessors (or eta = 0) this
+    is the identity and leaves the generator state untouched.
+    """
+    predecessors = list(predecessors)
+    if not predecessors:
+        return np.asarray(a, dtype=float)
+    d_min = min(div(a, p) for p in predecessors)
+    return perturb(a, sigma_div(d_min, cfg), rng)
+
+
+def pairwise_divergences(seqs) -> list[PairDivergence]:
+    """Divergence for every unordered pair, in (i, j) index order."""
+    seqs = list(seqs)
+    out = []
+    for i in range(len(seqs)):
+        for j in range(i + 1, len(seqs)):
+            out.append(PairDivergence(i, j, div(seqs[i], seqs[j])))
+    return out
+
+
+def min_pairwise_div(seqs) -> float:
+    """Smallest pairwise divergence among ``seqs`` (requires >= 2 sequences)."""
+    pairs = pairwise_divergences(seqs)
+    if not pairs:
+        raise ShapeError("need at least two sequences")
+    return min(p.value for p in pairs)

@@ -1,0 +1,307 @@
+"""Micro-environments with analytically known Gaussian transition laws.
+
+Both environments are a deterministic closed-form update plus isotropic
+Gaussian noise of scale sigma_env, so the true transition distribution
+is available exactly (`true_dist`). That is what makes the trajectory
+filter's KL a closed-form quantity instead of an estimate.
+
+Offline data comes from scripted controllers with two behavior modes
+per environment (two goals, or two swing directions), giving labeled
+multimodal demonstrations.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .datasets import Trajectory, TrajectoryDataset
+from .errors import ConfigError, ShapeError
+
+ACTION_NOISE = 0.05
+
+
+@dataclass
+class PointMass2D:
+    """Damped double integrator on the plane.
+
+    State (x, y, vx, vy), action (ax, ay) in [-1, 1]^2. One step:
+
+        v' = (1 - damping) * v + dt * a
+        p' = p + dt * v          (the pre-update velocity)
+
+    plus N(0, sigma_env^2 I) on all four dims. Two goals g_plus = (1, 1)
+    and g_minus = (1, -1); reward is minus the distance of the next
+    position to the nearer goal. Episodes reset near the origin at rest.
+    """
+
+    dt: float = 0.1
+    damping: float = 0.05
+    sigma_env: float = 0.01
+    horizon: int = 40
+    goal_plus: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
+    goal_minus: np.ndarray = field(default_factory=lambda: np.array([1.0, -1.0]))
+    reset_scale: float = 0.05
+    clip_count: int = 0
+
+    name = "point_mass"
+    d_s = 4
+    d_a = 2
+    action_low = np.array([-1.0, -1.0])
+    action_high = np.array([1.0, 1.0])
+
+    def _mean(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        p, v = s[:2], s[2:]
+        v_next = (1.0 - self.damping) * v + self.dt * a
+        return np.concatenate([p + self.dt * v, v_next])
+
+    def _reward(self, s, a, s_next) -> float:
+        p = s_next[:2]
+        return -min(float(np.linalg.norm(p - self.goal_plus)),
+                    float(np.linalg.norm(p - self.goal_minus)))
+
+    def _reset(self, rng: np.random.Generator) -> np.ndarray:
+        p = self.reset_scale * rng.standard_normal(2)
+        return np.concatenate([p, np.zeros(2)])
+
+    def _scripted(self, s: np.ndarray, mode: int) -> np.ndarray:
+        # proportional navigation with velocity damping toward the mode's goal
+        goal = self.goal_plus if mode == 0 else self.goal_minus
+        return 4.0 * (goal - s[:2]) - 3.5 * s[2:]
+
+
+def wrap_angle(x: float) -> float:
+    """Map onto (-pi, pi], with pi itself kept (not sent to -pi)."""
+    return float(np.pi - np.mod(np.pi - x, 2.0 * np.pi))
+
+
+@dataclass
+class Pendulum1:
+    """Torque-limited gravity pendulum, angle measured from upright.
+
+    State (theta, theta_dot) with theta wrapped to (-pi, pi]; torque in
+    [-2, 2]. Forward-Euler with m = l = 1, g = 9.8, dt = 0.05:
+
+        theta_dot' = theta_dot + dt * (g * sin(theta) + u)
+        theta'     = wrap(theta + dt * theta_dot)
+
+    plus Gaussian noise; reward = -(theta^2 + 0.1 * theta_dot^2).
+    Episodes start hanging near the bottom.
+    """
+
+    dt: float = 0.05
+    gravity: float = 9.8
+    sigma_env: float = 0.01
+    horizon: int = 50
+    reset_scale: float = 0.05
+    clip_count: int = 0
+
+    name = "pendulum"
+    d_s = 2
+    d_a = 1
+    action_low = np.array([-2.0])
+    action_high = np.array([2.0])
+
+    def _mean(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        theta, omega = s
+        omega_next = omega + self.dt * (self.gravity * np.sin(theta) + a[0])
+        theta_next = wrap_angle(theta + self.dt * omega)
+        return np.array([theta_next, omega_next])
+
+    def _reward(self, s, a, s_next) -> float:
+        theta, omega = s_next
+        return -(theta**2 + 0.1 * omega**2)
+
+    def _reset(self, rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(2)
+        return np.array([wrap_angle(np.pi + self.reset_scale * z[0]),
+                         self.reset_scale * z[1]])
+
+    def _scripted(self, s: np.ndarray, mode: int) -> np.ndarray:
+        # energy-based swing-up; mode picks the initial pump direction
+        theta, omega = s
+        direction = 1.0 if mode == 0 else -1.0
+        if np.cos(theta) > 0.9:
+            return np.array([-8.0 * theta - 2.0 * omega])
+        energy = 0.5 * omega**2 + self.gravity * np.cos(theta)
+        gap = self.gravity - energy
+        sign = np.sign(omega) if abs(omega) > 0.2 else direction
+        return np.array([1.5 * gap * sign])
+
+
+Env = PointMass2D | Pendulum1
+
+
+def make_env(name: str, **overrides) -> Env:
+    if name == "point_mass":
+        return PointMass2D(**overrides)
+    if name == "pendulum":
+        return Pendulum1(**overrides)
+    raise ConfigError(f"unknown environment {name!r}")
+
+
+def _clip_action(env: Env, a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != (env.d_a,):
+        raise ShapeError(f"action shape {a.shape} != ({env.d_a},)")
+    clipped = np.clip(a, env.action_low, env.action_high)
+    if not np.array_equal(clipped, a):
+        env.clip_count += 1
+    return clipped
+
+
+def step(env: Env, s: np.ndarray, a: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+    """Sample the next state. Draws exactly one noise vector per call so
+    recorded rollouts replay bit-exactly; rng None skips the draw and
+    returns the deterministic mean."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (env.d_s,):
+        raise ShapeError(f"state shape {s.shape} != ({env.d_s},)")
+    mean = env._mean(s, _clip_action(env, a))
+    if rng is None:
+        return mean
+    s_next = mean + env.sigma_env * rng.standard_normal(env.d_s)
+    if isinstance(env, Pendulum1):
+        s_next[0] = wrap_angle(s_next[0])
+    return s_next
+
+
+def true_dist(env: Env, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact transition law at (s, a): closed-form mean, sigma_env^2 variance."""
+    s = np.asarray(s, dtype=float)
+    a = np.clip(np.asarray(a, dtype=float), env.action_low, env.action_high)
+    return env._mean(s, a), np.full(env.d_s, env.sigma_env**2)
+
+
+def reward(env: Env, s, a, s_next) -> float:
+    return env._reward(np.asarray(s, float), np.asarray(a, float),
+                       np.asarray(s_next, float))
+
+
+def reset(env: Env, rng: np.random.Generator) -> np.ndarray:
+    return env._reset(rng)
+
+
+def scripted_action(env: Env, s: np.ndarray, mode: int) -> np.ndarray:
+    if mode not in (0, 1):
+        raise ConfigError(f"mode must be 0 or 1, got {mode}")
+    return np.clip(env._scripted(np.asarray(s, float), mode),
+                   env.action_low, env.action_high)
+
+
+def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
+                      rng: np.random.Generator | None, seed: int = 0) -> Trajectory:
+    """Execute a fixed action matrix from s0; rng None gives the noise-free
+    mean rollout."""
+    actions = np.asarray(actions, dtype=float)
+    if actions.ndim != 2 or actions.shape[1] != env.d_a:
+        raise ShapeError(f"actions must be (T, {env.d_a}), got {actions.shape}")
+    s = np.asarray(s0, dtype=float)
+    states, nexts, rews = [], [], []
+    for a in actions:
+        s_next = step(env, s, a, rng)
+        states.append(s)
+        nexts.append(s_next)
+        rews.append(env._reward(s, a, s_next))
+        s = s_next
+    return Trajectory(np.stack(states), actions.copy(), np.stack(nexts),
+                      np.array(rews), seed=seed)
+
+
+def goal_distances(env: PointMass2D, s0: np.ndarray, actions: np.ndarray) -> tuple[float, float]:
+    """Closest noise-free approach of an open-loop rollout to each goal."""
+    traj = rollout_open_loop(env, s0, actions, rng=None)
+    pos = traj.next_states[:, :2]
+    d_plus = float(np.min(np.linalg.norm(pos - env.goal_plus, axis=1)))
+    d_minus = float(np.min(np.linalg.norm(pos - env.goal_minus, axis=1)))
+    return d_plus, d_minus
+
+
+def _traj_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
+    # independent streams for reset, action noise and environment noise,
+    # all derived from the one recorded trajectory seed
+    init_c, act_c, env_c = np.random.SeedSequence(int(seed)).spawn(3)
+    return (np.random.default_rng(init_c), np.random.default_rng(act_c),
+            np.random.default_rng(env_c))
+
+
+def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generator,
+                         action_noise: float = ACTION_NOISE,
+                         horizon: int | None = None) -> TrajectoryDataset:
+    """Scripted multimodal demonstrations with labeled modes.
+
+    Each trajectory draws a fresh seed from rng and runs its reset,
+    action-noise and transition-noise streams off that seed alone, so
+    any recorded transition can be replayed from the record.
+    """
+    mode_mix = np.asarray(mode_mix, dtype=float)
+    if mode_mix.shape != (2,) or np.any(mode_mix < 0) or abs(mode_mix.sum() - 1.0) > 1e-9:
+        raise ConfigError(f"mode_mix must be two non-negative proportions summing to 1, got {mode_mix}")
+    if n_traj < 1:
+        raise ConfigError("n_traj must be positive")
+    horizon = env.horizon if horizon is None else int(horizon)
+
+    trajs = []
+    for _ in range(n_traj):
+        seed = int(rng.integers(0, 2**63))
+        mode = 0 if rng.random() < mode_mix[0] else 1
+        init_rng, act_rng, env_rng = _traj_rngs(seed)
+        s = reset(env, init_rng)
+        states, actions, nexts, rews = [], [], [], []
+        for _ in range(horizon):
+            a = scripted_action(env, s, mode)
+            if action_noise > 0:
+                a = np.clip(a + action_noise * act_rng.standard_normal(env.d_a),
+                            env.action_low, env.action_high)
+            s_next = step(env, s, a, env_rng)
+            states.append(s)
+            actions.append(a)
+            nexts.append(s_next)
+            rews.append(env._reward(s, a, s_next))
+            s = s_next
+        trajs.append(Trajectory(np.stack(states), np.stack(actions), np.stack(nexts),
+                                np.array(rews), seed=seed, mode=mode))
+
+    meta = {"env": env.name, "d_s": env.d_s, "d_a": env.d_a, "horizon": horizon,
+            "sigma_env": env.sigma_env, "action_noise": action_noise,
+            "mode_mix": mode_mix.tolist(), "n_traj": n_traj}
+    return TrajectoryDataset(trajs, meta)
+
+
+def replay_consistent(env: Env, traj: Trajectory) -> bool:
+    """Re-step every recorded (s_t, a_t) with the trajectory's noise stream
+    and demand bit-equal next states."""
+    env_rng = _traj_rngs(traj.seed)[2]
+    for t in range(len(traj)):
+        s_next = step(env, traj.states[t], traj.actions[t], env_rng)
+        if not np.array_equal(s_next, traj.next_states[t]):
+            return False
+    return True
+
+
+def apply_coverage_gap(ds: TrajectoryDataset, y_limit: float = 0.5
+                       ) -> tuple[TrajectoryDataset, TrajectoryDataset]:
+    """Split a point-mass dataset at the undersampled region y > y_limit.
+
+    Every trajectory is cut at its first transition touching the region;
+    the prefixes form the training dataset, the withheld suffixes the
+    held-out gap set. Both sides keep chain consistency and seeds.
+    """
+    if ds.meta["env"] != "point_mass":
+        raise ConfigError("coverage gap is defined for the point-mass environment")
+    kept, gap = [], []
+    for tr in ds.trajectories:
+        in_gap = (tr.states[:, 1] > y_limit) | (tr.next_states[:, 1] > y_limit)
+        cut = int(np.argmax(in_gap)) if in_gap.any() else len(tr)
+        if cut > 0:
+            kept.append(Trajectory(tr.states[:cut], tr.actions[:cut], tr.next_states[:cut],
+                                   None if tr.rewards is None else tr.rewards[:cut],
+                                   seed=tr.seed, mode=tr.mode))
+        if cut < len(tr):
+            gap.append(Trajectory(tr.states[cut:], tr.actions[cut:], tr.next_states[cut:],
+                                  None if tr.rewards is None else tr.rewards[cut:],
+                                  seed=tr.seed, mode=tr.mode))
+    kept_meta = dict(ds.meta, coverage_gap_y=y_limit)
+    gap_meta = dict(ds.meta, coverage_gap_heldout_y=y_limit)
+    return TrajectoryDataset(kept, kept_meta), TrajectoryDataset(gap, gap_meta)

@@ -1,0 +1,438 @@
+"""Selection, distillation and online fine-tuning.
+
+The sequence-level diffusion policy cannot be fine-tuned with likelihood
+ratios directly, so the online phase runs on a step-level squashed
+Gaussian head: pick the best sub-policy by model-based return, regress
+the head's mean onto that sub-policy's first-step actions, then improve
+it in the real environment with clipped policy-gradient updates.
+"""
+
+from __future__ import annotations
+
+import struct
+import warnings
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import diffusion, dynamics, envs, nets
+from .errors import (ConfigError, DistillationQualityWarning, EmptyBatchError,
+                     NonFiniteError, ShapeError, TrainingDivergenceError)
+
+LOG_STD_MIN = -5.0
+LOG_STD_MAX = 1.0
+
+
+@dataclass
+class GaussianPolicy:
+    """Squashed diagonal-Gaussian policy head.
+
+    The net maps a state to a pre-squash mean; actions are
+    center + half * tanh(u) with u drawn from N(mean, exp(log_std)^2),
+    which keeps every action inside the box while the log-density stays
+    exact (tanh change of variables).
+    """
+
+    net: nets.Mlp
+    log_std: np.ndarray
+    action_low: np.ndarray
+    action_high: np.ndarray
+
+    def __post_init__(self):
+        self.log_std = np.asarray(self.log_std, dtype=float)
+        self.action_low = np.asarray(self.action_low, dtype=float)
+        self.action_high = np.asarray(self.action_high, dtype=float)
+        d_a = self.net.layer_widths[-1]
+        if self.log_std.shape != (d_a,):
+            raise ShapeError(f"log_std shape {self.log_std.shape} != ({d_a},)")
+        if self.action_low.shape != (d_a,) or self.action_high.shape != (d_a,):
+            raise ShapeError("action bounds must match the net's output width")
+        if np.any(self.action_high <= self.action_low):
+            raise ConfigError("action_high must exceed action_low componentwise")
+
+    @property
+    def d_s(self) -> int:
+        return self.net.layer_widths[0]
+
+    @property
+    def d_a(self) -> int:
+        return self.net.layer_widths[-1]
+
+    @property
+    def center(self) -> np.ndarray:
+        return 0.5 * (self.action_low + self.action_high)
+
+    @property
+    def half(self) -> np.ndarray:
+        return 0.5 * (self.action_high - self.action_low)
+
+
+def make_head(d_s: int, d_a: int, hidden, rng: np.random.Generator,
+              action_low, action_high, log_std_init: float = -1.0) -> GaussianPolicy:
+    net = nets.mlp_init([d_s, *hidden, d_a], rng)
+    low = np.broadcast_to(np.asarray(action_low, dtype=float), (d_a,)).copy()
+    high = np.broadcast_to(np.asarray(action_high, dtype=float), (d_a,)).copy()
+    return GaussianPolicy(net, np.full(d_a, float(log_std_init)), low, high)
+
+
+def clamp_log_std(head: GaussianPolicy) -> None:
+    np.clip(head.log_std, LOG_STD_MIN, LOG_STD_MAX, out=head.log_std)
+
+
+def head_mean_action(head: GaussianPolicy, s: np.ndarray) -> np.ndarray:
+    """Deterministic (mean-u) action, squashed into the box."""
+    m = nets.forward(head.net, np.asarray(s, dtype=float))
+    return head.center + head.half * np.tanh(m)
+
+
+def sample_action(head: GaussianPolicy, s: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one action; returns (action, pre-squash u).
+
+    Callers that later need likelihood ratios must keep u: recovering it
+    from the action via atanh is ill-conditioned near the box edge.
+    """
+    m = nets.forward(head.net, np.asarray(s, dtype=float))
+    u = m + np.exp(head.log_std) * rng.standard_normal(m.shape)
+    return head.center + head.half * np.tanh(u), u
+
+
+def _u_log_prob(head: GaussianPolicy, states: np.ndarray, us: np.ndarray) -> np.ndarray:
+    # Gaussian part only. The tanh correction depends on u alone, so it
+    # cancels in every new/old likelihood ratio evaluated at stored u.
+    m = nets.forward(head.net, states)
+    std = np.exp(head.log_std)
+    z = (us - m) / std
+    return -0.5 * np.sum(z * z + 2.0 * head.log_std + np.log(2.0 * np.pi), axis=-1)
+
+
+def action_log_prob(head: GaussianPolicy, s: np.ndarray, a: np.ndarray) -> float:
+    """Exact log-density of a squashed action (integrates to 1 over the box)."""
+    a = np.asarray(a, dtype=float)
+    raw = (a - head.center) / head.half
+    if np.any(np.abs(raw) >= 1.0):
+        return -np.inf
+    u = np.arctanh(raw)
+    gauss = _u_log_prob(head, np.asarray(s, dtype=float)[None, :], u[None, :])[0]
+    # log |da/du| = log(half) + log(1 - tanh(u)^2), in the stable form
+    log_jac = np.log(head.half) + 2.0 * (np.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
+    return float(gauss - np.sum(log_jac))
+
+
+def best_index(scores) -> int:
+    """Argmax with the documented tie-break: first (lowest-index) maximum."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.size == 0:
+        raise EmptyBatchError("no scores to select from")
+    return int(np.argmax(scores))
+
+
+def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpec,
+                  model, reward_fn, n_rollouts: int, initial_states: np.ndarray,
+                  rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Pick the sub-policy with the best mean model-based return.
+
+    A sub-policy is the deterministic map s -> sample(policy, window(s),
+    seed_i), so its plan for a given start state never varies; rollouts
+    differ only through the start-state draw and one model-noise stream
+    shared by every sub-policy (common random numbers). Returns
+    (argmax index, per-sub-policy mean returns).
+    """
+    initial_states = np.asarray(initial_states, dtype=float)
+    if initial_states.ndim != 2 or initial_states.shape[0] == 0:
+        raise EmptyBatchError("need a non-empty pool of start states")
+    if n_rollouts < 1:
+        raise ConfigError(f"n_rollouts must be >= 1, got {n_rollouts}")
+    n = len(spec.seeds)
+    scores = np.zeros(n)
+    for _ in range(n_rollouts):
+        s0 = initial_states[rng.integers(len(initial_states))]
+        noise = rng.standard_normal((policy.T, policy.d_s))
+        window = diffusion.state_window(s0, policy.T)
+        for i, sub_seed in enumerate(spec.seeds):
+            seq = diffusion.sample(policy, window, sub_seed)
+            s = s0
+            total = 0.0
+            for t in range(policy.T):
+                mean, var = dynamics.predict(model, s, seq[t])
+                s_next = mean + np.sqrt(var) * noise[t]
+                total += reward_fn(s, seq[t], s_next)
+                s = s_next
+            scores[i] += total / n_rollouts
+    return best_index(scores), scores
+
+
+DISTILL_MSE_TARGET = 0.02
+
+
+def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
+            rng: np.random.Generator, hidden=(64, 64), epochs: int = 400,
+            batch_size: int = 64, step_size: float = 1e-3,
+            mse_target: float = DISTILL_MSE_TARGET) -> tuple[GaussianPolicy, float]:
+    """Regress a Gaussian head's mean onto one sub-policy's first-step actions.
+
+    The sub-policy is the deterministic fixed-seed sampler, so every
+    pool state gets the target sample(policy, window(s), seed)[0]; the
+    shared seed is what keeps targets mode-consistent at ambiguous
+    states. Stops early under mse_target; otherwise warns with the
+    achieved value.
+    """
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[0] == 0:
+        raise EmptyBatchError(f"need a non-empty (N, d_s) state pool, got {states.shape}")
+    targets = np.empty((states.shape[0], policy.d_a))
+    for j, s in enumerate(states):
+        window = diffusion.state_window(s, policy.T)
+        targets[j] = diffusion.sample(policy, window, seed)[0]
+
+    head = make_head(policy.d_s, policy.d_a, hidden, rng,
+                     policy.action_low, policy.action_high)
+    opt = nets.adam_init(nets.param_count(head.net), step_size=step_size)
+    params = nets.get_params(head.net)
+    n = states.shape[0]
+    mse = np.inf
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = order[lo:lo + batch_size]
+            acts = nets.forward_activations(head.net, states[idx])
+            m = acts[-1]
+            pred = head.center + head.half * np.tanh(m)
+            err = pred - targets[idx]
+            upstream = 2.0 * err * head.half * (1.0 - np.tanh(m) ** 2) / err.size
+            grads = nets.backward(head.net, acts, upstream)
+            nets.optimizer_step(opt, params, grads)
+            nets.set_params(head.net, params)
+        full = head.center + head.half * np.tanh(nets.forward(head.net, states))
+        mse = float(np.mean((full - targets) ** 2))
+        if mse < mse_target:
+            break
+    if mse >= mse_target:
+        warnings.warn(f"distillation stopped at MSE {mse:.4f} (target {mse_target})",
+                      DistillationQualityWarning)
+    return head, mse
+
+
+@dataclass
+class PpoConfig:
+    clip_ratio: float = 0.2
+    discount: float = 0.99
+    gae_lambda: float = 0.95
+    epochs_per_batch: int = 10
+    batch_episodes: int = 16
+    value_net: nets.Mlp | None = None
+    step_size: float = 3e-4
+    value_step_size: float = 1e-3
+    ratio_guard: float = 1.5
+
+    def __post_init__(self):
+        if not 0 < self.clip_ratio < 1:
+            raise ConfigError(f"clip_ratio must lie in (0, 1), got {self.clip_ratio}")
+        if not 0 < self.discount <= 1:
+            raise ConfigError(f"discount must lie in (0, 1], got {self.discount}")
+
+
+def gae(rewards: np.ndarray, values: np.ndarray, discount: float,
+        lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized advantage estimates for one episode.
+
+    values has one more entry than rewards (the bootstrap; pass 0 at a
+    true terminal). Also returns the value-regression targets A + V.
+    """
+    rewards = np.asarray(rewards, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (rewards.size + 1,):
+        raise ShapeError(f"need len(values) == len(rewards) + 1, got {values.shape}")
+    deltas = rewards + discount * values[1:] - values[:-1]
+    adv = np.empty_like(deltas)
+    acc = 0.0
+    for t in range(deltas.size - 1, -1, -1):
+        acc = deltas[t] + discount * lam * acc
+        adv[t] = acc
+    return adv, adv + values[:-1]
+
+
+def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
+                  logp_old: np.ndarray, advantages: np.ndarray,
+                  clip_ratio: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Clipped-surrogate loss and its gradients.
+
+    Loss is -mean(min(r*A, clip(r, 1-c, 1+c)*A)) with r the new/old
+    likelihood ratio at the stored pre-squash draws. Returns
+    (loss, net gradient flat, log_std gradient); samples sitting in the
+    clipped branch contribute nothing to either gradient.
+    """
+    states = np.asarray(states, dtype=float)
+    us = np.asarray(us, dtype=float)
+    logp_old = np.asarray(logp_old, dtype=float)
+    advantages = np.asarray(advantages, dtype=float)
+    n = states.shape[0]
+    if n == 0:
+        raise EmptyBatchError("empty surrogate batch")
+    logp_new = _u_log_prob(head, states, us)
+    ratio = np.exp(logp_new - logp_old)
+    clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
+    surr1 = ratio * advantages
+    surr2 = clipped * advantages
+    loss = -float(np.mean(np.minimum(surr1, surr2)))
+    # d loss / d logp flows only where the unclipped branch is active
+    active = surr1 <= surr2
+    dlogp = np.where(active, -ratio * advantages / n, 0.0)
+    acts = nets.forward_activations(head.net, states)
+    m = acts[-1]
+    std = np.exp(head.log_std)
+    dm = (us - m) / (std * std)
+    net_grads = nets.backward(head.net, acts, dlogp[:, None] * dm)
+    logstd_grads = np.sum(dlogp[:, None] * ((us - m) ** 2 / (std * std) - 1.0), axis=0)
+    return loss, net_grads, logstd_grads
+
+
+def collect_episodes(head: GaussianPolicy, env, n_episodes: int,
+                     rng: np.random.Generator):
+    """Roll stochastic episodes in the real environment.
+
+    Returns (states, us, rewards) stacked per episode plus the episode
+    returns; every array keeps episode-major order so GAE can run
+    episode by episode.
+    """
+    if n_episodes < 1:
+        raise ConfigError(f"need at least one episode, got {n_episodes}")
+    all_s, all_u, all_r = [], [], []
+    ep_returns = np.empty(n_episodes)
+    for e in range(n_episodes):
+        s = envs.reset(env, rng)
+        for _ in range(env.horizon):
+            a, u = sample_action(head, s, rng)
+            s_next = envs.step(env, s, a, rng)
+            all_s.append(s)
+            all_u.append(u)
+            all_r.append(envs.reward(env, s, a, s_next))
+            s = s_next
+        ep_returns[e] = sum(all_r[-env.horizon:])
+    return (np.asarray(all_s), np.asarray(all_u), np.asarray(all_r), ep_returns)
+
+
+def _snapshot(head: GaussianPolicy, value_net: nets.Mlp):
+    return (nets.get_params(head.net), head.log_std.copy(), nets.get_params(value_net))
+
+
+def _restore(head: GaussianPolicy, value_net: nets.Mlp, snap) -> None:
+    nets.set_params(head.net, snap[0])
+    head.log_std[:] = snap[1]
+    nets.set_params(value_net, snap[2])
+
+
+def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
+                 rng: np.random.Generator) -> tuple[GaussianPolicy, list[tuple[float, float]]]:
+    """Clipped policy-gradient fine-tuning in the real environment.
+
+    Per iteration: collect cfg.batch_episodes episodes, fit advantages
+    with GAE, then run up to cfg.epochs_per_batch full-batch updates.
+    An epoch whose update pushes any likelihood ratio past
+    1 +- ratio_guard*clip_ratio is rolled back and the epoch loop stops,
+    so one batch can never move the policy much past the clip region.
+    A non-finite loss restores the pre-iteration parameters and raises;
+    the returned curve holds (mean, std) of each iteration's returns.
+    """
+    value_net = cfg.value_net
+    if value_net is None:
+        value_net = nets.mlp_init([head.d_s, 64, 64, 1], rng)
+    opt_net = nets.adam_init(nets.param_count(head.net), step_size=cfg.step_size)
+    opt_std = nets.adam_init(head.d_a, step_size=cfg.step_size)
+    opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
+    curve: list[tuple[float, float]] = []
+    bound = cfg.ratio_guard * cfg.clip_ratio
+    horizon = env.horizon
+    for _ in range(iterations):
+        stable = _snapshot(head, value_net)
+        states, us, rewards, ep_returns = collect_episodes(head, env, cfg.batch_episodes, rng)
+        curve.append((float(ep_returns.mean()), float(ep_returns.std())))
+        logp_old = _u_log_prob(head, states, us)
+        values = nets.forward(value_net, states)[:, 0]
+        advantages = np.empty_like(rewards)
+        value_targets = np.empty_like(rewards)
+        for e in range(cfg.batch_episodes):
+            sl = slice(e * horizon, (e + 1) * horizon)
+            v_ep = np.append(values[sl], 0.0)
+            advantages[sl], value_targets[sl] = gae(rewards[sl], v_ep,
+                                                    cfg.discount, cfg.gae_lambda)
+        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        try:
+            for _ in range(cfg.epochs_per_batch):
+                pre = _snapshot(head, value_net)
+                loss, g_net, g_std = ppo_surrogate(head, states, us, logp_old,
+                                                   advantages, cfg.clip_ratio)
+                if not np.isfinite(loss):
+                    raise NonFiniteError(f"surrogate loss {loss}")
+                p = nets.get_params(head.net)
+                nets.optimizer_step(opt_net, p, g_net)
+                nets.set_params(head.net, p)
+                nets.optimizer_step(opt_std, head.log_std, g_std)
+                clamp_log_std(head)
+                v_acts = nets.forward_activations(value_net, states)
+                v = v_acts[-1][:, 0]
+                v_up = (2.0 * (v - value_targets) / v.size)[:, None]
+                pv = nets.get_params(value_net)
+                nets.optimizer_step(opt_val, pv,
+                                    nets.backward(value_net, v_acts, v_up))
+                nets.set_params(value_net, pv)
+                ratio = np.exp(_u_log_prob(head, states, us) - logp_old)
+                if np.max(np.abs(ratio - 1.0)) > bound:
+                    _restore(head, value_net, pre)
+                    break
+        except NonFiniteError as exc:
+            _restore(head, value_net, stable)
+            raise TrainingDivergenceError(
+                f"fine-tuning diverged; parameters rolled back ({exc})") from exc
+    return head, curve
+
+
+def evaluate_head(head: GaussianPolicy, env, n_episodes: int,
+                  rng: np.random.Generator, stochastic: bool = True) -> float:
+    """Mean episode return over fresh rollouts."""
+    total = 0.0
+    for _ in range(n_episodes):
+        s = envs.reset(env, rng)
+        for _ in range(env.horizon):
+            if stochastic:
+                a, _ = sample_action(head, s, rng)
+            else:
+                a = head_mean_action(head, s)
+            s_next = envs.step(env, s, a, rng)
+            total += envs.reward(env, s, a, s_next)
+            s = s_next
+    return total / n_episodes
+
+
+def curve_csv(curve) -> str:
+    lines = ["iteration,mean_return,std_return"]
+    for i, (mean, std) in enumerate(curve):
+        lines.append(f"{i},{mean!r},{std!r}")
+    return "\n".join(lines) + "\n"
+
+
+def save_head(path: str, head: GaussianPolicy) -> None:
+    buf = nets.file_header() + nets.mlp_block_bytes(head.net)
+    buf += struct.pack("<I", head.d_a)
+    buf += head.log_std.astype("<f8").tobytes()
+    buf += head.action_low.astype("<f8").tobytes()
+    buf += head.action_high.astype("<f8").tobytes()
+    nets.atomic_write_bytes(path, buf)
+
+
+def load_head(path: str) -> GaussianPolicy:
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    offset = nets.check_file_header(buf)
+    net, offset = nets.read_mlp_block(buf, offset)
+    (d_a,) = struct.unpack_from("<I", buf, offset)
+    offset += 4
+    if d_a != net.layer_widths[-1]:
+        raise ConfigError(f"stored d_a {d_a} != net output {net.layer_widths[-1]}")
+    vecs = []
+    for _ in range(3):
+        vecs.append(np.frombuffer(buf, dtype="<f8", count=d_a, offset=offset).astype(float))
+        offset += 8 * d_a
+    if offset != len(buf):
+        raise ConfigError(f"{len(buf) - offset} trailing bytes in head checkpoint")
+    return GaussianPolicy(net, vecs[0], vecs[1], vecs[2])

@@ -1,0 +1,276 @@
+"""Small multilayer perceptrons with hand-written backpropagation.
+
+Everything operates on float64 numpy arrays. Hidden layers use tanh,
+the output layer is linear. All parameters flatten to a single vector
+in one canonical order -- layer by layer, weight matrix (row-major)
+before bias vector -- which optimizers, gradient checks and checkpoint
+files all share.
+
+Checkpoint layout (little-endian): magic ``b"UEPO"``, format version
+u32, width count u32, the widths as u32 each, then the flat parameter
+vector as raw f64. Round-trips are bit-exact.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ConfigError, NonFiniteError, ShapeError
+
+CHECKPOINT_MAGIC = b"UEPO"
+CHECKPOINT_VERSION = 1
+
+
+@dataclass
+class Mlp:
+    """Fully-connected net; ``weights[l]`` has shape (widths[l+1], widths[l])."""
+
+    layer_widths: list[int]
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+    @property
+    def in_width(self) -> int:
+        return self.layer_widths[0]
+
+    @property
+    def out_width(self) -> int:
+        return self.layer_widths[-1]
+
+
+def mlp_init(layer_widths, rng: np.random.Generator) -> Mlp:
+    """Build an MLP with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
+
+    ``layer_widths`` runs input -> hidden... -> output and needs at
+    least two entries, all positive.
+    """
+    widths = [int(w) for w in layer_widths]
+    if len(widths) < 2 or any(w <= 0 for w in widths):
+        raise ConfigError(f"layer widths must be >= 2 positive entries, got {widths}")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    return Mlp(widths, weights, biases)
+
+
+def param_count(m: Mlp) -> int:
+    return sum(w.size + b.size for w, b in zip(m.weights, m.biases))
+
+
+def get_params(m: Mlp) -> np.ndarray:
+    """Flatten parameters in canonical order (per layer: weights row-major, then biases)."""
+    parts = []
+    for w, b in zip(m.weights, m.biases):
+        parts.append(w.ravel())
+        parts.append(b)
+    return np.concatenate(parts)
+
+
+def set_params(m: Mlp, flat: np.ndarray) -> None:
+    """Inverse of :func:`get_params`; writes into the model's arrays."""
+    flat = np.asarray(flat, dtype=float)
+    if flat.ndim != 1 or flat.size != param_count(m):
+        raise ShapeError(f"expected {param_count(m)} parameters, got shape {flat.shape}")
+    pos = 0
+    for w, b in zip(m.weights, m.biases):
+        w[...] = flat[pos : pos + w.size].reshape(w.shape)
+        pos += w.size
+        b[...] = flat[pos : pos + b.size]
+        pos += b.size
+
+
+def forward_activations(m: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """Forward pass keeping every layer's post-activation values.
+
+    ``x`` is one input vector or a (batch, in) matrix; the returned list
+    always holds (batch, width) matrices, input first and net output
+    last. It is what :func:`backward` consumes.
+    """
+    x = np.asarray(x, dtype=float)
+    h = x[None, :] if x.ndim == 1 else x
+    if h.ndim != 2 or h.shape[1] != m.in_width:
+        raise ShapeError(f"input width {x.shape} incompatible with net input {m.in_width}")
+    acts = [h]
+    n_layers = len(m.weights)
+    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
+        # in place on the fresh matmul output: a new large array per op
+        # costs more in page faults than the arithmetic itself
+        h = h @ w.T
+        h += b
+        if l < n_layers - 1:
+            np.tanh(h, out=h)
+        acts.append(h)
+    return acts
+
+
+def forward(m: Mlp, x: np.ndarray) -> np.ndarray:
+    """Evaluate the net. ``x`` is one input vector or a (batch, in) matrix."""
+    out = forward_activations(m, x)[-1]
+    return out[0] if np.ndim(x) == 1 else out
+
+
+def backward(m: Mlp, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum(upstream * output)`` with respect to the parameters.
+
+    ``acts`` comes from :func:`forward_activations` at the current
+    parameters, so the forward pass is not repeated. ``upstream`` matches
+    its output, (batch, out), or is one vector for a batch of one; batch
+    contributions are summed. Returns a flat vector in canonical
+    parameter order.
+    """
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.ndim == 1:
+        upstream = upstream[None, :]
+    if upstream.shape != acts[-1].shape:
+        raise ShapeError(
+            f"upstream shape {upstream.shape} incompatible with net output {acts[-1].shape}"
+        )
+    grads_w = [None] * len(m.weights)
+    grads_b = [None] * len(m.biases)
+    delta = upstream
+    for l in range(len(m.weights) - 1, -1, -1):
+        grads_w[l] = delta.T @ acts[l]
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            # acts[l] already holds tanh(z_l) for hidden layers
+            delta = delta @ m.weights[l]
+            delta *= 1.0 - acts[l] ** 2
+    parts = []
+    for gw, gb in zip(grads_w, grads_b):
+        parts.append(gw.ravel())
+        parts.append(gb)
+    return np.concatenate(parts)
+
+
+@dataclass
+class AdamState:
+    """Bias-corrected adaptive-moment optimizer state for one parameter vector."""
+
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    step_count: int = 0
+    step_size: float = 1e-3
+    moment_decay_1: float = 0.9
+    moment_decay_2: float = 0.999
+    epsilon_stability: float = 1e-8
+
+
+def adam_init(n_params: int, step_size: float = 1e-3, moment_decay_1: float = 0.9,
+              moment_decay_2: float = 0.999, epsilon_stability: float = 1e-8) -> AdamState:
+    if step_size <= 0 or epsilon_stability <= 0:
+        raise ConfigError("step_size and epsilon_stability must be positive")
+    if not (0 <= moment_decay_1 < 1 and 0 <= moment_decay_2 < 1):
+        raise ConfigError("moment decays must lie in [0, 1)")
+    return AdamState(np.zeros(n_params), np.zeros(n_params), 0, step_size,
+                     moment_decay_1, moment_decay_2, epsilon_stability)
+
+
+def optimizer_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One Adam update, applied in place on ``params`` (also returned)."""
+    grads = np.asarray(grads, dtype=float)
+    if params.shape != grads.shape or params.shape != state.first_moment.shape:
+        raise ShapeError(
+            f"params {params.shape}, grads {grads.shape} and moments "
+            f"{state.first_moment.shape} must agree"
+        )
+    if not np.all(np.isfinite(grads)):
+        raise NonFiniteError("gradient contains non-finite components")
+    state.step_count += 1
+    b1, b2 = state.moment_decay_1, state.moment_decay_2
+    state.first_moment *= b1
+    state.first_moment += (1 - b1) * grads
+    state.second_moment *= b2
+    state.second_moment += (1 - b2) * grads**2
+    m_hat = state.first_moment / (1 - b1**state.step_count)
+    v_hat = state.second_moment / (1 - b2**state.step_count)
+    params -= state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon_stability)
+    return params
+
+
+def time_embedding(t: int, k: int, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of a diffusion-step index.
+
+    Entry 2i is sin(t * w_i) and entry 2i+1 is cos(t * w_i) with
+    w_i = 10000**(-2i/dim), so every entry lies in [-1, 1] and t = 0
+    maps to alternating zeros and ones. ``k`` only bounds the valid
+    range 0 <= t <= k.
+    """
+    if dim <= 0 or dim % 2 != 0:
+        raise ConfigError(f"embedding dim must be even and positive, got {dim}")
+    if not 0 <= t <= k:
+        raise ConfigError(f"step index {t} outside [0, {k}]")
+    half = dim // 2
+    freqs = 10000.0 ** (-2.0 * np.arange(half) / dim)
+    emb = np.empty(dim)
+    emb[0::2] = np.sin(t * freqs)
+    emb[1::2] = np.cos(t * freqs)
+    return emb
+
+
+# --- checkpoint i/o ---------------------------------------------------------
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write to a temp file in the target directory, then rename over ``path``."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def mlp_block_bytes(m: Mlp) -> bytes:
+    header = struct.pack("<I", len(m.layer_widths))
+    header += struct.pack(f"<{len(m.layer_widths)}I", *m.layer_widths)
+    return header + get_params(m).astype("<f8").tobytes()
+
+
+def read_mlp_block(buf: bytes, offset: int = 0) -> tuple[Mlp, int]:
+    """Parse one MLP block from ``buf`` at ``offset``; returns (net, next offset)."""
+    (n_widths,) = struct.unpack_from("<I", buf, offset)
+    offset += 4
+    widths = list(struct.unpack_from(f"<{n_widths}I", buf, offset))
+    offset += 4 * n_widths
+    weights = [np.zeros((o, i)) for i, o in zip(widths[:-1], widths[1:])]
+    biases = [np.zeros(o) for o in widths[1:]]
+    m = Mlp(widths, weights, biases)
+    n = param_count(m)
+    flat = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).astype(float)
+    offset += 8 * n
+    set_params(m, flat)
+    return m, offset
+
+
+def file_header() -> bytes:
+    return CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+
+
+def check_file_header(buf: bytes) -> int:
+    """Validate magic and version; returns the offset just past the header."""
+    if buf[:4] != CHECKPOINT_MAGIC:
+        raise ConfigError("not a UEPO checkpoint (bad magic)")
+    (version,) = struct.unpack_from("<I", buf, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version}")
+    return 8
+
+
+def save_mlp(m: Mlp, path: str) -> None:
+    atomic_write_bytes(path, file_header() + mlp_block_bytes(m))
+
+
+def load_mlp(path: str) -> Mlp:
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    offset = check_file_header(buf)
+    m, offset = read_mlp_block(buf, offset)
+    if offset != len(buf):
+        raise ConfigError(f"{path}: {len(buf) - offset} trailing bytes")
+    return m
