@@ -9,6 +9,7 @@ with defaults.
 import dataclasses
 import hashlib
 
+from . import augmentation, diffusion
 from .errors import ConfigError
 
 _ENV_NAMES = ("point_mass", "pendulum")
@@ -113,7 +114,7 @@ SCHEMA = {
                            "divergence threshold"),
     "ensemble.eta": _Field(float, 0.1, _non_negative("ensemble.eta"),
                            "guidance noise scale"),
-    "ensemble.guided_steps": _Field(int, 10, _non_negative("ensemble.guided_steps"),
+    "ensemble.guided_steps": _Field(int, 10, _positive("ensemble.guided_steps"),
                                     "denoising steps with guidance active"),
     "ensemble.n_states": _Field(int, 5, _positive("ensemble.n_states"),
                                 "initial states sampled by sample-ensemble"),
@@ -121,7 +122,7 @@ SCHEMA = {
                               "ensemble objective penalty weight"),
     "filter.epsilon": _Field(float, 0.15, _positive("filter.epsilon"),
                              "KL acceptance threshold"),
-    "filter.ratio": _Field(float, 2.0, _positive("filter.ratio"),
+    "filter.ratio": _Field(float, 2.0, lambda v: augmentation.FilterConfig(ratio=v),
                            "synthetic-to-real transition ratio"),
     "filter.max_attempts": _Field(int, 0, _non_negative("filter.max_attempts"),
                                   "rollout budget; 0 uses the library default"),
@@ -180,6 +181,9 @@ class RunConfig:
             field.check(merged[key])
         if merged["diffusion.beta_min"] >= merged["diffusion.beta_max"]:
             raise ConfigError("diffusion.beta_min must be < diffusion.beta_max")
+        # train-diffusion's schedule holds the other bounds, such as beta_max < 1
+        diffusion.make_linear_schedule(merged["diffusion.k"], merged["diffusion.beta_min"],
+                                       merged["diffusion.beta_max"])
         object.__setattr__(self, "_values", merged)
 
     def __setattr__(self, name, value):

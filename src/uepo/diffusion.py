@@ -74,6 +74,7 @@ class DiffusionPolicy:
     emb_dim: int = 16
     action_low: np.ndarray = field(default=None)
     action_high: np.ndarray = field(default=None)
+    emb_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.action_low is None:
@@ -89,6 +90,8 @@ class DiffusionPolicy:
                 f"do not match T={self.T}, d_a={self.d_a}, d_s={self.d_s}, "
                 f"emb_dim={self.emb_dim}"
             )
+        self.emb_table = np.stack([nets.time_embedding(t, self.schedule.k, self.emb_dim)
+                                   for t in range(self.schedule.k + 1)])
 
 
 def make_policy(T: int, d_a: int, d_s: int, hidden, rng: np.random.Generator,
@@ -173,8 +176,9 @@ def q_sample(a0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> n
 def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
     """Denoiser's noise estimate for one noisy sequence at step t."""
     _check_seq(policy, a_t, s)
-    emb = nets.time_embedding(t, policy.schedule.k, policy.emb_dim)
-    x = np.concatenate([a_t.ravel(), s.ravel(), emb])
+    if not 0 <= t <= policy.schedule.k:
+        raise ConfigError(f"step index {t} outside [0, {policy.schedule.k}]")
+    x = np.concatenate([a_t.ravel(), s.ravel(), policy.emb_table[t]])
     return nets.forward(policy.denoiser, x).reshape(policy.T, policy.d_a)
 
 
@@ -196,15 +200,13 @@ def denoising_loss(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndar
         raise ShapeError(
             f"batch shapes {states.shape}, {actions.shape} do not match policy dims"
         )
-    k = policy.schedule.k
-    t_idx = rng.integers(0, k, size=batch)
+    t_idx = rng.integers(0, policy.schedule.k, size=batch)
     eps = rng.standard_normal(actions.shape)
     ab = policy.schedule.alpha_bar[t_idx][:, None, None]
     noisy = np.sqrt(ab) * actions + np.sqrt(1.0 - ab) * eps
 
-    embs = np.stack([nets.time_embedding(int(t), k, policy.emb_dim) for t in t_idx])
     x = np.concatenate(
-        [noisy.reshape(batch, -1), states.reshape(batch, -1), embs], axis=1
+        [noisy.reshape(batch, -1), states.reshape(batch, -1), policy.emb_table[t_idx]], axis=1
     )
     acts = nets.forward_activations(policy.denoiser, x)
     resid = acts[-1] - eps.reshape(batch, -1)
@@ -222,15 +224,13 @@ def train_denoiser(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndar
     actions = np.asarray(actions, dtype=float)
     if len(states) == 0:
         raise EmptyBatchError("no training windows")
-    params = nets.get_params(policy.denoiser)
-    opt = nets.adam_init(params.size, step_size=step_size)
+    opt = nets.adam_init(nets.param_count(policy.denoiser), step_size=step_size)
     losses = []
     n = len(states)
     for _ in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
         loss, grad = denoising_loss(policy, states[idx], actions[idx], rng)
-        nets.optimizer_step(opt, params, grad)
-        nets.set_params(policy.denoiser, params)
+        nets.optimizer_step(opt, policy.denoiser.params, grad)
         losses.append(loss)
     return losses
 
@@ -356,10 +356,7 @@ def save_policy(policy: DiffusionPolicy, path: str) -> None:
 def load_policy(path: str, emb_dim: int = 16, action_low=None,
                 action_high=None) -> DiffusionPolicy:
     """Rebuild a policy; the action box is not persisted and defaults to +-1."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = nets.check_file_header(buf)
-    net, offset = nets.read_mlp_block(buf, offset)
+    net, offset, buf = nets.read_checkpoint(path)
     (k,) = struct.unpack_from("<I", buf, offset)
     offset += 4
     beta = np.frombuffer(buf, dtype="<f8", count=k, offset=offset).astype(float)

@@ -9,7 +9,6 @@ synthetic ones.
 
 from __future__ import annotations
 
-import copy
 import struct
 from dataclasses import dataclass
 
@@ -69,7 +68,7 @@ def make_dynamics(d_s: int, d_a: int, hidden, rng: np.random.Generator) -> Gauss
 
 
 def clone_dynamics(m: GaussianDynamics) -> GaussianDynamics:
-    return copy.deepcopy(m)
+    return GaussianDynamics(nets.Mlp(list(m.net.layer_widths), m.net.params.copy()), m.d_s, m.d_a)
 
 
 def _split_output(m: GaussianDynamics, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,16 +162,14 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
     n = len(pool)
     # the pool is validated once; minibatches index its arrays directly
     x = _inputs(m, pool)
-    params = nets.get_params(m.net)
-    opt = nets.adam_init(params.size, step_size=step_size)
+    opt = nets.adam_init(nets.param_count(m.net), step_size=step_size)
     curve = [pool_nll(m, pool)]
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = order[lo: lo + batch_size]
             _, grad = _nll_and_grad(m, x[idx], pool.s_next[idx])
-            nets.optimizer_step(opt, params, grad)
-            nets.set_params(m.net, params)
+            nets.optimizer_step(opt, m.net.params, grad)
         curve.append(pool_nll(m, pool))
     return curve
 
@@ -184,10 +181,7 @@ def save_dynamics(m: GaussianDynamics, path: str) -> None:
 
 
 def load_dynamics(path: str) -> GaussianDynamics:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = nets.check_file_header(buf)
-    net, offset = nets.read_mlp_block(buf, offset)
+    net, offset, buf = nets.read_checkpoint(path)
     d_s, d_a = struct.unpack_from("<II", buf, offset)
     offset += 8
     if offset != len(buf):

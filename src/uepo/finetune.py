@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,10 +97,12 @@ def sample_action(head: GaussianPolicy, s: np.ndarray,
     return head.center + head.half * np.tanh(u), u
 
 
-def _u_log_prob(head: GaussianPolicy, states: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _u_log_prob(head: GaussianPolicy, states: np.ndarray, us: np.ndarray, m=None) -> np.ndarray:
     # Gaussian part only. The tanh correction depends on u alone, so it
     # cancels in every new/old likelihood ratio evaluated at stored u.
-    m = nets.forward(head.net, states)
+    # m is the net's output at states, when the caller has it already.
+    if m is None:
+        m = nets.forward(head.net, states)
     std = np.exp(head.log_std)
     z = (us - m) / std
     return -0.5 * np.sum(z * z + 2.0 * head.log_std + np.log(2.0 * np.pi), axis=-1)
@@ -188,7 +190,6 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     head = make_head(policy.d_s, policy.d_a, hidden, rng,
                      policy.action_low, policy.action_high)
     opt = nets.adam_init(nets.param_count(head.net), step_size=step_size)
-    params = nets.get_params(head.net)
     n = states.shape[0]
     mse = np.inf
     for _ in range(epochs):
@@ -201,8 +202,7 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
             err = pred - targets[idx]
             upstream = 2.0 * err * head.half * (1.0 - np.tanh(m) ** 2) / err.size
             grads = nets.backward(head.net, acts, upstream)
-            nets.optimizer_step(opt, params, grads)
-            nets.set_params(head.net, params)
+            nets.optimizer_step(opt, head.net.params, grads)
         full = head.center + head.half * np.tanh(nets.forward(head.net, states))
         mse = float(np.mean((full - targets) ** 2))
         if mse < mse_target:
@@ -220,7 +220,6 @@ class PpoConfig:
     gae_lambda: float = 0.95
     epochs_per_batch: int = 10
     batch_episodes: int = 16
-    value_net: nets.Mlp | None = None
     step_size: float = 3e-4
     value_step_size: float = 1e-3
     ratio_guard: float = 1.5
@@ -269,8 +268,9 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
     n = states.shape[0]
     if n == 0:
         raise EmptyBatchError("empty surrogate batch")
-    logp_new = _u_log_prob(head, states, us)
-    ratio = np.exp(logp_new - logp_old)
+    acts = nets.forward_activations(head.net, states)
+    m = acts[-1]
+    ratio = np.exp(_u_log_prob(head, states, us, m) - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
     surr1 = ratio * advantages
     surr2 = clipped * advantages
@@ -278,8 +278,6 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
     # d loss / d logp flows only where the unclipped branch is active
     active = surr1 <= surr2
     dlogp = np.where(active, -ratio * advantages / n, 0.0)
-    acts = nets.forward_activations(head.net, states)
-    m = acts[-1]
     std = np.exp(head.log_std)
     dm = (us - m) / (std * std)
     net_grads = nets.backward(head.net, acts, dlogp[:, None] * dm)
@@ -313,13 +311,13 @@ def collect_episodes(head: GaussianPolicy, env, n_episodes: int,
 
 
 def _snapshot(head: GaussianPolicy, value_net: nets.Mlp):
-    return (nets.get_params(head.net), head.log_std.copy(), nets.get_params(value_net))
+    return (head.net.params.copy(), head.log_std.copy(), value_net.params.copy())
 
 
 def _restore(head: GaussianPolicy, value_net: nets.Mlp, snap) -> None:
-    nets.set_params(head.net, snap[0])
+    head.net.params[:] = snap[0]
     head.log_std[:] = snap[1]
-    nets.set_params(value_net, snap[2])
+    value_net.params[:] = snap[2]
 
 
 def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
@@ -334,9 +332,7 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     A non-finite loss restores the pre-iteration parameters and raises;
     the returned curve holds (mean, std) of each iteration's returns.
     """
-    value_net = cfg.value_net
-    if value_net is None:
-        value_net = nets.mlp_init([head.d_s, 64, 64, 1], rng)
+    value_net = nets.mlp_init([head.d_s, 64, 64, 1], rng)
     opt_net = nets.adam_init(nets.param_count(head.net), step_size=cfg.step_size)
     opt_std = nets.adam_init(head.d_a, step_size=cfg.step_size)
     opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
@@ -364,18 +360,14 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
                                                    advantages, cfg.clip_ratio)
                 if not np.isfinite(loss):
                     raise NonFiniteError(f"surrogate loss {loss}")
-                p = nets.get_params(head.net)
-                nets.optimizer_step(opt_net, p, g_net)
-                nets.set_params(head.net, p)
+                nets.optimizer_step(opt_net, head.net.params, g_net)
                 nets.optimizer_step(opt_std, head.log_std, g_std)
                 clamp_log_std(head)
                 v_acts = nets.forward_activations(value_net, states)
                 v = v_acts[-1][:, 0]
                 v_up = (2.0 * (v - value_targets) / v.size)[:, None]
-                pv = nets.get_params(value_net)
-                nets.optimizer_step(opt_val, pv,
+                nets.optimizer_step(opt_val, value_net.params,
                                     nets.backward(value_net, v_acts, v_up))
-                nets.set_params(value_net, pv)
                 ratio = np.exp(_u_log_prob(head, states, us) - logp_old)
                 if np.max(np.abs(ratio - 1.0)) > bound:
                     _restore(head, value_net, pre)
@@ -421,10 +413,7 @@ def save_head(path: str, head: GaussianPolicy) -> None:
 
 
 def load_head(path: str) -> GaussianPolicy:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = nets.check_file_header(buf)
-    net, offset = nets.read_mlp_block(buf, offset)
+    net, offset, buf = nets.read_checkpoint(path)
     (d_a,) = struct.unpack_from("<I", buf, offset)
     offset += 4
     if d_a != net.layer_widths[-1]:

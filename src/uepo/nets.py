@@ -1,10 +1,10 @@
 """Small multilayer perceptrons with hand-written backpropagation.
 
 Everything operates on float64 numpy arrays. Hidden layers use tanh,
-the output layer is linear. All parameters flatten to a single vector
-in one canonical order -- layer by layer, weight matrix (row-major)
-before bias vector -- which optimizers, gradient checks and checkpoint
-files all share.
+the output layer is linear. A net stores its parameters in one flat
+vector in one canonical order -- layer by layer, weight matrix
+(row-major) before bias vector -- with weights and biases as views into
+it; optimizers update it in place, and checkpoint files hold it as is.
 
 Checkpoint layout (little-endian): magic ``b"UEPO"``, format version
 u32, width count u32, the widths as u32 each, then the flat parameter
@@ -27,11 +27,21 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class Mlp:
-    """Fully-connected net; ``weights[l]`` has shape (widths[l+1], widths[l])."""
+    """Fully-connected net; ``weights[l]`` has shape (widths[l+1], widths[l]).
+
+    ``weights`` and ``biases`` are views into ``params``: write into it in
+    place and copy a net through it, since ``deepcopy`` detaches views."""
 
     layer_widths: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.params
+        if p.shape != (_n_params(self.layer_widths),) or p.dtype != float or not p.flags.c_contiguous:
+            raise ShapeError(f"{p.dtype} {p.shape} parameters do not fit widths {self.layer_widths}")
+        self.weights, self.biases = _layer_views(self.layer_widths, p)
 
     @property
     def in_width(self) -> int:
@@ -40,6 +50,21 @@ class Mlp:
     @property
     def out_width(self) -> int:
         return self.layer_widths[-1]
+
+
+def _n_params(widths) -> int:
+    return sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
+
+
+def _layer_views(widths, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into ``flat``, in canonical order."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in))
+        pos += fan_in * fan_out
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 def mlp_init(layer_widths, rng: np.random.Generator) -> Mlp:
@@ -51,38 +76,27 @@ def mlp_init(layer_widths, rng: np.random.Generator) -> Mlp:
     widths = [int(w) for w in layer_widths]
     if len(widths) < 2 or any(w <= 0 for w in widths):
         raise ConfigError(f"layer widths must be >= 2 positive entries, got {widths}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(widths, weights, biases)
+    m = Mlp(widths, np.zeros(_n_params(widths)))
+    for w in m.weights:
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return m
 
 
 def param_count(m: Mlp) -> int:
-    return sum(w.size + b.size for w, b in zip(m.weights, m.biases))
+    return m.params.size
 
 
 def get_params(m: Mlp) -> np.ndarray:
-    """Flatten parameters in canonical order (per layer: weights row-major, then biases)."""
-    parts = []
-    for w, b in zip(m.weights, m.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    """A copy of the flat parameter vector (canonical order)."""
+    return m.params.copy()
 
 
 def set_params(m: Mlp, flat: np.ndarray) -> None:
-    """Inverse of :func:`get_params`; writes into the model's arrays."""
-    flat = np.asarray(flat, dtype=float)
-    if flat.ndim != 1 or flat.size != param_count(m):
-        raise ShapeError(f"expected {param_count(m)} parameters, got shape {flat.shape}")
-    pos = 0
-    for w, b in zip(m.weights, m.biases):
-        w[...] = flat[pos : pos + w.size].reshape(w.shape)
-        pos += w.size
-        b[...] = flat[pos : pos + b.size]
-        pos += b.size
+    """Inverse of :func:`get_params`; writes into the model's parameter vector."""
+    if np.shape(flat) != m.params.shape:
+        raise ShapeError(f"expected {m.params.size} parameters, got shape {np.shape(flat)}")
+    m.params[...] = flat
 
 
 def forward_activations(m: Mlp, x: np.ndarray) -> list[np.ndarray]:
@@ -131,21 +145,17 @@ def backward(m: Mlp, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray
         raise ShapeError(
             f"upstream shape {upstream.shape} incompatible with net output {acts[-1].shape}"
         )
-    grads_w = [None] * len(m.weights)
-    grads_b = [None] * len(m.biases)
+    grad = np.empty_like(m.params)
+    grads_w, grads_b = _layer_views(m.layer_widths, grad)
     delta = upstream
     for l in range(len(m.weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ acts[l]
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[l], out=grads_w[l])
+        delta.sum(axis=0, out=grads_b[l])
         if l > 0:
             # acts[l] already holds tanh(z_l) for hidden layers
             delta = delta @ m.weights[l]
             delta *= 1.0 - acts[l] ** 2
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    return grad
 
 
 @dataclass
@@ -227,9 +237,8 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def mlp_block_bytes(m: Mlp) -> bytes:
-    header = struct.pack("<I", len(m.layer_widths))
-    header += struct.pack(f"<{len(m.layer_widths)}I", *m.layer_widths)
-    return header + get_params(m).astype("<f8").tobytes()
+    n = len(m.layer_widths)
+    return struct.pack(f"<{n + 1}I", n, *m.layer_widths) + m.params.astype("<f8").tobytes()
 
 
 def read_mlp_block(buf: bytes, offset: int = 0) -> tuple[Mlp, int]:
@@ -238,14 +247,9 @@ def read_mlp_block(buf: bytes, offset: int = 0) -> tuple[Mlp, int]:
     offset += 4
     widths = list(struct.unpack_from(f"<{n_widths}I", buf, offset))
     offset += 4 * n_widths
-    weights = [np.zeros((o, i)) for i, o in zip(widths[:-1], widths[1:])]
-    biases = [np.zeros(o) for o in widths[1:]]
-    m = Mlp(widths, weights, biases)
-    n = param_count(m)
+    n = _n_params(widths)
     flat = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).astype(float)
-    offset += 8 * n
-    set_params(m, flat)
-    return m, offset
+    return Mlp(widths, flat), offset + 8 * n
 
 
 def file_header() -> bytes:
@@ -266,11 +270,15 @@ def save_mlp(m: Mlp, path: str) -> None:
     atomic_write_bytes(path, file_header() + mlp_block_bytes(m))
 
 
-def load_mlp(path: str) -> Mlp:
+def read_checkpoint(path: str) -> tuple[Mlp, int, bytes]:
+    """(net, offset past it, file bytes) of a checkpoint file, header checked."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    offset = check_file_header(buf)
-    m, offset = read_mlp_block(buf, offset)
+    return (*read_mlp_block(buf, check_file_header(buf)), buf)
+
+
+def load_mlp(path: str) -> Mlp:
+    m, offset, buf = read_checkpoint(path)
     if offset != len(buf):
         raise ConfigError(f"{path}: {len(buf) - offset} trailing bytes")
     return m

@@ -9,6 +9,9 @@ noising path, shared across sub-policies so the comparison is paired.
 A positive alpha rewards whichever sub-policy already dominates each
 example and penalizes the rest, concentrating mass rather than spreading
 it; the sign is left to the caller to experiment with.
+
+It is degenerate for the pipeline's one-denoiser seed ensembles: the seed
+does not enter log p_i, so all log-probs are equal and the penalty is zero.
 """
 
 from __future__ import annotations

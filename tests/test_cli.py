@@ -3,6 +3,8 @@ integrity, rerun determinism, and the exit-code contract of main()."""
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -224,6 +226,17 @@ def test_main_missing_artifact_is_exit_2(tmp_path, capsys):
 def test_main_help_is_exit_0(capsys):
     assert cli.main(["--help"]) == 0
     assert "uepo" in capsys.readouterr().out
+
+
+def test_python_m_uepo_help_is_exit_0():
+    # the package's parent directory on the path, as PYTHONPATH=src gives it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "uepo", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: uepo" in proc.stdout
 
 
 def test_console_script_wired():

@@ -157,3 +157,18 @@ def test_load_config_reads_file(tmp_path):
     cfg = load_config(str(path))
     assert cfg["seed"] == 7
     assert cfg["env.n_traj"] == 12
+
+
+def test_filter_ratio_outside_library_range_rejected():
+    with pytest.raises(ConfigError, match="ratio must lie in"):
+        parse_config("filter.ratio = 1.5\n")
+
+
+def test_zero_guided_steps_rejected():
+    with pytest.raises(ConfigError, match="ensemble.guided_steps must be > 0"):
+        parse_config("ensemble.guided_steps = 0\n")
+
+
+def test_beta_max_at_or_above_one_rejected():
+    with pytest.raises(ConfigError, match="beta_max < 1"):
+        parse_config("diffusion.beta_max = 1.5\n")

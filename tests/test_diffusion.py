@@ -65,6 +65,10 @@ def test_predict_eps_input_layout():
     x = np.concatenate([a_t.ravel(), s.ravel(), emb])
     want = nets.forward(policy.denoiser, x).reshape(3, 2)
     assert np.allclose(diffusion.predict_eps(policy, a_t, s, t), want, atol=1e-14)
+    # the embedding table would wrap a negative index silently
+    for bad in (-1, policy.schedule.k + 1):
+        with pytest.raises(ConfigError):
+            diffusion.predict_eps(policy, a_t, s, bad)
 
 
 def test_reverse_mean_formula():
@@ -132,6 +136,33 @@ def test_train_denoiser_reduces_loss():
     losses = diffusion.train_denoiser(policy, states, actions, 200, 32, 1e-2,
                                       np.random.default_rng(6))
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
+
+
+def test_train_denoiser_matches_reference_loop():
+    # oracle: the plain loop over the public API, copying the parameters
+    # out of the net and back in at every step, must give the same
+    # parameters and losses bit for bit
+    rng = np.random.default_rng(9)
+    states = rng.standard_normal((20, 3, 1))
+    actions = rng.uniform(-1.0, 1.0, size=(20, 3, 1))
+    policy = tiny_policy(np.random.default_rng(1), hidden=(8, 8))
+    ref = tiny_policy(np.random.default_rng(1), hidden=(8, 8))
+    losses = diffusion.train_denoiser(policy, states, actions, 25, 8, 1e-2,
+                                      np.random.default_rng(2))
+
+    draws = np.random.default_rng(2)
+    params = nets.get_params(ref.denoiser)
+    opt = nets.adam_init(params.size, step_size=1e-2)
+    ref_losses = []
+    for _ in range(25):
+        idx = draws.integers(0, 20, size=8)
+        loss, grad = diffusion.denoising_loss(ref, states[idx], actions[idx], draws)
+        nets.optimizer_step(opt, params, grad)
+        nets.set_params(ref.denoiser, params)
+        ref_losses.append(loss)
+
+    assert losses == ref_losses
+    assert np.array_equal(nets.get_params(policy.denoiser), nets.get_params(ref.denoiser))
 
 
 def test_sample_determinism_and_clip():

@@ -208,6 +208,13 @@ def test_clone_is_independent():
     params += 1.0
     nets.set_params(c.net, params)
     assert np.array_equal(nets.get_params(m.net), before)
+    # training the clone moves its predictions and leaves the original's
+    s, a = rng.standard_normal(2), rng.standard_normal(1)
+    m_pred, c_pred = dynamics.predict(m, s, a), dynamics.predict(c, s, a)
+    dynamics.train_joint(c, random_batch(rng, n=20, d_s=2, d_a=1), None, 2,
+                         np.random.default_rng(0), batch_size=8)
+    assert all(np.array_equal(x, y) for x, y in zip(dynamics.predict(m, s, a), m_pred))
+    assert not np.array_equal(dynamics.predict(c, s, a)[0], c_pred[0])
 
 
 def test_dynamics_checkpoint_round_trip(tmp_path):

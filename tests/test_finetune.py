@@ -127,6 +127,39 @@ def test_distill_warns_when_out_of_budget():
                          hidden=(4,), epochs=1)
 
 
+def test_distill_matches_reference_loop():
+    # oracle: the plain loop over the public API, copying the parameters
+    # out of the head and back in at every step, must give the same head
+    # and MSE bit for bit
+    policy = small_policy(seed=3, T=4, d_a=1, d_s=2)
+    states = np.random.default_rng(4).uniform(-1, 1, size=(30, 2))
+    with pytest.warns(DistillationQualityWarning):
+        head, mse = finetune.distill(policy, 17, states, np.random.default_rng(5),
+                                     hidden=(8,), epochs=3, batch_size=8,
+                                     step_size=1e-2, mse_target=0.0)
+
+    targets = np.stack([diffusion.sample(policy, diffusion.state_window(s, 4), 17)[0]
+                        for s in states])
+    rng = np.random.default_rng(5)
+    ref = finetune.make_head(2, 1, (8,), rng, policy.action_low, policy.action_high)
+    params = nets.get_params(ref.net)
+    opt = nets.adam_init(params.size, step_size=1e-2)
+    for _ in range(3):
+        order = rng.permutation(30)
+        for lo in range(0, 30, 8):
+            idx = order[lo:lo + 8]
+            acts = nets.forward_activations(ref.net, states[idx])
+            m = acts[-1]
+            err = ref.center + ref.half * np.tanh(m) - targets[idx]
+            upstream = 2.0 * err * ref.half * (1.0 - np.tanh(m) ** 2) / err.size
+            nets.optimizer_step(opt, params, nets.backward(ref.net, acts, upstream))
+            nets.set_params(ref.net, params)
+    full = ref.center + ref.half * np.tanh(nets.forward(ref.net, states))
+
+    assert mse == float(np.mean((full - targets) ** 2))
+    assert np.array_equal(nets.get_params(head.net), nets.get_params(ref.net))
+
+
 def test_gae_hand_oracle():
     rewards = np.array([1.0, 0.0, 2.0])
     values = np.array([0.5, 0.2, 0.1, 0.0])

@@ -49,6 +49,31 @@ def test_param_round_trip_and_copy():
     assert nets.get_params(m)[0] == flat[0]
 
 
+def test_adam_step_on_params_updates_the_net(tmp_path):
+    # the weight and bias arrays are views into params, so an in-place
+    # update of params is what forward sees, with no copy back
+    rng = np.random.default_rng(8)
+    built = nets.mlp_init([3, 5, 2], rng)
+    path = str(tmp_path / "net.bin")
+    nets.save_mlp(built, path)
+    x = rng.standard_normal((4, 3))
+    for m in (built, nets.load_mlp(path)):
+        before = nets.forward(m, x)
+        g = rng.standard_normal(nets.param_count(m))
+        nets.optimizer_step(nets.adam_init(g.size, step_size=0.1), m.params, g)
+        assert not np.array_equal(nets.forward(m, x), before)
+        fresh = nets.mlp_init([3, 5, 2], np.random.default_rng(0))
+        nets.set_params(fresh, m.params)
+        assert np.array_equal(nets.forward(m, x), nets.forward(fresh, x))
+
+
+def test_mlp_rejects_a_buffer_it_cannot_view():
+    # [2, 3] holds 9 parameters; a strided vector would detach the views
+    for bad in (np.zeros(8), np.zeros(9, dtype=np.float32), np.zeros(18)[::2]):
+        with pytest.raises(ShapeError):
+            nets.Mlp([2, 3], bad)
+
+
 def test_set_params_rejects_wrong_size():
     m = nets.mlp_init([2, 3, 1], np.random.default_rng(2))
     with pytest.raises(ShapeError):
