@@ -14,7 +14,7 @@ from .augmentation import FilterConfig, build_augmented, trajectory_kl
 from .config import RunConfig, load_config, parse_config
 from .datasets import Trajectory, TrajectoryDataset, load_dataset, save_dataset
 from .diffusion import (DiffusionPolicy, EnsembleSpec, make_ensemble_spec,
-                        make_linear_schedule, make_policy, sample,
+                        make_linear_schedule, make_policy, sample, sample_batch,
                         sample_ensemble, train_denoiser)
 from .divergence import DivergenceConfig, div, guide, sigma_div
 from .dynamics import (GaussianDynamics, TransitionBatch, gaussian_kl,

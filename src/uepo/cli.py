@@ -178,9 +178,8 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
     act_lines = ["state_index,member,t," +
                  ",".join(f"a{j}" for j in range(policy.d_a))]
     div_lines = ["state_index,min_pairwise_div"]
-    for si in picks:
-        window = diffusion.state_window(pool[si], policy.T)
-        seqs = diffusion.sample_ensemble(policy, window, spec)
+    windows = np.stack([diffusion.state_window(pool[si], policy.T) for si in picks])
+    for si, seqs in zip(picks, diffusion.sample_ensemble(policy, windows, spec)):
         for m, seq in enumerate(seqs):
             for t in range(policy.T):
                 vals = ",".join(repr(float(x)) for x in seq[t])
@@ -260,7 +259,7 @@ def _stage_select(cfg: RunConfig, run: StageRun, ss):
                    f"best_index = {best}\nbest_seed = {spec.seeds[best]}\n"
                    f"n_members = {len(spec.seeds)}\n")
     score_lines = ["member,seed,score"]
-    score_lines += [f"{i},{spec.seeds[i]},{scores[i]!r}"
+    score_lines += [f"{i},{spec.seeds[i]},{float(scores[i])!r}"
                     for i in range(len(spec.seeds))]
     run.write_text("selection_scores.csv", "\n".join(score_lines) + "\n")
     print(f"select: best sub-policy {best} (seed {spec.seeds[best]})")

@@ -118,8 +118,6 @@ SCHEMA = {
                                     "denoising steps with guidance active"),
     "ensemble.n_states": _Field(int, 5, _positive("ensemble.n_states"),
                                 "initial states sampled by sample-ensemble"),
-    "objective.alpha": _Field(float, 0.1, lambda v: True,
-                              "ensemble objective penalty weight"),
     "filter.epsilon": _Field(float, 0.15, _positive("filter.epsilon"),
                              "KL acceptance threshold"),
     "filter.ratio": _Field(float, 2.0, lambda v: augmentation.FilterConfig(ratio=v),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets
-from .divergence import DivergenceConfig, guide
+from .divergence import DivergenceConfig, min_div, perturb, sigma_div
 from .errors import ConfigError, EmptyBatchError, ShapeError
 
 DEFAULT_K = 50
@@ -117,10 +117,21 @@ def state_window(s0: np.ndarray, T: int) -> np.ndarray:
 
 
 def _check_seq(policy: DiffusionPolicy, a: np.ndarray, s: np.ndarray):
-    if a.shape != (policy.T, policy.d_a):
-        raise ShapeError(f"action sequence shape {a.shape} != {(policy.T, policy.d_a)}")
-    if s.shape != (policy.T, policy.d_s):
-        raise ShapeError(f"state window shape {s.shape} != {(policy.T, policy.d_s)}")
+    """One (T, d_a) sequence with its (T, d_s) window, or a (B, T, d_a)
+    stack with a (B, T, d_s) stack of windows."""
+    if a.ndim not in (2, 3) or a.shape[-2:] != (policy.T, policy.d_a):
+        raise ShapeError(f"action sequence shape {a.shape} does not end in "
+                         f"{(policy.T, policy.d_a)}")
+    if s.shape != a.shape[:-1] + (policy.d_s,):
+        raise ShapeError(f"state window shape {s.shape} does not match sequence shape "
+                         f"{a.shape} with d_s = {policy.d_s}")
+
+
+def _check_windows(policy: DiffusionPolicy, windows) -> np.ndarray:
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 3 or windows.shape[1:] != (policy.T, policy.d_s):
+        raise ShapeError(f"window stack shape {windows.shape} != (B, {policy.T}, {policy.d_s})")
+    return windows
 
 
 def prefix_windows(ds, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,12 +185,19 @@ def q_sample(a0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> n
 
 
 def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
-    """Denoiser's noise estimate for one noisy sequence at step t."""
+    """Denoiser's noise estimate at step t, shaped like ``a_t``: one noisy
+    sequence with its window, or a (B, T, d_a) stack in one forward pass."""
+    a_t = np.asarray(a_t, dtype=float)
+    s = np.asarray(s, dtype=float)
     _check_seq(policy, a_t, s)
     if not 0 <= t <= policy.schedule.k:
         raise ConfigError(f"step index {t} outside [0, {policy.schedule.k}]")
-    x = np.concatenate([a_t.ravel(), s.ravel(), policy.emb_table[t]])
-    return nets.forward(policy.denoiser, x).reshape(policy.T, policy.d_a)
+    n_a, n_s = policy.T * policy.d_a, policy.T * policy.d_s
+    x = np.empty((a_t.size // n_a, policy.denoiser.in_width))
+    x[:, :n_a] = a_t.reshape(-1, n_a)
+    x[:, n_a:n_a + n_s] = s.reshape(-1, n_s)
+    x[:, n_a + n_s:] = policy.emb_table[t]
+    return nets.forward(policy.denoiser, x).reshape(a_t.shape)
 
 
 def denoising_loss(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndarray,
@@ -236,7 +254,7 @@ def train_denoiser(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndar
 
 
 def reverse_mean(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
-    """Posterior mean of one denoising step:
+    """Posterior mean of one denoising step, for one sequence or a stack:
     (a_t - beta[t]/sqrt(1 - alpha_bar[t]) * eps_pred) / sqrt(alpha[t])."""
     a_t = np.asarray(a_t, dtype=float)
     sched = policy.schedule
@@ -248,13 +266,24 @@ def reverse_mean(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int
 
 
 def reverse_step(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int,
-                 rng: np.random.Generator) -> np.ndarray:
+                 z: np.ndarray | None) -> np.ndarray:
     """One ancestral denoising step: the posterior mean plus
-    sqrt(beta[t]) * z for t > 0; the final step t = 0 is noiseless."""
+    sqrt(beta[t]) * z for t > 0, where z is a standard-normal draw shaped
+    like ``a_t``; the final step t = 0 is noiseless and ignores z."""
     mean = reverse_mean(policy, a_t, s, t)
     if t == 0:
         return mean
-    return mean + np.sqrt(policy.schedule.beta[t]) * rng.standard_normal(mean.shape)
+    if np.shape(z) != mean.shape:
+        raise ShapeError(f"step noise shape {np.shape(z)} != sequence shape {mean.shape}")
+    return mean + np.sqrt(policy.schedule.beta[t]) * z
+
+
+# Rows per denoiser GEMM in the samplers. GEMM results depend on the batch
+# size at the ULP level, so this is a fixed constant, never derived from the
+# core count, the input size or a config key: the same config must give the
+# same bytes. It also bounds each chunk's noise buffer to
+# SAMPLE_CHUNK * k * T * d_a floats.
+SAMPLE_CHUNK = 64
 
 
 def _seed_rng(seed: int) -> np.random.Generator:
@@ -262,22 +291,58 @@ def _seed_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _reverse_chain(policy: DiffusionPolicy, s: np.ndarray, rng: np.random.Generator,
-                   guide_fn=None) -> np.ndarray:
-    a = rng.standard_normal((policy.T, policy.d_a))
-    for t in range(policy.schedule.k - 1, -1, -1):
-        if guide_fn is not None:
-            a = guide_fn(a, t, rng)
-        a = reverse_step(policy, a, s, t, rng)
+def _unguided_chain(policy: DiffusionPolicy, windows: np.ndarray, rngs, t_last: int) -> np.ndarray:
+    """Initial draw and reverse steps k-1 down to t_last for every row.
+
+    Rows run in chunks of SAMPLE_CHUNK. Each row's noise is one bulk draw
+    from its own generator, which yields the same numbers in the same
+    order as drawing them step by step.
+    """
+    k = policy.schedule.k
+    n_draws = 1 + k - max(t_last, 1)
+    a = np.empty((len(rngs), policy.T, policy.d_a))
+    for lo in range(0, len(rngs), SAMPLE_CHUNK):
+        rows = slice(lo, lo + SAMPLE_CHUNK)
+        z = np.stack([rng.standard_normal((n_draws, policy.T, policy.d_a))
+                      for rng in rngs[rows]])
+        a_c = z[:, 0]
+        for j, t in enumerate(range(k - 1, t_last - 1, -1), start=1):
+            a_c = reverse_step(policy, a_c, windows[rows], t, z[:, j] if t > 0 else None)
+        a[rows] = a_c
+    return a
+
+
+def sample_batch(policy: DiffusionPolicy, windows: np.ndarray, seeds) -> np.ndarray:
+    """Draw one action sequence per (window, seed) row: (B, T, d_s) -> (B, T, d_a).
+
+    Row b is a pure function of (parameters, windows[b], seeds[b]) and of
+    its place in the fixed chunking, so the same inputs give the same bytes. It agrees
+    with the same row sampled alone (B = 1) to 1e-12, not bit for bit:
+    the denoiser's matrix products round differently at other batch sizes.
+    """
+    windows = _check_windows(policy, windows)
+    seeds = list(seeds)
+    if len(seeds) != len(windows):
+        raise ShapeError(f"{len(seeds)} seeds for {len(windows)} windows")
+    a = _unguided_chain(policy, windows, [_seed_rng(seed) for seed in seeds], 0)
     return np.clip(a, policy.action_low, policy.action_high)
 
 
-def sample(policy: DiffusionPolicy, s: np.ndarray, seed: int) -> np.ndarray:
-    """Draw one action sequence; a pure function of (parameters, s, seed)."""
+def sample(policy: DiffusionPolicy, s: np.ndarray, seed) -> np.ndarray:
+    """Draw action sequences; a pure function of (parameters, s, seed).
+
+    One (T, d_s) window with one seed gives one (T, d_a) sequence: a B = 1
+    call to :func:`sample_batch`, so it agrees with the same row of a
+    larger batch to 1e-12. A (B, T, d_s) stack with one seed per window is
+    passed to :func:`sample_batch` as is: augmentation, selection and
+    distillation sample through this form.
+    """
     s = np.asarray(s, dtype=float)
+    if s.ndim == 3:
+        return sample_batch(policy, s, seed)
     if s.shape != (policy.T, policy.d_s):
         raise ShapeError(f"state window shape {s.shape} != {(policy.T, policy.d_s)}")
-    return _reverse_chain(policy, s, _seed_rng(seed))
+    return sample_batch(policy, s[None], [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -313,32 +378,51 @@ def make_ensemble_spec(n: int, base_seed: int,
                         divergence_config)
 
 
-def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray,
-                    spec: EnsembleSpec) -> list[np.ndarray]:
+def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
     """Generate the n sub-policy sequences in seed order.
 
-    Sub-policy i > 0 runs the same seeded reverse chain as
-    :func:`sample`, except that during the last ``guided_steps`` steps
-    its current estimate is perturbed away from the finished sequences
-    of sub-policies j < i. Guidance that never fires (eta = 0, or all
-    divergences at or above tau) consumes no random draws, so those
-    outputs match :func:`sample` bit for bit.
+    ``s`` is one (T, d_s) window, which returns a list of n (T, d_a)
+    sequences, or a (N, T, d_s) stack, which returns an (N, n, T, d_a)
+    array. Every (window, member) row keeps its own generator, seeded as
+    in :func:`sample`. Sub-policy i > 0 runs that seeded reverse chain,
+    except that during the last ``guided_steps`` steps its current
+    estimate is perturbed away from the finished sequences of sub-policies
+    j < i for the same window. The unguided steps run batched over all
+    rows; the guided steps run member by member, batched over windows.
+    Guidance that never fires (eta = 0, or all divergences at or above
+    tau) consumes no random draws, so those outputs agree with
+    :func:`sample` to 1e-12. With guided_steps >= k, member i's whole
+    chain is sample_batch(policy, windows, [seed_i] * N), bit for bit.
+    The same inputs give the same bytes.
     """
     s = np.asarray(s, dtype=float)
+    if s.ndim == 2:
+        return list(sample_ensemble(policy, s[None], spec)[0])
+    windows = _check_windows(policy, s)
+    n_states, n = len(windows), spec.n
     cfg = spec.divergence_config
-    outs: list[np.ndarray] = []
-    for i, seed in enumerate(spec.seeds):
-        guide_fn = None
-        if cfg is not None and i > 0:
-            predecessors = list(outs)
-
-            def guide_fn(a, t, rng, _pred=predecessors):
-                if t < cfg.guided_steps:
-                    return guide(a, _pred, cfg, rng)
-                return a
-
-        outs.append(_reverse_chain(policy, s, _seed_rng(seed), guide_fn))
-    return outs
+    g = 0 if cfg is None else min(cfg.guided_steps, policy.schedule.k)
+    # rows are window-major: row w * n + i is member i at window w
+    rngs = [_seed_rng(seed) for _ in range(n_states) for seed in spec.seeds]
+    a = _unguided_chain(policy, np.repeat(windows, n, axis=0), rngs, g)
+    a = a.reshape(n_states, n, policy.T, policy.d_a)
+    for i in range(n):
+        member_rngs = rngs[i::n]
+        a_i = a[:, i]
+        for t in range(g - 1, -1, -1):
+            if i > 0:
+                d_min = min_div(a_i, a[:, :i])
+                a_i = np.stack([perturb(row, sigma_div(d, cfg), rng)
+                                for row, d, rng in zip(a_i, d_min, member_rngs)])
+            z = None
+            if t > 0:
+                z = np.stack([rng.standard_normal((policy.T, policy.d_a)) for rng in member_rngs])
+            for lo in range(0, n_states, SAMPLE_CHUNK):
+                rows = slice(lo, lo + SAMPLE_CHUNK)
+                a_i[rows] = reverse_step(policy, a_i[rows], windows[rows], t,
+                                         None if z is None else z[rows])
+        a[:, i] = np.clip(a_i, policy.action_low, policy.action_high)
+    return a
 
 
 # --- checkpoint i/o ---------------------------------------------------------

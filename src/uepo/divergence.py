@@ -73,23 +73,44 @@ def div(a_i: np.ndarray, a_j: np.ndarray) -> float:
     a_j = np.asarray(a_j, dtype=float)
     if a_i.shape != a_j.shape:
         raise ShapeError(f"sequence shapes differ: {a_i.shape} vs {a_j.shape}")
-    horizon = a_i.shape[0]
-    vel_term = np.linalg.norm(velocity(a_i) - velocity(a_j), axis=1).sum()
-    acc_i = acceleration(a_i)
-    acc_j = acceleration(a_j)
-    norms_i = np.linalg.norm(acc_i, axis=1)
-    norms_j = np.linalg.norm(acc_j, axis=1)
-    dots = np.einsum("td,td->t", acc_i, acc_j)
+    if a_i.ndim != 2 or a_i.shape[0] < 3:
+        raise DegenerateHorizonError(f"div needs (T>=3, d) sequences, got {a_i.shape}")
+    return float(_div_rows(a_i, a_j))
+
+
+def _div_rows(a_i: np.ndarray, a_j: np.ndarray) -> np.ndarray:
+    # div over the last two axes of broadcast-compatible (..., T, d) stacks
+    horizon = a_i.shape[-2]
+    vel_term = np.linalg.norm(np.diff(a_i, axis=-2) - np.diff(a_j, axis=-2), axis=-1).sum(axis=-1)
+    acc_i = np.diff(a_i, n=2, axis=-2)
+    acc_j = np.diff(a_j, n=2, axis=-2)
+    norms_i = np.linalg.norm(acc_i, axis=-1)
+    norms_j = np.linalg.norm(acc_j, axis=-1)
+    dots = np.einsum("...td,...td->...t", acc_i, acc_j)
     nonzero = (norms_i > 0.0) & (norms_j > 0.0)
-    cos = np.ones(len(dots))
     # rounding can put dot/(ni*nj) an ulp off 1 even for equal rows, which
     # would break div(a, a) = 0; equal rows are cosine 1 by definition and
     # the true cosine never leaves [-1, 1]
-    cos[nonzero] = np.clip(dots[nonzero] / (norms_i[nonzero] * norms_j[nonzero]),
-                           -1.0, 1.0)
-    cos[np.all(acc_i == acc_j, axis=1)] = 1.0
-    acc_term = (1.0 - cos).sum()
-    return float((vel_term + acc_term) / horizon)
+    cos = np.ones(dots.shape)
+    cos[nonzero] = np.clip(dots[nonzero] / (norms_i * norms_j)[nonzero], -1.0, 1.0)
+    cos[np.all(acc_i == acc_j, axis=-1)] = 1.0
+    return (vel_term + (1.0 - cos).sum(axis=-1)) / horizon
+
+
+def min_div(a: np.ndarray, predecessors: np.ndarray) -> np.ndarray:
+    """Each row's smallest divergence to its own predecessors.
+
+    ``a`` is (B, T, d) and ``predecessors`` (B, P, T, d) with P >= 1;
+    entry b is min over j of div(a[b], predecessors[b, j]).
+    """
+    a = np.asarray(a, dtype=float)
+    predecessors = np.asarray(predecessors, dtype=float)
+    if a.ndim != 3 or a.shape[1] < 3:
+        raise DegenerateHorizonError(f"min_div needs (B, T>=3, d) sequences, got {a.shape}")
+    if predecessors.ndim != 4 or predecessors.shape[1] < 1 \
+            or predecessors.shape[:1] + predecessors.shape[2:] != a.shape:
+        raise ShapeError(f"predecessors {predecessors.shape} do not fit sequences {a.shape}")
+    return _div_rows(a[:, None], predecessors).min(axis=1)
 
 
 def sigma_div(d: float, cfg: DivergenceConfig) -> float:

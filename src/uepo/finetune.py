@@ -137,8 +137,12 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
     A sub-policy is the deterministic map s -> sample(policy, window(s),
     seed_i), so its plan for a given start state never varies; rollouts
     differ only through the start-state draw and one model-noise stream
-    shared by every sub-policy (common random numbers). Returns
-    (argmax index, per-sub-policy mean returns).
+    shared by every sub-policy (common random numbers). Every rollout's
+    start state and noise are drawn first, in rollout order; then all
+    rollouts x sub-policies plans come from one :func:`diffusion.sample_batch`
+    call. The same inputs give the same bytes, and the scores agree with
+    plans sampled one at a time to 1e-12. Returns (argmax index,
+    per-sub-policy mean returns).
     """
     initial_states = np.asarray(initial_states, dtype=float)
     if initial_states.ndim != 2 or initial_states.shape[0] == 0:
@@ -146,13 +150,17 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
     if n_rollouts < 1:
         raise ConfigError(f"n_rollouts must be >= 1, got {n_rollouts}")
     n = len(spec.seeds)
-    scores = np.zeros(n)
+    starts, noises = [], []
     for _ in range(n_rollouts):
-        s0 = initial_states[rng.integers(len(initial_states))]
-        noise = rng.standard_normal((policy.T, policy.d_s))
-        window = diffusion.state_window(s0, policy.T)
-        for i, sub_seed in enumerate(spec.seeds):
-            seq = diffusion.sample(policy, window, sub_seed)
+        starts.append(initial_states[rng.integers(len(initial_states))])
+        noises.append(rng.standard_normal((policy.T, policy.d_s)))
+    windows = np.stack([diffusion.state_window(s0, policy.T) for s0 in starts])
+    plans = diffusion.sample(policy, np.repeat(windows, n, axis=0),
+                             list(spec.seeds) * n_rollouts)
+    plans = plans.reshape(n_rollouts, n, policy.T, policy.d_a)
+    scores = np.zeros(n)
+    for s0, noise, seqs in zip(starts, noises, plans):
+        for i, seq in enumerate(seqs):
             s = s0
             total = 0.0
             for t in range(policy.T):
@@ -176,16 +184,16 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     The sub-policy is the deterministic fixed-seed sampler, so every
     pool state gets the target sample(policy, window(s), seed)[0]; the
     shared seed is what keeps targets mode-consistent at ambiguous
-    states. Stops early under mse_target; otherwise warns with the
-    achieved value.
+    states. All targets come from one :func:`diffusion.sample_batch`
+    call: the same inputs give the same bytes, and the targets agree
+    with one-at-a-time samples to 1e-12. Stops early under mse_target;
+    otherwise warns with the achieved value.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[0] == 0:
         raise EmptyBatchError(f"need a non-empty (N, d_s) state pool, got {states.shape}")
-    targets = np.empty((states.shape[0], policy.d_a))
-    for j, s in enumerate(states):
-        window = diffusion.state_window(s, policy.T)
-        targets[j] = diffusion.sample(policy, window, seed)[0]
+    windows = np.stack([diffusion.state_window(s, policy.T) for s in states])
+    targets = diffusion.sample(policy, windows, [seed] * len(states))[:, 0]
 
     head = make_head(policy.d_s, policy.d_a, hidden, rng,
                      policy.action_low, policy.action_high)
@@ -253,13 +261,15 @@ def gae(rewards: np.ndarray, values: np.ndarray, discount: float,
 
 def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
                   logp_old: np.ndarray, advantages: np.ndarray,
-                  clip_ratio: float) -> tuple[float, np.ndarray, np.ndarray]:
+                  clip_ratio: float, acts=None) -> tuple[float, np.ndarray, np.ndarray]:
     """Clipped-surrogate loss and its gradients.
 
     Loss is -mean(min(r*A, clip(r, 1-c, 1+c)*A)) with r the new/old
     likelihood ratio at the stored pre-squash draws. Returns
     (loss, net gradient flat, log_std gradient); samples sitting in the
-    clipped branch contribute nothing to either gradient.
+    clipped branch contribute nothing to either gradient. ``acts`` is
+    the head's :func:`nets.forward_activations` at ``states``, when the
+    caller has it already.
     """
     states = np.asarray(states, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -268,7 +278,8 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
     n = states.shape[0]
     if n == 0:
         raise EmptyBatchError("empty surrogate batch")
-    acts = nets.forward_activations(head.net, states)
+    if acts is None:
+        acts = nets.forward_activations(head.net, states)
     m = acts[-1]
     ratio = np.exp(_u_log_prob(head, states, us, m) - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
@@ -343,7 +354,10 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
         stable = _snapshot(head, value_net)
         states, us, rewards, ep_returns = collect_episodes(head, env, cfg.batch_episodes, rng)
         curve.append((float(ep_returns.mean()), float(ep_returns.std())))
-        logp_old = _u_log_prob(head, states, us)
+        # the head's activations at its current parameters; the surrogate
+        # reuses them until an update moves the parameters
+        acts = nets.forward_activations(head.net, states)
+        logp_old = _u_log_prob(head, states, us, acts[-1])
         values = nets.forward(value_net, states)[:, 0]
         advantages = np.empty_like(rewards)
         value_targets = np.empty_like(rewards)
@@ -357,7 +371,7 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
             for _ in range(cfg.epochs_per_batch):
                 pre = _snapshot(head, value_net)
                 loss, g_net, g_std = ppo_surrogate(head, states, us, logp_old,
-                                                   advantages, cfg.clip_ratio)
+                                                   advantages, cfg.clip_ratio, acts)
                 if not np.isfinite(loss):
                     raise NonFiniteError(f"surrogate loss {loss}")
                 nets.optimizer_step(opt_net, head.net.params, g_net)
@@ -368,7 +382,8 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
                 v_up = (2.0 * (v - value_targets) / v.size)[:, None]
                 nets.optimizer_step(opt_val, value_net.params,
                                     nets.backward(value_net, v_acts, v_up))
-                ratio = np.exp(_u_log_prob(head, states, us) - logp_old)
+                acts = nets.forward_activations(head.net, states)
+                ratio = np.exp(_u_log_prob(head, states, us, acts[-1]) - logp_old)
                 if np.max(np.abs(ratio - 1.0)) > bound:
                     _restore(head, value_net, pre)
                     break

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from uepo import augmentation, datasets, diffusion, dynamics, envs
 from uepo.augmentation import FilterConfig
 from uepo.errors import ConfigError, EmptyBatchError, StarvationError
@@ -158,3 +159,42 @@ def test_report_lines_and_histogram():
     assert hist[0][0] == pytest.approx(0.1)
     assert hist[-1][1] == pytest.approx(0.4)
     assert augmentation.kl_histogram([]) == []
+
+
+class ActionOffsetModel(StubModel):
+    """Off by 0.05 * a[0] in the first state dimension, so the score of a
+    rollout depends on its actions and the filter takes some of them."""
+
+    def predict(self, s, a):
+        mean, var = super().predict(s, a)
+        return mean + np.array([0.05 * a[0], 0.0, 0.0, 0.0]), var
+
+
+@pytest.mark.parametrize("chunk,max_attempts,fills", [(4, 10, False), (3, 200, True)])
+def test_build_augmented_matches_attempt_by_attempt_loop(monkeypatch, chunk, max_attempts,
+                                                         fills):
+    env, ds, policy = small_setup()
+    model = ActionOffsetModel(env, offset=np.zeros(4), var=env.sigma_env**2)
+    cfg = FilterConfig(epsilon=0.4, ratio=2.0, max_attempts=max_attempts)
+    monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    syn, report = augmentation.build_augmented(env, policy, model, ds, cfg, rng)
+    ref_rng = np.random.default_rng(7)
+    accepted, kl_values, attempts, count = oracles.build_augmented(env, policy, model, ds,
+                                                                   cfg, ref_rng)
+    assert 0 < report.n_accepted < report.n_attempts
+    assert (report.n_attempts, report.n_accepted, report.achieved_transitions) == \
+        (attempts, len(accepted), count)
+    assert (count >= report.target_transitions) == fills
+    if fills:
+        # it stopped inside a chunk, and the chunk's later draws went unused
+        assert attempts % chunk != 0
+        assert rng.integers(2**63) != ref_rng.integers(2**63)
+    else:
+        assert attempts == max_attempts
+    assert len(report.kl_values) == len(kl_values)
+    assert np.max(np.abs(np.subtract(report.kl_values, kl_values))) <= 1e-12
+    for got, want in zip(syn.trajectories, accepted):
+        assert got.seed == want.seed
+        assert np.max(np.abs(got.actions - want.actions)) <= 1e-12
+        assert np.max(np.abs(got.next_states - want.next_states)) <= 1e-12

@@ -119,6 +119,17 @@ def test_selection_and_eval_contents(pipeline):
     float(ev["mean_return"])  # parses
 
 
+def test_selection_scores_parse_and_best_is_first_argmax(pipeline):
+    cfg, out = pipeline
+    with open(os.path.join(out, "selection_scores.csv")) as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "member,seed,score"
+    scores = [float(row.split(",")[2]) for row in rows]
+    assert len(scores) == cfg["ensemble.n"]
+    sel = _read_manifest(os.path.join(out, "selection.txt"))
+    assert int(sel["best_index"]) == scores.index(max(scores))
+
+
 def test_div_check_reports_ok(pipeline):
     _, out = pipeline
     m = _read_manifest(os.path.join(out, "div_check.txt"))

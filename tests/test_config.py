@@ -172,3 +172,9 @@ def test_zero_guided_steps_rejected():
 def test_beta_max_at_or_above_one_rejected():
     with pytest.raises(ConfigError, match="beta_max < 1"):
         parse_config("diffusion.beta_max = 1.5\n")
+
+
+def test_objective_alpha_is_not_a_key():
+    # no stage reads it, so the schema has no such key
+    with pytest.raises(ConfigError, match="unknown config key: objective.alpha"):
+        parse_config("objective.alpha = 0.1\n")

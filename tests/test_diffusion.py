@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from uepo import diffusion, divergence, nets
 from uepo.datasets import Trajectory, TrajectoryDataset
 from uepo.errors import ConfigError, EmptyBatchError, ShapeError
@@ -93,10 +94,12 @@ def test_reverse_step_noise_injection():
     mean = diffusion.reverse_mean(policy, a_t, s, 2)
     z = np.random.default_rng(11).standard_normal((3, 1))
     want = mean + np.sqrt(policy.schedule.beta[2]) * z
-    got = diffusion.reverse_step(policy, a_t, s, 2, np.random.default_rng(11))
+    got = diffusion.reverse_step(policy, a_t, s, 2, z)
     assert np.allclose(got, want, atol=1e-14)
-    # the last step is the posterior mean with no noise draw
-    got0 = diffusion.reverse_step(policy, a_t, s, 0, np.random.default_rng(11))
+    with pytest.raises(ShapeError):
+        diffusion.reverse_step(policy, a_t, s, 2, z[:2])
+    # the last step is the posterior mean and takes no noise
+    got0 = diffusion.reverse_step(policy, a_t, s, 0, None)
     assert np.array_equal(got0, diffusion.reverse_mean(policy, a_t, s, 0))
 
 
@@ -230,29 +233,107 @@ def test_make_ensemble_spec_validation():
     assert len(spec.seeds) == 3
 
 
+def _windows(rng, n, T=4, d_s=1):
+    return np.stack([diffusion.state_window(rng.standard_normal(d_s), T) for _ in range(n)])
+
+
+def test_sample_batch_matches_scalar_chain():
+    rng = np.random.default_rng(15)
+    policy = tiny_policy(rng, T=4, d_a=2, d_s=1, k=6)
+    # above the chunk size, with repeated and negative seeds
+    n = diffusion.SAMPLE_CHUNK + 5
+    windows = _windows(rng, n)
+    seeds = [int(x) for x in rng.integers(-50, 50, size=n)]
+    got = diffusion.sample_batch(policy, windows, seeds)
+    assert got.shape == (n, 4, 2)
+    assert np.array_equal(diffusion.sample(policy, windows, seeds), got)
+    for b in range(n):
+        want = oracles.reverse_chain(policy, windows[b], seeds[b])
+        assert np.max(np.abs(got[b] - want)) <= 1e-12
+    # B = 1 is sample
+    assert np.max(np.abs(diffusion.sample(policy, windows[0], seeds[0]) - got[0])) <= 1e-12
+    assert np.max(np.abs(diffusion.sample(policy, windows[0], seeds[0])
+                         - oracles.reverse_chain(policy, windows[0], seeds[0]))) <= 1e-12
+    # one window and seed twice in a batch gives the same row
+    twice = diffusion.sample_batch(policy, windows[[3, 3]], [seeds[3], seeds[3]])
+    assert np.array_equal(twice[0], twice[1])
+    with pytest.raises(ShapeError):
+        diffusion.sample_batch(policy, windows, seeds[:-1])
+    with pytest.raises(ShapeError):
+        diffusion.sample_batch(policy, windows[:, :3], seeds)
+
+
+def test_sample_batch_chunking_is_fixed(monkeypatch):
+    # rows are computed chunk by chunk, so the bytes depend on the chunk
+    # constant alone: the same call gives the same bytes
+    rng = np.random.default_rng(16)
+    policy = tiny_policy(rng, T=4, d_a=1, d_s=1)
+    windows = _windows(rng, 10)
+    seeds = list(range(10))
+    monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", 4)
+    a = diffusion.sample_batch(policy, windows, seeds)
+    assert np.array_equal(a, diffusion.sample_batch(policy, windows, seeds))
+    for b in range(10):
+        assert np.max(np.abs(a[b] - oracles.reverse_chain(policy, windows[b], b))) <= 1e-12
+
+
 def test_ensemble_unguided_matches_sample_bitwise():
     rng = np.random.default_rng(11)
     policy = tiny_policy(rng, T=4, d_a=1, d_s=1)
-    window = diffusion.state_window(np.zeros(1), 4)
+    windows = _windows(rng, 5)
     cfg = divergence.DivergenceConfig(tau=0.5, eta=0.0, guided_steps=10)
     spec = diffusion.make_ensemble_spec(3, 21, cfg)
-    outs = diffusion.sample_ensemble(policy, window, spec)
-    for seed, out in zip(spec.seeds, outs):
-        assert np.array_equal(out, diffusion.sample(policy, window, seed))
+    outs = diffusion.sample_ensemble(policy, windows, spec)
+    assert outs.shape == (5, 3, 4, 1)
+    # guided_steps >= k: each member's chain runs batched over the windows
+    for i, seed in enumerate(spec.seeds):
+        assert np.array_equal(outs[:, i], diffusion.sample_batch(policy, windows, [seed] * 5))
+        for w in range(5):
+            want = diffusion.sample(policy, windows[w], seed)
+            assert np.max(np.abs(outs[w, i] - want)) <= 1e-12
 
 
 def test_ensemble_guidance_changes_later_members():
     rng = np.random.default_rng(12)
     policy = tiny_policy(rng, T=4, d_a=1, d_s=1)
-    window = diffusion.state_window(np.zeros(1), 4)
+    windows = _windows(rng, 3)
     # an enormous tau keeps the gate open at every guided step
     cfg = divergence.DivergenceConfig(tau=1e6, eta=0.5, guided_steps=4)
     spec = diffusion.make_ensemble_spec(3, 21, cfg)
-    guided = diffusion.sample_ensemble(policy, window, spec)
-    assert np.array_equal(guided[0], diffusion.sample(policy, window, spec.seeds[0]))
+    guided = diffusion.sample_ensemble(policy, windows, spec)
+    first = diffusion.sample_batch(policy, windows, [spec.seeds[0]] * 3)
+    assert np.array_equal(guided[:, 0], first)
+    for w in range(3):
+        want = diffusion.sample(policy, windows[w], spec.seeds[0])
+        assert np.max(np.abs(guided[w, 0] - want)) <= 1e-12
     for i in (1, 2):
-        plain = diffusion.sample(policy, window, spec.seeds[i])
-        assert not np.array_equal(guided[i], plain)
+        plain = diffusion.sample_batch(policy, windows, [spec.seeds[i]] * 3)
+        assert not np.any(np.all(guided[:, i] == plain, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("guided_steps", [3, 10])
+def test_ensemble_matches_scalar_guided_loop(monkeypatch, guided_steps):
+    rng = np.random.default_rng(17)
+    policy = tiny_policy(rng, T=4, d_a=2, d_s=1, k=6)
+    windows = _windows(rng, 7)
+    # tau large enough that guidance fires on every member > 0
+    cfg = divergence.DivergenceConfig(tau=50.0, eta=0.3, guided_steps=guided_steps)
+    spec = diffusion.make_ensemble_spec(4, 5, cfg)
+    monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", 3)
+    got = diffusion.sample_ensemble(policy, windows, spec)
+    for w in range(7):
+        want = oracles.ensemble(policy, windows[w], spec)
+        assert np.max(np.abs(got[w] - np.stack(want))) <= 1e-12
+    # the single-window call keeps its list of n sequences
+    single = diffusion.sample_ensemble(policy, windows[2], spec)
+    assert isinstance(single, list) and len(single) == 4
+    assert np.max(np.abs(np.stack(single) - got[2])) <= 1e-12
+    # unguided members agree with the plain chain
+    plain = diffusion.sample_ensemble(policy, windows, diffusion.EnsembleSpec(spec.seeds))
+    for w in range(7):
+        for i, seed in enumerate(spec.seeds):
+            want = oracles.reverse_chain(policy, windows[w], seed)
+            assert np.max(np.abs(plain[w, i] - want)) <= 1e-12
 
 
 def test_policy_checkpoint_round_trip(tmp_path):

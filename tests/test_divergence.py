@@ -152,6 +152,27 @@ def test_guide_close_predecessor_perturbs():
     assert not np.array_equal(out, a)
 
 
+def test_min_div_matches_div():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 5, 2))
+    preds = rng.standard_normal((6, 3, 5, 2))
+    preds[1, 2] = a[1]  # an identical predecessor: minimum exactly 0
+    preds[2, :, :, :] = np.arange(5.0)[:, None]  # zero accelerations
+    a[3] = 2.0 * np.arange(5.0)[:, None]
+    got = divergence.min_div(a, preds)
+    assert got.shape == (6,)
+    for b in range(6):
+        want = min(divergence.div(a[b], p) for p in preds[b])
+        assert abs(got[b] - want) <= 1e-12
+    assert got[1] == 0.0
+    with pytest.raises(ShapeError):
+        divergence.min_div(a, preds[:, :, :4])
+    with pytest.raises(ShapeError):
+        divergence.min_div(a, preds[:, :0])
+    with pytest.raises(DegenerateHorizonError):
+        divergence.min_div(a[:, :2], preds[:, :, :2])
+
+
 def test_min_pairwise_div():
     rng = np.random.default_rng(6)
     seqs = [rng.standard_normal((5, 2)) for _ in range(4)]

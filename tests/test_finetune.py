@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from uepo import diffusion, divergence, dynamics, envs, finetune, nets
 from uepo.errors import ConfigError, DistillationQualityWarning, EmptyBatchError
 from functools import partial
@@ -101,6 +102,21 @@ def test_select_policy_deterministic_and_consistent():
     assert scores1.shape == (3,)
 
 
+def test_select_policy_matches_one_plan_at_a_time():
+    env = envs.make_env("point_mass", sigma_env=0.05)
+    policy = small_policy()
+    model = dynamics.make_dynamics(4, 2, [8], np.random.default_rng(1))
+    spec = diffusion.make_ensemble_spec(5, 13)
+    pool = np.random.default_rng(3).standard_normal((6, 4))
+    reward_fn = partial(envs.reward, env)
+    best, scores = finetune.select_policy(policy, spec, model, reward_fn, 7, pool,
+                                          np.random.default_rng(2))
+    want = oracles.select_scores(policy, spec, model, reward_fn, 7, pool,
+                                 np.random.default_rng(2))
+    assert np.max(np.abs(scores - want)) <= 1e-12
+    assert best == finetune.best_index(want)
+
+
 def test_distill_fits_a_coherent_target():
     # constant-output targets are trivially representable, so the head
     # must reach the early-stop threshold quickly
@@ -138,8 +154,12 @@ def test_distill_matches_reference_loop():
                                      hidden=(8,), epochs=3, batch_size=8,
                                      step_size=1e-2, mse_target=0.0)
 
-    targets = np.stack([diffusion.sample(policy, diffusion.state_window(s, 4), 17)[0]
-                        for s in states])
+    windows = np.stack([diffusion.state_window(s, 4) for s in states])
+    targets = diffusion.sample_batch(policy, windows, [17] * 30)[:, 0]
+    # the batched targets agree with one-at-a-time sampling to 1e-12
+    for s, target in zip(states, targets):
+        want = oracles.reverse_chain(policy, diffusion.state_window(s, 4), 17)[0]
+        assert np.max(np.abs(target - want)) <= 1e-12
     rng = np.random.default_rng(5)
     ref = finetune.make_head(2, 1, (8,), rng, policy.action_low, policy.action_high)
     params = nets.get_params(ref.net)
@@ -258,6 +278,64 @@ def test_ppo_finetune_runs_and_reports_curve():
     assert len(curve) == 2
     assert all(np.isfinite(m) and np.isfinite(s) for m, s in curve)
     assert np.all(np.isfinite(nets.get_params(head.net)))
+
+
+def test_ppo_finetune_matches_reference_loop():
+    # oracle: the loop with a fresh forward pass for every surrogate and
+    # every ratio guard; reusing the guard's activations must change no bit
+    env = envs.make_env("point_mass", sigma_env=0.05, horizon=8)
+    cfg = finetune.PpoConfig(batch_episodes=4, epochs_per_batch=6, step_size=0.01)
+    head = small_head(seed=23, d_s=4, d_a=2, low=-1.0, high=1.0, hidden=(16,))
+    _, curve = finetune.ppo_finetune(head, env, cfg, 4, np.random.default_rng(24))
+
+    ref = small_head(seed=23, d_s=4, d_a=2, low=-1.0, high=1.0, hidden=(16,))
+    rng = np.random.default_rng(24)
+    value_net = nets.mlp_init([4, 64, 64, 1], rng)
+    opt_net = nets.adam_init(nets.param_count(ref.net), step_size=cfg.step_size)
+    opt_std = nets.adam_init(2, step_size=cfg.step_size)
+    opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
+    ref_curve, epochs_kept, rollbacks = [], 0, 0
+    for _ in range(4):
+        states, us, rewards, ep_returns = finetune.collect_episodes(ref, env, 4, rng)
+        ref_curve.append((float(ep_returns.mean()), float(ep_returns.std())))
+        logp_old = finetune._u_log_prob(ref, states, us)
+        values = nets.forward(value_net, states)[:, 0]
+        advantages = np.empty_like(rewards)
+        value_targets = np.empty_like(rewards)
+        for e in range(4):
+            sl = slice(e * 8, (e + 1) * 8)
+            advantages[sl], value_targets[sl] = finetune.gae(
+                rewards[sl], np.append(values[sl], 0.0), cfg.discount, cfg.gae_lambda)
+        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+        for _ in range(cfg.epochs_per_batch):
+            pre = (nets.get_params(ref.net), ref.log_std.copy(), nets.get_params(value_net))
+            _, g_net, g_std = finetune.ppo_surrogate(ref, states, us, logp_old,
+                                                     advantages, cfg.clip_ratio)
+            params = nets.get_params(ref.net)
+            nets.optimizer_step(opt_net, params, g_net)
+            nets.set_params(ref.net, params)
+            nets.optimizer_step(opt_std, ref.log_std, g_std)
+            finetune.clamp_log_std(ref)
+            v_acts = nets.forward_activations(value_net, states)
+            v = v_acts[-1][:, 0]
+            v_grad = nets.backward(value_net, v_acts, (2.0 * (v - value_targets) / v.size)[:, None])
+            v_params = nets.get_params(value_net)
+            nets.optimizer_step(opt_val, v_params, v_grad)
+            nets.set_params(value_net, v_params)
+            ratio = np.exp(finetune._u_log_prob(ref, states, us) - logp_old)
+            if np.max(np.abs(ratio - 1.0)) > cfg.ratio_guard * cfg.clip_ratio:
+                nets.set_params(ref.net, pre[0])
+                ref.log_std[:] = pre[1]
+                nets.set_params(value_net, pre[2])
+                rollbacks += 1
+                break
+            epochs_kept += 1
+
+    # both branches of the guard ran
+    assert rollbacks > 0 and epochs_kept > 0
+    assert curve == ref_curve
+    assert np.array_equal(nets.get_params(head.net), nets.get_params(ref.net))
+    assert np.array_equal(head.log_std, ref.log_std)
 
 
 def test_ppo_ratio_guard_rolls_back_oversized_steps():
