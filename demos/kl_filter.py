@@ -71,7 +71,7 @@ class OffsetModel:
     def predict(self, s, a):
         mean, var = envs.true_dist(env_hard, s, a)
         shifted = mean.copy()
-        shifted[0] += 1.0
+        shifted[..., 0] += 1.0
         return shifted, np.ones_like(var)
 
 

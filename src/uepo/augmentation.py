@@ -77,26 +77,24 @@ def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed: int) -> 
 
 
 def _model_dist(model, s: np.ndarray, a: np.ndarray):
-    # duck-typed so tests can score against hand-built distributions
+    # duck-typed so tests can score (T, d) stacks against hand-built laws
     if hasattr(model, "predict"):
         return model.predict(s, a)
     return dynamics.predict(model, s, a)
 
 
-def trajectory_kl(traj: Trajectory, env_true_dist, model) -> float:
-    """Mean per-transition KL(true law || model) along the trajectory.
+def trajectory_kl(traj: Trajectory, env, model) -> float:
+    """Mean per-transition KL(true law of ``env`` || model) along the
+    trajectory, with every transition scored in one stacked call.
 
     The mean (rather than the sum) keeps the score comparable across
     horizons, so one epsilon works for any rollout length.
     """
     if len(traj) == 0:
         raise EmptyBatchError("trajectory has no transitions")
-    total = 0.0
-    for s, a in zip(traj.states, traj.actions):
-        true_mean, true_var = env_true_dist(s, a)
-        pred_mean, pred_var = _model_dist(model, s, a)
-        total += dynamics.gaussian_kl(true_mean, true_var, pred_mean, pred_var)
-    return total / len(traj)
+    true_mean, true_var = envs.true_dist(env, traj.states, traj.actions)
+    pred_mean, pred_var = _model_dist(model, traj.states, traj.actions)
+    return float(np.mean(dynamics.gaussian_kl(true_mean, true_var, pred_mean, pred_var)))
 
 
 def filter_trajectory(score: float, cfg: FilterConfig) -> bool:
@@ -140,7 +138,6 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
     if max_attempts is None:
         max_attempts = default_max_attempts(cfg, n_real, policy.T)
 
-    true_dist_fn = lambda s, a: envs.true_dist(env, s, a)
     accepted: list[Trajectory] = []
     kl_values: list[float] = []
     count = 0
@@ -157,7 +154,7 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
         for s0, seed, (_, env_rng), actions in zip(starts, seeds, streams, plans):
             traj = envs.rollout_open_loop(env, s0, actions, env_rng, seed=seed)
             attempts += 1
-            score = trajectory_kl(traj, true_dist_fn, model_init)
+            score = trajectory_kl(traj, env, model_init)
             kl_values.append(score)
             if not filter_trajectory(score, cfg):
                 continue

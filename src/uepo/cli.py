@@ -4,8 +4,8 @@ Each stage reads its inputs from the output directory, writes its
 artifacts atomically, and leaves a ``<stage>.manifest`` recording the
 config hash, the seed, and the sha256 of every input and output file.
 Wall time goes to a ``<stage>.time.txt`` sidecar so reruns of the same
-config stay byte-identical. A ``.lock`` file guards the directory while
-a stage runs.
+config stay byte-identical. A ``.lock`` file holds the running stage's
+pid; a lock whose pid is no live process is replaced.
 """
 
 import argparse
@@ -363,6 +363,21 @@ _STAGE_FNS = {
 }
 
 
+def _lock_is_stale(lock_path: str) -> bool:
+    """True when the lock names a pid that is no live process. A lock
+    whose contents do not parse as a positive pid is never stale."""
+    try:
+        with open(lock_path, "r", encoding="utf-8") as fh:
+            pid = int(fh.read())
+        if pid > 0:  # 0 and negative pids name process groups
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):  # unreadable, or a live pid of another user
+        pass
+    return False
+
+
 def run_stage(stage: str, cfg: RunConfig) -> StageRun:
     """Execute one stage under the out-dir lock and write its manifest."""
     if stage not in _STAGE_FNS:
@@ -372,9 +387,12 @@ def run_stage(stage: str, cfg: RunConfig) -> StageRun:
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(
-            f"lock file {lock_path} exists; another stage may be running "
-            f"(delete it if that run is dead)") from None
+        if not _lock_is_stale(lock_path):
+            raise RuntimeError(
+                f"lock file {lock_path} exists; another stage may be running "
+                f"(delete it if that run is dead)") from None
+        os.unlink(lock_path)
+        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     os.write(fd, f"{os.getpid()}\n".encode())
     os.close(fd)
     try:

@@ -69,13 +69,18 @@ def div(a_i: np.ndarray, a_j: np.ndarray) -> float:
     so that term vanishes. Symmetric, non-negative, and zero on
     identical sequences.
     """
-    a_i = np.asarray(a_i, dtype=float)
-    a_j = np.asarray(a_j, dtype=float)
-    if a_i.shape != a_j.shape:
-        raise ShapeError(f"sequence shapes differ: {a_i.shape} vs {a_j.shape}")
-    if a_i.ndim != 2 or a_i.shape[0] < 3:
-        raise DegenerateHorizonError(f"div needs (T>=3, d) sequences, got {a_i.shape}")
+    a_i, a_j = _sequence_stack([a_i, a_j])
     return float(_div_rows(a_i, a_j))
+
+
+def _sequence_stack(seqs) -> np.ndarray:
+    # the (n, T, d) stack of same-shape sequences that div accepts
+    seqs = [np.asarray(s, dtype=float) for s in seqs]
+    if any(s.shape != seqs[0].shape for s in seqs):
+        raise ShapeError(f"sequence shapes differ: {[s.shape for s in seqs]}")
+    if seqs[0].ndim != 2 or seqs[0].shape[0] < 3:
+        raise DegenerateHorizonError(f"div needs (T>=3, d) sequences, got {seqs[0].shape}")
+    return np.stack(seqs)
 
 
 def _div_rows(a_i: np.ndarray, a_j: np.ndarray) -> np.ndarray:
@@ -150,13 +155,15 @@ def guide(a: np.ndarray, predecessors, cfg: DivergenceConfig,
 
 
 def pairwise_divergences(seqs) -> list[PairDivergence]:
-    """Divergence for every unordered pair, in (i, j) index order."""
+    """Divergence for every unordered pair, in (i, j) index order, all
+    from one stacked evaluation; each value equals :func:`div` of its pair."""
     seqs = list(seqs)
-    out = []
-    for i in range(len(seqs)):
-        for j in range(i + 1, len(seqs)):
-            out.append(PairDivergence(i, j, div(seqs[i], seqs[j])))
-    return out
+    if len(seqs) < 2:
+        return []
+    stack = _sequence_stack(seqs)
+    i_idx, j_idx = np.triu_indices(len(seqs), 1)
+    values = _div_rows(stack[i_idx], stack[j_idx])
+    return [PairDivergence(int(i), int(j), float(v)) for i, j, v in zip(i_idx, j_idx, values)]
 
 
 def min_pairwise_div(seqs) -> float:

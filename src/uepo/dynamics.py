@@ -77,12 +77,13 @@ def _split_output(m: GaussianDynamics, out: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def predict(m: GaussianDynamics, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of s' at one (s, a); variance = exp(clamped log-var)."""
+    """Mean and variance of s' at one (s, a) or at each row of (B, d)
+    stacks; variance = exp(clamped log-var)."""
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    if s.shape != (m.d_s,) or a.shape != (m.d_a,):
-        raise ShapeError(f"expected dims ({m.d_s},), ({m.d_a},), got {s.shape}, {a.shape}")
-    mean, log_var, _ = _split_output(m, nets.forward(m.net, np.concatenate([s, a])))
+    if s.shape[-1:] != (m.d_s,) or a.shape[-1:] != (m.d_a,) or s.shape[:-1] != a.shape[:-1]:
+        raise ShapeError(f"expected dims (..., {m.d_s}), (..., {m.d_a}), got {s.shape}, {a.shape}")
+    mean, log_var, _ = _split_output(m, nets.forward(m.net, np.concatenate([s, a], axis=-1)))
     return mean, np.exp(log_var)
 
 
@@ -122,8 +123,9 @@ def nll(m: GaussianDynamics, batch: TransitionBatch) -> tuple[float, np.ndarray]
     return _nll_and_grad(m, _inputs(m, batch), batch.s_next)
 
 
-def gaussian_kl(p_mean, p_var, q_mean, q_var) -> float:
-    """Closed-form KL(N(p) || N(q)) for diagonal Gaussians, summed over dims."""
+def gaussian_kl(p_mean, p_var, q_mean, q_var):
+    """Closed-form KL(N(p) || N(q)) for diagonal Gaussians, summed over
+    dims: a float for one vector each, one KL per row for (B, d) stacks."""
     p_mean = np.asarray(p_mean, dtype=float)
     p_var = np.asarray(p_var, dtype=float)
     q_mean = np.asarray(q_mean, dtype=float)
@@ -133,8 +135,9 @@ def gaussian_kl(p_mean, p_var, q_mean, q_var) -> float:
     if np.any(p_var <= 0) or np.any(q_var <= 0):
         raise ConfigError("variances must be strictly positive")
     ratio = p_var / q_var
-    return float(np.sum(0.5 * (np.log(q_var / p_var) + ratio
-                               + (p_mean - q_mean) ** 2 / q_var - 1.0)))
+    kl = np.sum(0.5 * (np.log(q_var / p_var) + ratio
+                       + (p_mean - q_mean) ** 2 / q_var - 1.0), axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def pool_nll(m: GaussianDynamics, pool: TransitionBatch) -> float:

@@ -22,6 +22,12 @@ from .errors import ConfigError, ShapeError
 ACTION_NOISE = 0.05
 
 
+def _row_norm(d: np.ndarray):
+    # Euclidean norm of each row through a row dot product, which rounds
+    # like the 1-D np.linalg.norm; the axis=-1 form differs in the last bit
+    return np.sqrt(np.vecdot(d, d))
+
+
 @dataclass
 class PointMass2D:
     """Damped double integrator on the plane.
@@ -43,7 +49,6 @@ class PointMass2D:
     goal_plus: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
     goal_minus: np.ndarray = field(default_factory=lambda: np.array([1.0, -1.0]))
     reset_scale: float = 0.05
-    clip_count: int = 0
 
     name = "point_mass"
     d_s = 4
@@ -52,14 +57,13 @@ class PointMass2D:
     action_high = np.array([1.0, 1.0])
 
     def _mean(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        p, v = s[:2], s[2:]
+        p, v = s[..., :2], s[..., 2:]
         v_next = (1.0 - self.damping) * v + self.dt * a
-        return np.concatenate([p + self.dt * v, v_next])
+        return np.concatenate([p + self.dt * v, v_next], axis=-1)
 
-    def _reward(self, s, a, s_next) -> float:
-        p = s_next[:2]
-        return -min(float(np.linalg.norm(p - self.goal_plus)),
-                    float(np.linalg.norm(p - self.goal_minus)))
+    def _reward(self, s, a, s_next):
+        p = s_next[..., :2]
+        return -np.minimum(_row_norm(p - self.goal_plus), _row_norm(p - self.goal_minus))
 
     def _reset(self, rng: np.random.Generator) -> np.ndarray:
         p = self.reset_scale * rng.standard_normal(2)
@@ -71,9 +75,9 @@ class PointMass2D:
         return 4.0 * (goal - s[:2]) - 3.5 * s[2:]
 
 
-def wrap_angle(x: float) -> float:
-    """Map onto (-pi, pi], with pi itself kept (not sent to -pi)."""
-    return float(np.pi - np.mod(np.pi - x, 2.0 * np.pi))
+def wrap_angle(x):
+    """Map angles onto (-pi, pi], with pi itself kept (not sent to -pi)."""
+    return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
 @dataclass
@@ -95,7 +99,6 @@ class Pendulum1:
     sigma_env: float = 0.01
     horizon: int = 50
     reset_scale: float = 0.05
-    clip_count: int = 0
 
     name = "pendulum"
     d_s = 2
@@ -104,14 +107,16 @@ class Pendulum1:
     action_high = np.array([2.0])
 
     def _mean(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        theta, omega = s
-        omega_next = omega + self.dt * (self.gravity * np.sin(theta) + a[0])
+        theta, omega = s[..., :1], s[..., 1:]
+        omega_next = omega + self.dt * (self.gravity * np.sin(theta) + a)
         theta_next = wrap_angle(theta + self.dt * omega)
-        return np.array([theta_next, omega_next])
+        return np.concatenate([theta_next, omega_next], axis=-1)
 
-    def _reward(self, s, a, s_next) -> float:
-        theta, omega = s_next
-        return -(theta**2 + 0.1 * omega**2)
+    def _reward(self, s, a, s_next):
+        # float_power is libm pow, as ** is on one float; ** on an array
+        # squares exactly and would round some one-row rewards differently
+        theta, omega = s_next[..., 0], s_next[..., 1]
+        return -(np.float_power(theta, 2) + 0.1 * np.float_power(omega, 2))
 
     def _reset(self, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal(2)
@@ -141,24 +146,15 @@ def make_env(name: str, **overrides) -> Env:
     raise ConfigError(f"unknown environment {name!r}")
 
 
-def _clip_action(env: Env, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (env.d_a,):
-        raise ShapeError(f"action shape {a.shape} != ({env.d_a},)")
-    clipped = np.clip(a, env.action_low, env.action_high)
-    if not np.array_equal(clipped, a):
-        env.clip_count += 1
-    return clipped
-
-
 def step(env: Env, s: np.ndarray, a: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-    """Sample the next state. Draws exactly one noise vector per call so
-    recorded rollouts replay bit-exactly; rng None skips the draw and
-    returns the deterministic mean."""
+    """Sample the next state from one (s, a). Draws exactly one noise
+    vector per call so recorded rollouts replay bit-exactly; rng None
+    skips the draw and returns the deterministic mean."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (env.d_s,):
-        raise ShapeError(f"state shape {s.shape} != ({env.d_s},)")
-    mean = env._mean(s, _clip_action(env, a))
+    a = np.asarray(a, dtype=float)
+    if s.shape != (env.d_s,) or a.shape != (env.d_a,):
+        raise ShapeError(f"state, action shapes {s.shape}, {a.shape} != ({env.d_s},), ({env.d_a},)")
+    mean, _ = true_dist(env, s, a)
     if rng is None:
         return mean
     s_next = mean + env.sigma_env * rng.standard_normal(env.d_s)
@@ -168,13 +164,15 @@ def step(env: Env, s: np.ndarray, a: np.ndarray, rng: np.random.Generator | None
 
 
 def true_dist(env: Env, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact transition law at (s, a): closed-form mean, sigma_env^2 variance."""
+    """Exact transition law at one (s, a) or at each row of a (B, d)
+    stack: closed-form mean of the clipped action, sigma_env^2 variance."""
     s = np.asarray(s, dtype=float)
     a = np.clip(np.asarray(a, dtype=float), env.action_low, env.action_high)
-    return env._mean(s, a), np.full(env.d_s, env.sigma_env**2)
+    return env._mean(s, a), np.full(s.shape, env.sigma_env**2)
 
 
-def reward(env: Env, s, a, s_next) -> float:
+def reward(env: Env, s, a, s_next):
+    """Reward of one transition, or one per row of a (B, d) stack."""
     return env._reward(np.asarray(s, float), np.asarray(a, float),
                        np.asarray(s_next, float))
 
@@ -198,15 +196,14 @@ def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
     if actions.ndim != 2 or actions.shape[1] != env.d_a:
         raise ShapeError(f"actions must be (T, {env.d_a}), got {actions.shape}")
     s = np.asarray(s0, dtype=float)
-    states, nexts, rews = [], [], []
+    states, nexts = [], []
     for a in actions:
-        s_next = step(env, s, a, rng)
         states.append(s)
-        nexts.append(s_next)
-        rews.append(env._reward(s, a, s_next))
-        s = s_next
-    return Trajectory(np.stack(states), actions.copy(), np.stack(nexts),
-                      np.array(rews), seed=seed)
+        s = step(env, s, a, rng)
+        nexts.append(s)
+    states, nexts = np.stack(states), np.stack(nexts)
+    return Trajectory(states, actions.copy(), nexts, reward(env, states, actions, nexts),
+                      seed=seed)
 
 
 def goal_distances(env: PointMass2D, s0: np.ndarray, actions: np.ndarray) -> tuple[float, float]:
@@ -248,20 +245,19 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
         mode = 0 if rng.random() < mode_mix[0] else 1
         init_rng, act_rng, env_rng = _traj_rngs(seed)
         s = reset(env, init_rng)
-        states, actions, nexts, rews = [], [], [], []
+        states, actions, nexts = [], [], []
         for _ in range(horizon):
             a = scripted_action(env, s, mode)
             if action_noise > 0:
                 a = np.clip(a + action_noise * act_rng.standard_normal(env.d_a),
                             env.action_low, env.action_high)
-            s_next = step(env, s, a, env_rng)
             states.append(s)
             actions.append(a)
-            nexts.append(s_next)
-            rews.append(env._reward(s, a, s_next))
-            s = s_next
-        trajs.append(Trajectory(np.stack(states), np.stack(actions), np.stack(nexts),
-                                np.array(rews), seed=seed, mode=mode))
+            s = step(env, s, a, env_rng)
+            nexts.append(s)
+        states, actions, nexts = np.stack(states), np.stack(actions), np.stack(nexts)
+        trajs.append(Trajectory(states, actions, nexts, reward(env, states, actions, nexts),
+                                seed=seed, mode=mode))
 
     meta = {"env": env.name, "d_s": env.d_s, "d_a": env.d_a, "horizon": horizon,
             "sigma_env": env.sigma_env, "action_noise": action_noise,

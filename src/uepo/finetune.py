@@ -79,12 +79,6 @@ def clamp_log_std(head: GaussianPolicy) -> None:
     np.clip(head.log_std, LOG_STD_MIN, LOG_STD_MAX, out=head.log_std)
 
 
-def head_mean_action(head: GaussianPolicy, s: np.ndarray) -> np.ndarray:
-    """Deterministic (mean-u) action, squashed into the box."""
-    m = nets.forward(head.net, np.asarray(s, dtype=float))
-    return head.center + head.half * np.tanh(m)
-
-
 def sample_action(head: GaussianPolicy, s: np.ndarray,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one action; returns (action, pre-squash u).
@@ -140,9 +134,10 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
     shared by every sub-policy (common random numbers). Every rollout's
     start state and noise are drawn first, in rollout order; then all
     rollouts x sub-policies plans come from one :func:`diffusion.sample_batch`
-    call. The same inputs give the same bytes, and the scores agree with
-    plans sampled one at a time to 1e-12. Returns (argmax index,
-    per-sub-policy mean returns).
+    call and step through the model together, so ``reward_fn`` gets
+    (rows, d) stacks. The same inputs give the same bytes, and the scores
+    agree with plans sampled and stepped one at a time to 1e-12. Returns
+    (argmax index, per-sub-policy mean returns).
     """
     initial_states = np.asarray(initial_states, dtype=float)
     if initial_states.ndim != 2 or initial_states.shape[0] == 0:
@@ -154,21 +149,18 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
     for _ in range(n_rollouts):
         starts.append(initial_states[rng.integers(len(initial_states))])
         noises.append(rng.standard_normal((policy.T, policy.d_s)))
-    windows = np.stack([diffusion.state_window(s0, policy.T) for s0 in starts])
-    plans = diffusion.sample(policy, np.repeat(windows, n, axis=0),
-                             list(spec.seeds) * n_rollouts)
-    plans = plans.reshape(n_rollouts, n, policy.T, policy.d_a)
-    scores = np.zeros(n)
-    for s0, noise, seqs in zip(starts, noises, plans):
-        for i, seq in enumerate(seqs):
-            s = s0
-            total = 0.0
-            for t in range(policy.T):
-                mean, var = dynamics.predict(model, s, seq[t])
-                s_next = mean + np.sqrt(var) * noise[t]
-                total += reward_fn(s, seq[t], s_next)
-                s = s_next
-            scores[i] += total / n_rollouts
+    # row r * n + i is sub-policy i in rollout r
+    s = np.repeat(np.stack(starts), n, axis=0)
+    noise = np.repeat(np.stack(noises), n, axis=0)
+    windows = np.stack([diffusion.state_window(s0, policy.T) for s0 in s])
+    plans = diffusion.sample(policy, windows, list(spec.seeds) * n_rollouts)
+    totals = np.zeros(len(s))
+    for t in range(policy.T):
+        mean, var = dynamics.predict(model, s, plans[:, t])
+        s_next = mean + np.sqrt(var) * noise[:, t]
+        totals += reward_fn(s, plans[:, t], s_next)
+        s = s_next
+    scores = np.sum(totals.reshape(n_rollouts, n) / n_rollouts, axis=0)
     return best_index(scores), scores
 
 
@@ -395,20 +387,9 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
 
 
 def evaluate_head(head: GaussianPolicy, env, n_episodes: int,
-                  rng: np.random.Generator, stochastic: bool = True) -> float:
-    """Mean episode return over fresh rollouts."""
-    total = 0.0
-    for _ in range(n_episodes):
-        s = envs.reset(env, rng)
-        for _ in range(env.horizon):
-            if stochastic:
-                a, _ = sample_action(head, s, rng)
-            else:
-                a = head_mean_action(head, s)
-            s_next = envs.step(env, s, a, rng)
-            total += envs.reward(env, s, a, s_next)
-            s = s_next
-    return total / n_episodes
+                  rng: np.random.Generator) -> float:
+    """Mean return of :func:`collect_episodes`' fresh stochastic episodes."""
+    return float(collect_episodes(head, env, n_episodes, rng)[3].mean())
 
 
 def curve_csv(curve) -> str:

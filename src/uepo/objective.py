@@ -36,9 +36,6 @@ class ObjectiveConfig:
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
 
-DEFAULT_ALPHA = 0.1
-
-
 def draw_path_noise(k: int, T: int, d_a: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Standard-normal increments for n forward noising paths, (n, k, T, d_a)."""
     if min(k, T, d_a, n) < 1:

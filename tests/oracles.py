@@ -1,9 +1,10 @@
-"""Scalar reference implementations of the batched sampling paths.
+"""Scalar reference implementations of the batched sampling and scoring
+paths.
 
-Each one runs a single row at a time, one reverse step at a time, with
-noise drawn step by step, the way the library sampled before it
-batched. Tests compare the batched paths against them to 1e-12: the
-arithmetic is the same, but the denoiser's matrix products round
+Each one runs a single row at a time, one reverse step or transition at
+a time, with noise drawn step by step, the way the library worked before
+it batched. Tests compare the batched paths against them to 1e-12: the
+arithmetic is the same, but the networks' matrix products round
 differently at other batch sizes.
 """
 
@@ -38,6 +39,16 @@ def ensemble(policy, s, spec):
     return outs
 
 
+def trajectory_kl(traj, env, model):
+    """Mean per-transition KL(true law || model), one transition at a time."""
+    total = 0.0
+    for s, a in zip(traj.states, traj.actions):
+        true_mean, true_var = envs.true_dist(env, s, a)
+        pred_mean, pred_var = augmentation._model_dist(model, s, a)
+        total += dynamics.gaussian_kl(true_mean, true_var, pred_mean, pred_var)
+    return total / len(traj)
+
+
 def build_augmented(env, policy, model, real, cfg, rng):
     """The attempt-by-attempt filter loop; returns (accepted, kl_values,
     attempts, achieved transitions)."""
@@ -55,8 +66,7 @@ def build_augmented(env, policy, model, real, cfg, rng):
         traj = envs.rollout_open_loop(env, s0, actions, np.random.default_rng(env_c),
                                       seed=seed)
         attempts += 1
-        score = augmentation.trajectory_kl(traj, lambda s, a: envs.true_dist(env, s, a),
-                                           model)
+        score = trajectory_kl(traj, env, model)
         kl_values.append(score)
         if score >= cfg.epsilon:
             continue

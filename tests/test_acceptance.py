@@ -252,7 +252,7 @@ def test_06_filter_correctness():
         def predict(self, s, a):
             mean, var = envs.true_dist(env_hard, s, a)
             shifted = mean.copy()
-            shifted[0] += 1.0
+            shifted[..., 0] += 1.0
             return shifted, np.ones_like(var)
 
     starved = False

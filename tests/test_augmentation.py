@@ -17,7 +17,7 @@ class StubModel:
 
     def predict(self, s, a):
         mean, _ = envs.true_dist(self.env, s, a)
-        return mean + self.offset, np.full(self.env.d_s, self.var)
+        return mean + self.offset, np.full(np.shape(mean), self.var)
 
 
 def small_setup(sigma_env=0.05, n_traj=8, horizon=8, T=5):
@@ -67,14 +67,17 @@ def test_trajectory_kl_is_mean_of_transition_kls():
     env, ds, policy = small_setup()
     traj = ds.trajectories[0]
     model = StubModel(env, offset=np.zeros(4), var=env.sigma_env**2 * 2.0)
-    total = 0.0
-    for s, a in zip(traj.states, traj.actions):
-        tm, tv = envs.true_dist(env, s, a)
-        pm, pv = model.predict(s, a)
-        total += dynamics.gaussian_kl(tm, tv, pm, pv)
-    got = augmentation.trajectory_kl(traj, lambda s, a: envs.true_dist(env, s, a),
-                                     model)
-    assert got == pytest.approx(total / len(traj), rel=1e-12)
+    got = augmentation.trajectory_kl(traj, env, model)
+    assert got == pytest.approx(oracles.trajectory_kl(traj, env, model), rel=1e-12)
+    # a learned model scores the whole trajectory in one stacked forward pass
+    for name in ("point_mass", "pendulum"):
+        env = envs.make_env(name, sigma_env=0.05, horizon=12)
+        ds = envs.make_offline_dataset(env, 3, (0.5, 0.5), np.random.default_rng(8))
+        model = dynamics.make_dynamics(env.d_s, env.d_a, [16, 16], np.random.default_rng(9))
+        for traj in ds.trajectories:
+            got = augmentation.trajectory_kl(traj, env, model)
+            want = oracles.trajectory_kl(traj, env, model)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_trajectory_kl_offset_stub_is_half():
@@ -82,9 +85,7 @@ def test_trajectory_kl_offset_stub_is_half():
     env = envs.make_env("point_mass", sigma_env=1.0, horizon=6)
     ds = envs.make_offline_dataset(env, 2, (1.0, 0.0), np.random.default_rng(0))
     model = StubModel(env, offset=np.array([1.0, 0.0, 0.0, 0.0]), var=1.0)
-    score = augmentation.trajectory_kl(ds.trajectories[0],
-                                       lambda s, a: envs.true_dist(env, s, a),
-                                       model)
+    score = augmentation.trajectory_kl(ds.trajectories[0], env, model)
     assert score == pytest.approx(0.5, abs=1e-12)
 
 
@@ -167,7 +168,8 @@ class ActionOffsetModel(StubModel):
 
     def predict(self, s, a):
         mean, var = super().predict(s, a)
-        return mean + np.array([0.05 * a[0], 0.0, 0.0, 0.0]), var
+        mean[..., 0] += 0.05 * a[..., 0]
+        return mean, var
 
 
 @pytest.mark.parametrize("chunk,max_attempts,fills", [(4, 10, False), (3, 200, True)])

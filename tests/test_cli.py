@@ -176,11 +176,32 @@ def test_missing_input_names_producer(tmp_path):
 def test_lock_file_blocks_concurrent_stage(tmp_path):
     cfg = parse_config(f"out = {tmp_path}\n")
     os.makedirs(tmp_path, exist_ok=True)
-    (tmp_path / ".lock").write_text("12345\n")
+    # this very process holds the lock, so it is alive
+    (tmp_path / ".lock").write_text(f"{os.getpid()}\n")
     with pytest.raises(RuntimeError, match="lock file"):
         cli.run_stage("div-check", cfg)
-    # a stale lock is left for the operator to inspect, not auto-removed
-    assert (tmp_path / ".lock").exists()
+    # a live holder's lock stays in place
+    assert (tmp_path / ".lock").read_text() == f"{os.getpid()}\n"
+    assert not (tmp_path / "div-check.manifest").exists()
+
+
+def test_lock_file_that_names_no_pid_blocks(tmp_path):
+    cfg = parse_config(f"out = {tmp_path}\n")
+    for text in ("", "not a pid\n", "0\n", "-1\n"):
+        (tmp_path / ".lock").write_text(text)
+        with pytest.raises(RuntimeError, match="lock file"):
+            cli.run_stage("div-check", cfg)
+        assert (tmp_path / ".lock").read_text() == text
+
+
+def test_stale_lock_of_exited_process_is_replaced(tmp_path):
+    cfg = parse_config(f"out = {tmp_path}\n")
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped, so its pid names no process
+    (tmp_path / ".lock").write_text(f"{child.pid}\n")
+    cli.run_stage("div-check", cfg)
+    assert (tmp_path / "div-check.manifest").exists()
+    assert not (tmp_path / ".lock").exists()
 
 
 # --- main() exit codes -------------------------------------------------------

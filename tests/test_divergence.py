@@ -180,3 +180,18 @@ def test_min_pairwise_div():
     assert len(pairs) == 6
     best = min(p.value for p in pairs)
     assert divergence.min_pairwise_div(seqs) == best
+    # every pair in one stacked call, bit for bit what div gives per pair
+    for n, T, d in ((2, 4, 1), (5, 6, 2), (8, 12, 2), (4, 7, 3)):
+        seqs = rng.standard_normal((n, T, d))
+        seqs[0, 1:4] = seqs[0, 1] + np.arange(3.0)[:, None]  # zero accelerations
+        seqs[1, :] = 0.5                                      # all-zero accelerations
+        pairs = divergence.pairwise_divergences(list(seqs))
+        assert [(p.i, p.j) for p in pairs] == [(i, j) for i in range(n)
+                                               for j in range(i + 1, n)]
+        for p in pairs:
+            assert p.value == divergence.div(seqs[p.i], seqs[p.j])
+        assert divergence.min_pairwise_div(seqs) == min(p.value for p in pairs)
+    with pytest.raises(ShapeError):
+        divergence.min_pairwise_div(seqs[:1])
+    with pytest.raises(ShapeError):
+        divergence.pairwise_divergences([seqs[0], seqs[1][:5]])

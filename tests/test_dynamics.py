@@ -37,6 +37,30 @@ def test_predict_shapes_and_positive_variance():
         dynamics.predict(m, np.zeros(2), np.zeros(2))
 
 
+def test_predict_on_stacks_matches_per_row():
+    rng = np.random.default_rng(15)
+    m = dynamics.make_dynamics(3, 2, [16, 16], rng)
+    s, a = rng.standard_normal((40, 3)), rng.standard_normal((40, 2))
+    mean, var = dynamics.predict(m, s, a)
+    assert mean.shape == var.shape == (40, 3)
+    for i in range(40):
+        row_mean, row_var = dynamics.predict(m, s[i], a[i])
+        assert np.max(np.abs(mean[i] - row_mean)) <= 1e-12
+        assert np.max(np.abs(var[i] - row_var)) <= 1e-12 * np.max(row_var)
+    with pytest.raises(ShapeError):
+        dynamics.predict(m, s, a[:39])
+
+
+def test_kl_on_stacks_is_one_kl_per_row():
+    rng = np.random.default_rng(16)
+    pm, qm = rng.standard_normal((2, 30, 4))
+    pv, qv = rng.uniform(0.1, 2.0, (2, 30, 4))
+    got = dynamics.gaussian_kl(pm, pv, qm, qv)
+    assert got.shape == (30,)
+    want = [dynamics.gaussian_kl(pm[i], pv[i], qm[i], qv[i]) for i in range(30)]
+    assert np.array_equal(got, want)
+
+
 def test_nll_value_oracle():
     rng = np.random.default_rng(2)
     m = dynamics.make_dynamics(2, 1, [6], rng)

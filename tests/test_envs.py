@@ -30,7 +30,6 @@ def test_point_mass_clips_actions():
     wild = envs.step(env, s, np.array([10.0, -10.0]), rng=None)
     capped = envs.step(env, s, np.array([1.0, -1.0]), rng=None)
     assert np.array_equal(wild, capped)
-    assert env.clip_count > 0
 
 
 def test_pendulum_step_formula_and_wrap():
@@ -62,6 +61,54 @@ def test_true_dist_matches_step_statistics():
     draws = np.stack([envs.step(env, s, a, rng) for _ in range(4000)])
     assert np.allclose(draws.mean(axis=0), mean, atol=0.02)
     assert np.allclose(draws.var(axis=0), var, rtol=0.1)
+
+
+def _random_rows(env, rng, n):
+    s = rng.uniform(-2.0, 2.0, (n, env.d_s))
+    a = rng.uniform(-3.0, 3.0, (n, env.d_a))  # some outside the action box
+    if env.name == "pendulum":
+        # angles on both sides of the +-pi wrap, with velocities that carry
+        # some of them across it in one step
+        s[: n // 2, 0] = rng.choice([-1.0, 1.0], n // 2) * rng.uniform(3.0, np.pi, n // 2)
+        s[:, 1] = rng.uniform(-8.0, 8.0, n)
+    return s, a
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_stacked_laws_equal_per_row_calls(name):
+    env = envs.make_env(name, sigma_env=0.03)
+    s, a = _random_rows(env, np.random.default_rng(12), 400)
+    s_next = s + np.random.default_rng(13).standard_normal(s.shape)
+    mean, var = envs.true_dist(env, s, a)
+    raw_mean = env._mean(s, a)
+    rew = envs.reward(env, s, a, s_next)
+    assert mean.shape == raw_mean.shape == var.shape == s.shape and rew.shape == (400,)
+    for i in range(len(s)):
+        row_mean, row_var = envs.true_dist(env, s[i], a[i])
+        assert np.array_equal(mean[i], row_mean) and np.array_equal(var[i], row_var)
+        assert np.array_equal(raw_mean[i], env._mean(s[i], a[i]))
+        assert rew[i] == envs.reward(env, s[i], a[i], s_next[i])
+    if name == "pendulum":
+        wrapped = np.sign(mean[:, 0]) != np.sign(s[:, 0] + env.dt * s[:, 1])
+        assert wrapped.sum() > 10
+        assert np.all((-np.pi < mean[:, 0]) & (mean[:, 0] <= np.pi))
+    assert np.array_equal(envs.wrap_angle(s[:, 0]), [envs.wrap_angle(x) for x in s[:, 0]])
+
+
+def test_one_row_rewards_keep_their_scalar_formulas():
+    # PPO scores one row at a time, so its rewards round as the scalar
+    # expressions do: a 1-D norm, and ** on a float
+    rng = np.random.default_rng(14)
+    pm, pend = envs.make_env("point_mass"), envs.make_env("pendulum")
+    for _ in range(10000):
+        s_next = 3.0 * rng.standard_normal(4)
+        p = s_next[:2]
+        want = -min(float(np.linalg.norm(p - pm.goal_plus)),
+                    float(np.linalg.norm(p - pm.goal_minus)))
+        assert envs.reward(pm, np.zeros(4), np.zeros(2), s_next) == want
+        theta, omega = float(s_next[2]), float(s_next[3])
+        assert envs.reward(pend, np.zeros(2), np.zeros(1),
+                           s_next[2:]) == -(theta**2 + 0.1 * omega**2)
 
 
 def test_rewards():
