@@ -10,7 +10,7 @@ until the synthetic pool holds ratio times the real transition count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,6 +9,7 @@ pid; a lock whose pid is no live process is replaced.
 """
 
 import argparse
+import fcntl
 import hashlib
 import os
 import sys
@@ -384,17 +385,18 @@ def run_stage(stage: str, cfg: RunConfig) -> StageRun:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
     os.makedirs(cfg["out"], exist_ok=True)
     lock_path = os.path.join(cfg["out"], ".lock")
+    out_fd = os.open(cfg["out"], os.O_RDONLY)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        if not _lock_is_stale(lock_path):
+        # under the out dir's flock one run at a time checks and replaces the lock
+        fcntl.flock(out_fd, fcntl.LOCK_EX)
+        if os.path.exists(lock_path) and not _lock_is_stale(lock_path):
             raise RuntimeError(
                 f"lock file {lock_path} exists; another stage may be running "
-                f"(delete it if that run is dead)") from None
-        os.unlink(lock_path)
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    os.write(fd, f"{os.getpid()}\n".encode())
-    os.close(fd)
+                f"(delete it if that run is dead)")
+        with open(lock_path, "w", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+    finally:
+        os.close(out_fd)
     try:
         run = StageRun(stage, cfg)
         ss = np.random.SeedSequence((cfg["seed"], STAGES.index(stage)))

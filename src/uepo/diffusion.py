@@ -43,9 +43,7 @@ def make_linear_schedule(k: int, beta_min: float = DEFAULT_BETA_MIN,
         raise ConfigError(f"step count must be >= 1, got {k}")
     if not (0 < beta_min <= beta_max < 1):
         raise ConfigError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    beta = np.linspace(beta_min, beta_max, k)
-    alpha = 1.0 - beta
-    return NoiseSchedule(k, beta, alpha, np.cumprod(alpha))
+    return schedule_from_beta(np.linspace(beta_min, beta_max, k))
 
 
 def schedule_from_beta(beta: np.ndarray) -> NoiseSchedule:
@@ -142,14 +140,8 @@ def prefix_windows(ds, T: int) -> tuple[np.ndarray, np.ndarray]:
     trajectories are skipped so every window has a real length-T
     continuation behind it.
     """
-    states, actions = [], []
-    for tr in ds.trajectories:
-        if len(tr) >= T:
-            states.append(state_window(tr.states[0], T))
-            actions.append(tr.actions[:T])
-    if not states:
-        raise EmptyBatchError(f"no trajectory has {T}+ transitions")
-    return np.stack(states), np.stack(actions)
+    # a stride past every trajectory's end leaves each one its t = 0 anchor
+    return sliding_windows(ds, T, 1 + max((len(tr) for tr in ds.trajectories), default=0))
 
 
 def sliding_windows(ds, T: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:

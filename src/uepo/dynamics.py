@@ -155,13 +155,11 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
     """
     if epochs < 1:
         raise ConfigError("epochs must be positive")
-    if synthetic is None:
-        pool = TransitionBatch(real.s, real.a, real.s_next, "real")
-    else:
+    pool = real
+    if synthetic is not None:
         pool = TransitionBatch(np.concatenate([real.s, synthetic.s]),
                                np.concatenate([real.a, synthetic.a]),
-                               np.concatenate([real.s_next, synthetic.s_next]),
-                               "real")
+                               np.concatenate([real.s_next, synthetic.s_next]))
     n = len(pool)
     # the pool is validated once; minibatches index its arrays directly
     x = _inputs(m, pool)

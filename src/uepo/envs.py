@@ -23,9 +23,9 @@ ACTION_NOISE = 0.05
 
 
 def _row_norm(d: np.ndarray):
-    # Euclidean norm of each row through a row dot product, which rounds
-    # like the 1-D np.linalg.norm; the axis=-1 form differs in the last bit
-    return np.sqrt(np.vecdot(d, d))
+    # row norms through a matmul row dot product, which rounds like the 1-D
+    # np.linalg.norm; the axis=-1 form differs in the last bit
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 @dataclass
@@ -154,7 +154,7 @@ def step(env: Env, s: np.ndarray, a: np.ndarray, rng: np.random.Generator | None
     a = np.asarray(a, dtype=float)
     if s.shape != (env.d_s,) or a.shape != (env.d_a,):
         raise ShapeError(f"state, action shapes {s.shape}, {a.shape} != ({env.d_s},), ({env.d_a},)")
-    mean, _ = true_dist(env, s, a)
+    mean = _clipped_mean(env, s, a)
     if rng is None:
         return mean
     s_next = mean + env.sigma_env * rng.standard_normal(env.d_s)
@@ -163,12 +163,17 @@ def step(env: Env, s: np.ndarray, a: np.ndarray, rng: np.random.Generator | None
     return s_next
 
 
+def _clipped_mean(env: Env, s, a) -> np.ndarray:
+    # the one place actions are clipped; step and true_dist both read it
+    a = np.clip(np.asarray(a, dtype=float), env.action_low, env.action_high)
+    return env._mean(np.asarray(s, dtype=float), a)
+
+
 def true_dist(env: Env, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact transition law at one (s, a) or at each row of a (B, d)
     stack: closed-form mean of the clipped action, sigma_env^2 variance."""
-    s = np.asarray(s, dtype=float)
-    a = np.clip(np.asarray(a, dtype=float), env.action_low, env.action_high)
-    return env._mean(s, a), np.full(s.shape, env.sigma_env**2)
+    mean = _clipped_mean(env, s, a)
+    return mean, np.full(mean.shape, env.sigma_env**2)
 
 
 def reward(env: Env, s, a, s_next):

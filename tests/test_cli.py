@@ -1,10 +1,12 @@
 """End-to-end checks of the stage driver: a tiny pipeline run, manifest
 integrity, rerun determinism, and the exit-code contract of main()."""
 
+import fcntl
 import hashlib
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -202,6 +204,38 @@ def test_stale_lock_of_exited_process_is_replaced(tmp_path):
     cli.run_stage("div-check", cfg)
     assert (tmp_path / "div-check.manifest").exists()
     assert not (tmp_path / ".lock").exists()
+
+
+def test_stale_lock_is_checked_under_the_out_dir_flock(tmp_path):
+    # a run that finds a stale lock while another run holds the out dir's
+    # flock to replace it waits, then sees that run's live pid and refuses
+    cfg = parse_config(f"out = {tmp_path}\n")
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock = tmp_path / ".lock"
+    lock.write_text(f"{child.pid}\n")
+    raised = []
+
+    def second_run():
+        try:
+            cli.run_stage("div-check", cfg)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    out_fd = os.open(tmp_path, os.O_RDONLY)
+    try:
+        fcntl.flock(out_fd, fcntl.LOCK_EX)
+        runner = threading.Thread(target=second_run)
+        runner.start()
+        runner.join(0.5)
+        assert runner.is_alive(), "the run did not wait for the out dir's flock"
+        lock.write_text(f"{os.getpid()}\n")
+    finally:
+        os.close(out_fd)
+    runner.join(30)
+    assert raised and "lock file" in str(raised[0])
+    assert lock.read_text() == f"{os.getpid()}\n"
+    assert not (tmp_path / "div-check.manifest").exists()
 
 
 # --- main() exit codes -------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from uepo import diffusion, divergence, dynamics, envs, finetune, nets
+from uepo import diffusion, dynamics, envs, finetune, nets
 from uepo.errors import ConfigError, DistillationQualityWarning, EmptyBatchError
 from functools import partial
 
