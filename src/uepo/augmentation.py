@@ -58,10 +58,13 @@ class AugmentReport:
         return self.achieved_transitions * self.ratio / self.target_transitions
 
 
-def _attempt_seeds(seed: int) -> tuple[int, np.random.Generator]:
-    # one recorded seed -> (sampler seed, environment noise stream), independent
+def _attempt_seeds(seed: int, env, horizon: int) -> tuple[int, np.ndarray]:
+    # one recorded seed -> (sampler seed, (horizon, d_s) transition draws)
+    # from independent streams; one bulk draw gives the numbers that
+    # drawing step by step would
     samp_c, env_c = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF).spawn(2)
-    return int(samp_c.generate_state(1, np.uint64)[0]), np.random.default_rng(env_c)
+    z = np.random.default_rng(env_c).standard_normal((horizon, env.d_s))
+    return int(samp_c.generate_state(1, np.uint64)[0]), z
 
 
 def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed: int) -> Trajectory:
@@ -71,9 +74,9 @@ def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed: int) -> 
     streams spawned from the single recorded seed, so the trajectory is
     a pure function of (policy parameters, s0, seed).
     """
-    sample_seed, env_rng = _attempt_seeds(seed)
+    sample_seed, z = _attempt_seeds(seed, env, policy.T)
     actions = sample(policy, state_window(s0, policy.T), sample_seed)
-    return envs.rollout_open_loop(env, s0, actions, env_rng, seed=seed)
+    return envs.rollout_open_loop(env, s0, actions, z, seed=seed)
 
 
 def _model_dist(model, s: np.ndarray, a: np.ndarray):
@@ -122,11 +125,12 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
     Each attempt draws a start state and a seed from ``rng``, and
     :func:`rollout_virtual` of that seed is its rollout. The action
     sequences of up to ``diffusion.SAMPLE_CHUNK`` attempts are sampled in
-    one batch; rollouts are then scored and admitted in order, and the
-    attempts drawn past the one that fills the target are discarded
-    uncounted. So ``rng`` may be drawn from more often than the report's
-    ``attempts``. The same inputs give the same bytes, and the scores
-    agree with attempt-by-attempt sampling to 1e-12.
+    one batch and rolled out in one lockstep call; the rollouts are then
+    scored and admitted in order, and the attempts drawn past the one
+    that fills the target are discarded uncounted. So ``rng`` may be
+    drawn from more often than the report's ``attempts``. The same
+    inputs give the same bytes, and the scores agree with
+    attempt-by-attempt sampling to 1e-12.
     """
     pool = initial_states(real)
     if len(pool) == 0:
@@ -148,11 +152,12 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
         for _ in range(min(diffusion.SAMPLE_CHUNK, max_attempts - attempts)):
             starts.append(pool[int(rng.integers(0, len(pool)))])
             seeds.append(int(rng.integers(0, 2**63)))
-        streams = [_attempt_seeds(seed) for seed in seeds]
+        streams = [_attempt_seeds(seed, env, policy.T) for seed in seeds]
         windows = np.stack([state_window(s0, policy.T) for s0 in starts])
         plans = sample(policy, windows, [samp for samp, _ in streams])
-        for s0, seed, (_, env_rng), actions in zip(starts, seeds, streams, plans):
-            traj = envs.rollout_open_loop(env, s0, actions, env_rng, seed=seed)
+        trajs = envs.rollout_open_loop(env, np.stack(starts), plans,
+                                       np.stack([z for _, z in streams]), seeds)
+        for traj in trajs:
             attempts += 1
             score = trajectory_kl(traj, env, model_init)
             kl_values.append(score)

@@ -98,6 +98,17 @@ def _load_policy_for_env(run: StageRun, env) -> diffusion.DiffusionPolicy:
                                  action_high=env.action_high)
 
 
+def _load_env_dataset(cfg: RunConfig, run: StageRun, key: str) -> TrajectoryDataset:
+    """The dataset file the config key names, refused when it was recorded
+    in another environment than ``env.name``."""
+    name = cfg[key]
+    ds = load_dataset(run.input_path(name))
+    if ds.meta["env"] != cfg["env.name"]:
+        raise ConfigError(f"{name} in {run.out} holds {ds.meta['env']} data, "
+                          f"but env.name is {cfg['env.name']}")
+    return ds
+
+
 def _windows(cfg: RunConfig, ds: TrajectoryDataset):
     stride = cfg["diffusion.window_stride"]
     if stride == 0:
@@ -140,7 +151,7 @@ def _stage_gen_data(cfg: RunConfig, run: StageRun, ss: np.random.SeedSequence):
 
 def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    ds = _load_env_dataset(cfg, run, "data.dataset")
     windows_s, windows_a = _windows(cfg, ds)
     sched = diffusion.make_linear_schedule(cfg["diffusion.k"],
                                            cfg["diffusion.beta_min"],
@@ -166,7 +177,7 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    ds = _load_env_dataset(cfg, run, "data.dataset")
     policy = _load_policy_for_env(run, env)
     pool = initial_states(ds)
     rng = np.random.default_rng(ss)
@@ -194,7 +205,7 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_augment(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    ds = _load_env_dataset(cfg, run, "data.dataset")
     policy = _load_policy_for_env(run, env)
     init_ss, shuffle_ss, aug_ss = ss.spawn(3)
     model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
@@ -224,10 +235,10 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    ds = _load_env_dataset(cfg, run, "data.dataset")
     synthetic = None
     if cfg["dynamics.use_augmented"]:
-        synthetic = _real_batch(load_dataset(run.input_path(cfg["data.augmented"])))
+        synthetic = _real_batch(_load_env_dataset(cfg, run, "data.augmented"))
     init_ss, shuffle_ss = ss.spawn(2)
     model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
                                    np.random.default_rng(init_ss))
@@ -244,7 +255,7 @@ def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_select(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    ds = _load_env_dataset(cfg, run, "data.dataset")
     policy = _load_policy_for_env(run, env)
     model = dynamics.load_dynamics(run.input_path("dynamics_joint.bin"))
     dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
@@ -278,7 +289,7 @@ def _read_key_values(path: str) -> dict:
 
 def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = load_dataset(run.input_path(cfg["data.dataset"]))
+    ds = _load_env_dataset(cfg, run, "data.dataset")
     policy = _load_policy_for_env(run, env)
     selection = _read_key_values(run.input_path("selection.txt"))
     try:

@@ -20,6 +20,7 @@ from .datasets import Trajectory, TrajectoryDataset
 from .errors import ConfigError, ShapeError
 
 ACTION_NOISE = 0.05
+RESET_DRAWS = 2  # standard normals one reset takes, in either environment
 
 
 def _row_norm(d: np.ndarray):
@@ -65,14 +66,14 @@ class PointMass2D:
         p = s_next[..., :2]
         return -np.minimum(_row_norm(p - self.goal_plus), _row_norm(p - self.goal_minus))
 
-    def _reset(self, rng: np.random.Generator) -> np.ndarray:
-        p = self.reset_scale * rng.standard_normal(2)
-        return np.concatenate([p, np.zeros(2)])
+    def _reset(self, z: np.ndarray) -> np.ndarray:
+        p = self.reset_scale * z
+        return np.concatenate([p, np.zeros_like(p)], axis=-1)
 
-    def _scripted(self, s: np.ndarray, mode: int) -> np.ndarray:
+    def _scripted(self, s: np.ndarray, mode: np.ndarray) -> np.ndarray:
         # proportional navigation with velocity damping toward the mode's goal
-        goal = self.goal_plus if mode == 0 else self.goal_minus
-        return 4.0 * (goal - s[:2]) - 3.5 * s[2:]
+        goal = np.where(mode[..., None] == 0, self.goal_plus, self.goal_minus)
+        return 4.0 * (goal - s[..., :2]) - 3.5 * s[..., 2:]
 
 
 def wrap_angle(x):
@@ -118,21 +119,21 @@ class Pendulum1:
         theta, omega = s_next[..., 0], s_next[..., 1]
         return -(np.float_power(theta, 2) + 0.1 * np.float_power(omega, 2))
 
-    def _reset(self, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(2)
-        return np.array([wrap_angle(np.pi + self.reset_scale * z[0]),
-                         self.reset_scale * z[1]])
+    def _reset(self, z: np.ndarray) -> np.ndarray:
+        return np.stack([wrap_angle(np.pi + self.reset_scale * z[..., 0]),
+                         self.reset_scale * z[..., 1]], axis=-1)
 
-    def _scripted(self, s: np.ndarray, mode: int) -> np.ndarray:
-        # energy-based swing-up; mode picks the initial pump direction
-        theta, omega = s
-        direction = 1.0 if mode == 0 else -1.0
-        if np.cos(theta) > 0.9:
-            return np.array([-8.0 * theta - 2.0 * omega])
-        energy = 0.5 * omega**2 + self.gravity * np.cos(theta)
+    def _scripted(self, s: np.ndarray, mode: np.ndarray) -> np.ndarray:
+        # energy-based swing-up near the bottom, a PD hold near upright;
+        # mode picks the initial pump direction. float_power squares as **
+        # does on one float.
+        theta, omega = s[..., 0], s[..., 1]
+        direction = np.where(mode == 0, 1.0, -1.0)
+        energy = 0.5 * np.float_power(omega, 2) + self.gravity * np.cos(theta)
         gap = self.gravity - energy
-        sign = np.sign(omega) if abs(omega) > 0.2 else direction
-        return np.array([1.5 * gap * sign])
+        sign = np.where(np.abs(omega) > 0.2, np.sign(omega), direction)
+        hold = -8.0 * theta - 2.0 * omega
+        return np.where(np.cos(theta) > 0.9, hold, 1.5 * gap * sign)[..., None]
 
 
 Env = PointMass2D | Pendulum1
@@ -146,20 +147,24 @@ def make_env(name: str, **overrides) -> Env:
     raise ConfigError(f"unknown environment {name!r}")
 
 
-def step(env: Env, s: np.ndarray, a: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-    """Sample the next state from one (s, a). Draws exactly one noise
-    vector per call so recorded rollouts replay bit-exactly; rng None
-    skips the draw and returns the deterministic mean."""
+def step(env: Env, s: np.ndarray, a: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+    """Sample the next state of one (s, a), or of each row of a (B, d)
+    stack, from its standard-normal draw z (the shape of s). z None gives
+    the deterministic mean. A stacked row equals the same row stepped
+    alone bit for bit, so a recorded rollout replays from its draws."""
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    if s.shape != (env.d_s,) or a.shape != (env.d_a,):
-        raise ShapeError(f"state, action shapes {s.shape}, {a.shape} != ({env.d_s},), ({env.d_a},)")
+    if s.ndim not in (1, 2) or s.shape[-1] != env.d_s or a.shape != s.shape[:-1] + (env.d_a,):
+        raise ShapeError(f"state, action shapes {s.shape}, {a.shape} are not "
+                         f"([B,] {env.d_s}), ([B,] {env.d_a})")
     mean = _clipped_mean(env, s, a)
-    if rng is None:
+    if z is None:
         return mean
-    s_next = mean + env.sigma_env * rng.standard_normal(env.d_s)
+    if np.shape(z) != s.shape:
+        raise ShapeError(f"draw shape {np.shape(z)} != state shape {s.shape}")
+    s_next = mean + env.sigma_env * z
     if isinstance(env, Pendulum1):
-        s_next[0] = wrap_angle(s_next[0])
+        s_next[..., 0] = wrap_angle(s_next[..., 0])
     return s_next
 
 
@@ -182,38 +187,58 @@ def reward(env: Env, s, a, s_next):
                        np.asarray(s_next, float))
 
 
-def reset(env: Env, rng: np.random.Generator) -> np.ndarray:
-    return env._reset(rng)
+def reset(env: Env, z: np.ndarray) -> np.ndarray:
+    """Start state from RESET_DRAWS standard normals, or one start state
+    per row of a (B, RESET_DRAWS) stack of them."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (RESET_DRAWS,):
+        raise ShapeError(f"reset takes ([B,] {RESET_DRAWS}) draws, got {z.shape}")
+    return env._reset(z)
 
 
-def scripted_action(env: Env, s: np.ndarray, mode: int) -> np.ndarray:
-    if mode not in (0, 1):
+def scripted_action(env: Env, s: np.ndarray, mode) -> np.ndarray:
+    """The demonstrator's action at one state and mode, or at each row of
+    a (B, d_s) stack with a (B,) array of modes."""
+    mode = np.asarray(mode)
+    if not np.all((mode == 0) | (mode == 1)):
         raise ConfigError(f"mode must be 0 or 1, got {mode}")
     return np.clip(env._scripted(np.asarray(s, float), mode),
                    env.action_low, env.action_high)
 
 
 def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
-                      rng: np.random.Generator | None, seed: int = 0) -> Trajectory:
-    """Execute a fixed action matrix from s0; rng None gives the noise-free
-    mean rollout."""
+                      z: np.ndarray | None, seed=0):
+    """Execute fixed action plans open-loop, all rows in lockstep.
+
+    One (T, d_a) plan from a (d_s,) start with (T, d_s) draws gives one
+    Trajectory; a (B, T, d_a) stack from (B, d_s) starts with (B, T, d_s)
+    draws gives a list of B, row i recorded with seed[i]. z None gives
+    the noise-free mean rollout.
+    """
     actions = np.asarray(actions, dtype=float)
-    if actions.ndim != 2 or actions.shape[1] != env.d_a:
-        raise ShapeError(f"actions must be (T, {env.d_a}), got {actions.shape}")
+    one = actions.ndim == 2
+    if one:
+        s0, actions, seed = np.asarray(s0)[None], actions[None], [seed]
+        z = None if z is None else np.asarray(z)[None]
+    if actions.ndim != 3 or actions.shape[2] != env.d_a:
+        raise ShapeError(f"actions must be ([B,] T, {env.d_a}), got {actions.shape}")
+    n, horizon = actions.shape[:2]
     s = np.asarray(s0, dtype=float)
-    states, nexts = [], []
-    for a in actions:
-        states.append(s)
-        s = step(env, s, a, rng)
-        nexts.append(s)
-    states, nexts = np.stack(states), np.stack(nexts)
-    return Trajectory(states, actions.copy(), nexts, reward(env, states, actions, nexts),
-                      seed=seed)
+    states = np.empty((n, horizon, env.d_s))
+    nexts = np.empty_like(states)
+    for t in range(horizon):
+        states[:, t] = s
+        s = step(env, s, actions[:, t], None if z is None else z[:, t])
+        nexts[:, t] = s
+    rewards = reward(env, states, actions, nexts)
+    trajs = [Trajectory(states[i], actions[i].copy(), nexts[i], rewards[i], seed=seed[i])
+             for i in range(n)]
+    return trajs[0] if one else trajs
 
 
 def goal_distances(env: PointMass2D, s0: np.ndarray, actions: np.ndarray) -> tuple[float, float]:
     """Closest noise-free approach of an open-loop rollout to each goal."""
-    traj = rollout_open_loop(env, s0, actions, rng=None)
+    traj = rollout_open_loop(env, s0, actions, None)
     pos = traj.next_states[:, :2]
     d_plus = float(np.min(np.linalg.norm(pos - env.goal_plus, axis=1)))
     d_minus = float(np.min(np.linalg.norm(pos - env.goal_minus, axis=1)))
@@ -235,7 +260,9 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
 
     Each trajectory draws a fresh seed from rng and runs its reset,
     action-noise and transition-noise streams off that seed alone, so
-    any recorded transition can be replayed from the record.
+    any recorded transition can be replayed from the record. Every
+    seed and mode is drawn first, in trajectory order; then each stream
+    is drawn in bulk and all trajectories step together.
     """
     mode_mix = np.asarray(mode_mix, dtype=float)
     if mode_mix.shape != (2,) or np.any(mode_mix < 0) or abs(mode_mix.sum() - 1.0) > 1e-9:
@@ -244,25 +271,29 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
         raise ConfigError("n_traj must be positive")
     horizon = env.horizon if horizon is None else int(horizon)
 
-    trajs = []
+    seeds, modes = [], []
     for _ in range(n_traj):
-        seed = int(rng.integers(0, 2**63))
-        mode = 0 if rng.random() < mode_mix[0] else 1
-        init_rng, act_rng, env_rng = _traj_rngs(seed)
-        s = reset(env, init_rng)
-        states, actions, nexts = [], [], []
-        for _ in range(horizon):
-            a = scripted_action(env, s, mode)
-            if action_noise > 0:
-                a = np.clip(a + action_noise * act_rng.standard_normal(env.d_a),
-                            env.action_low, env.action_high)
-            states.append(s)
-            actions.append(a)
-            s = step(env, s, a, env_rng)
-            nexts.append(s)
-        states, actions, nexts = np.stack(states), np.stack(actions), np.stack(nexts)
-        trajs.append(Trajectory(states, actions, nexts, reward(env, states, actions, nexts),
-                                seed=seed, mode=mode))
+        seeds.append(int(rng.integers(0, 2**63)))
+        modes.append(0 if rng.random() < mode_mix[0] else 1)
+    streams = [_traj_rngs(seed) for seed in seeds]
+    s = reset(env, np.stack([init.standard_normal(RESET_DRAWS) for init, _, _ in streams]))
+    act_z = np.stack([act.standard_normal((horizon, env.d_a)) for _, act, _ in streams])
+    env_z = np.stack([env_rng.standard_normal((horizon, env.d_s)) for _, _, env_rng in streams])
+    modes = np.array(modes)
+    states = np.empty((n_traj, horizon, env.d_s))
+    actions = np.empty((n_traj, horizon, env.d_a))
+    nexts = np.empty_like(states)
+    for t in range(horizon):
+        a = scripted_action(env, s, modes)
+        if action_noise > 0:
+            a = np.clip(a + action_noise * act_z[:, t], env.action_low, env.action_high)
+        states[:, t] = s
+        actions[:, t] = a
+        s = step(env, s, a, env_z[:, t])
+        nexts[:, t] = s
+    rewards = reward(env, states, actions, nexts)
+    trajs = [Trajectory(states[i], actions[i], nexts[i], rewards[i],
+                        seed=seeds[i], mode=int(modes[i])) for i in range(n_traj)]
 
     meta = {"env": env.name, "d_s": env.d_s, "d_a": env.d_a, "horizon": horizon,
             "sigma_env": env.sigma_env, "action_noise": action_noise,
@@ -271,14 +302,10 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
 
 
 def replay_consistent(env: Env, traj: Trajectory) -> bool:
-    """Re-step every recorded (s_t, a_t) with the trajectory's noise stream
-    and demand bit-equal next states."""
-    env_rng = _traj_rngs(traj.seed)[2]
-    for t in range(len(traj)):
-        s_next = step(env, traj.states[t], traj.actions[t], env_rng)
-        if not np.array_equal(s_next, traj.next_states[t]):
-            return False
-    return True
+    """Re-step every recorded (s_t, a_t) in one stacked call with the
+    trajectory's transition draws and demand bit-equal next states."""
+    z = _traj_rngs(traj.seed)[2].standard_normal((len(traj), env.d_s))
+    return bool(np.array_equal(step(env, traj.states, traj.actions, z), traj.next_states))
 
 
 def apply_coverage_gap(ds: TrajectoryDataset, y_limit: float = 0.5

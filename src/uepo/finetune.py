@@ -80,14 +80,18 @@ def clamp_log_std(head: GaussianPolicy) -> None:
 
 
 def sample_action(head: GaussianPolicy, s: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one action; returns (action, pre-squash u).
+                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The action at one state, or at each row of a (B, d_s) stack, from
+    its standard-normal draw z (the shape of the action); returns
+    (action, pre-squash u).
 
     Callers that later need likelihood ratios must keep u: recovering it
     from the action via atanh is ill-conditioned near the box edge.
     """
     m = nets.forward(head.net, np.asarray(s, dtype=float))
-    u = m + np.exp(head.log_std) * rng.standard_normal(m.shape)
+    if np.shape(z) != m.shape:
+        raise ShapeError(f"draw shape {np.shape(z)} != action shape {m.shape}")
+    u = m + np.exp(head.log_std) * z
     return head.center + head.half * np.tanh(u), u
 
 
@@ -233,22 +237,25 @@ class PpoConfig:
 
 def gae(rewards: np.ndarray, values: np.ndarray, discount: float,
         lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimates for one episode.
+    """Generalized advantage estimates for one episode of H rewards, or
+    for each row of a (..., H) stack, in one backward sweep over t.
 
-    values has one more entry than rewards (the bootstrap; pass 0 at a
-    true terminal). Also returns the value-regression targets A + V.
+    values has one more entry than rewards along the last axis (the
+    bootstrap; pass 0 at a true terminal). Also returns the
+    value-regression targets A + V.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
-    if values.shape != (rewards.size + 1,):
-        raise ShapeError(f"need len(values) == len(rewards) + 1, got {values.shape}")
-    deltas = rewards + discount * values[1:] - values[:-1]
+    if rewards.ndim == 0 or values.shape != rewards.shape[:-1] + (rewards.shape[-1] + 1,):
+        raise ShapeError(f"need values of shape (..., H + 1) for rewards (..., H), "
+                         f"got {values.shape} for {rewards.shape}")
+    deltas = rewards + discount * values[..., 1:] - values[..., :-1]
     adv = np.empty_like(deltas)
-    acc = 0.0
-    for t in range(deltas.size - 1, -1, -1):
-        acc = deltas[t] + discount * lam * acc
-        adv[t] = acc
-    return adv, adv + values[:-1]
+    acc = np.zeros(deltas.shape[:-1])
+    for t in range(deltas.shape[-1] - 1, -1, -1):
+        acc = deltas[..., t] + discount * lam * acc
+        adv[..., t] = acc
+    return adv, adv + values[..., :-1]
 
 
 def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
@@ -290,27 +297,35 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
 
 def collect_episodes(head: GaussianPolicy, env, n_episodes: int,
                      rng: np.random.Generator):
-    """Roll stochastic episodes in the real environment.
+    """Roll stochastic episodes in the real environment, all in lockstep:
+    one head forward pass and one transition-law call per time step.
+
+    One bulk draw gives row e episode e's draws in the order a one-episode
+    loop would take them: its reset, then each step's action draw and
+    transition draw. So the episodes and the generator's final state are
+    those of stepping the episodes one after another.
 
     Returns (states, us, rewards) stacked per episode plus the episode
-    returns; every array keeps episode-major order so GAE can run
-    episode by episode.
+    returns; every array keeps episode-major order, H rows per episode.
     """
     if n_episodes < 1:
         raise ConfigError(f"need at least one episode, got {n_episodes}")
-    all_s, all_u, all_r = [], [], []
-    ep_returns = np.empty(n_episodes)
-    for e in range(n_episodes):
-        s = envs.reset(env, rng)
-        for _ in range(env.horizon):
-            a, u = sample_action(head, s, rng)
-            s_next = envs.step(env, s, a, rng)
-            all_s.append(s)
-            all_u.append(u)
-            all_r.append(envs.reward(env, s, a, s_next))
-            s = s_next
-        ep_returns[e] = sum(all_r[-env.horizon:])
-    return (np.asarray(all_s), np.asarray(all_u), np.asarray(all_r), ep_returns)
+    horizon, d_s, d_a = env.horizon, env.d_s, env.d_a
+    draws = rng.standard_normal((n_episodes, envs.RESET_DRAWS + horizon * (d_a + d_s)))
+    step_draws = draws[:, envs.RESET_DRAWS:].reshape(n_episodes, horizon, d_a + d_s)
+    states = np.empty((n_episodes, horizon, d_s))
+    us = np.empty((n_episodes, horizon, d_a))
+    rewards = np.empty((n_episodes, horizon))
+    s = envs.reset(env, draws[:, :envs.RESET_DRAWS])
+    for t in range(horizon):
+        a, us[:, t] = sample_action(head, s, step_draws[:, t, :d_a])
+        s_next = envs.step(env, s, a, step_draws[:, t, d_a:])
+        states[:, t] = s
+        rewards[:, t] = envs.reward(env, s, a, s_next)
+        s = s_next
+    # cumsum adds in step order, as a one-episode running sum does
+    ep_returns = np.cumsum(rewards, axis=1)[:, -1]
+    return (states.reshape(-1, d_s), us.reshape(-1, d_a), rewards.reshape(-1), ep_returns)
 
 
 def _snapshot(head: GaussianPolicy, value_net: nets.Mlp):
@@ -341,7 +356,6 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
     curve: list[tuple[float, float]] = []
     bound = cfg.ratio_guard * cfg.clip_ratio
-    horizon = env.horizon
     for _ in range(iterations):
         stable = _snapshot(head, value_net)
         states, us, rewards, ep_returns = collect_episodes(head, env, cfg.batch_episodes, rng)
@@ -350,14 +364,12 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
         # reuses them until an update moves the parameters
         acts = nets.forward_activations(head.net, states)
         logp_old = _u_log_prob(head, states, us, acts[-1])
-        values = nets.forward(value_net, states)[:, 0]
-        advantages = np.empty_like(rewards)
-        value_targets = np.empty_like(rewards)
-        for e in range(cfg.batch_episodes):
-            sl = slice(e * horizon, (e + 1) * horizon)
-            v_ep = np.append(values[sl], 0.0)
-            advantages[sl], value_targets[sl] = gae(rewards[sl], v_ep,
-                                                    cfg.discount, cfg.gae_lambda)
+        # one row per episode, bootstrapped with 0 at its end
+        values = nets.forward(value_net, states)[:, 0].reshape(-1, env.horizon)
+        advantages, value_targets = gae(rewards.reshape(values.shape),
+                                        np.pad(values, ((0, 0), (0, 1))),
+                                        cfg.discount, cfg.gae_lambda)
+        advantages, value_targets = advantages.ravel(), value_targets.ravel()
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         try:
             for _ in range(cfg.epochs_per_batch):

@@ -289,6 +289,30 @@ def test_main_missing_artifact_is_exit_2(tmp_path, capsys):
     assert "missing input" in err and "gen-data" in err
 
 
+@pytest.mark.parametrize("stage", ["train-diffusion", "sample-ensemble", "augment",
+                                   "train-dynamics", "select", "finetune"])
+def test_dataset_of_another_env_is_exit_1(tmp_path, capsys, stage):
+    out = tmp_path / "o"
+    cli.run_stage("gen-data", parse_config(f"env.n_traj = 4\nout = {out}\nseed = 5\n"))
+    cfg_path = _write_cfg(tmp_path, f"env.name = pendulum\nout = {out}\n")
+    assert cli.main([stage, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.jsonl" in err and "point_mass" in err and "pendulum" in err
+    assert not (out / f"{stage}.manifest").exists()
+
+
+def test_augmented_data_of_another_env_is_exit_1(tmp_path, capsys):
+    pend, pm = tmp_path / "pend", tmp_path / "pm"
+    cli.run_stage("gen-data", parse_config(f"env.name = pendulum\nenv.n_traj = 4\n"
+                                           f"out = {pend}\n"))
+    cli.run_stage("gen-data", parse_config(f"env.n_traj = 4\nout = {pm}\n"))
+    (pend / "augmented.jsonl").write_bytes((pm / "dataset.jsonl").read_bytes())
+    cfg_path = _write_cfg(tmp_path, f"env.name = pendulum\nout = {pend}\n")
+    assert cli.main(["train-dynamics", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "augmented.jsonl" in err and "point_mass" in err and "pendulum" in err
+
+
 def test_main_help_is_exit_0(capsys):
     assert cli.main(["--help"]) == 0
     assert "uepo" in capsys.readouterr().out

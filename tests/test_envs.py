@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from uepo import datasets, envs
 from uepo.errors import ConfigError, ShapeError
 
@@ -18,7 +19,7 @@ def test_point_mass_step_formula():
     env = envs.make_env("point_mass", sigma_env=0.0)
     s = np.array([0.1, -0.2, 0.5, 0.3])
     a = np.array([0.4, -0.6])
-    got = envs.step(env, s, a, rng=None)
+    got = envs.step(env, s, a, None)
     v_next = (1.0 - env.damping) * s[2:] + env.dt * a
     p_next = s[:2] + env.dt * s[2:]
     assert np.allclose(got, np.concatenate([p_next, v_next]), atol=1e-15)
@@ -27,8 +28,8 @@ def test_point_mass_step_formula():
 def test_point_mass_clips_actions():
     env = envs.make_env("point_mass", sigma_env=0.0)
     s = np.zeros(4)
-    wild = envs.step(env, s, np.array([10.0, -10.0]), rng=None)
-    capped = envs.step(env, s, np.array([1.0, -1.0]), rng=None)
+    wild = envs.step(env, s, np.array([10.0, -10.0]), None)
+    capped = envs.step(env, s, np.array([1.0, -1.0]), None)
     assert np.array_equal(wild, capped)
 
 
@@ -36,7 +37,7 @@ def test_pendulum_step_formula_and_wrap():
     env = envs.make_env("pendulum", sigma_env=0.0)
     s = np.array([3.0, 2.0])
     a = np.array([1.5])
-    got = envs.step(env, s, a, rng=None)
+    got = envs.step(env, s, a, None)
     omega = s[1] + env.dt * (env.gravity * np.sin(s[0]) + a[0])
     theta = envs.wrap_angle(s[0] + env.dt * s[1])
     assert np.allclose(got, [theta, omega], atol=1e-14)
@@ -55,10 +56,10 @@ def test_true_dist_matches_step_statistics():
     s = np.array([0.1, 0.2, -0.1, 0.4])
     a = np.array([0.5, 0.5])
     mean, var = envs.true_dist(env, s, a)
-    assert np.array_equal(mean, envs.step(env, s, a, rng=None))
+    assert np.array_equal(mean, envs.step(env, s, a, None))
     assert np.array_equal(var, np.full(4, 0.09))
-    rng = np.random.default_rng(0)
-    draws = np.stack([envs.step(env, s, a, rng) for _ in range(4000)])
+    z = np.random.default_rng(0).standard_normal((4000, 4))
+    draws = envs.step(env, np.tile(s, (4000, 1)), np.tile(a, (4000, 1)), z)
     assert np.allclose(draws.mean(axis=0), mean, atol=0.02)
     assert np.allclose(draws.var(axis=0), var, rtol=0.1)
 
@@ -82,17 +83,45 @@ def test_stacked_laws_equal_per_row_calls(name):
     mean, var = envs.true_dist(env, s, a)
     raw_mean = env._mean(s, a)
     rew = envs.reward(env, s, a, s_next)
+    z = np.random.default_rng(15).standard_normal(s.shape)
+    stepped, stepped_mean = envs.step(env, s, a, z), envs.step(env, s, a, None)
     assert mean.shape == raw_mean.shape == var.shape == s.shape and rew.shape == (400,)
+    assert stepped.shape == s.shape and np.array_equal(stepped_mean, mean)
     for i in range(len(s)):
         row_mean, row_var = envs.true_dist(env, s[i], a[i])
         assert np.array_equal(mean[i], row_mean) and np.array_equal(var[i], row_var)
         assert np.array_equal(raw_mean[i], env._mean(s[i], a[i]))
         assert rew[i] == envs.reward(env, s[i], a[i], s_next[i])
+        assert np.array_equal(stepped[i], envs.step(env, s[i], a[i], z[i]))
     if name == "pendulum":
         wrapped = np.sign(mean[:, 0]) != np.sign(s[:, 0] + env.dt * s[:, 1])
         assert wrapped.sum() > 10
         assert np.all((-np.pi < mean[:, 0]) & (mean[:, 0] <= np.pi))
+        # the draw itself carries some angles across +-pi, and step wraps them
+        noisy = env._mean(s, np.clip(a, -2.0, 2.0)) + env.sigma_env * z
+        assert np.sum(np.abs(noisy[:, 0]) > np.pi) > 0
+        assert np.all((-np.pi < stepped[:, 0]) & (stepped[:, 0] <= np.pi))
     assert np.array_equal(envs.wrap_angle(s[:, 0]), [envs.wrap_angle(x) for x in s[:, 0]])
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_stacked_demonstrator_equals_scalar_branches(name):
+    # enough rows that an exact array square, where one float's ** is
+    # libm pow, would round some pendulum energies differently
+    env = envs.make_env(name)
+    rng = np.random.default_rng(18)
+    s, _ = _random_rows(env, rng, 20000)
+    if name == "pendulum":
+        # half the rows near the upright energy, where the swing-up torque
+        # is not clipped and every bit of the energy reaches the action
+        theta = rng.choice([-1.0, 1.0], 10000) * rng.uniform(0.5, np.pi, 10000)
+        lift = 2.0 * env.gravity * (1.0 - np.cos(theta)) + rng.uniform(-2.0, 2.0, 10000)
+        s[10000:] = np.stack([theta, rng.choice([-1.0, 1.0], 10000) * np.sqrt(lift)], axis=1)
+    modes = np.random.default_rng(19).integers(0, 2, len(s))
+    got = envs.scripted_action(env, s, modes)
+    assert got.shape == (len(s), env.d_a)
+    for i in range(len(s)):
+        assert np.array_equal(got[i], oracles.scripted_action(env, s[i], modes[i]))
 
 
 def test_one_row_rewards_keep_their_scalar_formulas():
@@ -126,15 +155,33 @@ def test_step_validates_state_shape():
     env = envs.make_env("point_mass")
     with pytest.raises(ShapeError):
         envs.step(env, np.zeros(3), np.zeros(2), None)
+    with pytest.raises(ShapeError):
+        envs.step(env, np.zeros((5, 4)), np.zeros((4, 2)), None)
+    with pytest.raises(ShapeError):
+        envs.step(env, np.zeros((5, 4)), np.zeros((5, 2)), np.zeros(4))
+    with pytest.raises(ShapeError):
+        envs.reset(env, np.zeros(3))
+
+
+def test_one_bulk_normal_draw_equals_one_value_draws():
+    # every lockstep rollout relies on this: one standard_normal call for
+    # n values gives the n values, and the generator state, of n calls
+    for seed in range(5):
+        bulk_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bulk = bulk_rng.standard_normal((37, 11))
+        ones = [one_rng.standard_normal() for _ in range(37 * 11)]
+        assert np.array_equal(bulk.ravel(), ones)
+        assert bulk_rng.bit_generator.state == one_rng.bit_generator.state
+        assert bulk_rng.standard_normal() == one_rng.standard_normal()
 
 
 def test_scripted_point_mass_reaches_goals():
     env = envs.make_env("point_mass", sigma_env=0.01)
     for mode, goal in ((0, env.goal_plus), (1, env.goal_minus)):
-        s = envs.reset(env, np.random.default_rng(3))
-        rng = np.random.default_rng(9)
-        for _ in range(env.horizon):
-            s = envs.step(env, s, envs.scripted_action(env, s, mode), rng)
+        s = envs.reset(env, np.random.default_rng(3).standard_normal(2))
+        z = np.random.default_rng(9).standard_normal((env.horizon, 4))
+        for t in range(env.horizon):
+            s = envs.step(env, s, envs.scripted_action(env, s, mode), z[t])
         assert np.linalg.norm(s[:2] - goal) < 0.15
 
 
@@ -142,11 +189,11 @@ def test_scripted_pendulum_pumps_energy():
     # the swing-up does not reach upright within one horizon, but it must
     # gain mechanical energy and leave the hanging state
     env = envs.make_env("pendulum", sigma_env=0.01)
-    s = envs.reset(env, np.random.default_rng(0))
+    s = envs.reset(env, np.random.default_rng(0).standard_normal(2))
     energy0 = 0.5 * s[1] ** 2 + env.gravity * np.cos(s[0])
-    rng = np.random.default_rng(1)
-    for _ in range(env.horizon):
-        s = envs.step(env, s, envs.scripted_action(env, s, 0), rng)
+    z = np.random.default_rng(1).standard_normal((env.horizon, 2))
+    for t in range(env.horizon):
+        s = envs.step(env, s, envs.scripted_action(env, s, 0), z[t])
     energy1 = 0.5 * s[1] ** 2 + env.gravity * np.cos(s[0])
     assert energy1 > energy0 + 1.0
     assert abs(s[0]) < np.pi - 0.2
@@ -157,11 +204,31 @@ def test_rollout_open_loop_chain_and_determinism():
     rng = np.random.default_rng(5)
     actions = rng.uniform(-1, 1, size=(6, 2))
     s0 = np.zeros(4)
-    tr1 = envs.rollout_open_loop(env, s0, actions, np.random.default_rng(7))
-    tr2 = envs.rollout_open_loop(env, s0, actions, np.random.default_rng(7))
+    z = np.random.default_rng(7).standard_normal((6, 4))
+    tr1 = envs.rollout_open_loop(env, s0, actions, z)
+    tr2 = envs.rollout_open_loop(env, s0, actions, z.copy())
     assert np.array_equal(tr1.next_states, tr2.next_states)
     assert datasets.check_chain(tr1)
     assert np.array_equal(tr1.states[0], s0)
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_stacked_rollouts_equal_one_at_a_time(name):
+    env = envs.make_env(name, sigma_env=0.05)
+    rng = np.random.default_rng(16)
+    s0, plans = _random_rows(env, rng, 9)[0], rng.uniform(-3.0, 3.0, (9, 7, env.d_a))
+    seeds = [int(x) for x in rng.integers(0, 2**63, 9)]
+    z = np.stack([np.random.default_rng(seed).standard_normal((7, env.d_s)) for seed in seeds])
+    trajs = envs.rollout_open_loop(env, s0, plans, z, seeds)
+    assert len(trajs) == 9
+    for i, traj in enumerate(trajs):
+        want = oracles.rollout_open_loop(env, s0[i], plans[i], np.random.default_rng(seeds[i]),
+                                         seed=seeds[i])
+        one = envs.rollout_open_loop(env, s0[i], plans[i], z[i], seed=seeds[i])
+        for got in (traj, one):
+            assert got.seed == seeds[i]
+            for field in ("states", "actions", "next_states", "rewards"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_goal_distances_uses_noise_free_rollout():
@@ -188,6 +255,27 @@ def test_offline_dataset_replay_and_modes():
         want = [envs.reward(env, s, a, sn) for s, a, sn
                 in zip(tr.states, tr.actions, tr.next_states)]
         assert np.allclose(tr.rewards, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+@pytest.mark.parametrize("mix", [(0.5, 0.5), (1.0, 0.0)])
+def test_offline_dataset_equals_one_trajectory_at_a_time(name, mix):
+    env = envs.make_env(name, sigma_env=0.05)
+    for n_traj, noise in ((1, envs.ACTION_NOISE), (13, envs.ACTION_NOISE), (5, 0.0)):
+        got = envs.make_offline_dataset(env, n_traj, mix, np.random.default_rng(n_traj),
+                                        action_noise=noise)
+        want = oracles.make_offline_dataset(env, n_traj, mix, np.random.default_rng(n_traj),
+                                            action_noise=noise)
+        assert datasets.dataset_bytes(got) == datasets.dataset_bytes(want)
+        assert [tr.mode for tr in got.trajectories] == [tr.mode for tr in want.trajectories]
+
+
+def test_replay_detects_a_changed_transition():
+    env = envs.make_env("pendulum", horizon=12)
+    tr = envs.make_offline_dataset(env, 1, (0.5, 0.5), np.random.default_rng(17)).trajectories[0]
+    assert envs.replay_consistent(env, tr)
+    tr.next_states[7, 1] = np.nextafter(tr.next_states[7, 1], np.inf)
+    assert not envs.replay_consistent(env, tr)
 
 
 def test_offline_dataset_single_mode():

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from uepo import diffusion, dynamics, envs, finetune, nets
-from uepo.errors import ConfigError, DistillationQualityWarning, EmptyBatchError
+from uepo.errors import ConfigError, DistillationQualityWarning, EmptyBatchError, ShapeError
 from functools import partial
 
 
@@ -41,12 +41,16 @@ def test_clamp_log_std():
 def test_sample_action_in_box_and_seeded():
     head = small_head()
     s = np.array([0.3, -0.7])
-    a1, u1 = finetune.sample_action(head, s, np.random.default_rng(5))
-    a2, u2 = finetune.sample_action(head, s, np.random.default_rng(5))
+    a1, u1 = finetune.sample_action(head, s, np.random.default_rng(5).standard_normal(1))
+    a2, u2 = finetune.sample_action(head, s, np.random.default_rng(5).standard_normal(1))
     assert np.array_equal(a1, a2) and np.array_equal(u1, u2)
-    for seed in range(30):
-        a, _ = finetune.sample_action(head, s, np.random.default_rng(seed))
-        assert np.all(a > head.action_low) and np.all(a < head.action_high)
+    z = np.random.default_rng(6).standard_normal((30, 1))
+    a, u = finetune.sample_action(head, np.tile(s, (30, 1)), z)
+    assert np.all(a > head.action_low) and np.all(a < head.action_high)
+    assert np.allclose(u, nets.forward(head.net, s) + np.exp(head.log_std) * z, rtol=0,
+                       atol=1e-15)
+    with pytest.raises(ShapeError):
+        finetune.sample_action(head, s, z)
 
 
 def test_u_log_prob_gaussian_oracle():
@@ -196,8 +200,23 @@ def test_gae_hand_oracle():
 
 
 def test_gae_validates_lengths():
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError):
         finetune.gae(np.zeros(3), np.zeros(3), 0.9, 0.9)
+    with pytest.raises(ShapeError):
+        finetune.gae(np.zeros((2, 3)), np.zeros((3, 4)), 0.9, 0.9)
+
+
+def test_gae_on_stacks_is_one_sweep_per_row():
+    rng = np.random.default_rng(25)
+    rewards = rng.standard_normal((7, 40))
+    values = np.pad(rng.standard_normal((7, 40)), ((0, 0), (0, 1)))
+    values[3, -1] = 0.7  # a bootstrap other than 0
+    adv, targets = finetune.gae(rewards, values, 0.99, 0.95)
+    for e in range(7):
+        want_adv, want_targets = oracles.gae(rewards[e], values[e], 0.99, 0.95)
+        assert np.array_equal(adv[e], want_adv) and np.array_equal(targets[e], want_targets)
+        one_adv, _ = finetune.gae(rewards[e], values[e], 0.99, 0.95)
+        assert np.array_equal(one_adv, want_adv)
 
 
 def test_ppo_surrogate_gradients_match_fd():
@@ -266,6 +285,24 @@ def test_collect_episodes_shapes():
     assert s.shape == (18, 4) and u.shape == (18, 2) and r.shape == (18,)
     assert ep.shape == (3,)
     assert ep[0] == pytest.approx(r[:6].sum())
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+@pytest.mark.parametrize("n_episodes", [1, 3, 16])
+def test_lockstep_episodes_equal_one_at_a_time(name, n_episodes):
+    env = envs.make_env(name, sigma_env=0.05, horizon=11)
+    head = small_head(seed=26, d_s=env.d_s, d_a=env.d_a, low=env.action_low,
+                      high=env.action_high, hidden=(16, 16))
+    rng, ref_rng = np.random.default_rng(27), np.random.default_rng(27)
+    got = finetune.collect_episodes(head, env, n_episodes, rng)
+    want = oracles.collect_episodes(head, env, n_episodes, ref_rng)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # returns add each episode's rewards in step order, as a running sum does
+    rewards = got[2].reshape(n_episodes, env.horizon)
+    assert [float(x) for x in got[3]] == [sum(row) for row in rewards]
 
 
 def test_ppo_finetune_runs_and_reports_curve():
@@ -380,6 +417,7 @@ def test_head_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.action_low, head.action_low)
     assert np.array_equal(back.action_high, head.action_high)
     s = np.array([0.1, -0.4, 0.8])
-    a1, u1 = finetune.sample_action(head, s, np.random.default_rng(3))
-    a2, u2 = finetune.sample_action(back, s, np.random.default_rng(3))
+    z = np.random.default_rng(3).standard_normal(2)
+    a1, u1 = finetune.sample_action(head, s, z)
+    a2, u2 = finetune.sample_action(back, s, z)
     assert np.array_equal(a1, a2) and np.array_equal(u1, u2)
