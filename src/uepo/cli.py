@@ -213,7 +213,7 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
     dynamics.train_joint(model, _real_batch(ds), None, cfg["dynamics.epochs"],
                          np.random.default_rng(shuffle_ss),
                          batch_size=cfg["dynamics.batch_size"],
-                         step_size=cfg["dynamics.step_size"])
+                         step_size=cfg["dynamics.step_size"], curve=False)
     dynamics.save_dynamics(model, run.path("dynamics_init.bin"))
     run.register_output("dynamics_init.bin")
     max_attempts = cfg["filter.max_attempts"] or None

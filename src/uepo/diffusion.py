@@ -193,13 +193,15 @@ def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int)
 
 
 def denoising_loss(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndarray,
-                   rng: np.random.Generator) -> tuple[float, np.ndarray]:
+                   rng: np.random.Generator,
+                   ws: nets.Workspace | None = None) -> tuple[float, np.ndarray]:
     """Noise-prediction MSE on a batch plus its parameter gradient.
 
     ``states`` is (B, T, d_s) and ``actions`` (B, T, d_a). For each
     example one step index is drawn uniformly and one noise matrix is
     injected (indices first, then noise, so runs reproduce); the loss
-    averages squared prediction error over batch and elements.
+    averages squared prediction error over batch and elements. The
+    gradient is ``ws.grad`` when a workspace is given.
     """
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
@@ -218,11 +220,11 @@ def denoising_loss(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndar
     x = np.concatenate(
         [noisy.reshape(batch, -1), states.reshape(batch, -1), policy.emb_table[t_idx]], axis=1
     )
-    acts = nets.forward_activations(policy.denoiser, x)
+    acts = nets.forward_activations(policy.denoiser, x, ws)
     resid = acts[-1] - eps.reshape(batch, -1)
     n_elem = batch * policy.T * policy.d_a
     loss = float(np.sum(resid**2) / n_elem)
-    grad = nets.backward(policy.denoiser, acts, 2.0 * resid / n_elem)
+    grad = nets.backward(policy.denoiser, acts, 2.0 * resid / n_elem, ws)
     return loss, grad
 
 
@@ -237,9 +239,10 @@ def train_denoiser(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndar
     opt = nets.adam_init(nets.param_count(policy.denoiser), step_size=step_size)
     losses = []
     n = len(states)
+    ws = nets.Workspace(policy.denoiser, min(batch_size, n))
     for _ in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
-        loss, grad = denoising_loss(policy, states[idx], actions[idx], rng)
+        loss, grad = denoising_loss(policy, states[idx], actions[idx], rng, ws)
         nets.optimizer_step(opt, policy.denoiser.params, grad)
         losses.append(loss)
     return losses

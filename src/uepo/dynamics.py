@@ -103,15 +103,15 @@ def _mean_nll(m: GaussianDynamics, out: np.ndarray, s_next: np.ndarray):
     return loss, mean, var, delta, raw_lv
 
 
-def _nll_and_grad(m: GaussianDynamics, x: np.ndarray,
-                  s_next: np.ndarray) -> tuple[float, np.ndarray]:
-    acts = nets.forward_activations(m.net, x)
+def _nll_and_grad(m: GaussianDynamics, x: np.ndarray, s_next: np.ndarray,
+                  ws: nets.Workspace | None = None) -> tuple[float, np.ndarray]:
+    acts = nets.forward_activations(m.net, x, ws)
     loss, mean, var, delta, raw_lv = _mean_nll(m, acts[-1], s_next)
     n = len(s_next)
     up_mean = (mean - s_next) / var / n
     active = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
     up_lv = 0.5 * (1.0 - delta**2 / var) / n * active
-    return loss, nets.backward(m.net, acts, np.concatenate([up_mean, up_lv], axis=1))
+    return loss, nets.backward(m.net, acts, np.concatenate([up_mean, up_lv], axis=1), ws)
 
 
 def nll(m: GaussianDynamics, batch: TransitionBatch) -> tuple[float, np.ndarray]:
@@ -140,18 +140,21 @@ def gaussian_kl(p_mean, p_var, q_mean, q_var):
     return float(kl) if kl.ndim == 0 else kl
 
 
-def pool_nll(m: GaussianDynamics, pool: TransitionBatch) -> float:
+def pool_nll(m: GaussianDynamics, pool: TransitionBatch,
+             ws: nets.Workspace | None = None) -> float:
     """The loss of :func:`nll` from a forward pass alone."""
-    return _mean_nll(m, nets.forward(m.net, _inputs(m, pool)), pool.s_next)[0]
+    return _mean_nll(m, nets.forward(m.net, _inputs(m, pool), ws), pool.s_next)[0]
 
 
 def train_joint(m: GaussianDynamics, real: TransitionBatch,
                 synthetic: TransitionBatch | None, epochs: int,
                 rng: np.random.Generator, batch_size: int = 128,
-                step_size: float = 1e-3) -> list[float]:
+                step_size: float = 1e-3, curve: bool = True) -> list[float] | None:
     """Adam on the pooled NLL, in place; synthetic None or empty means
     real-only. Returns the full-pool loss before training and after every
     epoch, so curve[-1] <= curve[0] states the training postcondition.
+    With ``curve=False`` it skips those full-pool passes and returns None;
+    the trained parameters are the same either way.
     """
     if epochs < 1:
         raise ConfigError("epochs must be positive")
@@ -164,15 +167,17 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
     # the pool is validated once; minibatches index its arrays directly
     x = _inputs(m, pool)
     opt = nets.adam_init(nets.param_count(m.net), step_size=step_size)
-    curve = [pool_nll(m, pool)]
+    ws = nets.Workspace(m.net, n if curve else min(batch_size, n))
+    losses = [pool_nll(m, pool, ws)] if curve else None
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = order[lo: lo + batch_size]
-            _, grad = _nll_and_grad(m, x[idx], pool.s_next[idx])
+            _, grad = _nll_and_grad(m, x[idx], pool.s_next[idx], ws)
             nets.optimizer_step(opt, m.net.params, grad)
-        curve.append(pool_nll(m, pool))
-    return curve
+        if curve:
+            losses.append(pool_nll(m, pool, ws))
+    return losses
 
 
 def save_dynamics(m: GaussianDynamics, path: str) -> None:

@@ -195,19 +195,20 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
                      policy.action_low, policy.action_high)
     opt = nets.adam_init(nets.param_count(head.net), step_size=step_size)
     n = states.shape[0]
+    ws = nets.Workspace(head.net, n)
     mse = np.inf
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
-            acts = nets.forward_activations(head.net, states[idx])
-            m = acts[-1]
-            pred = head.center + head.half * np.tanh(m)
+            acts = nets.forward_activations(head.net, states[idx], ws)
+            squashed = np.tanh(acts[-1])
+            pred = head.center + head.half * squashed
             err = pred - targets[idx]
-            upstream = 2.0 * err * head.half * (1.0 - np.tanh(m) ** 2) / err.size
-            grads = nets.backward(head.net, acts, upstream)
+            upstream = 2.0 * err * head.half * (1.0 - squashed ** 2) / err.size
+            grads = nets.backward(head.net, acts, upstream, ws)
             nets.optimizer_step(opt, head.net.params, grads)
-        full = head.center + head.half * np.tanh(nets.forward(head.net, states))
+        full = head.center + head.half * np.tanh(nets.forward(head.net, states, ws))
         mse = float(np.mean((full - targets) ** 2))
         if mse < mse_target:
             break
@@ -260,7 +261,8 @@ def gae(rewards: np.ndarray, values: np.ndarray, discount: float,
 
 def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
                   logp_old: np.ndarray, advantages: np.ndarray,
-                  clip_ratio: float, acts=None) -> tuple[float, np.ndarray, np.ndarray]:
+                  clip_ratio: float, acts=None,
+                  ws: nets.Workspace | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Clipped-surrogate loss and its gradients.
 
     Loss is -mean(min(r*A, clip(r, 1-c, 1+c)*A)) with r the new/old
@@ -268,7 +270,8 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
     (loss, net gradient flat, log_std gradient); samples sitting in the
     clipped branch contribute nothing to either gradient. ``acts`` is
     the head's :func:`nets.forward_activations` at ``states``, when the
-    caller has it already.
+    caller has it already; the net gradient is ``ws.grad`` when a
+    workspace is given.
     """
     states = np.asarray(states, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -278,7 +281,7 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
     if n == 0:
         raise EmptyBatchError("empty surrogate batch")
     if acts is None:
-        acts = nets.forward_activations(head.net, states)
+        acts = nets.forward_activations(head.net, states, ws)
     m = acts[-1]
     ratio = np.exp(_u_log_prob(head, states, us, m) - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
@@ -290,7 +293,7 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
     dlogp = np.where(active, -ratio * advantages / n, 0.0)
     std = np.exp(head.log_std)
     dm = (us - m) / (std * std)
-    net_grads = nets.backward(head.net, acts, dlogp[:, None] * dm)
+    net_grads = nets.backward(head.net, acts, dlogp[:, None] * dm, ws)
     logstd_grads = np.sum(dlogp[:, None] * ((us - m) ** 2 / (std * std) - 1.0), axis=0)
     return loss, net_grads, logstd_grads
 
@@ -356,16 +359,18 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
     curve: list[tuple[float, float]] = []
     bound = cfg.ratio_guard * cfg.clip_ratio
+    rows = cfg.batch_episodes * env.horizon
+    ws, v_ws = nets.Workspace(head.net, rows), nets.Workspace(value_net, rows)
     for _ in range(iterations):
         stable = _snapshot(head, value_net)
         states, us, rewards, ep_returns = collect_episodes(head, env, cfg.batch_episodes, rng)
         curve.append((float(ep_returns.mean()), float(ep_returns.std())))
         # the head's activations at its current parameters; the surrogate
         # reuses them until an update moves the parameters
-        acts = nets.forward_activations(head.net, states)
+        acts = nets.forward_activations(head.net, states, ws)
         logp_old = _u_log_prob(head, states, us, acts[-1])
         # one row per episode, bootstrapped with 0 at its end
-        values = nets.forward(value_net, states)[:, 0].reshape(-1, env.horizon)
+        values = nets.forward(value_net, states, v_ws)[:, 0].reshape(-1, env.horizon)
         advantages, value_targets = gae(rewards.reshape(values.shape),
                                         np.pad(values, ((0, 0), (0, 1))),
                                         cfg.discount, cfg.gae_lambda)
@@ -375,18 +380,18 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
             for _ in range(cfg.epochs_per_batch):
                 pre = _snapshot(head, value_net)
                 loss, g_net, g_std = ppo_surrogate(head, states, us, logp_old,
-                                                   advantages, cfg.clip_ratio, acts)
+                                                   advantages, cfg.clip_ratio, acts, ws)
                 if not np.isfinite(loss):
                     raise NonFiniteError(f"surrogate loss {loss}")
                 nets.optimizer_step(opt_net, head.net.params, g_net)
                 nets.optimizer_step(opt_std, head.log_std, g_std)
                 clamp_log_std(head)
-                v_acts = nets.forward_activations(value_net, states)
+                v_acts = nets.forward_activations(value_net, states, v_ws)
                 v = v_acts[-1][:, 0]
                 v_up = (2.0 * (v - value_targets) / v.size)[:, None]
                 nets.optimizer_step(opt_val, value_net.params,
-                                    nets.backward(value_net, v_acts, v_up))
-                acts = nets.forward_activations(head.net, states)
+                                    nets.backward(value_net, v_acts, v_up, v_ws))
+                acts = nets.forward_activations(head.net, states, ws)
                 ratio = np.exp(_u_log_prob(head, states, us, acts[-1]) - logp_old)
                 if np.max(np.abs(ratio - 1.0)) > bound:
                     _restore(head, value_net, pre)

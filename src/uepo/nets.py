@@ -6,6 +6,17 @@ vector in one canonical order -- layer by layer, weight matrix
 (row-major) before bias vector -- with weights and biases as views into
 it; optimizers update it in place, and checkpoint files hold it as is.
 
+In a training loop the net's passes and its Adam steps make no new
+arrays. The loop passes one :class:`Workspace` to
+:func:`forward_activations` and :func:`backward`, which write each
+step's activations, deltas, tanh derivatives and gradient into its
+buffers. The next call that uses the workspace
+overwrites them, so a workspace's arrays never leave their training
+loop; a call without one makes a fresh workspace, so what it returns is
+the caller's to keep. Adam (:func:`optimizer_step`) runs in place: it
+updates the parameters and both moments through two scratch vectors that
+its state holds.
+
 Checkpoint layout (little-endian): magic ``b"UEPO"``, format version
 u32, width count u32, the widths as u32 each, then the flat parameter
 vector as raw f64. Round-trips are bit-exact.
@@ -99,23 +110,70 @@ def set_params(m: Mlp, flat: np.ndarray) -> None:
     m.params[...] = flat
 
 
-def forward_activations(m: Mlp, x: np.ndarray) -> list[np.ndarray]:
+class Workspace:
+    """Buffers that :func:`forward_activations` and :func:`backward` write
+    into, for batches of up to ``rows`` rows of one net: every layer's
+    activations; the deltas and tanh derivatives of the hidden layers and
+    one gradient vector. Each set is made by the first call that needs it.
+
+    Each call that uses a workspace overwrites what the previous one left
+    there, so its arrays never leave the training loop that owns it.
+    """
+
+    def __init__(self, m: Mlp, rows: int):
+        if rows < 1:
+            raise ConfigError(f"a workspace needs at least one row, got {rows}")
+        self.rows = rows
+        self.layer_widths = list(m.layer_widths)
+        self.acts = self.deltas = self.derivs = None
+        self.grad = self.grads_w = self.grads_b = None
+
+    def _fit(self, m: Mlp, n: int) -> None:
+        if self.layer_widths != m.layer_widths:
+            raise ShapeError(f"workspace for widths {self.layer_widths} used with a "
+                             f"{m.layer_widths} net")
+        if n > self.rows:
+            raise ShapeError(f"batch of {n} rows exceeds a {self.rows}-row workspace")
+
+    def forward_buffers(self, m: Mlp, n: int) -> list[np.ndarray]:
+        """Each layer's (n, width) output buffer."""
+        self._fit(m, n)
+        if self.acts is None:
+            self.acts = [np.empty((self.rows, w)) for w in self.layer_widths[1:]]
+        return [a[:n] for a in self.acts]
+
+    def backward_buffers(self, m: Mlp, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each hidden layer's (n, width) delta and derivative buffers; the
+        gradient goes into ``grad`` through its views ``grads_w`` and ``grads_b``."""
+        self._fit(m, n)
+        if self.grad is None:
+            hidden = self.layer_widths[1:-1]
+            self.deltas = [np.empty((self.rows, w)) for w in hidden]
+            self.derivs = [np.empty((self.rows, w)) for w in hidden]
+            self.grad = np.empty_like(m.params)
+            self.grads_w, self.grads_b = _layer_views(self.layer_widths, self.grad)
+        return [d[:n] for d in self.deltas], [d[:n] for d in self.derivs]
+
+
+def forward_activations(m: Mlp, x: np.ndarray, ws: Workspace | None = None) -> list[np.ndarray]:
     """Forward pass keeping every layer's post-activation values.
 
     ``x`` is one input vector or a (batch, in) matrix; the returned list
     always holds (batch, width) matrices, input first and net output
-    last. It is what :func:`backward` consumes.
+    last. It is what :func:`backward` consumes. Without ``ws`` the layers
+    go into a fresh workspace, so the arrays are the caller's to keep.
     """
     x = np.asarray(x, dtype=float)
     h = x[None, :] if x.ndim == 1 else x
     if h.ndim != 2 or h.shape[1] != m.in_width:
         raise ShapeError(f"input width {x.shape} incompatible with net input {m.in_width}")
+    if ws is None:
+        ws = Workspace(m, h.shape[0])
+    outs = ws.forward_buffers(m, h.shape[0])
     acts = [h]
     n_layers = len(m.weights)
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        # in place on the fresh matmul output: a new large array per op
-        # costs more in page faults than the arithmetic itself
-        h = h @ w.T
+        h = np.matmul(h, w.T, out=outs[l])
         h += b
         if l < n_layers - 1:
             np.tanh(h, out=h)
@@ -123,20 +181,23 @@ def forward_activations(m: Mlp, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(m: Mlp, x: np.ndarray) -> np.ndarray:
-    """Evaluate the net. ``x`` is one input vector or a (batch, in) matrix."""
-    out = forward_activations(m, x)[-1]
+def forward(m: Mlp, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Evaluate the net. ``x`` is one input vector or a (batch, in) matrix.
+    The output lives in ``ws`` when one is given, else in a fresh array."""
+    out = forward_activations(m, x, ws)[-1]
     return out[0] if np.ndim(x) == 1 else out
 
 
-def backward(m: Mlp, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
+def backward(m: Mlp, acts: list[np.ndarray], upstream: np.ndarray,
+             ws: Workspace | None = None) -> np.ndarray:
     """Gradient of ``sum(upstream * output)`` with respect to the parameters.
 
     ``acts`` comes from :func:`forward_activations` at the current
     parameters, so the forward pass is not repeated. ``upstream`` matches
     its output, (batch, out), or is one vector for a batch of one; batch
     contributions are summed. Returns a flat vector in canonical
-    parameter order.
+    parameter order: ``ws.grad`` when a workspace is given, else a fresh
+    vector.
     """
     upstream = np.asarray(upstream, dtype=float)
     if upstream.ndim == 1:
@@ -145,22 +206,26 @@ def backward(m: Mlp, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray
         raise ShapeError(
             f"upstream shape {upstream.shape} incompatible with net output {acts[-1].shape}"
         )
-    grad = np.empty_like(m.params)
-    grads_w, grads_b = _layer_views(m.layer_widths, grad)
+    if ws is None:
+        ws = Workspace(m, upstream.shape[0])
+    deltas, derivs = ws.backward_buffers(m, upstream.shape[0])
     delta = upstream
     for l in range(len(m.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[l], out=grads_w[l])
-        delta.sum(axis=0, out=grads_b[l])
+        np.matmul(delta.T, acts[l], out=ws.grads_w[l])
+        delta.sum(axis=0, out=ws.grads_b[l])
         if l > 0:
             # acts[l] already holds tanh(z_l) for hidden layers
-            delta = delta @ m.weights[l]
-            delta *= 1.0 - acts[l] ** 2
-    return grad
+            deriv = np.square(acts[l], out=derivs[l - 1])
+            np.subtract(1.0, deriv, out=deriv)
+            delta = np.matmul(delta, m.weights[l], out=deltas[l - 1])
+            delta *= deriv
+    return ws.grad
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for one parameter vector."""
+    """Bias-corrected adaptive-moment optimizer state for one parameter
+    vector, with two scratch vectors of its size for the update."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -169,6 +234,10 @@ class AdamState:
     moment_decay_1: float = 0.9
     moment_decay_2: float = 0.999
     epsilon_stability: float = 1e-8
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
 def adam_init(n_params: int, step_size: float = 1e-3, moment_decay_1: float = 0.9,
@@ -182,24 +251,39 @@ def adam_init(n_params: int, step_size: float = 1e-3, moment_decay_1: float = 0.
 
 
 def optimizer_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One Adam update, applied in place on ``params`` (also returned)."""
+    """One Adam update, applied in place on ``params`` (also returned).
+
+    It evaluates the textbook expressions ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g**2`` and ``params -= step_size * m_hat /
+    (sqrt(v_hat) + eps)`` operation by operation in their order, but
+    through the state's scratch vectors instead of fresh temporaries.
+    """
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise ShapeError(
             f"params {params.shape}, grads {grads.shape} and moments "
             f"{state.first_moment.shape} must agree"
         )
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise NonFiniteError("gradient contains non-finite components")
     state.step_count += 1
     b1, b2 = state.moment_decay_1, state.moment_decay_2
-    state.first_moment *= b1
-    state.first_moment += (1 - b1) * grads
-    state.second_moment *= b2
-    state.second_moment += (1 - b2) * grads**2
-    m_hat = state.first_moment / (1 - b1**state.step_count)
-    v_hat = state.second_moment / (1 - b2**state.step_count)
-    params -= state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon_stability)
+    m, v = state.first_moment, state.second_moment
+    s1, s2 = state.scratch
+    m *= b1
+    np.multiply(1 - b1, grads, out=s1)
+    m += s1
+    v *= b2
+    np.square(grads, out=s1)
+    np.multiply(1 - b2, s1, out=s1)
+    v += s1
+    np.divide(m, 1 - b1**state.step_count, out=s1)
+    np.multiply(state.step_size, s1, out=s1)
+    np.divide(v, 1 - b2**state.step_count, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += state.epsilon_stability
+    s1 /= s2
+    params -= s1
     return params
 
 

@@ -194,3 +194,18 @@ def make_offline_dataset(env, n_traj, mode_mix, rng, action_noise=envs.ACTION_NO
             "sigma_env": env.sigma_env, "action_noise": action_noise,
             "mode_mix": list(map(float, mode_mix)), "n_traj": n_traj}
     return TrajectoryDataset(trajs, meta)
+
+
+def adam(params, grads, step_size=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam's textbook expressions, each step building fresh arrays; returns
+    the parameters and both moments after one step per gradient."""
+    params = np.array(params, dtype=float)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        params = params - step_size * m_hat / (np.sqrt(v_hat) + eps)
+    return params, m, v

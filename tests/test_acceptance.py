@@ -40,7 +40,7 @@ def _staged_train(model, batch, shuffle_rng,
                   synthetic=None):
     for epochs, lr in stages:
         dynamics.train_joint(model, batch, synthetic, epochs, shuffle_rng,
-                             batch_size=256, step_size=lr)
+                             batch_size=256, step_size=lr, curve=False)
 
 
 def _fd_grad(loss_at, base, h=1e-6):
@@ -347,7 +347,8 @@ def test_09_offline_to_online_smoke():
                                    np.random.default_rng(300))
     joint = dynamics.clone_dynamics(model)
     dynamics.train_joint(joint, real, _batch_of(synthetic, "synthetic"), 200,
-                         np.random.default_rng(201), batch_size=256, step_size=1e-4)
+                         np.random.default_rng(201), batch_size=256, step_size=1e-4,
+                         curve=False)
     spec = diffusion.make_ensemble_spec(4, 17, DivergenceConfig(0.5, 0.1, 10))
     wins = 0
     pairs = []

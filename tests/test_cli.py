@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from uepo import cli
+from uepo import cli, dynamics
 from uepo.config import parse_config
 
 SMOKE = """
@@ -311,6 +311,28 @@ def test_augmented_data_of_another_env_is_exit_1(tmp_path, capsys):
     assert cli.main(["train-dynamics", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert "augmented.jsonl" in err and "point_mass" in err and "pendulum" in err
+
+
+def test_only_train_dynamics_computes_the_pool_nll_curve(tmp_path, monkeypatch):
+    # augment discards its initial model's curve, so it must not compute it
+    out = tmp_path / "o"
+    small = (SMOKE.replace("train_steps = 300", "train_steps = 20")
+             .replace("epochs = 120", "epochs = 7").replace("attempts = 400", "attempts = 20")
+             .replace("epsilon = 1.0", "epsilon = 1000.0"))
+    cfg = parse_config(small + f"out = {out}\n")
+    for stage in ("gen-data", "train-diffusion"):
+        cli.run_stage(stage, cfg)
+    calls, pool_nll = [], dynamics.pool_nll
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pool_nll(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "pool_nll", counting)
+    cli.run_stage("augment", cfg)
+    assert len(calls) == 0
+    cli.run_stage("train-dynamics", cfg)
+    assert len(calls) == cfg["dynamics.epochs"] + 1
 
 
 def test_main_help_is_exit_0(capsys):

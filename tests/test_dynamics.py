@@ -223,6 +223,32 @@ def test_train_joint_matches_reference_loop():
     assert np.array_equal(nets.get_params(m.net), nets.get_params(ref.net))
 
 
+def test_predict_returns_arrays_no_later_call_overwrites():
+    rng = np.random.default_rng(18)
+    m = dynamics.make_dynamics(2, 1, [8], rng)
+    s, a = rng.standard_normal((5, 2)), rng.standard_normal((5, 1))
+    mean, var = dynamics.predict(m, s, a)
+    kept = mean.copy(), var.copy()
+    dynamics.predict(m, s + 1.0, a)
+    dynamics.train_joint(m, random_batch(rng, n=9, d_s=2, d_a=1), None, 1,
+                         np.random.default_rng(0), batch_size=4)
+    dynamics.predict(m, s, a)
+    assert np.array_equal(mean, kept[0]) and np.array_equal(var, kept[1])
+
+
+def test_train_joint_without_curve_trains_the_same_parameters():
+    rng = np.random.default_rng(19)
+    real = random_batch(rng, n=21, d_s=2, d_a=1)
+    syn = random_batch(rng, n=6, d_s=2, d_a=1)
+    m1 = dynamics.make_dynamics(2, 1, [8, 8], np.random.default_rng(1))
+    m2 = dynamics.make_dynamics(2, 1, [8, 8], np.random.default_rng(1))
+    curve = dynamics.train_joint(m1, real, syn, 3, np.random.default_rng(2), batch_size=8)
+    assert len(curve) == 4
+    assert dynamics.train_joint(m2, real, syn, 3, np.random.default_rng(2), batch_size=8,
+                                curve=False) is None
+    assert np.array_equal(m1.net.params, m2.net.params)
+
+
 def test_clone_is_independent():
     rng = np.random.default_rng(11)
     m = dynamics.make_dynamics(2, 1, [4], rng)

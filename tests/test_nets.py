@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from uepo import nets
 from uepo.errors import ConfigError, NonFiniteError, ShapeError
 
@@ -141,6 +144,101 @@ def test_adam_first_step_oracle():
     expected = -0.1 * g / (np.abs(g) + 1e-8)
     assert np.allclose(params, expected, rtol=0, atol=1e-15)
     assert state.step_count == 1
+
+
+def test_adam_matches_textbook_oracle_over_many_steps():
+    # gradients of changing scale and sign, with exact zeros, so the
+    # moments and the bias corrections are exercised over 60 steps
+    rng = np.random.default_rng(12)
+    n = 200
+    start = rng.standard_normal(n)
+    grads = [rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 3, size=n)
+             * (rng.random(n) > 0.1) for _ in range(60)]
+    params = start.copy()
+    state = nets.adam_init(n, step_size=3e-3, moment_decay_1=0.8, moment_decay_2=0.99)
+    for g in grads:
+        nets.optimizer_step(state, params, g)
+    want, m, v = oracles.adam(start, grads, step_size=3e-3, b1=0.8, b2=0.99)
+    assert np.array_equal(params, want)
+    assert np.array_equal(state.first_moment, m)
+    assert np.array_equal(state.second_moment, v)
+    assert state.step_count == 60
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_adam_step_allocates_less_than_one_parameter_vector():
+    rng = np.random.default_rng(13)
+    params, grads = rng.standard_normal(50_000), rng.standard_normal(50_000)
+    state = nets.adam_init(params.size)
+    nets.optimizer_step(state, params, grads)
+    assert _peak_bytes(lambda: nets.optimizer_step(state, params, grads)) < params.nbytes
+
+
+def test_warm_workspace_pass_allocates_less_than_one_parameter_vector():
+    rng = np.random.default_rng(14)
+    m = nets.mlp_init([16, 128, 128, 16], rng)
+    assert m.params.size >= 20_000
+    x, up = rng.standard_normal((256, 16)), rng.standard_normal((256, 16))
+    ws = nets.Workspace(m, 256)
+
+    def step():
+        nets.backward(m, nets.forward_activations(m, x, ws), up, ws)
+
+    step()
+    assert _peak_bytes(step) < m.params.nbytes
+
+
+def test_workspace_gives_fresh_call_results_and_short_batches():
+    # an epoch's short last minibatch uses the first rows of the buffers
+    rng = np.random.default_rng(15)
+    m = nets.mlp_init([3, 7, 5, 2], rng)
+    ws = nets.Workspace(m, 8)
+    for n in (8, 5, 1, 8):
+        x, up = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
+        fresh = nets.forward_activations(m, x)
+        acts = nets.forward_activations(m, x, ws)
+        assert all(np.array_equal(a, b) for a, b in zip(acts, fresh))
+        assert np.array_equal(nets.forward(m, x, ws), nets.forward(m, x))
+        grad = nets.backward(m, acts, up, ws)
+        assert grad is ws.grad
+        assert np.array_equal(grad, nets.backward(m, fresh, up))
+
+
+def test_workspace_rejects_a_larger_batch_or_another_net():
+    rng = np.random.default_rng(16)
+    m = nets.mlp_init([3, 4, 2], rng)
+    ws = nets.Workspace(m, 4)
+    acts = nets.forward_activations(m, rng.standard_normal((4, 3)), ws)
+    with pytest.raises(ShapeError):
+        nets.forward_activations(m, rng.standard_normal((5, 3)), ws)
+    with pytest.raises(ShapeError):
+        nets.backward(m, nets.forward_activations(m, rng.standard_normal((5, 3))),
+                      np.zeros((5, 2)), ws)
+    with pytest.raises(ShapeError):
+        nets.forward_activations(nets.mlp_init([3, 5, 2], rng), acts[0], ws)
+    with pytest.raises(ConfigError):
+        nets.Workspace(m, 0)
+
+
+def test_forward_without_workspace_returns_arrays_no_later_call_overwrites():
+    rng = np.random.default_rng(17)
+    m = nets.mlp_init([3, 6, 2], rng)
+    ws = nets.Workspace(m, 4)
+    x = rng.standard_normal((4, 3))
+    out, acts = nets.forward(m, x), nets.forward_activations(m, x)
+    kept = [out.copy()] + [a.copy() for a in acts]
+    for y in (rng.standard_normal((4, 3)), rng.standard_normal((1, 3))):
+        nets.forward(m, y)
+        nets.backward(m, nets.forward_activations(m, y, ws), np.ones((len(y), 2)), ws)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, [out] + acts))
 
 
 def test_adam_rejects_non_finite_gradient():
