@@ -4,8 +4,10 @@ Each stage reads its inputs from the output directory, writes its
 artifacts atomically, and leaves a ``<stage>.manifest`` recording the
 config hash, the seed, and the sha256 of every input and output file.
 Wall time goes to a ``<stage>.time.txt`` sidecar so reruns of the same
-config stay byte-identical. A ``.lock`` file holds the running stage's
-pid; a lock whose pid is no live process is replaced.
+config stay byte-identical. A stage runs holding an exclusive ``flock``
+on ``<out>/.lock``, which names its pid while it runs. A second stage in
+the same directory fails at once; the kernel releases the lock of a run
+that dies, so a killed run needs no cleanup.
 """
 
 import argparse
@@ -23,17 +25,9 @@ from .config import RunConfig, load_config
 from .datasets import TrajectoryDataset, initial_states, load_dataset, save_dataset, transitions
 from .errors import ConfigError, MissingArtifactError
 
-STAGES = ("gen-data", "train-diffusion", "sample-ensemble", "augment",
-          "train-dynamics", "select", "finetune", "eval", "div-check")
-
-# relative artifact name -> stage that produces it, for missing-input messages
-_PRODUCERS_STATIC = {
-    "policy.bin": "train-diffusion",
-    "dynamics_init.bin": "augment",
-    "dynamics_joint.bin": "train-dynamics",
-    "selection.txt": "select",
-    "head.bin": "finetune",
-}
+DATASET = "dataset.jsonl"
+GAP = "gap.jsonl"
+AUGMENTED = "augmented.jsonl"
 
 
 def _sha256(buf: bytes) -> str:
@@ -49,10 +43,6 @@ class StageRun:
         self.out = cfg["out"]
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
-        self.producers = dict(_PRODUCERS_STATIC)
-        self.producers[cfg["data.dataset"]] = "gen-data"
-        self.producers[cfg["data.gap"]] = "gen-data"
-        self.producers[cfg["data.augmented"]] = "augment"
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -60,10 +50,9 @@ class StageRun:
     def input_path(self, name: str) -> str:
         p = self.path(name)
         if not os.path.isfile(p):
-            producer = self.producers.get(name, "an earlier")
             raise MissingArtifactError(
                 f"{self.stage}: missing input {name!r} in {self.out}; "
-                f"run the {producer} stage first")
+                f"run the {_PRODUCERS[name]} stage first")
         with open(p, "rb") as fh:
             self.inputs[name] = _sha256(fh.read())
         return p
@@ -98,15 +87,20 @@ def _load_policy_for_env(run: StageRun, env) -> diffusion.DiffusionPolicy:
                                  action_high=env.action_high)
 
 
-def _load_env_dataset(cfg: RunConfig, run: StageRun, key: str) -> TrajectoryDataset:
-    """The dataset file the config key names, refused when it was recorded
-    in another environment than ``env.name``."""
-    name = cfg[key]
+def _load_env_dataset(cfg: RunConfig, run: StageRun, name: str) -> TrajectoryDataset:
+    """The named dataset file, refused when it was recorded in another
+    environment than ``env.name``."""
     ds = load_dataset(run.input_path(name))
     if ds.meta["env"] != cfg["env.name"]:
         raise ConfigError(f"{name} in {run.out} holds {ds.meta['env']} data, "
                           f"but env.name is {cfg['env.name']}")
     return ds
+
+
+def _ensemble_spec(cfg: RunConfig) -> diffusion.EnsembleSpec:
+    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
+                                       cfg["ensemble.guided_steps"])
+    return diffusion.make_ensemble_spec(cfg["ensemble.n"], cfg["ensemble.base_seed"], dcfg)
 
 
 def _windows(cfg: RunConfig, ds: TrajectoryDataset):
@@ -137,21 +131,21 @@ def _stage_gen_data(cfg: RunConfig, run: StageRun, ss: np.random.SeedSequence):
     ds = envs.make_offline_dataset(env, cfg["env.n_traj"], (mix, 1.0 - mix), rng)
     if cfg["env.coverage_gap"]:
         kept, gap = envs.apply_coverage_gap(ds)
-        save_dataset(kept, run.path(cfg["data.dataset"]))
-        save_dataset(gap, run.path(cfg["data.gap"]))
-        run.register_output(cfg["data.dataset"])
-        run.register_output(cfg["data.gap"])
+        save_dataset(kept, run.path(DATASET))
+        save_dataset(gap, run.path(GAP))
+        run.register_output(DATASET)
+        run.register_output(GAP)
         print(f"gen-data: {len(kept.trajectories)} kept trajectories, "
               f"{len(gap.trajectories)} withheld")
     else:
-        save_dataset(ds, run.path(cfg["data.dataset"]))
-        run.register_output(cfg["data.dataset"])
+        save_dataset(ds, run.path(DATASET))
+        run.register_output(DATASET)
         print(f"gen-data: {len(ds.trajectories)} trajectories")
 
 
 def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = _load_env_dataset(cfg, run, "data.dataset")
+    ds = _load_env_dataset(cfg, run, DATASET)
     windows_s, windows_a = _windows(cfg, ds)
     sched = diffusion.make_linear_schedule(cfg["diffusion.k"],
                                            cfg["diffusion.beta_min"],
@@ -177,16 +171,13 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = _load_env_dataset(cfg, run, "data.dataset")
+    ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
     pool = initial_states(ds)
     rng = np.random.default_rng(ss)
     n_states = min(cfg["ensemble.n_states"], len(pool))
     picks = rng.choice(len(pool), size=n_states, replace=False)
-    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
-                                       cfg["ensemble.guided_steps"])
-    spec = diffusion.make_ensemble_spec(cfg["ensemble.n"],
-                                        cfg["ensemble.base_seed"], dcfg)
+    spec = _ensemble_spec(cfg)
     act_lines = ["state_index,member,t," +
                  ",".join(f"a{j}" for j in range(policy.d_a))]
     div_lines = ["state_index,min_pairwise_div"]
@@ -205,7 +196,7 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_augment(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = _load_env_dataset(cfg, run, "data.dataset")
+    ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
     init_ss, shuffle_ss, aug_ss = ss.spawn(3)
     model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
@@ -221,8 +212,8 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
                                      max_attempts)
     synthetic, report = augmentation.build_augmented(
         env, policy, model, ds, fcfg, np.random.default_rng(aug_ss))
-    save_dataset(synthetic, run.path(cfg["data.augmented"]))
-    run.register_output(cfg["data.augmented"])
+    save_dataset(synthetic, run.path(AUGMENTED))
+    run.register_output(AUGMENTED)
     run.write_text("augment_report.txt",
                    "\n".join(augmentation.report_lines(report)) + "\n")
     hist_lines = ["bin_low,bin_high,count"]
@@ -235,10 +226,10 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = _load_env_dataset(cfg, run, "data.dataset")
+    ds = _load_env_dataset(cfg, run, DATASET)
     synthetic = None
     if cfg["dynamics.use_augmented"]:
-        synthetic = _real_batch(_load_env_dataset(cfg, run, "data.augmented"))
+        synthetic = _real_batch(_load_env_dataset(cfg, run, AUGMENTED))
     init_ss, shuffle_ss = ss.spawn(2)
     model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
                                    np.random.default_rng(init_ss))
@@ -255,13 +246,10 @@ def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_select(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = _load_env_dataset(cfg, run, "data.dataset")
+    ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
     model = dynamics.load_dynamics(run.input_path("dynamics_joint.bin"))
-    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
-                                       cfg["ensemble.guided_steps"])
-    spec = diffusion.make_ensemble_spec(cfg["ensemble.n"],
-                                        cfg["ensemble.base_seed"], dcfg)
+    spec = _ensemble_spec(cfg)
     best, scores = finetune.select_policy(policy, spec, model,
                                           partial(envs.reward, env),
                                           cfg["select.n_rollouts"],
@@ -289,7 +277,7 @@ def _read_key_values(path: str) -> dict:
 
 def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    ds = _load_env_dataset(cfg, run, "data.dataset")
+    ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
     selection = _read_key_values(run.input_path("selection.txt"))
     try:
@@ -345,8 +333,7 @@ def _stage_div_check(cfg: RunConfig, run: StageRun, ss):
     a_i = np.zeros((4, 1))
     a_j = np.array([[0.0], [1.0], [2.0], [3.0]])
     d = divergence.div(a_i, a_j)
-    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
-                                       cfg["ensemble.guided_steps"])
+    dcfg = _ensemble_spec(cfg).divergence_config
     at_zero = divergence.sigma_div(0.0, dcfg)
     at_tau = divergence.sigma_div(cfg["ensemble.tau"], dcfg)
     ok = (abs(d - _DIV_FIXTURE_VALUE) < 1e-12
@@ -362,65 +349,55 @@ def _stage_div_check(cfg: RunConfig, run: StageRun, ss):
         raise RuntimeError("divergence self-test failed")
 
 
-_STAGE_FNS = {
-    "gen-data": _stage_gen_data,
-    "train-diffusion": _stage_train_diffusion,
-    "sample-ensemble": _stage_sample_ensemble,
-    "augment": _stage_augment,
-    "train-dynamics": _stage_train_dynamics,
-    "select": _stage_select,
-    "finetune": _stage_finetune,
-    "eval": _stage_eval,
-    "div-check": _stage_div_check,
+# stage -> (body, files it writes), in pipeline order; a stage's seed
+# depends on its position, and every input a body opens has a producer here
+_STAGES = {
+    "gen-data": (_stage_gen_data, (DATASET, GAP)),
+    "train-diffusion": (_stage_train_diffusion, ("policy.bin", "diffusion_loss.csv")),
+    "sample-ensemble": (_stage_sample_ensemble,
+                        ("ensemble_actions.csv", "ensemble_div.csv")),
+    "augment": (_stage_augment, ("dynamics_init.bin", AUGMENTED, "augment_report.txt",
+                                 "kl_hist.csv")),
+    "train-dynamics": (_stage_train_dynamics, ("dynamics_joint.bin", "dynamics_loss.csv")),
+    "select": (_stage_select, ("selection.txt", "selection_scores.csv")),
+    "finetune": (_stage_finetune, ("head.bin", "finetune_curve.csv", "distill.txt")),
+    "eval": (_stage_eval, ("eval.csv", "eval.txt")),
+    "div-check": (_stage_div_check, ("div_check.txt",)),
 }
-
-
-def _lock_is_stale(lock_path: str) -> bool:
-    """True when the lock names a pid that is no live process. A lock
-    whose contents do not parse as a positive pid is never stale."""
-    try:
-        with open(lock_path, "r", encoding="utf-8") as fh:
-            pid = int(fh.read())
-        if pid > 0:  # 0 and negative pids name process groups
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError):  # unreadable, or a live pid of another user
-        pass
-    return False
+STAGES = tuple(_STAGES)
+_PRODUCERS = {name: stage for stage, (_, files) in _STAGES.items() for name in files}
 
 
 def run_stage(stage: str, cfg: RunConfig) -> StageRun:
-    """Execute one stage under the out-dir lock and write its manifest."""
-    if stage not in _STAGE_FNS:
+    """Execute one stage under the out dir's lock and write its manifest."""
+    if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
     os.makedirs(cfg["out"], exist_ok=True)
     lock_path = os.path.join(cfg["out"], ".lock")
-    out_fd = os.open(cfg["out"], os.O_RDONLY)
-    try:
-        # under the out dir's flock one run at a time checks and replaces the lock
-        fcntl.flock(out_fd, fcntl.LOCK_EX)
-        if os.path.exists(lock_path) and not _lock_is_stale(lock_path):
-            raise RuntimeError(
-                f"lock file {lock_path} exists; another stage may be running "
-                f"(delete it if that run is dead)")
-        with open(lock_path, "w", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-    finally:
-        os.close(out_fd)
-    try:
-        run = StageRun(stage, cfg)
-        ss = np.random.SeedSequence((cfg["seed"], STAGES.index(stage)))
-        started = time.perf_counter()
-        _STAGE_FNS[stage](cfg, run, ss)
-        elapsed = time.perf_counter() - started
-        nets.atomic_write_bytes(run.path(f"{stage}.manifest"),
-                                run.manifest_text().encode())
-        # wall time lives outside the manifest so reruns stay bit-identical
-        nets.atomic_write_bytes(run.path(f"{stage}.time.txt"),
-                                f"wall_seconds = {elapsed!r}\n".encode())
-    finally:
-        os.unlink(lock_path)
+    # "a+" opens without truncating, so a refused run can still read the holder's pid
+    with open(lock_path, "a+", encoding="utf-8") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            lock.seek(0)
+            raise RuntimeError(f"{lock_path} is held by pid {lock.read().strip() or '?'}; "
+                               f"another stage is running in {cfg['out']}") from None
+        try:
+            lock.truncate(0)
+            lock.write(f"{os.getpid()}\n")
+            lock.flush()
+            run = StageRun(stage, cfg)
+            ss = np.random.SeedSequence((cfg["seed"], STAGES.index(stage)))
+            started = time.perf_counter()
+            _STAGES[stage][0](cfg, run, ss)
+            elapsed = time.perf_counter() - started
+            nets.atomic_write_bytes(run.path(f"{stage}.manifest"),
+                                    run.manifest_text().encode())
+            # wall time lives outside the manifest so reruns stay bit-identical
+            nets.atomic_write_bytes(run.path(f"{stage}.time.txt"),
+                                    f"wall_seconds = {elapsed!r}\n".encode())
+        finally:
+            lock.truncate(0)  # never unlinked: a later run must lock this same inode
     return run
 
 

@@ -81,12 +81,6 @@ SCHEMA = {
                            "probability of the first scripted mode"),
     "env.coverage_gap": _Field(_parse_bool, False, lambda v: True,
                                "also write the withheld-region split"),
-    "data.dataset": _Field(str, "dataset.jsonl", lambda v: bool(v) or _fail(
-        "data.dataset must be non-empty"), "dataset file name inside the out dir"),
-    "data.gap": _Field(str, "gap.jsonl", lambda v: bool(v) or _fail(
-        "data.gap must be non-empty"), "withheld-split file name"),
-    "data.augmented": _Field(str, "augmented.jsonl", lambda v: bool(v) or _fail(
-        "data.augmented must be non-empty"), "synthetic dataset file name"),
     "diffusion.k": _Field(int, 50, _positive("diffusion.k"), "denoising steps"),
     "diffusion.beta_min": _Field(float, 1e-4, _positive("diffusion.beta_min"),
                                  "noise schedule start"),

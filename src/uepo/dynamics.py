@@ -73,7 +73,7 @@ def clone_dynamics(m: GaussianDynamics) -> GaussianDynamics:
 
 def _split_output(m: GaussianDynamics, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean, raw_lv = out[..., : m.d_s], out[..., m.d_s:]
-    return mean, np.clip(raw_lv, LOG_VAR_MIN, LOG_VAR_MAX), raw_lv
+    return mean, np.minimum(np.maximum(raw_lv, LOG_VAR_MIN), LOG_VAR_MAX), raw_lv
 
 
 def predict(m: GaussianDynamics, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ integrity, rerun determinism, and the exit-code contract of main()."""
 import fcntl
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -59,6 +60,15 @@ def pipeline(tmp_path_factory):
     return cfg, str(out)
 
 
+def _assert_lock_free(lock_path):
+    """The lock file is left empty and no run holds its flock."""
+    assert os.path.isfile(lock_path)
+    with open(lock_path, "a+") as fh:
+        fh.seek(0)
+        assert fh.read() == ""
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
 def test_all_artifacts_present(pipeline):
     _, out = pipeline
     expected = ["dataset.jsonl", "policy.bin", "diffusion_loss.csv",
@@ -73,8 +83,7 @@ def test_all_artifacts_present(pipeline):
     for stage in cli.STAGES:
         assert os.path.isfile(os.path.join(out, f"{stage}.manifest"))
         assert os.path.isfile(os.path.join(out, f"{stage}.time.txt"))
-    # the lock is released even on success
-    assert not os.path.exists(os.path.join(out, ".lock"))
+    _assert_lock_free(os.path.join(out, ".lock"))
 
 
 def test_manifest_header_fields(pipeline):
@@ -109,6 +118,20 @@ def test_manifest_chain(pipeline):
         for key, digest in m.items():
             if key.startswith("output."):
                 produced[key.split(".", 1)[1]] = digest
+
+
+def test_stage_table_names_every_manifest_file(pipeline):
+    """The stage table declares exactly the files each stage writes, and
+    every input comes from a stage that runs earlier."""
+    cfg, out = pipeline
+    assert not cfg["env.coverage_gap"]
+    for i, stage in enumerate(cli.STAGES):
+        m = _read_manifest(os.path.join(out, f"{stage}.manifest"))
+        outputs = {k.split(".", 1)[1] for k in m if k.startswith("output.")}
+        inputs = {k.split(".", 1)[1] for k in m if k.startswith("input.")}
+        assert outputs == set(cli._STAGES[stage][1]) - {cli.GAP}, stage
+        for name in inputs:
+            assert cli.STAGES.index(cli._PRODUCERS[name]) < i, (stage, name)
 
 
 def test_selection_and_eval_contents(pipeline):
@@ -171,71 +194,87 @@ def test_missing_input_names_producer(tmp_path):
     from uepo.errors import MissingArtifactError
     with pytest.raises(MissingArtifactError, match="run the gen-data stage first"):
         cli.run_stage("train-diffusion", cfg)
-    # the failed run still removed its lock
-    assert not os.path.exists(tmp_path / ".lock")
+    # the failed run still released its lock
+    _assert_lock_free(tmp_path / ".lock")
 
 
 def test_lock_file_blocks_concurrent_stage(tmp_path):
-    cfg = parse_config(f"out = {tmp_path}\n")
-    os.makedirs(tmp_path, exist_ok=True)
-    # this very process holds the lock, so it is alive
-    (tmp_path / ".lock").write_text(f"{os.getpid()}\n")
-    with pytest.raises(RuntimeError, match="lock file"):
-        cli.run_stage("div-check", cfg)
-    # a live holder's lock stays in place
-    assert (tmp_path / ".lock").read_text() == f"{os.getpid()}\n"
-    assert not (tmp_path / "div-check.manifest").exists()
-
-
-def test_lock_file_that_names_no_pid_blocks(tmp_path):
-    cfg = parse_config(f"out = {tmp_path}\n")
-    for text in ("", "not a pid\n", "0\n", "-1\n"):
-        (tmp_path / ".lock").write_text(text)
-        with pytest.raises(RuntimeError, match="lock file"):
-            cli.run_stage("div-check", cfg)
-        assert (tmp_path / ".lock").read_text() == text
-
-
-def test_stale_lock_of_exited_process_is_replaced(tmp_path):
+    # the held flock decides, not the pid the file names: that one is dead
     cfg = parse_config(f"out = {tmp_path}\n")
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()  # reaped, so its pid names no process
-    (tmp_path / ".lock").write_text(f"{child.pid}\n")
-    cli.run_stage("div-check", cfg)
-    assert (tmp_path / "div-check.manifest").exists()
-    assert not (tmp_path / ".lock").exists()
-
-
-def test_stale_lock_is_checked_under_the_out_dir_flock(tmp_path):
-    # a run that finds a stale lock while another run holds the out dir's
-    # flock to replace it waits, then sees that run's live pid and refuses
-    cfg = parse_config(f"out = {tmp_path}\n")
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
+    pid = child.pid
     lock = tmp_path / ".lock"
-    lock.write_text(f"{child.pid}\n")
-    raised = []
-
-    def second_run():
-        try:
+    with open(lock, "a+") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        fh.write(f"{pid}\n")
+        fh.flush()
+        with pytest.raises(RuntimeError, match=f"held by pid {pid};"):
             cli.run_stage("div-check", cfg)
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    out_fd = os.open(tmp_path, os.O_RDONLY)
-    try:
-        fcntl.flock(out_fd, fcntl.LOCK_EX)
-        runner = threading.Thread(target=second_run)
-        runner.start()
-        runner.join(0.5)
-        assert runner.is_alive(), "the run did not wait for the out dir's flock"
-        lock.write_text(f"{os.getpid()}\n")
-    finally:
-        os.close(out_fd)
-    runner.join(30)
-    assert raised and "lock file" in str(raised[0])
-    assert lock.read_text() == f"{os.getpid()}\n"
+        # the refused run leaves the holder's pid in place
+        assert lock.read_text() == f"{pid}\n"
     assert not (tmp_path / "div-check.manifest").exists()
+
+
+_HOLDER = """
+import fcntl, os, sys, time
+fh = open(sys.argv[1], "a+")
+fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+fh.write(f"{os.getpid()}\\n")
+fh.flush()
+print("locked", flush=True)
+time.sleep(600)
+"""
+
+
+def test_stale_lock_of_exited_process_is_replaced(tmp_path):
+    # a SIGKILLed holder's flock goes with it, and the next stage takes the lock
+    cfg = parse_config(f"out = {tmp_path}\n")
+    lock = tmp_path / ".lock"
+    holder = subprocess.Popen([sys.executable, "-c", _HOLDER, str(lock)],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        with pytest.raises(RuntimeError, match=f"held by pid {holder.pid};"):
+            cli.run_stage("div-check", cfg)
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(30)
+        assert lock.read_text() == f"{holder.pid}\n"  # nobody cleaned up
+        cli.run_stage("div-check", cfg)
+    finally:
+        holder.kill()
+        holder.wait(30)
+        holder.stdout.close()
+    assert (tmp_path / "div-check.manifest").exists()
+    _assert_lock_free(lock)
+
+
+def test_racing_stages_cannot_both_run(tmp_path, monkeypatch):
+    cfg = parse_config(f"out = {tmp_path}\n")
+    body, files = cli._STAGES["div-check"]
+    entered, release, ran = threading.Event(), threading.Event(), []
+
+    def slow_body(*args):
+        entered.set()
+        release.wait(30)
+        ran.append(1)
+        body(*args)
+
+    monkeypatch.setitem(cli._STAGES, "div-check", (slow_body, files))
+    (tmp_path / ".lock").write_text("123456\n")  # left by a killed run
+    first = threading.Thread(target=cli.run_stage, args=("div-check", cfg))
+    first.start()
+    try:
+        assert entered.wait(30)
+        assert (tmp_path / ".lock").read_text() == f"{os.getpid()}\n"
+        with pytest.raises(RuntimeError, match="another stage is running"):
+            cli.run_stage("div-check", cfg)
+    finally:
+        release.set()
+        first.join(30)
+    assert ran == [1]
+    assert (tmp_path / "div-check.manifest").exists()
+    _assert_lock_free(tmp_path / ".lock")
 
 
 # --- main() exit codes -------------------------------------------------------
@@ -377,4 +416,5 @@ def test_gen_data_coverage_gap_split(tmp_path):
     assert (tmp_path / "dataset.jsonl").exists()
     assert (tmp_path / "gap.jsonl").exists()
     m = _read_manifest(tmp_path / "gen-data.manifest")
-    assert "output.gap.jsonl" in m
+    outputs = {k.split(".", 1)[1] for k in m if k.startswith("output.")}
+    assert outputs == set(cli._STAGES["gen-data"][1])

@@ -174,7 +174,9 @@ def test_beta_max_at_or_above_one_rejected():
         parse_config("diffusion.beta_max = 1.5\n")
 
 
-def test_objective_alpha_is_not_a_key():
-    # no stage reads it, so the schema has no such key
-    with pytest.raises(ConfigError, match="unknown config key: objective.alpha"):
-        parse_config("objective.alpha = 0.1\n")
+@pytest.mark.parametrize("key", ["objective.alpha", "data.dataset", "data.gap",
+                                 "data.augmented"])
+def test_objective_alpha_is_not_a_key(key):
+    # no stage reads them, so the schema has no such keys
+    with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+        parse_config(f"{key} = 0.1\n")

@@ -37,6 +37,17 @@ def test_predict_shapes_and_positive_variance():
         dynamics.predict(m, np.zeros(2), np.zeros(2))
 
 
+def test_log_variance_clamp_equals_clip():
+    rng = np.random.default_rng(2)
+    m = dynamics.make_dynamics(4, 2, [8], rng)
+    out = 20.0 * rng.standard_normal((12, 8))
+    out[0, 4], out[1, 5], out[2, 6], out[3, 7] = np.nan, np.inf, -np.inf, dynamics.LOG_VAR_MAX
+    _, log_var, raw = dynamics._split_output(m, out)
+    np.testing.assert_array_equal(
+        log_var, np.clip(out[:, 4:], dynamics.LOG_VAR_MIN, dynamics.LOG_VAR_MAX))
+    np.testing.assert_array_equal(raw, out[:, 4:])
+
+
 def test_predict_on_stacks_matches_per_row():
     rng = np.random.default_rng(15)
     m = dynamics.make_dynamics(3, 2, [16, 16], rng)
