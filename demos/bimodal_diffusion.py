@@ -19,7 +19,7 @@ env = envs.PointMass2D()
 print("collecting 200 scripted demonstrations (half per goal)")
 ds = envs.make_offline_dataset(env, 200, (0.5, 0.5), np.random.default_rng(11))
 
-windows_s, windows_a = diffusion.prefix_windows(ds, 40)
+anchors, windows_a = diffusion.prefix_windows(ds, 40)
 rng = np.random.default_rng(5)
 policy = diffusion.make_policy(40, 2, 4, [256, 256], rng,
                                schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
@@ -27,14 +27,13 @@ policy = diffusion.make_policy(40, 2, 4, [256, 256], rng,
                                action_high=env.action_high)
 
 print("training the denoiser (2000 steps, two step-size stages)")
-losses = diffusion.train_denoiser(policy, windows_s, windows_a, 1200, 192, 1e-3, rng)
-losses += diffusion.train_denoiser(policy, windows_s, windows_a, 800, 192, 3e-4, rng)
+losses = diffusion.train_denoiser(policy, anchors, windows_a, 1200, 192, 1e-3, rng)
+losses += diffusion.train_denoiser(policy, anchors, windows_a, 800, 192, 3e-4, rng)
 print(f"  denoising loss {losses[0]:.3f} -> {losses[-1]:.3f}")
 
-window = diffusion.state_window(np.zeros(4), policy.T)
 n_plus = n_minus = n_neither = 0
 for seed in range(200):
-    actions = diffusion.sample(policy, window, seed)
+    actions = diffusion.sample(policy, np.zeros(4), seed)
     d_plus, d_minus = envs.goal_distances(env, np.zeros(4), actions)
     if d_plus < 0.3:
         n_plus += 1
@@ -55,19 +54,19 @@ rng2 = np.random.default_rng(4)
 flat = diffusion.make_policy(4, 1, 1, [64, 64], rng2,
                              schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2))
 const_a = np.concatenate([np.full((100, 4, 1), 0.8), np.full((100, 4, 1), -0.8)])
-diffusion.train_denoiser(flat, np.zeros((200, 4, 1)), const_a, 3000, 128, 1e-3, rng2)
+diffusion.train_denoiser(flat, np.zeros((200, 1)), const_a, 3000, 128, 1e-3, rng2)
 
 print("\n  min pairwise divergence of 4-member ensembles")
 print("  base_seed   eta=0.1   eta=0")
 guided_cfg = DivergenceConfig(tau=0.5, eta=0.1, guided_steps=10)
 plain_cfg = DivergenceConfig(tau=0.5, eta=0.0, guided_steps=10)
-flat_window = np.zeros((4, 1))
+flat_anchor = np.zeros(1)
 guided, plain = [], []
 for base_seed in range(8):
     g = min_pairwise_div(diffusion.sample_ensemble(
-        flat, flat_window, diffusion.make_ensemble_spec(4, base_seed, guided_cfg)))
+        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg)))
     p = min_pairwise_div(diffusion.sample_ensemble(
-        flat, flat_window, diffusion.make_ensemble_spec(4, base_seed, plain_cfg)))
+        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg)))
     guided.append(g)
     plain.append(p)
     print(f"  {base_seed:9d}   {g:7.4f}   {p:7.4f}")

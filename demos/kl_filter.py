@@ -28,8 +28,8 @@ policy = diffusion.make_policy(8, 2, 4, [48, 48], rng,
                                schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
                                action_low=env.action_low,
                                action_high=env.action_high)
-windows_s, windows_a = diffusion.prefix_windows(ds, 8)
-diffusion.train_denoiser(policy, windows_s, windows_a, 800, 128, 1e-3, rng)
+anchors, windows_a = diffusion.prefix_windows(ds, 8)
+diffusion.train_denoiser(policy, anchors, windows_a, 800, 128, 1e-3, rng)
 
 # fit the model on the demonstrations plus rollouts of this same policy,
 # so it is accurate exactly where the filter will score it
@@ -40,7 +40,7 @@ for _ in range(60):
     s0 = pool[int(cover_rng.integers(0, len(pool)))]
     trajs.append(rollout_virtual(env, policy, s0, int(cover_rng.integers(0, 2 ** 63))))
 s, a, s_next = transitions(TrajectoryDataset(trajs, dict(ds.meta)))
-covered = dynamics.TransitionBatch(s, a, s_next, "real")
+covered = dynamics.TransitionBatch(s, a, s_next)
 
 model = dynamics.make_dynamics(4, 2, [64, 64], np.random.default_rng(100))
 shuffle = np.random.default_rng(200)

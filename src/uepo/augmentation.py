@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffusion, dynamics, envs
 from .datasets import Trajectory, TrajectoryDataset, initial_states, n_transitions
-from .diffusion import DiffusionPolicy, sample, state_window
+from .diffusion import DiffusionPolicy, sample
 from .errors import ConfigError, EmptyBatchError, StarvationError
 
 DEFAULT_EPSILON = 0.05
@@ -67,16 +67,24 @@ def _attempt_seeds(seed: int, env, horizon: int) -> tuple[int, np.ndarray]:
     return int(samp_c.generate_state(1, np.uint64)[0]), z
 
 
-def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed: int) -> Trajectory:
-    """One open-loop policy rollout in the real environment.
+def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed):
+    """Open-loop policy rollouts in the real environment.
 
-    The action sequence and the environment noise run on independent
-    streams spawned from the single recorded seed, so the trajectory is
-    a pure function of (policy parameters, s0, seed).
+    One (d_s,) start with one seed gives one Trajectory; a (B, d_s) stack
+    of starts with one seed each gives a list of B, their plans sampled
+    in one batch and stepped in lockstep. Each rollout's action sequence
+    and environment noise run on independent streams spawned from its
+    recorded seed, so a trajectory is a pure function of (policy
+    parameters, start, seed) and of its place in the sampler's chunking.
     """
-    sample_seed, z = _attempt_seeds(seed, env, policy.T)
-    actions = sample(policy, state_window(s0, policy.T), sample_seed)
-    return envs.rollout_open_loop(env, s0, actions, z, seed=seed)
+    starts = np.asarray(s0, dtype=float)
+    one = starts.ndim == 1
+    if one:
+        starts, seed = starts[None], [seed]
+    streams = [_attempt_seeds(sd, env, policy.T) for sd in seed]
+    plans = sample(policy, starts, [samp for samp, _ in streams])
+    trajs = envs.rollout_open_loop(env, starts, plans, np.stack([z for _, z in streams]), seed)
+    return trajs[0] if one else trajs
 
 
 def _model_dist(model, s: np.ndarray, a: np.ndarray):
@@ -123,9 +131,9 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
     rejected.
 
     Each attempt draws a start state and a seed from ``rng``, and
-    :func:`rollout_virtual` of that seed is its rollout. The action
-    sequences of up to ``diffusion.SAMPLE_CHUNK`` attempts are sampled in
-    one batch and rolled out in one lockstep call; the rollouts are then
+    :func:`rollout_virtual` of that seed is its rollout. Up to
+    ``diffusion.SAMPLE_CHUNK`` attempts are rolled out in one stacked
+    :func:`rollout_virtual` call; the rollouts are then
     scored and admitted in order, and the attempts drawn past the one
     that fills the target are discarded uncounted. So ``rng`` may be
     drawn from more often than the report's ``attempts``. The same
@@ -152,12 +160,7 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
         for _ in range(min(diffusion.SAMPLE_CHUNK, max_attempts - attempts)):
             starts.append(pool[int(rng.integers(0, len(pool)))])
             seeds.append(int(rng.integers(0, 2**63)))
-        streams = [_attempt_seeds(seed, env, policy.T) for seed in seeds]
-        windows = np.stack([state_window(s0, policy.T) for s0 in starts])
-        plans = sample(policy, windows, [samp for samp, _ in streams])
-        trajs = envs.rollout_open_loop(env, np.stack(starts), plans,
-                                       np.stack([z for _, z in streams]), seeds)
-        for traj in trajs:
+        for traj in rollout_virtual(env, policy, np.stack(starts), seeds):
             attempts += 1
             score = trajectory_kl(traj, env, model_init)
             kl_values.append(score)

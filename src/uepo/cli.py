@@ -112,7 +112,7 @@ def _windows(cfg: RunConfig, ds: TrajectoryDataset):
 
 def _real_batch(ds: TrajectoryDataset) -> dynamics.TransitionBatch:
     s, a, s_next = transitions(ds)
-    return dynamics.TransitionBatch(s, a, s_next, "real")
+    return dynamics.TransitionBatch(s, a, s_next)
 
 
 def _loss_csv(header: str, values) -> str:
@@ -146,7 +146,7 @@ def _stage_gen_data(cfg: RunConfig, run: StageRun, ss: np.random.SeedSequence):
 def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
     ds = _load_env_dataset(cfg, run, DATASET)
-    windows_s, windows_a = _windows(cfg, ds)
+    anchors, actions = _windows(cfg, ds)
     sched = diffusion.make_linear_schedule(cfg["diffusion.k"],
                                            cfg["diffusion.beta_min"],
                                            cfg["diffusion.beta_max"])
@@ -157,7 +157,7 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
                                    schedule=sched,
                                    action_low=env.action_low,
                                    action_high=env.action_high)
-    losses = diffusion.train_denoiser(policy, windows_s, windows_a,
+    losses = diffusion.train_denoiser(policy, anchors, actions,
                                       cfg["diffusion.train_steps"],
                                       cfg["diffusion.batch_size"],
                                       cfg["diffusion.step_size"],
@@ -165,7 +165,7 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
     diffusion.save_policy(policy, run.path("policy.bin"))
     run.register_output("policy.bin")
     run.write_text("diffusion_loss.csv", _loss_csv("step,loss", losses))
-    print(f"train-diffusion: {len(windows_s)} windows, "
+    print(f"train-diffusion: {len(anchors)} windows, "
           f"final loss {losses[-1]:.4f}")
 
 
@@ -181,8 +181,7 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
     act_lines = ["state_index,member,t," +
                  ",".join(f"a{j}" for j in range(policy.d_a))]
     div_lines = ["state_index,min_pairwise_div"]
-    windows = np.stack([diffusion.state_window(pool[si], policy.T) for si in picks])
-    for si, seqs in zip(picks, diffusion.sample_ensemble(policy, windows, spec)):
+    for si, seqs in zip(picks, diffusion.sample_ensemble(policy, pool[picks], spec)):
         for m, seq in enumerate(seqs):
             for t in range(policy.T):
                 vals = ",".join(repr(float(x)) for x in seq[t])
@@ -284,8 +283,7 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
         best_seed = int(selection["best_seed"])
     except (KeyError, ValueError):
         raise ConfigError(f"selection.txt in {run.out} has no usable best_seed")
-    windows_s, _ = _windows(cfg, ds)
-    anchors = windows_s[:, 0, :]
+    anchors, _ = _windows(cfg, ds)
     distill_ss, ppo_ss = ss.spawn(2)
     distill_rng = np.random.default_rng(distill_ss)
     perm = distill_rng.permutation(len(anchors))

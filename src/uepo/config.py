@@ -136,10 +136,10 @@ SCHEMA = {
                            "states distilled over"),
     "distill.epochs": _Field(int, 400, _positive("distill.epochs"),
                              "distillation epochs"),
-    "ppo.clip_ratio": _Field(float, 0.2, _positive("ppo.clip_ratio"),
-                             "PPO clip range"),
-    "ppo.discount": _Field(float, 0.99, _unit_interval("ppo.discount"),
-                           "return discount"),
+    "ppo.clip_ratio": _Field(float, 0.2, lambda v: 0.0 < v < 1.0 or _fail(
+        f"ppo.clip_ratio must lie in (0, 1), got {v}"), "PPO clip range"),
+    "ppo.discount": _Field(float, 0.99, lambda v: 0.0 < v <= 1.0 or _fail(
+        f"ppo.discount must lie in (0, 1], got {v}"), "return discount"),
     "ppo.gae_lambda": _Field(float, 0.95, _unit_interval("ppo.gae_lambda"),
                              "advantage estimator lambda"),
     "ppo.epochs_per_batch": _Field(int, 10, _positive("ppo.epochs_per_batch"),

@@ -1,12 +1,16 @@
 """State-conditional denoising diffusion over whole action sequences.
 
 A policy here is a distribution over (T, d_a) action matrices
-conditioned on a (T, d_s) state window. Training fits an MLP denoiser
-to predict the injected noise; sampling runs the ancestral reverse
-chain from seeded Gaussian noise, so each seed deterministically picks
-out one behavior. An ensemble of sub-policies is just one trained model
-sampled under n distinct seeds, optionally steered apart by the
-divergence module while the chain runs.
+conditioned on one (d_s,) anchor state. Only the anchor is known at
+generation time, so the denoiser sees it tiled T times into a (T, d_s)
+window; callers pass anchors, and the tiling happens here alone. The
+low-level denoiser functions (``predict_eps``, ``reverse_mean``,
+``reverse_step``, ``denoising_loss``) take the tiled windows. Training
+fits an MLP denoiser to predict the injected noise; sampling runs the
+ancestral reverse chain from seeded Gaussian noise, so each seed
+deterministically picks out one behavior. An ensemble of sub-policies is
+just one trained model sampled under n distinct seeds, optionally
+steered apart by the divergence module while the chain runs.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import ConfigError, EmptyBatchError, ShapeError
 DEFAULT_K = 50
 DEFAULT_BETA_MIN = 1e-4
 DEFAULT_BETA_MAX = 0.02
+EMB_DIM = 16  # width of the denoiser's time embedding
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,9 @@ class DiffusionPolicy:
     """Denoiser MLP plus schedule and sequence dimensions.
 
     The denoiser maps [flattened noisy actions | flattened state window |
-    time embedding] to the predicted noise, so its input width must be
-    T*d_a + T*d_s + emb_dim and its output width T*d_a. Sampled actions
+    time embedding] to the predicted noise, where the window is the
+    anchor state tiled T times, so its input width must be
+    T*d_a + T*d_s + EMB_DIM and its output width T*d_a. Sampled actions
     are clipped to [action_low, action_high] after the final step.
     """
 
@@ -69,7 +75,6 @@ class DiffusionPolicy:
     T: int
     d_a: int
     d_s: int
-    emb_dim: int = 16
     action_low: np.ndarray = field(default=None)
     action_high: np.ndarray = field(default=None)
     emb_table: np.ndarray = field(init=False, repr=False)
@@ -81,37 +86,25 @@ class DiffusionPolicy:
             self.action_high = np.ones(self.d_a)
         self.action_low = np.broadcast_to(np.asarray(self.action_low, float), (self.d_a,)).copy()
         self.action_high = np.broadcast_to(np.asarray(self.action_high, float), (self.d_a,)).copy()
-        want_in = self.T * self.d_a + self.T * self.d_s + self.emb_dim
+        want_in = self.T * self.d_a + self.T * self.d_s + EMB_DIM
         if self.denoiser.in_width != want_in or self.denoiser.out_width != self.T * self.d_a:
             raise ShapeError(
                 f"denoiser widths ({self.denoiser.in_width} -> {self.denoiser.out_width}) "
                 f"do not match T={self.T}, d_a={self.d_a}, d_s={self.d_s}, "
-                f"emb_dim={self.emb_dim}"
+                f"EMB_DIM={EMB_DIM}"
             )
-        self.emb_table = np.stack([nets.time_embedding(t, self.schedule.k, self.emb_dim)
+        self.emb_table = np.stack([nets.time_embedding(t, self.schedule.k, EMB_DIM)
                                    for t in range(self.schedule.k + 1)])
 
 
 def make_policy(T: int, d_a: int, d_s: int, hidden, rng: np.random.Generator,
-                schedule: NoiseSchedule | None = None, emb_dim: int = 16,
+                schedule: NoiseSchedule | None = None,
                 action_low=None, action_high=None) -> DiffusionPolicy:
     if schedule is None:
         schedule = make_linear_schedule(DEFAULT_K)
-    widths = [T * d_a + T * d_s + emb_dim, *hidden, T * d_a]
+    widths = [T * d_a + T * d_s + EMB_DIM, *hidden, T * d_a]
     net = nets.mlp_init(widths, rng)
-    return DiffusionPolicy(net, schedule, T, d_a, d_s, emb_dim, action_low, action_high)
-
-
-def state_window(s0: np.ndarray, T: int) -> np.ndarray:
-    """Tile one observed state into the (T, d_s) conditioning window.
-
-    At generation time only the anchor state is known, so the window
-    repeats it; training uses the same construction to stay consistent.
-    """
-    s0 = np.asarray(s0, dtype=float)
-    if s0.ndim != 1:
-        raise ShapeError(f"anchor state must be a vector, got shape {s0.shape}")
-    return np.tile(s0, (T, 1))
+    return DiffusionPolicy(net, schedule, T, d_a, d_s, action_low, action_high)
 
 
 def _check_seq(policy: DiffusionPolicy, a: np.ndarray, s: np.ndarray):
@@ -125,42 +118,48 @@ def _check_seq(policy: DiffusionPolicy, a: np.ndarray, s: np.ndarray):
                          f"{a.shape} with d_s = {policy.d_s}")
 
 
-def _check_windows(policy: DiffusionPolicy, windows) -> np.ndarray:
-    windows = np.asarray(windows, dtype=float)
-    if windows.ndim != 3 or windows.shape[1:] != (policy.T, policy.d_s):
-        raise ShapeError(f"window stack shape {windows.shape} != (B, {policy.T}, {policy.d_s})")
-    return windows
+def _check_anchors(policy: DiffusionPolicy, anchors) -> np.ndarray:
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.ndim != 2 or anchors.shape[1] != policy.d_s:
+        raise ShapeError(f"anchor stack shape {anchors.shape} != (B, {policy.d_s})")
+    return anchors
+
+
+def _tile(policy: DiffusionPolicy, anchors: np.ndarray) -> np.ndarray:
+    # the denoiser's (B, T, d_s) window block: each anchor repeated T times
+    return np.broadcast_to(anchors[:, None, :], (len(anchors), policy.T, policy.d_s))
 
 
 def prefix_windows(ds, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start-anchored training windows from a trajectory dataset.
+    """Start-anchored training examples from a trajectory dataset.
 
     Each trajectory with at least T transitions contributes one example:
-    its first T actions, conditioned on the tiled initial state. Shorter
-    trajectories are skipped so every window has a real length-T
-    continuation behind it.
+    its initial state as the anchor and its first T actions. Shorter
+    trajectories are skipped so every example has a real length-T
+    continuation behind it. Returns (anchors (N, d_s), actions (N, T, d_a)).
     """
     # a stride past every trajectory's end leaves each one its t = 0 anchor
     return sliding_windows(ds, T, 1 + max((len(tr) for tr in ds.trajectories), default=0))
 
 
 def sliding_windows(ds, T: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Windows anchored at every stride-th timestep of every trajectory.
+    """Examples anchored at every stride-th timestep of every trajectory.
 
-    Anchor t contributes actions[t:t+T] conditioned on the tiled state
-    s_t, so the trained policy stays in-distribution when asked to act
-    from mid-trajectory states, not just initial ones.
+    Anchor t contributes the state s_t and the actions actions[t:t+T], so
+    the trained policy stays in-distribution when asked to act from
+    mid-trajectory states, not just initial ones. Returns
+    (anchors (N, d_s), actions (N, T, d_a)).
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    states, actions = [], []
+    anchors, actions = [], []
     for tr in ds.trajectories:
         for t in range(0, len(tr) - T + 1, stride):
-            states.append(state_window(tr.states[t], T))
+            anchors.append(tr.states[t])
             actions.append(tr.actions[t:t + T])
-    if not states:
+    if not anchors:
         raise EmptyBatchError(f"no trajectory has {T}+ transitions")
-    return np.stack(states), np.stack(actions)
+    return np.stack(anchors), np.stack(actions)
 
 
 def q_sample(a0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -228,21 +227,23 @@ def denoising_loss(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndar
     return loss, grad
 
 
-def train_denoiser(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndarray,
+def train_denoiser(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.ndarray,
                    steps: int, batch_size: int, step_size: float,
                    rng: np.random.Generator) -> list[float]:
-    """Minibatch Adam on the denoising loss; returns the per-step losses."""
-    states = np.asarray(states, dtype=float)
+    """Minibatch Adam on the denoising loss over (N, d_s) anchors and their
+    (N, T, d_a) action sequences; returns the per-step losses. Each
+    minibatch's anchors are tiled into windows for :func:`denoising_loss`."""
+    anchors = _check_anchors(policy, anchors)
     actions = np.asarray(actions, dtype=float)
-    if len(states) == 0:
+    if len(anchors) == 0:
         raise EmptyBatchError("no training windows")
     opt = nets.adam_init(nets.param_count(policy.denoiser), step_size=step_size)
     losses = []
-    n = len(states)
+    n = len(anchors)
     ws = nets.Workspace(policy.denoiser, min(batch_size, n))
     for _ in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
-        loss, grad = denoising_loss(policy, states[idx], actions[idx], rng, ws)
+        loss, grad = denoising_loss(policy, _tile(policy, anchors[idx]), actions[idx], rng, ws)
         nets.optimizer_step(opt, policy.denoiser.params, grad)
         losses.append(loss)
     return losses
@@ -286,58 +287,57 @@ def _seed_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _unguided_chain(policy: DiffusionPolicy, windows: np.ndarray, rngs, t_last: int) -> np.ndarray:
+def _unguided_chain(policy: DiffusionPolicy, anchors: np.ndarray, rngs, t_last: int) -> np.ndarray:
     """Initial draw and reverse steps k-1 down to t_last for every row.
 
-    Rows run in chunks of SAMPLE_CHUNK. Each row's noise is one bulk draw
-    from its own generator, which yields the same numbers in the same
-    order as drawing them step by step.
+    Rows run in chunks of SAMPLE_CHUNK, each chunk's anchors tiled once.
+    Each row's noise is one bulk draw from its own generator, which
+    yields the same numbers in the same order as drawing them step by step.
     """
     k = policy.schedule.k
     n_draws = 1 + k - max(t_last, 1)
     a = np.empty((len(rngs), policy.T, policy.d_a))
     for lo in range(0, len(rngs), SAMPLE_CHUNK):
         rows = slice(lo, lo + SAMPLE_CHUNK)
+        windows = _tile(policy, anchors[rows])
         z = np.stack([rng.standard_normal((n_draws, policy.T, policy.d_a))
                       for rng in rngs[rows]])
         a_c = z[:, 0]
         for j, t in enumerate(range(k - 1, t_last - 1, -1), start=1):
-            a_c = reverse_step(policy, a_c, windows[rows], t, z[:, j] if t > 0 else None)
+            a_c = reverse_step(policy, a_c, windows, t, z[:, j] if t > 0 else None)
         a[rows] = a_c
     return a
 
 
-def sample_batch(policy: DiffusionPolicy, windows: np.ndarray, seeds) -> np.ndarray:
-    """Draw one action sequence per (window, seed) row: (B, T, d_s) -> (B, T, d_a).
+def sample_batch(policy: DiffusionPolicy, anchors: np.ndarray, seeds) -> np.ndarray:
+    """Draw one action sequence per (anchor, seed) row: (B, d_s) -> (B, T, d_a).
 
-    Row b is a pure function of (parameters, windows[b], seeds[b]) and of
+    Row b is a pure function of (parameters, anchors[b], seeds[b]) and of
     its place in the fixed chunking, so the same inputs give the same bytes. It agrees
     with the same row sampled alone (B = 1) to 1e-12, not bit for bit:
     the denoiser's matrix products round differently at other batch sizes.
     """
-    windows = _check_windows(policy, windows)
+    anchors = _check_anchors(policy, anchors)
     seeds = list(seeds)
-    if len(seeds) != len(windows):
-        raise ShapeError(f"{len(seeds)} seeds for {len(windows)} windows")
-    a = _unguided_chain(policy, windows, [_seed_rng(seed) for seed in seeds], 0)
+    if len(seeds) != len(anchors):
+        raise ShapeError(f"{len(seeds)} seeds for {len(anchors)} anchors")
+    a = _unguided_chain(policy, anchors, [_seed_rng(seed) for seed in seeds], 0)
     return np.clip(a, policy.action_low, policy.action_high)
 
 
 def sample(policy: DiffusionPolicy, s: np.ndarray, seed) -> np.ndarray:
     """Draw action sequences; a pure function of (parameters, s, seed).
 
-    One (T, d_s) window with one seed gives one (T, d_a) sequence: a B = 1
+    One (d_s,) anchor with one seed gives one (T, d_a) sequence: a B = 1
     call to :func:`sample_batch`, so it agrees with the same row of a
-    larger batch to 1e-12. A (B, T, d_s) stack with one seed per window is
+    larger batch to 1e-12. A (B, d_s) stack with one seed per anchor is
     passed to :func:`sample_batch` as is: augmentation, selection and
     distillation sample through this form.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim == 3:
-        return sample_batch(policy, s, seed)
-    if s.shape != (policy.T, policy.d_s):
-        raise ShapeError(f"state window shape {s.shape} != {(policy.T, policy.d_s)}")
-    return sample_batch(policy, s[None], [seed])[0]
+    if s.ndim == 1:
+        return sample_batch(policy, s[None], [seed])[0]
+    return sample_batch(policy, s, seed)
 
 
 @dataclass(frozen=True)
@@ -376,31 +376,32 @@ def make_ensemble_spec(n: int, base_seed: int,
 def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
     """Generate the n sub-policy sequences in seed order.
 
-    ``s`` is one (T, d_s) window, which returns a list of n (T, d_a)
-    sequences, or a (N, T, d_s) stack, which returns an (N, n, T, d_a)
-    array. Every (window, member) row keeps its own generator, seeded as
+    ``s`` is one (d_s,) anchor, which returns a list of n (T, d_a)
+    sequences, or a (N, d_s) stack, which returns an (N, n, T, d_a)
+    array. Every (anchor, member) row keeps its own generator, seeded as
     in :func:`sample`. Sub-policy i > 0 runs that seeded reverse chain,
     except that during the last ``guided_steps`` steps its current
     estimate is perturbed away from the finished sequences of sub-policies
-    j < i for the same window. The unguided steps run batched over all
-    rows; the guided steps run member by member, batched over windows.
+    j < i for the same anchor. The unguided steps run batched over all
+    rows; the guided steps run member by member, batched over anchors.
     Guidance that never fires (eta = 0, or all divergences at or above
     tau) consumes no random draws, so those outputs agree with
     :func:`sample` to 1e-12. With guided_steps >= k, member i's whole
-    chain is sample_batch(policy, windows, [seed_i] * N), bit for bit.
+    chain is sample_batch(policy, anchors, [seed_i] * N), bit for bit.
     The same inputs give the same bytes.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim == 2:
+    if s.ndim == 1:
         return list(sample_ensemble(policy, s[None], spec)[0])
-    windows = _check_windows(policy, s)
-    n_states, n = len(windows), spec.n
+    anchors = _check_anchors(policy, s)
+    n_states, n = len(anchors), spec.n
     cfg = spec.divergence_config
     g = 0 if cfg is None else min(cfg.guided_steps, policy.schedule.k)
-    # rows are window-major: row w * n + i is member i at window w
+    # rows are anchor-major: row w * n + i is member i at anchor w
     rngs = [_seed_rng(seed) for _ in range(n_states) for seed in spec.seeds]
-    a = _unguided_chain(policy, np.repeat(windows, n, axis=0), rngs, g)
+    a = _unguided_chain(policy, np.repeat(anchors, n, axis=0), rngs, g)
     a = a.reshape(n_states, n, policy.T, policy.d_a)
+    windows = _tile(policy, anchors)
     for i in range(n):
         member_rngs = rngs[i::n]
         a_i = a[:, i]
@@ -432,8 +433,7 @@ def save_policy(policy: DiffusionPolicy, path: str) -> None:
     nets.atomic_write_bytes(path, buf)
 
 
-def load_policy(path: str, emb_dim: int = 16, action_low=None,
-                action_high=None) -> DiffusionPolicy:
+def load_policy(path: str, action_low=None, action_high=None) -> DiffusionPolicy:
     """Rebuild a policy; the action box is not persisted and defaults to +-1."""
     net, offset, buf = nets.read_checkpoint(path)
     (k,) = struct.unpack_from("<I", buf, offset)
@@ -444,5 +444,4 @@ def load_policy(path: str, emb_dim: int = 16, action_low=None,
     offset += 12
     if offset != len(buf):
         raise ConfigError(f"{path}: {len(buf) - offset} trailing bytes")
-    return DiffusionPolicy(net, schedule_from_beta(beta), T, d_a, d_s, emb_dim,
-                           action_low, action_high)
+    return DiffusionPolicy(net, schedule_from_beta(beta), T, d_a, d_s, action_low, action_high)

@@ -37,12 +37,11 @@ class GaussianDynamics:
 
 @dataclass
 class TransitionBatch:
-    """(s, a, s') triples with a source tag, used as the training pool unit."""
+    """(s, a, s') triples, used as the training pool unit."""
 
     s: np.ndarray
     a: np.ndarray
     s_next: np.ndarray
-    source: str = "real"
 
     def __post_init__(self):
         self.s = np.atleast_2d(np.asarray(self.s, dtype=float))
@@ -52,8 +51,6 @@ class TransitionBatch:
             raise EmptyBatchError("transition batch is empty")
         if self.s_next.shape != self.s.shape or len(self.a) != len(self.s):
             raise ShapeError("inconsistent transition array shapes")
-        if self.source not in ("real", "synthetic"):
-            raise ConfigError(f"source must be real or synthetic, got {self.source!r}")
         if not (np.isfinite(self.s).all() and np.isfinite(self.a).all()
                 and np.isfinite(self.s_next).all()):
             raise ConfigError("transition batch contains non-finite entries")

@@ -132,10 +132,10 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
                   rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Pick the sub-policy with the best mean model-based return.
 
-    A sub-policy is the deterministic map s -> sample(policy, window(s),
-    seed_i), so its plan for a given start state never varies; rollouts
-    differ only through the start-state draw and one model-noise stream
-    shared by every sub-policy (common random numbers). Every rollout's
+    A sub-policy is the deterministic map s -> sample(policy, s, seed_i),
+    so its plan for a given start state never varies; rollouts differ
+    only through the start-state draw and one model-noise stream shared
+    by every sub-policy (common random numbers). Every rollout's
     start state and noise are drawn first, in rollout order; then all
     rollouts x sub-policies plans come from one :func:`diffusion.sample_batch`
     call and step through the model together, so ``reward_fn`` gets
@@ -156,8 +156,7 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
     # row r * n + i is sub-policy i in rollout r
     s = np.repeat(np.stack(starts), n, axis=0)
     noise = np.repeat(np.stack(noises), n, axis=0)
-    windows = np.stack([diffusion.state_window(s0, policy.T) for s0 in s])
-    plans = diffusion.sample(policy, windows, list(spec.seeds) * n_rollouts)
+    plans = diffusion.sample(policy, s, list(spec.seeds) * n_rollouts)
     totals = np.zeros(len(s))
     for t in range(policy.T):
         mean, var = dynamics.predict(model, s, plans[:, t])
@@ -178,7 +177,7 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     """Regress a Gaussian head's mean onto one sub-policy's first-step actions.
 
     The sub-policy is the deterministic fixed-seed sampler, so every
-    pool state gets the target sample(policy, window(s), seed)[0]; the
+    pool state gets the target sample(policy, s, seed)[0]; the
     shared seed is what keeps targets mode-consistent at ambiguous
     states. All targets come from one :func:`diffusion.sample_batch`
     call: the same inputs give the same bytes, and the targets agree
@@ -188,8 +187,7 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[0] == 0:
         raise EmptyBatchError(f"need a non-empty (N, d_s) state pool, got {states.shape}")
-    windows = np.stack([diffusion.state_window(s, policy.T) for s in states])
-    targets = diffusion.sample(policy, windows, [seed] * len(states))[:, 0]
+    targets = diffusion.sample(policy, states, [seed] * len(states))[:, 0]
 
     head = make_head(policy.d_s, policy.d_a, hidden, rng,
                      policy.action_low, policy.action_high)

@@ -17,9 +17,12 @@ from uepo.datasets import Trajectory, TrajectoryDataset, initial_states, n_trans
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def reverse_chain(policy, s, seed, predecessors=(), cfg=None):
-    """One sequence from the seeded ancestral chain. With predecessors,
-    each of the last cfg.guided_steps steps is first guided away from them."""
+def reverse_chain(policy, s0, seed, predecessors=(), cfg=None):
+    """One sequence from the seeded ancestral chain at anchor state s0,
+    which is tiled into the (T, d_s) window here, independently of the
+    library. With predecessors, each of the last cfg.guided_steps steps is
+    first guided away from them."""
+    s = np.tile(np.asarray(s0, dtype=float), (policy.T, 1))
     rng = np.random.default_rng(int(seed) & _U64)
     a = rng.standard_normal((policy.T, policy.d_a))
     for t in range(policy.schedule.k - 1, -1, -1):
@@ -30,13 +33,13 @@ def reverse_chain(policy, s, seed, predecessors=(), cfg=None):
     return np.clip(a, policy.action_low, policy.action_high)
 
 
-def ensemble(policy, s, spec):
-    """The per-window guided ensemble: members in seed order, each guided
+def ensemble(policy, s0, spec):
+    """The per-anchor guided ensemble: members in seed order, each guided
     away from the finished earlier members."""
     outs = []
     for seed in spec.seeds:
         preds = list(outs) if spec.divergence_config is not None else ()
-        outs.append(reverse_chain(policy, s, seed, preds, spec.divergence_config))
+        outs.append(reverse_chain(policy, s0, seed, preds, spec.divergence_config))
     return outs
 
 
@@ -62,8 +65,7 @@ def build_augmented(env, policy, model, real, cfg, rng):
         s0 = pool[int(rng.integers(0, len(pool)))]
         seed = int(rng.integers(0, 2**63))
         samp_c, env_c = np.random.SeedSequence(seed & _U64).spawn(2)
-        actions = reverse_chain(policy, diffusion.state_window(s0, policy.T),
-                                int(samp_c.generate_state(1, np.uint64)[0]))
+        actions = reverse_chain(policy, s0, int(samp_c.generate_state(1, np.uint64)[0]))
         traj = rollout_open_loop(env, s0, actions, np.random.default_rng(env_c), seed=seed)
         attempts += 1
         score = trajectory_kl(traj, env, model)
@@ -89,9 +91,8 @@ def select_scores(policy, spec, model, reward_fn, n_rollouts, initial_states, rn
     for _ in range(n_rollouts):
         s0 = initial_states[rng.integers(len(initial_states))]
         noise = rng.standard_normal((policy.T, policy.d_s))
-        window = diffusion.state_window(s0, policy.T)
         for i, seed in enumerate(spec.seeds):
-            seq = reverse_chain(policy, window, seed)
+            seq = reverse_chain(policy, s0, seed)
             s, total = s0, 0.0
             for t in range(policy.T):
                 mean, var = dynamics.predict(model, s, seq[t])

@@ -30,9 +30,9 @@ def _verdict(num, label, ok, detail, t0, limit):
     assert in_time, line
 
 
-def _batch_of(ds, source="real"):
+def _batch_of(ds):
     s, a, s_next = transitions(ds)
-    return dynamics.TransitionBatch(s, a, s_next, source)
+    return dynamics.TransitionBatch(s, a, s_next)
 
 
 def _staged_train(model, batch, shuffle_rng,
@@ -130,7 +130,7 @@ def test_03_gradient_suite():
     model = dynamics.make_dynamics(2, 1, [5], rng)
     tb = dynamics.TransitionBatch(rng.standard_normal((6, 2)),
                                   rng.standard_normal((6, 1)),
-                                  rng.standard_normal((6, 2)), "real")
+                                  rng.standard_normal((6, 2)))
     _, g = dynamics.nll(model, tb)
 
     def nll_loss(p):
@@ -168,17 +168,16 @@ def test_04_multimodality_capture():
     t0 = time.perf_counter()
     env = envs.PointMass2D()
     ds = envs.make_offline_dataset(env, 300, (0.5, 0.5), np.random.default_rng(11))
-    windows_s, windows_a = diffusion.prefix_windows(ds, 40)
+    anchors, demo_actions = diffusion.prefix_windows(ds, 40)
     rng = np.random.default_rng(5)
     pol = diffusion.make_policy(40, 2, 4, [256, 256], rng,
                                 schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
                                 action_low=env.action_low, action_high=env.action_high)
-    diffusion.train_denoiser(pol, windows_s, windows_a, 1200, 192, 1e-3, rng)
-    diffusion.train_denoiser(pol, windows_s, windows_a, 800, 192, 3e-4, rng)
-    window = diffusion.state_window(np.zeros(4), 40)
+    diffusion.train_denoiser(pol, anchors, demo_actions, 1200, 192, 1e-3, rng)
+    diffusion.train_denoiser(pol, anchors, demo_actions, 800, 192, 3e-4, rng)
     n_plus = n_minus = 0
     for seed in range(500):
-        actions = diffusion.sample(pol, window, seed)
+        actions = diffusion.sample(pol, np.zeros(4), seed)
         d_plus, d_minus = envs.goal_distances(env, np.zeros(4), actions)
         n_plus += d_plus < 0.3
         n_minus += d_minus < 0.3
@@ -194,17 +193,17 @@ def test_05_guidance_effect():
     pol = diffusion.make_policy(4, 1, 1, [64, 64], rng,
                                 schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2))
     actions = np.concatenate([np.full((100, 4, 1), 0.8), np.full((100, 4, 1), -0.8)])
-    states = np.zeros((200, 4, 1))
-    diffusion.train_denoiser(pol, states, actions, 3000, 128, 1e-3, rng)
-    window = np.zeros((4, 1))
+    anchors = np.zeros((200, 1))
+    diffusion.train_denoiser(pol, anchors, actions, 3000, 128, 1e-3, rng)
+    anchor = np.zeros(1)
     guided_cfg = DivergenceConfig(0.5, 0.1, 10)
     plain_cfg = DivergenceConfig(0.5, 0.0, 10)
     guided, plain = [], []
     for base_seed in range(20):
         guided.append(min_pairwise_div(diffusion.sample_ensemble(
-            pol, window, diffusion.make_ensemble_spec(4, base_seed, guided_cfg))))
+            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg))))
         plain.append(min_pairwise_div(diffusion.sample_ensemble(
-            pol, window, diffusion.make_ensemble_spec(4, base_seed, plain_cfg))))
+            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg))))
     guided = np.array(guided)
     plain = np.array(plain)
     pooled = np.sqrt((guided.var(ddof=1) + plain.var(ddof=1)) / 2)
@@ -294,7 +293,7 @@ def test_07_generalization_effect():
                                        np.random.default_rng(3000 + i))
         joint = dynamics.make_dynamics(4, 2, [64, 64], np.random.default_rng(1000 + i))
         _staged_train(joint, real, np.random.default_rng(2000 + i),
-                      synthetic=_batch_of(synthetic, "synthetic"))
+                      synthetic=_batch_of(synthetic))
         margin = dynamics.pool_nll(real_only, gap_batch) - dynamics.pool_nll(joint, gap_batch)
         wins += margin > 0
         margins.append(margin)
@@ -332,13 +331,12 @@ def test_09_offline_to_online_smoke():
     t0 = time.perf_counter()
     env = envs.PointMass2D(sigma_env=0.05)
     ds = envs.make_offline_dataset(env, 60, (0.5, 0.5), np.random.default_rng(31))
-    windows_s, windows_a = diffusion.sliding_windows(ds, 12, stride=4)
+    anchors, windows_a = diffusion.sliding_windows(ds, 12, stride=4)
     rng = np.random.default_rng(7)
     pol = diffusion.make_policy(12, 2, 4, [128, 128], rng,
                                 schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
                                 action_low=env.action_low, action_high=env.action_high)
-    diffusion.train_denoiser(pol, windows_s, windows_a, 3000, 128, 1e-3, rng)
-    anchors = windows_s[:, 0, :]
+    diffusion.train_denoiser(pol, anchors, windows_a, 3000, 128, 1e-3, rng)
     real = _batch_of(ds)
     model = dynamics.make_dynamics(4, 2, [64, 64], np.random.default_rng(100))
     _staged_train(model, real, np.random.default_rng(200),
@@ -346,7 +344,7 @@ def test_09_offline_to_online_smoke():
     synthetic, _ = build_augmented(env, pol, model, ds, FilterConfig(0.15, 2.0),
                                    np.random.default_rng(300))
     joint = dynamics.clone_dynamics(model)
-    dynamics.train_joint(joint, real, _batch_of(synthetic, "synthetic"), 200,
+    dynamics.train_joint(joint, real, _batch_of(synthetic), 200,
                          np.random.default_rng(201), batch_size=256, step_size=1e-4,
                          curve=False)
     spec = diffusion.make_ensemble_spec(4, 17, DivergenceConfig(0.5, 0.1, 10))

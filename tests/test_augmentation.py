@@ -63,6 +63,22 @@ def test_rollout_virtual_is_seeded_and_chained():
     assert not np.array_equal(t1.next_states, t3.next_states)
 
 
+def test_rollout_virtual_stack_matches_single_rollouts():
+    env, ds, policy = small_setup()
+    starts = datasets.initial_states(ds)[[0, 3, 3, 5]]
+    seeds = [11, 12, 12, 2**62 + 9]
+    trajs = augmentation.rollout_virtual(env, policy, starts, seeds)
+    assert isinstance(trajs, list) and len(trajs) == 4
+    # one start and seed twice in a stack gives the same rollout twice
+    assert np.array_equal(trajs[1].next_states, trajs[2].next_states)
+    for s0, seed, traj in zip(starts, seeds, trajs):
+        one = augmentation.rollout_virtual(env, policy, s0, seed)
+        assert traj.seed == one.seed == seed
+        assert np.array_equal(traj.states[0], s0)
+        assert np.max(np.abs(traj.actions - one.actions)) <= 1e-12
+        assert np.max(np.abs(traj.next_states - one.next_states)) <= 1e-12
+
+
 def test_trajectory_kl_is_mean_of_transition_kls():
     env, ds, policy = small_setup()
     traj = ds.trajectories[0]

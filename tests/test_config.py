@@ -1,7 +1,9 @@
 import hashlib
+import re
 
 import pytest
 
+from uepo import finetune
 from uepo.config import RunConfig, SCHEMA, load_config, parse_config
 from uepo.errors import ConfigError
 
@@ -78,10 +80,27 @@ def test_value_checks_fire():
         parse_config("diffusion.T = 2\n")
     with pytest.raises(ConfigError, match="env.sigma_env must be >= 0"):
         parse_config("env.sigma_env = -0.1\n")
-    with pytest.raises(ConfigError, match="ppo.discount must be in \\[0, 1\\]"):
+    with pytest.raises(ConfigError, match="ppo.discount must lie in \\(0, 1\\]"):
         parse_config("ppo.discount = 1.5\n")
     with pytest.raises(ConfigError, match="empty list"):
         parse_config("diffusion.widths = ,\n")
+
+
+@pytest.mark.parametrize("key,value", [("ppo.clip_ratio", 1.5), ("ppo.clip_ratio", 1.0),
+                                       ("ppo.clip_ratio", 0.0), ("ppo.discount", 0.0),
+                                       ("ppo.discount", 1.5), ("ppo.discount", -0.1)])
+def test_ppo_bounds_are_checked_at_load(key, value):
+    # finetune's PpoConfig rejects these values; the config must reject
+    # them at load, naming the key, instead of after five stages have run
+    with pytest.raises(ConfigError):
+        finetune.PpoConfig(**{key.split(".")[1]: value})
+    with pytest.raises(ConfigError, match=re.escape(key) + " must lie in"):
+        parse_config(f"{key} = {value}\n")
+
+
+def test_ppo_bound_edges_load():
+    cfg = parse_config("ppo.clip_ratio = 0.999\nppo.discount = 1.0\n")
+    finetune.PpoConfig(clip_ratio=cfg["ppo.clip_ratio"], discount=cfg["ppo.discount"])
 
 
 def test_beta_ordering_cross_check():

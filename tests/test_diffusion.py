@@ -62,7 +62,7 @@ def test_predict_eps_input_layout():
     a_t = rng.standard_normal((3, 2))
     s = rng.standard_normal((3, 2))
     t = 2
-    emb = nets.time_embedding(t, policy.schedule.k, policy.emb_dim)
+    emb = nets.time_embedding(t, policy.schedule.k, diffusion.EMB_DIM)
     x = np.concatenate([a_t.ravel(), s.ravel(), emb])
     want = nets.forward(policy.denoiser, x).reshape(3, 2)
     assert np.allclose(diffusion.predict_eps(policy, a_t, s, t), want, atol=1e-14)
@@ -134,24 +134,26 @@ def test_denoising_loss_gradient_matches_fd():
 def test_train_denoiser_reduces_loss():
     rng = np.random.default_rng(5)
     policy = tiny_policy(rng, T=3, d_a=1, d_s=1, hidden=(16,))
-    states = np.zeros((64, 3, 1))
+    anchors = np.zeros((64, 1))
     actions = np.full((64, 3, 1), 0.7)
-    losses = diffusion.train_denoiser(policy, states, actions, 200, 32, 1e-2,
+    losses = diffusion.train_denoiser(policy, anchors, actions, 200, 32, 1e-2,
                                       np.random.default_rng(6))
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
 
 def test_train_denoiser_matches_reference_loop():
-    # oracle: the plain loop over the public API, copying the parameters
-    # out of the net and back in at every step, must give the same
-    # parameters and losses bit for bit
+    # oracle: the plain loop over the public API, with each anchor tiled
+    # into its window here and the parameters copied out of the net and
+    # back in at every step, must give the same parameters and losses
+    # bit for bit
     rng = np.random.default_rng(9)
-    states = rng.standard_normal((20, 3, 1))
+    anchors = rng.standard_normal((20, 2))
     actions = rng.uniform(-1.0, 1.0, size=(20, 3, 1))
-    policy = tiny_policy(np.random.default_rng(1), hidden=(8, 8))
-    ref = tiny_policy(np.random.default_rng(1), hidden=(8, 8))
-    losses = diffusion.train_denoiser(policy, states, actions, 25, 8, 1e-2,
+    policy = tiny_policy(np.random.default_rng(1), d_s=2, hidden=(8, 8))
+    ref = tiny_policy(np.random.default_rng(1), d_s=2, hidden=(8, 8))
+    losses = diffusion.train_denoiser(policy, anchors, actions, 25, 8, 1e-2,
                                       np.random.default_rng(2))
+    states = np.stack([np.tile(s0, (3, 1)) for s0 in anchors])
 
     draws = np.random.default_rng(2)
     params = nets.get_params(ref.denoiser)
@@ -171,20 +173,21 @@ def test_train_denoiser_matches_reference_loop():
 def test_sample_determinism_and_clip():
     rng = np.random.default_rng(7)
     policy = tiny_policy(rng, T=4, d_a=2, d_s=1)
-    window = diffusion.state_window(np.zeros(1), 4)
-    a1 = diffusion.sample(policy, window, seed=42)
-    a2 = diffusion.sample(policy, window, seed=42)
+    a1 = diffusion.sample(policy, np.zeros(1), seed=42)
+    a2 = diffusion.sample(policy, np.zeros(1), seed=42)
     assert np.array_equal(a1, a2)
     assert a1.shape == (4, 2)
     assert np.all(a1 >= policy.action_low) and np.all(a1 <= policy.action_high)
-    a3 = diffusion.sample(policy, window, seed=43)
+    a3 = diffusion.sample(policy, np.zeros(1), seed=43)
     assert not np.array_equal(a1, a3)
 
 
-def test_state_window_tiles_anchor():
-    w = diffusion.state_window(np.array([1.0, 2.0]), 3)
-    assert w.shape == (3, 2)
-    assert np.array_equal(w, np.array([[1.0, 2.0]] * 3))
+def test_tile_repeats_each_anchor():
+    policy = tiny_policy(np.random.default_rng(0), T=3, d_s=2)
+    anchors = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    w = diffusion._tile(policy, anchors)
+    assert w.shape == (2, 3, 2)
+    assert np.array_equal(w, np.stack([np.tile(s0, (3, 1)) for s0 in anchors]))
 
 
 def test_prefix_windows_anchor_at_start():
@@ -192,8 +195,9 @@ def test_prefix_windows_anchor_at_start():
     ds = chain_dataset(rng, [5, 3, 4])
     S, A = diffusion.prefix_windows(ds, T=4)
     # only trajectories 0 (len 5) and 2 (len 4) are long enough
-    assert S.shape == (2, 4, 2) and A.shape == (2, 4, 1)
-    assert np.array_equal(S[0], np.tile(ds.trajectories[0].states[0], (4, 1)))
+    assert S.shape == (2, 2) and A.shape == (2, 4, 1)
+    assert np.array_equal(S[0], ds.trajectories[0].states[0])
+    assert np.array_equal(S[1], ds.trajectories[2].states[0])
     assert np.array_equal(A[0], ds.trajectories[0].actions[:4])
     assert np.array_equal(A[1], ds.trajectories[2].actions[:4])
 
@@ -203,9 +207,9 @@ def test_sliding_windows_every_stride():
     ds = chain_dataset(rng, [6])
     S, A = diffusion.sliding_windows(ds, T=4, stride=2)
     # anchors 0 and 2 fit a length-4 window in a length-6 trajectory
-    assert S.shape == (2, 4, 2)
+    assert S.shape == (2, 2)
     tr = ds.trajectories[0]
-    assert np.array_equal(S[1], np.tile(tr.states[2], (4, 1)))
+    assert np.array_equal(S[1], tr.states[2])
     assert np.array_equal(A[1], tr.actions[2:6])
 
 
@@ -233,8 +237,8 @@ def test_make_ensemble_spec_validation():
     assert len(spec.seeds) == 3
 
 
-def _windows(rng, n, T=4, d_s=1):
-    return np.stack([diffusion.state_window(rng.standard_normal(d_s), T) for _ in range(n)])
+def _anchors(rng, n, d_s=1):
+    return rng.standard_normal((n, d_s))
 
 
 def test_sample_batch_matches_scalar_chain():
@@ -242,25 +246,28 @@ def test_sample_batch_matches_scalar_chain():
     policy = tiny_policy(rng, T=4, d_a=2, d_s=1, k=6)
     # above the chunk size, with repeated and negative seeds
     n = diffusion.SAMPLE_CHUNK + 5
-    windows = _windows(rng, n)
+    anchors = _anchors(rng, n)
     seeds = [int(x) for x in rng.integers(-50, 50, size=n)]
-    got = diffusion.sample_batch(policy, windows, seeds)
+    got = diffusion.sample_batch(policy, anchors, seeds)
     assert got.shape == (n, 4, 2)
-    assert np.array_equal(diffusion.sample(policy, windows, seeds), got)
+    assert np.array_equal(diffusion.sample(policy, anchors, seeds), got)
     for b in range(n):
-        want = oracles.reverse_chain(policy, windows[b], seeds[b])
+        want = oracles.reverse_chain(policy, anchors[b], seeds[b])
         assert np.max(np.abs(got[b] - want)) <= 1e-12
     # B = 1 is sample
-    assert np.max(np.abs(diffusion.sample(policy, windows[0], seeds[0]) - got[0])) <= 1e-12
-    assert np.max(np.abs(diffusion.sample(policy, windows[0], seeds[0])
-                         - oracles.reverse_chain(policy, windows[0], seeds[0]))) <= 1e-12
-    # one window and seed twice in a batch gives the same row
-    twice = diffusion.sample_batch(policy, windows[[3, 3]], [seeds[3], seeds[3]])
+    assert np.max(np.abs(diffusion.sample(policy, anchors[0], seeds[0]) - got[0])) <= 1e-12
+    assert np.max(np.abs(diffusion.sample(policy, anchors[0], seeds[0])
+                         - oracles.reverse_chain(policy, anchors[0], seeds[0]))) <= 1e-12
+    # one anchor and seed twice in a batch gives the same row
+    twice = diffusion.sample_batch(policy, anchors[[3, 3]], [seeds[3], seeds[3]])
     assert np.array_equal(twice[0], twice[1])
     with pytest.raises(ShapeError):
-        diffusion.sample_batch(policy, windows, seeds[:-1])
+        diffusion.sample_batch(policy, anchors, seeds[:-1])
     with pytest.raises(ShapeError):
-        diffusion.sample_batch(policy, windows[:, :3], seeds)
+        diffusion.sample_batch(policy, np.zeros((n, 2)), seeds)
+    # a stack of tiled windows is not a stack of anchors
+    with pytest.raises(ShapeError):
+        diffusion.sample_batch(policy, np.repeat(anchors[:, None], 4, axis=1), seeds)
 
 
 def test_sample_batch_chunking_is_fixed(monkeypatch):
@@ -268,46 +275,46 @@ def test_sample_batch_chunking_is_fixed(monkeypatch):
     # constant alone: the same call gives the same bytes
     rng = np.random.default_rng(16)
     policy = tiny_policy(rng, T=4, d_a=1, d_s=1)
-    windows = _windows(rng, 10)
+    anchors = _anchors(rng, 10)
     seeds = list(range(10))
     monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", 4)
-    a = diffusion.sample_batch(policy, windows, seeds)
-    assert np.array_equal(a, diffusion.sample_batch(policy, windows, seeds))
+    a = diffusion.sample_batch(policy, anchors, seeds)
+    assert np.array_equal(a, diffusion.sample_batch(policy, anchors, seeds))
     for b in range(10):
-        assert np.max(np.abs(a[b] - oracles.reverse_chain(policy, windows[b], b))) <= 1e-12
+        assert np.max(np.abs(a[b] - oracles.reverse_chain(policy, anchors[b], b))) <= 1e-12
 
 
 def test_ensemble_unguided_matches_sample_bitwise():
     rng = np.random.default_rng(11)
     policy = tiny_policy(rng, T=4, d_a=1, d_s=1)
-    windows = _windows(rng, 5)
+    anchors = _anchors(rng, 5)
     cfg = divergence.DivergenceConfig(tau=0.5, eta=0.0, guided_steps=10)
     spec = diffusion.make_ensemble_spec(3, 21, cfg)
-    outs = diffusion.sample_ensemble(policy, windows, spec)
+    outs = diffusion.sample_ensemble(policy, anchors, spec)
     assert outs.shape == (5, 3, 4, 1)
-    # guided_steps >= k: each member's chain runs batched over the windows
+    # guided_steps >= k: each member's chain runs batched over the anchors
     for i, seed in enumerate(spec.seeds):
-        assert np.array_equal(outs[:, i], diffusion.sample_batch(policy, windows, [seed] * 5))
+        assert np.array_equal(outs[:, i], diffusion.sample_batch(policy, anchors, [seed] * 5))
         for w in range(5):
-            want = diffusion.sample(policy, windows[w], seed)
+            want = diffusion.sample(policy, anchors[w], seed)
             assert np.max(np.abs(outs[w, i] - want)) <= 1e-12
 
 
 def test_ensemble_guidance_changes_later_members():
     rng = np.random.default_rng(12)
     policy = tiny_policy(rng, T=4, d_a=1, d_s=1)
-    windows = _windows(rng, 3)
+    anchors = _anchors(rng, 3)
     # an enormous tau keeps the gate open at every guided step
     cfg = divergence.DivergenceConfig(tau=1e6, eta=0.5, guided_steps=4)
     spec = diffusion.make_ensemble_spec(3, 21, cfg)
-    guided = diffusion.sample_ensemble(policy, windows, spec)
-    first = diffusion.sample_batch(policy, windows, [spec.seeds[0]] * 3)
+    guided = diffusion.sample_ensemble(policy, anchors, spec)
+    first = diffusion.sample_batch(policy, anchors, [spec.seeds[0]] * 3)
     assert np.array_equal(guided[:, 0], first)
     for w in range(3):
-        want = diffusion.sample(policy, windows[w], spec.seeds[0])
+        want = diffusion.sample(policy, anchors[w], spec.seeds[0])
         assert np.max(np.abs(guided[w, 0] - want)) <= 1e-12
     for i in (1, 2):
-        plain = diffusion.sample_batch(policy, windows, [spec.seeds[i]] * 3)
+        plain = diffusion.sample_batch(policy, anchors, [spec.seeds[i]] * 3)
         assert not np.any(np.all(guided[:, i] == plain, axis=(1, 2)))
 
 
@@ -315,24 +322,24 @@ def test_ensemble_guidance_changes_later_members():
 def test_ensemble_matches_scalar_guided_loop(monkeypatch, guided_steps):
     rng = np.random.default_rng(17)
     policy = tiny_policy(rng, T=4, d_a=2, d_s=1, k=6)
-    windows = _windows(rng, 7)
+    anchors = _anchors(rng, 7)
     # tau large enough that guidance fires on every member > 0
     cfg = divergence.DivergenceConfig(tau=50.0, eta=0.3, guided_steps=guided_steps)
     spec = diffusion.make_ensemble_spec(4, 5, cfg)
     monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", 3)
-    got = diffusion.sample_ensemble(policy, windows, spec)
+    got = diffusion.sample_ensemble(policy, anchors, spec)
     for w in range(7):
-        want = oracles.ensemble(policy, windows[w], spec)
+        want = oracles.ensemble(policy, anchors[w], spec)
         assert np.max(np.abs(got[w] - np.stack(want))) <= 1e-12
-    # the single-window call keeps its list of n sequences
-    single = diffusion.sample_ensemble(policy, windows[2], spec)
+    # the single-anchor call keeps its list of n sequences
+    single = diffusion.sample_ensemble(policy, anchors[2], spec)
     assert isinstance(single, list) and len(single) == 4
     assert np.max(np.abs(np.stack(single) - got[2])) <= 1e-12
     # unguided members agree with the plain chain
-    plain = diffusion.sample_ensemble(policy, windows, diffusion.EnsembleSpec(spec.seeds))
+    plain = diffusion.sample_ensemble(policy, anchors, diffusion.EnsembleSpec(spec.seeds))
     for w in range(7):
         for i, seed in enumerate(spec.seeds):
-            want = oracles.reverse_chain(policy, windows[w], seed)
+            want = oracles.reverse_chain(policy, anchors[w], seed)
             assert np.max(np.abs(plain[w, i] - want)) <= 1e-12
 
 
@@ -346,9 +353,8 @@ def test_policy_checkpoint_round_trip(tmp_path):
                           nets.get_params(policy.denoiser))
     assert np.array_equal(back.schedule.beta, policy.schedule.beta)
     assert (back.T, back.d_a, back.d_s) == (policy.T, policy.d_a, policy.d_s)
-    window = diffusion.state_window(np.zeros(2), 3)
-    assert np.array_equal(diffusion.sample(back, window, 5),
-                          diffusion.sample(policy, window, 5))
+    assert np.array_equal(diffusion.sample(back, np.zeros(2), 5),
+                          diffusion.sample(policy, np.zeros(2), 5))
 
 
 def test_policy_checkpoint_rejects_truncation(tmp_path):

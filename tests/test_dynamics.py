@@ -9,7 +9,7 @@ from uepo.errors import ConfigError, EmptyBatchError, ShapeError
 def random_batch(rng, n=8, d_s=3, d_a=2):
     return TransitionBatch(rng.standard_normal((n, d_s)),
                            rng.standard_normal((n, d_a)),
-                           rng.standard_normal((n, d_s)), "real")
+                           rng.standard_normal((n, d_s)))
 
 
 def test_transition_batch_validation():
@@ -18,9 +18,6 @@ def test_transition_batch_validation():
         TransitionBatch(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 2)))
     with pytest.raises(ShapeError):
         TransitionBatch(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        TransitionBatch(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 2)),
-                        "imagined")
     bad = rng.standard_normal((2, 2))
     bad[0, 0] = np.inf
     with pytest.raises(ConfigError):
@@ -172,7 +169,7 @@ def test_train_joint_reduces_pool_nll():
     s = rng.standard_normal((128, 2))
     a = rng.standard_normal((128, 1))
     s_next = s + 0.1 * np.concatenate([a, a], axis=1)
-    real = TransitionBatch(s, a, s_next, "real")
+    real = TransitionBatch(s, a, s_next)
     curve = dynamics.train_joint(m, real, None, 30, np.random.default_rng(8),
                                  batch_size=32, step_size=3e-3)
     assert len(curve) == 31
@@ -194,7 +191,7 @@ def test_train_joint_none_synthetic_matches_real_only_pool():
 def test_train_joint_uses_synthetic_rows():
     rng = np.random.default_rng(10)
     real = random_batch(rng, n=10, d_s=2, d_a=1)
-    syn = TransitionBatch(real.s + 5.0, real.a, real.s_next + 5.0, "synthetic")
+    syn = TransitionBatch(real.s + 5.0, real.a, real.s_next + 5.0)
     m1 = dynamics.make_dynamics(2, 1, [6], np.random.default_rng(1))
     m2 = dynamics.make_dynamics(2, 1, [6], np.random.default_rng(1))
     dynamics.train_joint(m1, real, None, 5, np.random.default_rng(2))

@@ -158,11 +158,10 @@ def test_distill_matches_reference_loop():
                                      hidden=(8,), epochs=3, batch_size=8,
                                      step_size=1e-2, mse_target=0.0)
 
-    windows = np.stack([diffusion.state_window(s, 4) for s in states])
-    targets = diffusion.sample_batch(policy, windows, [17] * 30)[:, 0]
+    targets = diffusion.sample_batch(policy, states, [17] * 30)[:, 0]
     # the batched targets agree with one-at-a-time sampling to 1e-12
     for s, target in zip(states, targets):
-        want = oracles.reverse_chain(policy, diffusion.state_window(s, 4), 17)[0]
+        want = oracles.reverse_chain(policy, s, 17)[0]
         assert np.max(np.abs(target - want)) <= 1e-12
     rng = np.random.default_rng(5)
     ref = finetune.make_head(2, 1, (8,), rng, policy.action_low, policy.action_high)
