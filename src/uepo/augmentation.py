@@ -19,7 +19,7 @@ from .datasets import Trajectory, TrajectoryDataset, initial_states, n_transitio
 from .diffusion import DiffusionPolicy, sample
 from .errors import ConfigError, EmptyBatchError, StarvationError
 
-DEFAULT_EPSILON = 0.05
+DEFAULT_EPSILON = 0.15
 DEFAULT_RATIO = 2.0
 MAX_RATIO = 3.0
 

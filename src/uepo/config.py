@@ -9,10 +9,11 @@ with defaults.
 import dataclasses
 import hashlib
 
-from . import augmentation, diffusion
+from . import augmentation, diffusion, finetune
 from .errors import ConfigError
 
 _ENV_NAMES = ("point_mass", "pendulum")
+_PPO = finetune.PpoConfig()  # the library's PPO defaults
 
 
 def _parse_bool(text: str) -> bool:
@@ -81,10 +82,10 @@ SCHEMA = {
                            "probability of the first scripted mode"),
     "env.coverage_gap": _Field(_parse_bool, False, lambda v: True,
                                "also write the withheld-region split"),
-    "diffusion.k": _Field(int, 50, _positive("diffusion.k"), "denoising steps"),
-    "diffusion.beta_min": _Field(float, 1e-4, _positive("diffusion.beta_min"),
+    "diffusion.k": _Field(int, diffusion.DEFAULT_K, _positive("diffusion.k"), "denoising steps"),
+    "diffusion.beta_min": _Field(float, diffusion.DEFAULT_BETA_MIN, _positive("diffusion.beta_min"),
                                  "noise schedule start"),
-    "diffusion.beta_max": _Field(float, 0.02, _positive("diffusion.beta_max"),
+    "diffusion.beta_max": _Field(float, diffusion.DEFAULT_BETA_MAX, _positive("diffusion.beta_max"),
                                  "noise schedule end"),
     "diffusion.T": _Field(int, 12, lambda v: v >= 3 or _fail(
         "diffusion.T must be >= 3"), "action sequence length"),
@@ -112,9 +113,10 @@ SCHEMA = {
                                     "denoising steps with guidance active"),
     "ensemble.n_states": _Field(int, 5, _positive("ensemble.n_states"),
                                 "initial states sampled by sample-ensemble"),
-    "filter.epsilon": _Field(float, 0.15, _positive("filter.epsilon"),
+    "filter.epsilon": _Field(float, augmentation.DEFAULT_EPSILON, _positive("filter.epsilon"),
                              "KL acceptance threshold"),
-    "filter.ratio": _Field(float, 2.0, lambda v: augmentation.FilterConfig(ratio=v),
+    "filter.ratio": _Field(float, augmentation.DEFAULT_RATIO,
+                           lambda v: augmentation.FilterConfig(ratio=v),
                            "synthetic-to-real transition ratio"),
     "filter.max_attempts": _Field(int, 0, _non_negative("filter.max_attempts"),
                                   "rollout budget; 0 uses the library default"),
@@ -136,21 +138,21 @@ SCHEMA = {
                            "states distilled over"),
     "distill.epochs": _Field(int, 400, _positive("distill.epochs"),
                              "distillation epochs"),
-    "ppo.clip_ratio": _Field(float, 0.2, lambda v: 0.0 < v < 1.0 or _fail(
+    "ppo.clip_ratio": _Field(float, _PPO.clip_ratio, lambda v: 0.0 < v < 1.0 or _fail(
         f"ppo.clip_ratio must lie in (0, 1), got {v}"), "PPO clip range"),
-    "ppo.discount": _Field(float, 0.99, lambda v: 0.0 < v <= 1.0 or _fail(
+    "ppo.discount": _Field(float, _PPO.discount, lambda v: 0.0 < v <= 1.0 or _fail(
         f"ppo.discount must lie in (0, 1], got {v}"), "return discount"),
-    "ppo.gae_lambda": _Field(float, 0.95, _unit_interval("ppo.gae_lambda"),
+    "ppo.gae_lambda": _Field(float, _PPO.gae_lambda, _unit_interval("ppo.gae_lambda"),
                              "advantage estimator lambda"),
-    "ppo.epochs_per_batch": _Field(int, 10, _positive("ppo.epochs_per_batch"),
+    "ppo.epochs_per_batch": _Field(int, _PPO.epochs_per_batch, _positive("ppo.epochs_per_batch"),
                                    "gradient epochs per batch"),
-    "ppo.batch_episodes": _Field(int, 16, _positive("ppo.batch_episodes"),
+    "ppo.batch_episodes": _Field(int, _PPO.batch_episodes, _positive("ppo.batch_episodes"),
                                  "episodes collected per iteration"),
     "ppo.iterations": _Field(int, 10, _positive("ppo.iterations"),
                              "fine-tuning iterations"),
-    "ppo.step_size": _Field(float, 3e-4, _positive("ppo.step_size"),
+    "ppo.step_size": _Field(float, _PPO.step_size, _positive("ppo.step_size"),
                             "policy Adam step size"),
-    "ppo.value_step_size": _Field(float, 1e-3, _positive("ppo.value_step_size"),
+    "ppo.value_step_size": _Field(float, _PPO.value_step_size, _positive("ppo.value_step_size"),
                                   "value net Adam step size"),
     "eval.episodes": _Field(int, 20, _positive("eval.episodes"),
                             "episodes evaluated"),

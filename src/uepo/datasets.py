@@ -147,20 +147,27 @@ def load_dataset(path: str) -> TrajectoryDataset:
         lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    if header.get("format") != FORMAT_TAG:
-        raise ConfigError(f"{path}: not a {FORMAT_TAG} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise ConfigError(f"{path}: unsupported version {header.get('version')}")
-    meta = {k: v for k, v in header.items() if k not in ("format", "version")}
-    d_s, d_a = int(meta["d_s"]), int(meta["d_a"])
-    trajs = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        states = np.asarray(rec["states"], dtype=float).reshape(-1, d_s)
-        actions = np.asarray(rec["actions"], dtype=float).reshape(-1, d_a)
-        nxt = np.asarray(rec["next_states"], dtype=float).reshape(-1, d_s)
-        rewards = None if rec["rewards"] is None else np.asarray(rec["rewards"], dtype=float)
-        mode = rec["mode"] if rec["mode"] is None else int(rec["mode"])
-        trajs.append(Trajectory(states, actions, nxt, rewards, int(rec["seed"]), mode))
+    where = "header"
+    try:
+        header = json.loads(lines[0])
+        if header.get("format") != FORMAT_TAG:
+            raise ConfigError(f"{path}: not a {FORMAT_TAG} file")
+        if header.get("version") != FORMAT_VERSION:
+            raise ConfigError(f"{path}: unsupported version {header.get('version')}")
+        meta = {k: v for k, v in header.items() if k not in ("format", "version")}
+        d_s, d_a = int(meta["d_s"]), int(meta["d_a"])
+        trajs = []
+        for n, ln in enumerate(lines[1:], start=1):
+            where = f"record {n}"
+            rec = json.loads(ln)
+            states = np.asarray(rec["states"], dtype=float).reshape(-1, d_s)
+            actions = np.asarray(rec["actions"], dtype=float).reshape(-1, d_a)
+            nxt = np.asarray(rec["next_states"], dtype=float).reshape(-1, d_s)
+            rewards = None if rec["rewards"] is None else np.asarray(rec["rewards"], dtype=float)
+            mode = rec["mode"] if rec["mode"] is None else int(rec["mode"])
+            trajs.append(Trajectory(states, actions, nxt, rewards, int(rec["seed"]), mode))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {where} is not JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {where} has no key {exc}") from exc
     return TrajectoryDataset(trajs, meta)

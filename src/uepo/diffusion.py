@@ -1,16 +1,16 @@
 """State-conditional denoising diffusion over whole action sequences.
 
 A policy here is a distribution over (T, d_a) action matrices
-conditioned on one (d_s,) anchor state. Only the anchor is known at
-generation time, so the denoiser sees it tiled T times into a (T, d_s)
-window; callers pass anchors, and the tiling happens here alone. The
-low-level denoiser functions (``predict_eps``, ``reverse_mean``,
-``reverse_step``, ``denoising_loss``) take the tiled windows. Training
-fits an MLP denoiser to predict the injected noise; sampling runs the
-ancestral reverse chain from seeded Gaussian noise, so each seed
-deterministically picks out one behavior. An ensemble of sub-policies is
-just one trained model sampled under n distinct seeds, optionally
-steered apart by the divergence module while the chain runs.
+conditioned on one (d_s,) anchor state. Every function takes a (B, d_s)
+stack of anchors with a (B, T, d_a) stack of sequences; only
+:func:`sample` and :func:`sample_ensemble` also take one anchor alone.
+The denoiser's input row is [flattened actions | anchor repeated T times
+| time embedding], written by one helper for sampling and training.
+Training fits an MLP denoiser to predict the injected noise; sampling
+runs the ancestral reverse chain from seeded Gaussian noise, so each
+seed deterministically picks out one behavior. An ensemble of
+sub-policies is just one trained model sampled under n distinct seeds,
+optionally steered apart by the divergence module while the chain runs.
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ def schedule_from_beta(beta: np.ndarray) -> NoiseSchedule:
 class DiffusionPolicy:
     """Denoiser MLP plus schedule and sequence dimensions.
 
-    The denoiser maps [flattened noisy actions | flattened state window |
-    time embedding] to the predicted noise, where the window is the
-    anchor state tiled T times, so its input width must be
-    T*d_a + T*d_s + EMB_DIM and its output width T*d_a. Sampled actions
-    are clipped to [action_low, action_high] after the final step.
+    The denoiser maps [flattened noisy actions | anchor state repeated T
+    times | time embedding] to the predicted noise, so its input width
+    must be T*d_a + T*d_s + EMB_DIM and its output width T*d_a. Sampled
+    actions are clipped to [action_low, action_high] after the final step.
     """
 
     denoiser: nets.Mlp
@@ -107,27 +106,30 @@ def make_policy(T: int, d_a: int, d_s: int, hidden, rng: np.random.Generator,
     return DiffusionPolicy(net, schedule, T, d_a, d_s, action_low, action_high)
 
 
-def _check_seq(policy: DiffusionPolicy, a: np.ndarray, s: np.ndarray):
-    """One (T, d_a) sequence with its (T, d_s) window, or a (B, T, d_a)
-    stack with a (B, T, d_s) stack of windows."""
-    if a.ndim not in (2, 3) or a.shape[-2:] != (policy.T, policy.d_a):
-        raise ShapeError(f"action sequence shape {a.shape} does not end in "
-                         f"{(policy.T, policy.d_a)}")
-    if s.shape != a.shape[:-1] + (policy.d_s,):
-        raise ShapeError(f"state window shape {s.shape} does not match sequence shape "
-                         f"{a.shape} with d_s = {policy.d_s}")
-
-
-def _check_anchors(policy: DiffusionPolicy, anchors) -> np.ndarray:
+def _check_anchors(policy: DiffusionPolicy, anchors, a: np.ndarray | None = None) -> np.ndarray:
+    """A (B, d_s) anchor stack, with its (B, T, d_a) sequence stack when given."""
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 2 or anchors.shape[1] != policy.d_s:
         raise ShapeError(f"anchor stack shape {anchors.shape} != (B, {policy.d_s})")
+    if a is not None and a.shape != (len(anchors), policy.T, policy.d_a):
+        raise ShapeError(f"sequence stack shape {a.shape} != "
+                         f"{(len(anchors), policy.T, policy.d_a)} for {len(anchors)} anchors")
     return anchors
 
 
-def _tile(policy: DiffusionPolicy, anchors: np.ndarray) -> np.ndarray:
-    # the denoiser's (B, T, d_s) window block: each anchor repeated T times
-    return np.broadcast_to(anchors[:, None, :], (len(anchors), policy.T, policy.d_s))
+def _denoiser_input(policy: DiffusionPolicy, a: np.ndarray, anchors: np.ndarray,
+                    emb: np.ndarray) -> np.ndarray:
+    """The denoiser's (B, in_width) rows: [flattened actions | anchor repeated
+    T times | time embedding]. ``emb`` is one embedding for every row or one
+    per row. The anchors are broadcast straight into the rows, so no tiled
+    copy of them is made."""
+    batch, n_a = len(a), policy.T * policy.d_a
+    x = np.empty((batch, policy.denoiser.in_width))
+    x[:, :n_a] = a.reshape(batch, n_a)
+    # splitting the contiguous column block into (T, d_s) is a view of x
+    x[:, n_a:-EMB_DIM].reshape(batch, policy.T, policy.d_s)[:] = anchors[:, None, :]
+    x[:, -EMB_DIM:] = emb
+    return x
 
 
 def prefix_windows(ds, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,50 +177,39 @@ def q_sample(a0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> n
     return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
 
 
-def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
-    """Denoiser's noise estimate at step t, shaped like ``a_t``: one noisy
-    sequence with its window, or a (B, T, d_a) stack in one forward pass."""
+def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray,
+                t: int) -> np.ndarray:
+    """Denoiser's noise estimate at step t for a (B, T, d_a) stack of noisy
+    sequences at their (B, d_s) anchors, in one forward pass."""
     a_t = np.asarray(a_t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_seq(policy, a_t, s)
+    anchors = _check_anchors(policy, anchors, a_t)
     if not 0 <= t <= policy.schedule.k:
         raise ConfigError(f"step index {t} outside [0, {policy.schedule.k}]")
-    n_a, n_s = policy.T * policy.d_a, policy.T * policy.d_s
-    x = np.empty((a_t.size // n_a, policy.denoiser.in_width))
-    x[:, :n_a] = a_t.reshape(-1, n_a)
-    x[:, n_a:n_a + n_s] = s.reshape(-1, n_s)
-    x[:, n_a + n_s:] = policy.emb_table[t]
+    x = _denoiser_input(policy, a_t, anchors, policy.emb_table[t])
     return nets.forward(policy.denoiser, x).reshape(a_t.shape)
 
 
-def denoising_loss(policy: DiffusionPolicy, states: np.ndarray, actions: np.ndarray,
+def denoising_loss(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.ndarray,
                    rng: np.random.Generator,
                    ws: nets.Workspace | None = None) -> tuple[float, np.ndarray]:
     """Noise-prediction MSE on a batch plus its parameter gradient.
 
-    ``states`` is (B, T, d_s) and ``actions`` (B, T, d_a). For each
+    ``anchors`` is (B, d_s) and ``actions`` (B, T, d_a). For each
     example one step index is drawn uniformly and one noise matrix is
     injected (indices first, then noise, so runs reproduce); the loss
     averages squared prediction error over batch and elements. The
     gradient is ``ws.grad`` when a workspace is given.
     """
-    states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
-    if states.ndim != 3 or states.shape[0] == 0:
-        raise EmptyBatchError(f"need a non-empty (B, T, d_s) state batch, got {states.shape}")
-    batch = states.shape[0]
-    if actions.shape != (batch, policy.T, policy.d_a) or states.shape[1:] != (policy.T, policy.d_s):
-        raise ShapeError(
-            f"batch shapes {states.shape}, {actions.shape} do not match policy dims"
-        )
+    anchors = _check_anchors(policy, anchors, actions)
+    batch = len(anchors)
+    if batch == 0:
+        raise EmptyBatchError("need a non-empty batch of anchors")
     t_idx = rng.integers(0, policy.schedule.k, size=batch)
     eps = rng.standard_normal(actions.shape)
     ab = policy.schedule.alpha_bar[t_idx][:, None, None]
     noisy = np.sqrt(ab) * actions + np.sqrt(1.0 - ab) * eps
-
-    x = np.concatenate(
-        [noisy.reshape(batch, -1), states.reshape(batch, -1), policy.emb_table[t_idx]], axis=1
-    )
+    x = _denoiser_input(policy, noisy, anchors, policy.emb_table[t_idx])
     acts = nets.forward_activations(policy.denoiser, x, ws)
     resid = acts[-1] - eps.reshape(batch, -1)
     n_elem = batch * policy.T * policy.d_a
@@ -231,8 +222,7 @@ def train_denoiser(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.nda
                    steps: int, batch_size: int, step_size: float,
                    rng: np.random.Generator) -> list[float]:
     """Minibatch Adam on the denoising loss over (N, d_s) anchors and their
-    (N, T, d_a) action sequences; returns the per-step losses. Each
-    minibatch's anchors are tiled into windows for :func:`denoising_loss`."""
+    (N, T, d_a) action sequences; returns the per-step losses."""
     anchors = _check_anchors(policy, anchors)
     actions = np.asarray(actions, dtype=float)
     if len(anchors) == 0:
@@ -243,30 +233,32 @@ def train_denoiser(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.nda
     ws = nets.Workspace(policy.denoiser, min(batch_size, n))
     for _ in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
-        loss, grad = denoising_loss(policy, _tile(policy, anchors[idx]), actions[idx], rng, ws)
+        loss, grad = denoising_loss(policy, anchors[idx], actions[idx], rng, ws)
         nets.optimizer_step(opt, policy.denoiser.params, grad)
         losses.append(loss)
     return losses
 
 
-def reverse_mean(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
-    """Posterior mean of one denoising step, for one sequence or a stack:
+def reverse_mean(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray,
+                 t: int) -> np.ndarray:
+    """Posterior mean of one denoising step for a (B, T, d_a) stack at its
+    (B, d_s) anchors:
     (a_t - beta[t]/sqrt(1 - alpha_bar[t]) * eps_pred) / sqrt(alpha[t])."""
     a_t = np.asarray(a_t, dtype=float)
     sched = policy.schedule
     if not 0 <= t < sched.k:
         raise ConfigError(f"step index {t} outside [0, {sched.k})")
-    eps_pred = predict_eps(policy, a_t, s, t)
+    eps_pred = predict_eps(policy, a_t, anchors, t)
     coef = sched.beta[t] / np.sqrt(1.0 - sched.alpha_bar[t])
     return (a_t - coef * eps_pred) / np.sqrt(sched.alpha[t])
 
 
-def reverse_step(policy: DiffusionPolicy, a_t: np.ndarray, s: np.ndarray, t: int,
+def reverse_step(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray, t: int,
                  z: np.ndarray | None) -> np.ndarray:
     """One ancestral denoising step: the posterior mean plus
     sqrt(beta[t]) * z for t > 0, where z is a standard-normal draw shaped
     like ``a_t``; the final step t = 0 is noiseless and ignores z."""
-    mean = reverse_mean(policy, a_t, s, t)
+    mean = reverse_mean(policy, a_t, anchors, t)
     if t == 0:
         return mean
     if np.shape(z) != mean.shape:
@@ -290,54 +282,43 @@ def _seed_rng(seed: int) -> np.random.Generator:
 def _unguided_chain(policy: DiffusionPolicy, anchors: np.ndarray, rngs, t_last: int) -> np.ndarray:
     """Initial draw and reverse steps k-1 down to t_last for every row.
 
-    Rows run in chunks of SAMPLE_CHUNK, each chunk's anchors tiled once.
-    Each row's noise is one bulk draw from its own generator, which
-    yields the same numbers in the same order as drawing them step by step.
+    Rows run in chunks of SAMPLE_CHUNK. Each row's noise is one bulk draw
+    from its own generator, which yields the same numbers in the same
+    order as drawing them step by step.
     """
     k = policy.schedule.k
     n_draws = 1 + k - max(t_last, 1)
     a = np.empty((len(rngs), policy.T, policy.d_a))
     for lo in range(0, len(rngs), SAMPLE_CHUNK):
         rows = slice(lo, lo + SAMPLE_CHUNK)
-        windows = _tile(policy, anchors[rows])
         z = np.stack([rng.standard_normal((n_draws, policy.T, policy.d_a))
                       for rng in rngs[rows]])
         a_c = z[:, 0]
         for j, t in enumerate(range(k - 1, t_last - 1, -1), start=1):
-            a_c = reverse_step(policy, a_c, windows, t, z[:, j] if t > 0 else None)
+            a_c = reverse_step(policy, a_c, anchors[rows], t, z[:, j] if t > 0 else None)
         a[rows] = a_c
     return a
-
-
-def sample_batch(policy: DiffusionPolicy, anchors: np.ndarray, seeds) -> np.ndarray:
-    """Draw one action sequence per (anchor, seed) row: (B, d_s) -> (B, T, d_a).
-
-    Row b is a pure function of (parameters, anchors[b], seeds[b]) and of
-    its place in the fixed chunking, so the same inputs give the same bytes. It agrees
-    with the same row sampled alone (B = 1) to 1e-12, not bit for bit:
-    the denoiser's matrix products round differently at other batch sizes.
-    """
-    anchors = _check_anchors(policy, anchors)
-    seeds = list(seeds)
-    if len(seeds) != len(anchors):
-        raise ShapeError(f"{len(seeds)} seeds for {len(anchors)} anchors")
-    a = _unguided_chain(policy, anchors, [_seed_rng(seed) for seed in seeds], 0)
-    return np.clip(a, policy.action_low, policy.action_high)
 
 
 def sample(policy: DiffusionPolicy, s: np.ndarray, seed) -> np.ndarray:
     """Draw action sequences; a pure function of (parameters, s, seed).
 
-    One (d_s,) anchor with one seed gives one (T, d_a) sequence: a B = 1
-    call to :func:`sample_batch`, so it agrees with the same row of a
-    larger batch to 1e-12. A (B, d_s) stack with one seed per anchor is
-    passed to :func:`sample_batch` as is: augmentation, selection and
-    distillation sample through this form.
+    One (d_s,) anchor with one seed gives one (T, d_a) sequence; a
+    (B, d_s) stack with one seed per anchor gives a (B, T, d_a) stack.
+    Row b is a pure function of (parameters, s[b], seed[b]) and of its
+    place in the fixed chunking, so the same inputs give the same bytes.
+    It agrees with the same row sampled alone to 1e-12, not bit for bit:
+    the denoiser's matrix products round differently at other batch sizes.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim == 1:
-        return sample_batch(policy, s[None], [seed])[0]
-    return sample_batch(policy, s, seed)
+    single = s.ndim == 1
+    anchors = _check_anchors(policy, s[None] if single else s)
+    seeds = [seed] if single else list(seed)
+    if len(seeds) != len(anchors):
+        raise ShapeError(f"{len(seeds)} seeds for {len(anchors)} anchors")
+    a = _unguided_chain(policy, anchors, [_seed_rng(x) for x in seeds], 0)
+    a = np.clip(a, policy.action_low, policy.action_high)
+    return a[0] if single else a
 
 
 @dataclass(frozen=True)
@@ -387,7 +368,7 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
     Guidance that never fires (eta = 0, or all divergences at or above
     tau) consumes no random draws, so those outputs agree with
     :func:`sample` to 1e-12. With guided_steps >= k, member i's whole
-    chain is sample_batch(policy, anchors, [seed_i] * N), bit for bit.
+    chain is sample(policy, anchors, [seed_i] * N), bit for bit.
     The same inputs give the same bytes.
     """
     s = np.asarray(s, dtype=float)
@@ -401,7 +382,6 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
     rngs = [_seed_rng(seed) for _ in range(n_states) for seed in spec.seeds]
     a = _unguided_chain(policy, np.repeat(anchors, n, axis=0), rngs, g)
     a = a.reshape(n_states, n, policy.T, policy.d_a)
-    windows = _tile(policy, anchors)
     for i in range(n):
         member_rngs = rngs[i::n]
         a_i = a[:, i]
@@ -415,7 +395,7 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
                 z = np.stack([rng.standard_normal((policy.T, policy.d_a)) for rng in member_rngs])
             for lo in range(0, n_states, SAMPLE_CHUNK):
                 rows = slice(lo, lo + SAMPLE_CHUNK)
-                a_i[rows] = reverse_step(policy, a_i[rows], windows[rows], t,
+                a_i[rows] = reverse_step(policy, a_i[rows], anchors[rows], t,
                                          None if z is None else z[rows])
         a[:, i] = np.clip(a_i, policy.action_low, policy.action_high)
     return a

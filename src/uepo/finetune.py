@@ -137,9 +137,9 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
     only through the start-state draw and one model-noise stream shared
     by every sub-policy (common random numbers). Every rollout's
     start state and noise are drawn first, in rollout order; then all
-    rollouts x sub-policies plans come from one :func:`diffusion.sample_batch`
-    call and step through the model together, so ``reward_fn`` gets
-    (rows, d) stacks. The same inputs give the same bytes, and the scores
+    rollouts x sub-policies plans come from one :func:`diffusion.sample`
+    call on the stack of start states and step through the model
+    together, so ``reward_fn`` gets (rows, d) stacks. The same inputs give the same bytes, and the scores
     agree with plans sampled and stepped one at a time to 1e-12. Returns
     (argmax index, per-sub-policy mean returns).
     """
@@ -179,8 +179,8 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     The sub-policy is the deterministic fixed-seed sampler, so every
     pool state gets the target sample(policy, s, seed)[0]; the
     shared seed is what keeps targets mode-consistent at ambiguous
-    states. All targets come from one :func:`diffusion.sample_batch`
-    call: the same inputs give the same bytes, and the targets agree
+    states. All targets come from one :func:`diffusion.sample` call on
+    the whole pool: the same inputs give the same bytes, and the targets agree
     with one-at-a-time samples to 1e-12. Stops early under mse_target;
     otherwise warns with the achieved value.
     """

@@ -355,10 +355,14 @@ def save_mlp(m: Mlp, path: str) -> None:
 
 
 def read_checkpoint(path: str) -> tuple[Mlp, int, bytes]:
-    """(net, offset past it, file bytes) of a checkpoint file, header checked."""
+    """(net, offset past it, file bytes) of a checkpoint file, header checked.
+    A bad header or a file cut short raises ConfigError naming the path."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    return (*read_mlp_block(buf, check_file_header(buf)), buf)
+    try:
+        return (*read_mlp_block(buf, check_file_header(buf)), buf)
+    except (struct.error, ValueError) as exc:  # ValueError includes ConfigError
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_mlp(path: str) -> Mlp:

@@ -2,9 +2,11 @@
 
 Each sub-policy i is scored by J_i = E[log p_i(a|s)] plus alpha times a
 log-ratio penalty against the per-example best sub-policy,
-E[log p_i - max_j log p_j]. Sequence log-likelihoods are approximated by
-the product of reverse-transition Gaussian densities along one fixed
-noising path, shared across sub-policies so the comparison is paired.
+E[log p_i - max_j log p_j], over examples of a (d_s,) anchor state s
+and a (T, d_a) action sequence a. Sequence log-likelihoods are
+approximated by the product of reverse-transition Gaussian densities
+along one fixed noising path per example, shared across sub-policies so
+the comparison is paired; a batch is scored as one stack per step.
 
 A positive alpha rewards whichever sub-policy already dominates each
 example and penalizes the rest, concentrating mass rather than spreading
@@ -60,30 +62,30 @@ def noising_path(a: np.ndarray, path_noise: np.ndarray, sched: diffusion.NoiseSc
     return nodes
 
 
-def seq_log_prob(policy: diffusion.DiffusionPolicy, s: np.ndarray, a: np.ndarray,
-                 path_noise: np.ndarray) -> float:
-    """log of the product of reverse Markov transition densities along one path.
+def seq_log_prob(policy: diffusion.DiffusionPolicy, anchors: np.ndarray, a: np.ndarray,
+                 path_noise: np.ndarray) -> np.ndarray:
+    """log of the product of reverse Markov transition densities along one path,
+    for each of a (B, T, d_a) stack of sequences at its (B, d_s) anchors.
 
-    The action sequence is noised forward under the given increments;
-    each reverse transition from node t+1 down to node t is scored as a
-    Gaussian with the policy's posterior mean and variance beta[t]. The
-    t = 0 transition targets the clean sequence itself.
+    Sequence b is noised forward under its (k, T, d_a) increments
+    ``path_noise[b]``; each reverse transition from node t+1 down to node
+    t is scored as a Gaussian with the policy's posterior mean and
+    variance beta[t], one :func:`diffusion.reverse_mean` call per step for
+    the whole stack. The t = 0 transition targets the clean sequence
+    itself. Returns the (B,) log-probabilities.
     """
-    s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    if s.shape != (policy.T, policy.d_s):
-        raise ShapeError(f"state window shape {s.shape} != {(policy.T, policy.d_s)}")
-    if a.shape != (policy.T, policy.d_a):
-        raise ShapeError(f"action shape {a.shape} != {(policy.T, policy.d_a)}")
     sched = policy.schedule
-    nodes = noising_path(a, path_noise, sched)
+    # step-major (k, B, T, d_a) increments noise the whole stack at once
+    nodes = noising_path(a, np.moveaxis(np.asarray(path_noise, dtype=float), 0, 1), sched)
     dims = policy.T * policy.d_a
-    total = 0.0
+    total = np.zeros(len(a))
     for t in range(sched.k - 1, -1, -1):
-        mean = diffusion.reverse_mean(policy, nodes[t + 1], s, t)
+        mean = diffusion.reverse_mean(policy, nodes[t + 1], anchors, t)
         resid = nodes[t] - mean
         var = sched.beta[t]
-        total += -0.5 * dims * np.log(2.0 * np.pi * var) - float(np.sum(resid * resid)) / (2.0 * var)
+        total += (-0.5 * dims * np.log(2.0 * np.pi * var)
+                  - np.sum(resid * resid, axis=(1, 2)) / (2.0 * var))
     return total
 
 
@@ -100,32 +102,29 @@ def objective_from_log_probs(logps: np.ndarray, alpha: float) -> tuple[np.ndarra
     return logps.mean(axis=1) + alpha * penalties.mean(axis=1), penalties
 
 
-def ensemble_objective(policies, states: np.ndarray, actions: np.ndarray,
+def ensemble_objective(policies, anchors: np.ndarray, actions: np.ndarray,
                        cfg: ObjectiveConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-sub-policy objectives over a (s, a) batch.
 
-    states is (B, T, d_s) and actions (B, T, d_a); cfg.path_noise must
+    anchors is (B, d_s) and actions (B, T, d_a); cfg.path_noise must
     hold one (k, T, d_a) path per example, shared across sub-policies.
-    Returns (J, logps) with logps the (n, B) table; feed it back through
-    objective_from_log_probs to inspect the penalty matrix.
+    Each sub-policy scores the whole batch in one :func:`seq_log_prob`
+    call. Returns (J, logps) with logps the (n, B) table; feed it back
+    through objective_from_log_probs to inspect the penalty matrix.
     """
     policies = list(policies)
     if len(policies) < 1:
         raise ConfigError("need at least one sub-policy")
-    states = np.asarray(states, dtype=float)
-    actions = np.asarray(actions, dtype=float)
-    if states.ndim != 3 or states.shape[0] == 0:
-        raise EmptyBatchError(f"need a non-empty (B, T, d_s) state batch, got {states.shape}")
+    anchors = np.asarray(anchors, dtype=float)
+    if len(anchors) == 0:
+        raise EmptyBatchError("need a non-empty batch of anchors")
     ref = policies[0]
     if cfg.path_noise is None:
         raise ConfigError("cfg.path_noise is required; use draw_path_noise")
     noise = np.asarray(cfg.path_noise, dtype=float)
-    want = (states.shape[0], ref.schedule.k, ref.T, ref.d_a)
+    want = (len(anchors), ref.schedule.k, ref.T, ref.d_a)
     if noise.shape != want:
         raise ShapeError(f"path noise shape {noise.shape} != {want}")
-    logps = np.empty((len(policies), states.shape[0]))
-    for i, pol in enumerate(policies):
-        for b in range(states.shape[0]):
-            logps[i, b] = seq_log_prob(pol, states[b], actions[b], noise[b])
+    logps = np.stack([seq_log_prob(pol, anchors, actions, noise) for pol in policies])
     J, _ = objective_from_log_probs(logps, cfg.alpha)
     return J, logps

@@ -19,17 +19,16 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 def reverse_chain(policy, s0, seed, predecessors=(), cfg=None):
     """One sequence from the seeded ancestral chain at anchor state s0,
-    which is tiled into the (T, d_s) window here, independently of the
-    library. With predecessors, each of the last cfg.guided_steps steps is
-    first guided away from them."""
-    s = np.tile(np.asarray(s0, dtype=float), (policy.T, 1))
+    each reverse step a stack of one. With predecessors, each of the last
+    cfg.guided_steps steps is first guided away from them."""
+    s = np.asarray(s0, dtype=float)[None]
     rng = np.random.default_rng(int(seed) & _U64)
     a = rng.standard_normal((policy.T, policy.d_a))
     for t in range(policy.schedule.k - 1, -1, -1):
         if predecessors and t < cfg.guided_steps:
             a = divergence.guide(a, predecessors, cfg, rng)
-        z = rng.standard_normal(a.shape) if t > 0 else None
-        a = diffusion.reverse_step(policy, a, s, t, z)
+        z = rng.standard_normal((1,) + a.shape) if t > 0 else None
+        a = diffusion.reverse_step(policy, a[None], s, t, z)[0]
     return np.clip(a, policy.action_low, policy.action_high)
 
 

@@ -114,13 +114,13 @@ def test_03_gradient_suite():
 
     pol = diffusion.make_policy(3, 1, 1, [6], rng,
                                 schedule=diffusion.make_linear_schedule(4, 1e-4, 0.2))
-    states = rng.standard_normal((5, 3, 1))
+    anchors = rng.standard_normal((5, 3, 1))[:, 0]
     actions = rng.standard_normal((5, 3, 1))
-    _, g = diffusion.denoising_loss(pol, states, actions, np.random.default_rng(99))
+    _, g = diffusion.denoising_loss(pol, anchors, actions, np.random.default_rng(99))
 
     def denoiser_loss(p):
         nets.set_params(pol.denoiser, p)
-        val, _ = diffusion.denoising_loss(pol, states, actions, np.random.default_rng(99))
+        val, _ = diffusion.denoising_loss(pol, anchors, actions, np.random.default_rng(99))
         return val
 
     base = nets.get_params(pol.denoiser)
@@ -310,11 +310,11 @@ def test_08_objective_structure():
     pols = [diffusion.make_policy(4, 1, 2, [10], np.random.default_rng(s), schedule=sched)
             for s in (0, 1, 2)]
     n_examples = 6
-    states = rng.standard_normal((n_examples, 4, 2))
+    anchors = rng.standard_normal((n_examples, 4, 2))[:, 0]
     actions = rng.standard_normal((n_examples, 4, 1))
     noise = objective.draw_path_noise(6, 4, 1, n_examples, rng)
     cfg = objective.ObjectiveConfig(alpha=0.3, path_noise=noise)
-    _, logps = objective.ensemble_objective(pols, states, actions, cfg)
+    _, logps = objective.ensemble_objective(pols, anchors, actions, cfg)
     _, penalties = objective.objective_from_log_probs(logps, 0.3)
     nonpos = bool(np.all(penalties <= 0.0))
     argmax_zero = all(penalties[int(np.argmax(logps[:, b])), b] == 0.0

@@ -3,6 +3,7 @@ integrity, rerun determinism, and the exit-code contract of main()."""
 
 import fcntl
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -350,6 +351,47 @@ def test_augmented_data_of_another_env_is_exit_1(tmp_path, capsys):
     assert cli.main(["train-dynamics", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert "augmented.jsonl" in err and "point_mass" in err and "pendulum" in err
+
+
+def _drop_d_s(path):
+    header, rest = path.read_text().split("\n", 1)
+    meta = json.loads(header)
+    del meta["d_s"]
+    path.write_text(json.dumps(meta) + "\n" + rest)
+
+
+def _break_line(path):
+    lines = path.read_text().split("\n")
+    lines[2] = lines[2][:40]
+    path.write_text("\n".join(lines))
+
+
+def _cut(path):
+    path.write_bytes(path.read_bytes()[:300])
+
+
+def _bad_magic(path):
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
+@pytest.mark.parametrize("name, spoil, stage, detail", [
+    ("dataset.jsonl", _drop_d_s, "train-diffusion", "'d_s'"),
+    ("dataset.jsonl", _break_line, "train-diffusion", "record 2 is not JSON"),
+    ("policy.bin", _cut, "sample-ensemble", "buffer"),
+    ("policy.bin", _bad_magic, "sample-ensemble", "bad magic"),
+], ids=["header-without-d_s", "non-json-line", "cut-checkpoint", "bad-magic"])
+def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil, stage,
+                                                  detail):
+    out = tmp_path / "o"
+    cfg_path = _write_cfg(tmp_path, f"env.n_traj = 4\ndiffusion.widths = 8\n"
+                                    f"diffusion.train_steps = 1\nout = {out}\n")
+    for earlier in cli.STAGES[:cli.STAGES.index(stage)]:
+        assert cli.main([earlier, "--config", cfg_path]) == 0
+    spoil(out / name)
+    capsys.readouterr()
+    assert cli.main([stage, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert str(out / name) in err and detail in err, err
 
 
 def test_only_train_dynamics_computes_the_pool_nll_curve(tmp_path, monkeypatch):

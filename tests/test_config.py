@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from uepo import finetune
+from uepo import augmentation, diffusion, finetune
 from uepo.config import RunConfig, SCHEMA, load_config, parse_config
 from uepo.errors import ConfigError
 
@@ -23,6 +23,18 @@ def test_every_schema_default_passes_its_own_check():
     cfg = RunConfig({})
     for key in SCHEMA:
         assert cfg[key] == SCHEMA[key].default
+
+
+def test_defaults_agree_with_the_library():
+    cfg = RunConfig({})
+    fcfg = augmentation.FilterConfig()
+    assert (cfg["filter.epsilon"], cfg["filter.ratio"]) == (fcfg.epsilon, fcfg.ratio)
+    assert (cfg["diffusion.k"], cfg["diffusion.beta_min"], cfg["diffusion.beta_max"]) == (
+        diffusion.DEFAULT_K, diffusion.DEFAULT_BETA_MIN, diffusion.DEFAULT_BETA_MAX)
+    ppo = finetune.PpoConfig()
+    for key in ("clip_ratio", "discount", "gae_lambda", "epochs_per_batch",
+                "batch_episodes", "step_size", "value_step_size"):
+        assert cfg[f"ppo.{key}"] == getattr(ppo, key), key
 
 
 def test_parse_basic_assignments_and_comments():

@@ -57,26 +57,70 @@ def test_q_sample_formula():
 
 
 def test_predict_eps_input_layout():
+    # each row is [flattened actions | anchor tiled T times | embedding],
+    # built here row by row with np.tile, independently of the library
     rng = np.random.default_rng(1)
     policy = tiny_policy(rng, T=3, d_a=2, d_s=2)
-    a_t = rng.standard_normal((3, 2))
-    s = rng.standard_normal((3, 2))
+    a_t = rng.standard_normal((2, 3, 2))
+    anchors = rng.standard_normal((2, 2))
     t = 2
     emb = nets.time_embedding(t, policy.schedule.k, diffusion.EMB_DIM)
-    x = np.concatenate([a_t.ravel(), s.ravel(), emb])
-    want = nets.forward(policy.denoiser, x).reshape(3, 2)
-    assert np.allclose(diffusion.predict_eps(policy, a_t, s, t), want, atol=1e-14)
+    x = np.stack([np.concatenate([a.ravel(), np.tile(s0, 3), emb])
+                  for a, s0 in zip(a_t, anchors)])
+    want = nets.forward(policy.denoiser, x).reshape(2, 3, 2)
+    assert np.allclose(diffusion.predict_eps(policy, a_t, anchors, t), want, atol=1e-14)
     # the embedding table would wrap a negative index silently
     for bad in (-1, policy.schedule.k + 1):
         with pytest.raises(ConfigError):
-            diffusion.predict_eps(policy, a_t, s, bad)
+            diffusion.predict_eps(policy, a_t, anchors, bad)
+
+
+def test_denoising_loss_feeds_the_predict_eps_row(monkeypatch):
+    # training and sampling give the denoiser the same row for the same
+    # (noisy actions, anchor, t)
+    rng = np.random.default_rng(18)
+    policy = tiny_policy(rng, T=3, d_a=2, d_s=2)
+    anchors = rng.standard_normal((4, 2))
+    actions = rng.standard_normal((4, 3, 2))
+    seen = []
+    real = nets.forward_activations
+    monkeypatch.setattr(nets, "forward_activations",
+                        lambda m, x, ws=None: seen.append(x.copy()) or real(m, x, ws))
+    diffusion.denoising_loss(policy, anchors, actions, np.random.default_rng(5))
+    draws = np.random.default_rng(5)
+    t_idx = draws.integers(0, policy.schedule.k, size=4)
+    eps = draws.standard_normal(actions.shape)
+    for b, t in enumerate(t_idx):
+        noisy = diffusion.q_sample(actions[b], t, eps[b], policy.schedule)
+        diffusion.predict_eps(policy, noisy[None], anchors[b:b + 1], t)
+        assert np.array_equal(seen[-1][0], seen[0][b])
+
+
+@pytest.mark.parametrize("fn", ["predict_eps", "reverse_mean", "reverse_step",
+                                "denoising_loss"])
+def test_window_stack_is_not_an_anchor_stack(fn):
+    policy = tiny_policy(np.random.default_rng(19), T=3, d_a=1, d_s=2)
+    a = np.zeros((4, 3, 1))
+    windows = np.zeros((4, 3, 2))
+    calls = {
+        "predict_eps": lambda: diffusion.predict_eps(policy, a, windows, 1),
+        "reverse_mean": lambda: diffusion.reverse_mean(policy, a, windows, 1),
+        "reverse_step": lambda: diffusion.reverse_step(policy, a, windows, 1, a),
+        "denoising_loss": lambda: diffusion.denoising_loss(policy, windows, a,
+                                                           np.random.default_rng(0)),
+    }
+    with pytest.raises(ShapeError):
+        calls[fn]()
+    # a sequence stack that does not match its anchors is refused too
+    with pytest.raises(ShapeError):
+        diffusion.predict_eps(policy, a[:3], windows[:, 0], 1)
 
 
 def test_reverse_mean_formula():
     rng = np.random.default_rng(2)
     policy = tiny_policy(rng)
-    a_t = rng.standard_normal((3, 1))
-    s = rng.standard_normal((3, 1))
+    a_t = rng.standard_normal((2, 3, 1))
+    s = rng.standard_normal((2, 1))
     for t in range(policy.schedule.k):
         eps = diffusion.predict_eps(policy, a_t, s, t)
         beta = policy.schedule.beta[t]
@@ -89,15 +133,15 @@ def test_reverse_mean_formula():
 def test_reverse_step_noise_injection():
     rng = np.random.default_rng(3)
     policy = tiny_policy(rng)
-    a_t = rng.standard_normal((3, 1))
-    s = rng.standard_normal((3, 1))
+    a_t = rng.standard_normal((2, 3, 1))
+    s = rng.standard_normal((2, 1))
     mean = diffusion.reverse_mean(policy, a_t, s, 2)
-    z = np.random.default_rng(11).standard_normal((3, 1))
+    z = np.random.default_rng(11).standard_normal((2, 3, 1))
     want = mean + np.sqrt(policy.schedule.beta[2]) * z
     got = diffusion.reverse_step(policy, a_t, s, 2, z)
     assert np.allclose(got, want, atol=1e-14)
     with pytest.raises(ShapeError):
-        diffusion.reverse_step(policy, a_t, s, 2, z[:2])
+        diffusion.reverse_step(policy, a_t, s, 2, z[:, :2])
     # the last step is the posterior mean and takes no noise
     got0 = diffusion.reverse_step(policy, a_t, s, 0, None)
     assert np.array_equal(got0, diffusion.reverse_mean(policy, a_t, s, 0))
@@ -106,15 +150,15 @@ def test_reverse_step_noise_injection():
 def test_denoising_loss_gradient_matches_fd():
     rng = np.random.default_rng(4)
     policy = tiny_policy(rng, T=3, d_a=1, d_s=1, k=4, hidden=(6,))
-    states = rng.standard_normal((5, 3, 1))
+    anchors = rng.standard_normal((5, 1))
     actions = rng.standard_normal((5, 3, 1))
     base = nets.get_params(policy.denoiser)
-    _, analytic = diffusion.denoising_loss(policy, states, actions,
+    _, analytic = diffusion.denoising_loss(policy, anchors, actions,
                                            np.random.default_rng(99))
 
     def loss_at(p):
         nets.set_params(policy.denoiser, p)
-        val, _ = diffusion.denoising_loss(policy, states, actions,
+        val, _ = diffusion.denoising_loss(policy, anchors, actions,
                                           np.random.default_rng(99))
         return val
 
@@ -142,10 +186,9 @@ def test_train_denoiser_reduces_loss():
 
 
 def test_train_denoiser_matches_reference_loop():
-    # oracle: the plain loop over the public API, with each anchor tiled
-    # into its window here and the parameters copied out of the net and
-    # back in at every step, must give the same parameters and losses
-    # bit for bit
+    # oracle: the plain loop over the public API, with the parameters
+    # copied out of the net and back in at every step, must give the same
+    # parameters and losses bit for bit
     rng = np.random.default_rng(9)
     anchors = rng.standard_normal((20, 2))
     actions = rng.uniform(-1.0, 1.0, size=(20, 3, 1))
@@ -153,7 +196,6 @@ def test_train_denoiser_matches_reference_loop():
     ref = tiny_policy(np.random.default_rng(1), d_s=2, hidden=(8, 8))
     losses = diffusion.train_denoiser(policy, anchors, actions, 25, 8, 1e-2,
                                       np.random.default_rng(2))
-    states = np.stack([np.tile(s0, (3, 1)) for s0 in anchors])
 
     draws = np.random.default_rng(2)
     params = nets.get_params(ref.denoiser)
@@ -161,7 +203,7 @@ def test_train_denoiser_matches_reference_loop():
     ref_losses = []
     for _ in range(25):
         idx = draws.integers(0, 20, size=8)
-        loss, grad = diffusion.denoising_loss(ref, states[idx], actions[idx], draws)
+        loss, grad = diffusion.denoising_loss(ref, anchors[idx], actions[idx], draws)
         nets.optimizer_step(opt, params, grad)
         nets.set_params(ref.denoiser, params)
         ref_losses.append(loss)
@@ -180,14 +222,6 @@ def test_sample_determinism_and_clip():
     assert np.all(a1 >= policy.action_low) and np.all(a1 <= policy.action_high)
     a3 = diffusion.sample(policy, np.zeros(1), seed=43)
     assert not np.array_equal(a1, a3)
-
-
-def test_tile_repeats_each_anchor():
-    policy = tiny_policy(np.random.default_rng(0), T=3, d_s=2)
-    anchors = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    w = diffusion._tile(policy, anchors)
-    assert w.shape == (2, 3, 2)
-    assert np.array_equal(w, np.stack([np.tile(s0, (3, 1)) for s0 in anchors]))
 
 
 def test_prefix_windows_anchor_at_start():
@@ -241,36 +275,36 @@ def _anchors(rng, n, d_s=1):
     return rng.standard_normal((n, d_s))
 
 
-def test_sample_batch_matches_scalar_chain():
+def test_sample_stack_matches_scalar_chain():
     rng = np.random.default_rng(15)
     policy = tiny_policy(rng, T=4, d_a=2, d_s=1, k=6)
     # above the chunk size, with repeated and negative seeds
     n = diffusion.SAMPLE_CHUNK + 5
     anchors = _anchors(rng, n)
     seeds = [int(x) for x in rng.integers(-50, 50, size=n)]
-    got = diffusion.sample_batch(policy, anchors, seeds)
+    got = diffusion.sample(policy, anchors, seeds)
     assert got.shape == (n, 4, 2)
     assert np.array_equal(diffusion.sample(policy, anchors, seeds), got)
     for b in range(n):
         want = oracles.reverse_chain(policy, anchors[b], seeds[b])
         assert np.max(np.abs(got[b] - want)) <= 1e-12
-    # B = 1 is sample
+    # one anchor alone
     assert np.max(np.abs(diffusion.sample(policy, anchors[0], seeds[0]) - got[0])) <= 1e-12
     assert np.max(np.abs(diffusion.sample(policy, anchors[0], seeds[0])
                          - oracles.reverse_chain(policy, anchors[0], seeds[0]))) <= 1e-12
     # one anchor and seed twice in a batch gives the same row
-    twice = diffusion.sample_batch(policy, anchors[[3, 3]], [seeds[3], seeds[3]])
+    twice = diffusion.sample(policy, anchors[[3, 3]], [seeds[3], seeds[3]])
     assert np.array_equal(twice[0], twice[1])
     with pytest.raises(ShapeError):
-        diffusion.sample_batch(policy, anchors, seeds[:-1])
+        diffusion.sample(policy, anchors, seeds[:-1])
     with pytest.raises(ShapeError):
-        diffusion.sample_batch(policy, np.zeros((n, 2)), seeds)
+        diffusion.sample(policy, np.zeros((n, 2)), seeds)
     # a stack of tiled windows is not a stack of anchors
     with pytest.raises(ShapeError):
-        diffusion.sample_batch(policy, np.repeat(anchors[:, None], 4, axis=1), seeds)
+        diffusion.sample(policy, np.repeat(anchors[:, None], 4, axis=1), seeds)
 
 
-def test_sample_batch_chunking_is_fixed(monkeypatch):
+def test_sample_chunking_is_fixed(monkeypatch):
     # rows are computed chunk by chunk, so the bytes depend on the chunk
     # constant alone: the same call gives the same bytes
     rng = np.random.default_rng(16)
@@ -278,8 +312,8 @@ def test_sample_batch_chunking_is_fixed(monkeypatch):
     anchors = _anchors(rng, 10)
     seeds = list(range(10))
     monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", 4)
-    a = diffusion.sample_batch(policy, anchors, seeds)
-    assert np.array_equal(a, diffusion.sample_batch(policy, anchors, seeds))
+    a = diffusion.sample(policy, anchors, seeds)
+    assert np.array_equal(a, diffusion.sample(policy, anchors, seeds))
     for b in range(10):
         assert np.max(np.abs(a[b] - oracles.reverse_chain(policy, anchors[b], b))) <= 1e-12
 
@@ -294,7 +328,7 @@ def test_ensemble_unguided_matches_sample_bitwise():
     assert outs.shape == (5, 3, 4, 1)
     # guided_steps >= k: each member's chain runs batched over the anchors
     for i, seed in enumerate(spec.seeds):
-        assert np.array_equal(outs[:, i], diffusion.sample_batch(policy, anchors, [seed] * 5))
+        assert np.array_equal(outs[:, i], diffusion.sample(policy, anchors, [seed] * 5))
         for w in range(5):
             want = diffusion.sample(policy, anchors[w], seed)
             assert np.max(np.abs(outs[w, i] - want)) <= 1e-12
@@ -308,13 +342,13 @@ def test_ensemble_guidance_changes_later_members():
     cfg = divergence.DivergenceConfig(tau=1e6, eta=0.5, guided_steps=4)
     spec = diffusion.make_ensemble_spec(3, 21, cfg)
     guided = diffusion.sample_ensemble(policy, anchors, spec)
-    first = diffusion.sample_batch(policy, anchors, [spec.seeds[0]] * 3)
+    first = diffusion.sample(policy, anchors, [spec.seeds[0]] * 3)
     assert np.array_equal(guided[:, 0], first)
     for w in range(3):
         want = diffusion.sample(policy, anchors[w], spec.seeds[0])
         assert np.max(np.abs(guided[w, 0] - want)) <= 1e-12
     for i in (1, 2):
-        plain = diffusion.sample_batch(policy, anchors, [spec.seeds[i]] * 3)
+        plain = diffusion.sample(policy, anchors, [spec.seeds[i]] * 3)
         assert not np.any(np.all(guided[:, i] == plain, axis=(1, 2)))
 
 

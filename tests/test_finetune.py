@@ -158,7 +158,7 @@ def test_distill_matches_reference_loop():
                                      hidden=(8,), epochs=3, batch_size=8,
                                      step_size=1e-2, mse_target=0.0)
 
-    targets = diffusion.sample_batch(policy, states, [17] * 30)[:, 0]
+    targets = diffusion.sample(policy, states, [17] * 30)[:, 0]
     # the batched targets agree with one-at-a-time sampling to 1e-12
     for s, target in zip(states, targets):
         want = oracles.reverse_chain(policy, s, 17)[0]

@@ -43,28 +43,47 @@ def test_noising_path_shape_check():
 def test_seq_log_prob_matches_hand_computation():
     policy = tiny_policy(2)
     rng = np.random.default_rng(3)
-    s = rng.standard_normal((3, 1))
+    s = rng.standard_normal((1, 1))
     a = rng.standard_normal((3, 1))
     eps = rng.standard_normal((4, 3, 1))
-    got = objective.seq_log_prob(policy, s, a, eps)
+    got = objective.seq_log_prob(policy, s, a[None], eps[None])
+    assert got.shape == (1,)
     nodes = objective.noising_path(a, eps, policy.schedule)
     want = 0.0
     for t in range(3, -1, -1):
-        mean = diffusion.reverse_mean(policy, nodes[t + 1], s, t)
+        mean = diffusion.reverse_mean(policy, nodes[t + 1][None], s, t)[0]
         var = policy.schedule.beta[t]
         # Gaussian log-density of node t under N(mean, var I), 3 dims
         want += float(np.sum(-0.5 * np.log(2 * np.pi * var)
                              - (nodes[t] - mean) ** 2 / (2 * var)))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_seq_log_prob_stack_matches_one_at_a_time():
+    policy = tiny_policy(3, d_s=2)
+    rng = np.random.default_rng(4)
+    B = 5
+    anchors = rng.standard_normal((B, 2))
+    a = rng.standard_normal((B, 3, 1))
+    noise = objective.draw_path_noise(4, 3, 1, B, rng)
+    got = objective.seq_log_prob(policy, anchors, a, noise)
+    assert got.shape == (B,)
+    for b in range(B):
+        one = objective.seq_log_prob(policy, anchors[b:b + 1], a[b:b + 1], noise[b:b + 1])
+        assert abs(got[b] - one[0]) <= 1e-12 * abs(one[0])
 
 
 def test_seq_log_prob_validates_shapes():
     policy = tiny_policy(4)
-    eps = np.zeros((4, 3, 1))
+    eps = np.zeros((2, 4, 3, 1))
     with pytest.raises(ShapeError):
-        objective.seq_log_prob(policy, np.zeros((2, 1)), np.zeros((3, 1)), eps)
+        objective.seq_log_prob(policy, np.zeros((2, 1)), np.zeros((2, 2, 1)), eps)
     with pytest.raises(ShapeError):
-        objective.seq_log_prob(policy, np.zeros((3, 1)), np.zeros((3, 2)), eps)
+        objective.seq_log_prob(policy, np.zeros((2, 1)), np.zeros((2, 3, 2)),
+                               np.zeros((2, 4, 3, 2)))
+    # a stack of (T, d_s) windows is not a stack of anchors
+    with pytest.raises(ShapeError):
+        objective.seq_log_prob(policy, np.zeros((2, 3, 1)), np.zeros((2, 3, 1)), eps)
 
 
 def test_objective_from_log_probs_hand_oracle():
@@ -106,12 +125,12 @@ def test_ensemble_objective_shared_policy_has_zero_penalty():
     policy = tiny_policy(7)
     rng = np.random.default_rng(8)
     B = 4
-    states = rng.standard_normal((B, 3, 1))
+    anchors = rng.standard_normal((B, 1))
     actions = rng.standard_normal((B, 3, 1))
     noise = objective.draw_path_noise(4, 3, 1, B, rng)
     cfg = objective.ObjectiveConfig(alpha=0.7, path_noise=noise)
     J, logps = objective.ensemble_objective([policy, policy, policy],
-                                            states, actions, cfg)
+                                            anchors, actions, cfg)
     assert logps.shape == (3, B)
     # identical parameters, shared paths: the table rows coincide and
     # every penalty is exactly zero, so J is the plain mean row
@@ -121,23 +140,26 @@ def test_ensemble_objective_shared_policy_has_zero_penalty():
 
 def test_ensemble_objective_requires_path_noise():
     policy = tiny_policy(9)
-    states = np.zeros((2, 3, 1))
+    anchors = np.zeros((2, 1))
     actions = np.zeros((2, 3, 1))
     with pytest.raises(ConfigError):
-        objective.ensemble_objective([policy], states, actions,
+        objective.ensemble_objective([policy], anchors, actions,
                                      objective.ObjectiveConfig(alpha=0.1))
     bad = objective.ObjectiveConfig(alpha=0.1, path_noise=np.zeros((2, 3, 3, 1)))
     with pytest.raises(ShapeError):
-        objective.ensemble_objective([policy], states, actions, bad)
+        objective.ensemble_objective([policy], anchors, actions, bad)
+    with pytest.raises(EmptyBatchError):
+        objective.ensemble_objective([policy], np.zeros((0, 1)), np.zeros((0, 3, 1)),
+                                     objective.ObjectiveConfig(alpha=0.1))
 
 
 def test_ensemble_objective_distinct_policies_differ():
     pols = [tiny_policy(10), tiny_policy(11)]
     rng = np.random.default_rng(12)
-    states = rng.standard_normal((3, 3, 1))
+    anchors = rng.standard_normal((3, 1))
     actions = rng.standard_normal((3, 3, 1))
     noise = objective.draw_path_noise(4, 3, 1, 3, rng)
     cfg = objective.ObjectiveConfig(alpha=0.1, path_noise=noise)
-    J, logps = objective.ensemble_objective(pols, states, actions, cfg)
+    J, logps = objective.ensemble_objective(pols, anchors, actions, cfg)
     assert not np.array_equal(logps[0], logps[1])
     assert J.shape == (2,)
