@@ -151,12 +151,13 @@ def load_dataset(path: str) -> TrajectoryDataset:
     try:
         header = json.loads(lines[0])
         if header.get("format") != FORMAT_TAG:
-            raise ConfigError(f"{path}: not a {FORMAT_TAG} file")
+            raise ConfigError(f"not a {FORMAT_TAG} file")
         if header.get("version") != FORMAT_VERSION:
-            raise ConfigError(f"{path}: unsupported version {header.get('version')}")
+            raise ConfigError(f"unsupported version {header.get('version')}")
         meta = {k: v for k, v in header.items() if k not in ("format", "version")}
+        # the header's keys are checked here; reshaping gives every record its dims
+        ds = TrajectoryDataset([], meta)
         d_s, d_a = int(meta["d_s"]), int(meta["d_a"])
-        trajs = []
         for n, ln in enumerate(lines[1:], start=1):
             where = f"record {n}"
             rec = json.loads(ln)
@@ -165,9 +166,12 @@ def load_dataset(path: str) -> TrajectoryDataset:
             nxt = np.asarray(rec["next_states"], dtype=float).reshape(-1, d_s)
             rewards = None if rec["rewards"] is None else np.asarray(rec["rewards"], dtype=float)
             mode = rec["mode"] if rec["mode"] is None else int(rec["mode"])
-            trajs.append(Trajectory(states, actions, nxt, rewards, int(rec["seed"]), mode))
+            ds.trajectories.append(Trajectory(states, actions, nxt, rewards, int(rec["seed"]),
+                                              mode))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {where} is not JSON: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{path}: {where} has no key {exc}") from exc
-    return TrajectoryDataset(trajs, meta)
+    except ValueError as exc:  # includes ConfigError and ShapeError
+        raise ConfigError(f"{path}: {where}: {exc}") from exc
+    return ds

@@ -15,7 +15,6 @@ optionally steered apart by the divergence module while the chain runs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -405,23 +404,14 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
 
 
 def save_policy(policy: DiffusionPolicy, path: str) -> None:
-    """Core MLP block followed by the schedule (k, beta) and (T, d_a, d_s)."""
-    buf = nets.file_header() + nets.mlp_block_bytes(policy.denoiser)
-    buf += struct.pack("<I", policy.schedule.k)
-    buf += policy.schedule.beta.astype("<f8").tobytes()
-    buf += struct.pack("<III", policy.T, policy.d_a, policy.d_s)
-    nets.atomic_write_bytes(path, buf)
+    """The denoiser followed by the schedule (k, beta) and (T, d_a, d_s)."""
+    nets.save_checkpoint(path, policy.denoiser, policy.schedule.k, policy.schedule.beta,
+                         policy.T, policy.d_a, policy.d_s)
 
 
 def load_policy(path: str, action_low=None, action_high=None) -> DiffusionPolicy:
     """Rebuild a policy; the action box is not persisted and defaults to +-1."""
-    net, offset, buf = nets.read_checkpoint(path)
-    (k,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    beta = np.frombuffer(buf, dtype="<f8", count=k, offset=offset).astype(float)
-    offset += 8 * k
-    T, d_a, d_s = struct.unpack_from("<III", buf, offset)
-    offset += 12
-    if offset != len(buf):
-        raise ConfigError(f"{path}: {len(buf) - offset} trailing bytes")
-    return DiffusionPolicy(net, schedule_from_beta(beta), T, d_a, d_s, action_low, action_high)
+    def parse(net, ints, floats):
+        schedule = schedule_from_beta(floats(*ints(1)))
+        return DiffusionPolicy(net, schedule, *ints(3), action_low, action_high)
+    return nets.load_checkpoint(path, parse)

@@ -35,15 +35,6 @@ class DivergenceConfig:
             raise ConfigError(f"guided_steps must be positive, got {self.guided_steps}")
 
 
-@dataclass(frozen=True)
-class PairDivergence:
-    """Divergence value for one unordered sub-policy pair."""
-
-    i: int
-    j: int
-    value: float
-
-
 def velocity(a: np.ndarray) -> np.ndarray:
     """First differences along time; row t is a[t+1] - a[t]."""
     a = np.asarray(a, dtype=float)
@@ -154,21 +145,12 @@ def guide(a: np.ndarray, predecessors, cfg: DivergenceConfig,
     return perturb(a, sigma_div(d_min, cfg), rng)
 
 
-def pairwise_divergences(seqs) -> list[PairDivergence]:
-    """Divergence for every unordered pair, in (i, j) index order, all
-    from one stacked evaluation; each value equals :func:`div` of its pair."""
+def min_pairwise_div(seqs) -> float:
+    """Smallest :func:`div` over every unordered pair of ``seqs`` (at least
+    two), all pairs from one stacked evaluation."""
     seqs = list(seqs)
     if len(seqs) < 2:
-        return []
+        raise ShapeError("need at least two sequences")
     stack = _sequence_stack(seqs)
     i_idx, j_idx = np.triu_indices(len(seqs), 1)
-    values = _div_rows(stack[i_idx], stack[j_idx])
-    return [PairDivergence(int(i), int(j), float(v)) for i, j, v in zip(i_idx, j_idx, values)]
-
-
-def min_pairwise_div(seqs) -> float:
-    """Smallest pairwise divergence among ``seqs`` (requires >= 2 sequences)."""
-    pairs = pairwise_divergences(seqs)
-    if not pairs:
-        raise ShapeError("need at least two sequences")
-    return min(p.value for p in pairs)
+    return float(_div_rows(stack[i_idx], stack[j_idx]).min())

@@ -9,7 +9,6 @@ synthetic ones.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,15 +177,8 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
 
 
 def save_dynamics(m: GaussianDynamics, path: str) -> None:
-    buf = nets.file_header() + nets.mlp_block_bytes(m.net)
-    buf += struct.pack("<II", m.d_s, m.d_a)
-    nets.atomic_write_bytes(path, buf)
+    nets.save_checkpoint(path, m.net, m.d_s, m.d_a)
 
 
 def load_dynamics(path: str) -> GaussianDynamics:
-    net, offset, buf = nets.read_checkpoint(path)
-    d_s, d_a = struct.unpack_from("<II", buf, offset)
-    offset += 8
-    if offset != len(buf):
-        raise ConfigError(f"{path}: {len(buf) - offset} trailing bytes")
-    return GaussianDynamics(net, d_s, d_a)
+    return nets.load_checkpoint(path, lambda net, ints, floats: GaussianDynamics(net, *ints(2)))

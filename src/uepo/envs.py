@@ -301,13 +301,6 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
     return TrajectoryDataset(trajs, meta)
 
 
-def replay_consistent(env: Env, traj: Trajectory) -> bool:
-    """Re-step every recorded (s_t, a_t) in one stacked call with the
-    trajectory's transition draws and demand bit-equal next states."""
-    z = _traj_rngs(traj.seed)[2].standard_normal((len(traj), env.d_s))
-    return bool(np.array_equal(step(env, traj.states, traj.actions, z), traj.next_states))
-
-
 def apply_coverage_gap(ds: TrajectoryDataset, y_limit: float = 0.5
                        ) -> tuple[TrajectoryDataset, TrajectoryDataset]:
     """Split a point-mass dataset at the undersampled region y > y_limit.

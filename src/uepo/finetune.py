@@ -9,7 +9,6 @@ it in the real environment with clipped policy-gradient updates.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -104,19 +103,6 @@ def _u_log_prob(head: GaussianPolicy, states: np.ndarray, us: np.ndarray, m=None
     std = np.exp(head.log_std)
     z = (us - m) / std
     return -0.5 * np.sum(z * z + 2.0 * head.log_std + np.log(2.0 * np.pi), axis=-1)
-
-
-def action_log_prob(head: GaussianPolicy, s: np.ndarray, a: np.ndarray) -> float:
-    """Exact log-density of a squashed action (integrates to 1 over the box)."""
-    a = np.asarray(a, dtype=float)
-    raw = (a - head.center) / head.half
-    if np.any(np.abs(raw) >= 1.0):
-        return -np.inf
-    u = np.arctanh(raw)
-    gauss = _u_log_prob(head, np.asarray(s, dtype=float)[None, :], u[None, :])[0]
-    # log |da/du| = log(half) + log(1 - tanh(u)^2), in the stable form
-    log_jac = np.log(head.half) + 2.0 * (np.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
-    return float(gauss - np.sum(log_jac))
 
 
 def best_index(scores) -> int:
@@ -415,24 +401,14 @@ def curve_csv(curve) -> str:
 
 
 def save_head(path: str, head: GaussianPolicy) -> None:
-    buf = nets.file_header() + nets.mlp_block_bytes(head.net)
-    buf += struct.pack("<I", head.d_a)
-    buf += head.log_std.astype("<f8").tobytes()
-    buf += head.action_low.astype("<f8").tobytes()
-    buf += head.action_high.astype("<f8").tobytes()
-    nets.atomic_write_bytes(path, buf)
+    nets.save_checkpoint(path, head.net, head.d_a, head.log_std, head.action_low,
+                         head.action_high)
 
 
 def load_head(path: str) -> GaussianPolicy:
-    net, offset, buf = nets.read_checkpoint(path)
-    (d_a,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if d_a != net.layer_widths[-1]:
-        raise ConfigError(f"stored d_a {d_a} != net output {net.layer_widths[-1]}")
-    vecs = []
-    for _ in range(3):
-        vecs.append(np.frombuffer(buf, dtype="<f8", count=d_a, offset=offset).astype(float))
-        offset += 8 * d_a
-    if offset != len(buf):
-        raise ConfigError(f"{len(buf) - offset} trailing bytes in head checkpoint")
-    return GaussianPolicy(net, vecs[0], vecs[1], vecs[2])
+    def parse(net, ints, floats):
+        (d_a,) = ints(1)
+        if d_a != net.out_width:
+            raise ConfigError(f"stored d_a {d_a} != net output {net.out_width}")
+        return GaussianPolicy(net, floats(d_a), floats(d_a), floats(d_a))
+    return nets.load_checkpoint(path, parse)

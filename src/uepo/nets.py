@@ -17,9 +17,19 @@ the caller's to keep. Adam (:func:`optimizer_step`) runs in place: it
 updates the parameters and both moments through two scratch vectors that
 its state holds.
 
-Checkpoint layout (little-endian): magic ``b"UEPO"``, format version
-u32, width count u32, the widths as u32 each, then the flat parameter
-vector as raw f64. Round-trips are bit-exact.
+Checkpoints are written by :func:`save_checkpoint` and read by
+:func:`load_checkpoint` alone. The layout (little-endian): magic
+``b"UEPO"``, format version u32, width count u32, the widths as u32
+each, the flat parameter vector as raw f64, then the owner's fields in
+order, each integer as one u32 and each vector as raw f64:
+
+- a bare net: no fields;
+- policy (``diffusion.save_policy``): k, beta (k values), T, d_a, d_s;
+- dynamics (``dynamics.save_dynamics``): d_s, d_a;
+- head (``finetune.save_head``): d_a, log_std, action_low and
+  action_high (d_a values each).
+
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -320,53 +330,55 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def mlp_block_bytes(m: Mlp) -> bytes:
-    n = len(m.layer_widths)
-    return struct.pack(f"<{n + 1}I", n, *m.layer_widths) + m.params.astype("<f8").tobytes()
+def save_checkpoint(path: str, net: Mlp, *fields) -> None:
+    """Write the header, ``net``'s block, then each field in order: an
+    array as its f64 values, anything else as one u32."""
+    w = net.layer_widths
+    parts = [CHECKPOINT_MAGIC, struct.pack(f"<{len(w) + 2}I", CHECKPOINT_VERSION, len(w), *w),
+             net.params.astype("<f8").tobytes()]
+    for f in fields:
+        parts.append(f.astype("<f8").tobytes() if isinstance(f, np.ndarray)
+                     else struct.pack("<I", f))
+    atomic_write_bytes(path, b"".join(parts))
 
 
-def read_mlp_block(buf: bytes, offset: int = 0) -> tuple[Mlp, int]:
-    """Parse one MLP block from ``buf`` at ``offset``; returns (net, next offset)."""
-    (n_widths,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    widths = list(struct.unpack_from(f"<{n_widths}I", buf, offset))
-    offset += 4 * n_widths
-    n = _n_params(widths)
-    flat = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).astype(float)
-    return Mlp(widths, flat), offset + 8 * n
+def load_checkpoint(path: str, parse):
+    """Read the header and net of a checkpoint and return ``parse(net, ints,
+    floats)``, where ``ints(n)`` reads the owner's next n u32 fields as a
+    list and ``floats(n)`` its next n f64 values as a vector.
 
-
-def file_header() -> bytes:
-    return CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
-
-
-def check_file_header(buf: bytes) -> int:
-    """Validate magic and version; returns the offset just past the header."""
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise ConfigError("not a UEPO checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", buf, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    return 8
-
-
-def save_mlp(m: Mlp, path: str) -> None:
-    atomic_write_bytes(path, file_header() + mlp_block_bytes(m))
-
-
-def read_checkpoint(path: str) -> tuple[Mlp, int, bytes]:
-    """(net, offset past it, file bytes) of a checkpoint file, header checked.
-    A bad header or a file cut short raises ConfigError naming the path."""
+    A bad header, a file cut short anywhere, bytes left after ``parse`` and
+    any ValueError that ``parse`` raises become a ConfigError naming the path.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
+    pos = len(CHECKPOINT_MAGIC)
+
+    def take(n: int, dtype: str) -> np.ndarray:
+        nonlocal pos
+        end = pos + n * np.dtype(dtype).itemsize
+        if end > len(buf):
+            raise ConfigError(f"cut short: {end - pos} bytes wanted at byte {pos} "
+                              f"of {len(buf)}")
+        out, pos = np.frombuffer(buf, dtype, n, pos), end
+        return out
+
+    def ints(n: int) -> list[int]:
+        return take(n, "<u4").tolist()
+
+    def floats(n: int) -> np.ndarray:
+        return take(n, "<f8").astype(float)
+
     try:
-        return (*read_mlp_block(buf, check_file_header(buf)), buf)
-    except (struct.error, ValueError) as exc:  # ValueError includes ConfigError
+        if buf[:4] != CHECKPOINT_MAGIC:
+            raise ConfigError("not a UEPO checkpoint (bad magic)")
+        (version,) = ints(1)
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version}")
+        widths = ints(ints(1)[0])
+        out = parse(Mlp(widths, floats(_n_params(widths))), ints, floats)
+        if pos != len(buf):
+            raise ConfigError(f"{len(buf) - pos} trailing bytes")
+    except ValueError as exc:  # includes ConfigError and ShapeError
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def load_mlp(path: str) -> Mlp:
-    m, offset, buf = read_checkpoint(path)
-    if offset != len(buf):
-        raise ConfigError(f"{path}: {len(buf) - offset} trailing bytes")
-    return m
+    return out

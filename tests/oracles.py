@@ -1,13 +1,15 @@
 """Scalar reference implementations of the batched sampling, scoring
-and rollout paths.
+and rollout paths, and the checkpoint bytes packed field by field.
 
-Each one runs a single row at a time, one reverse step or transition at
+Each path runs a single row at a time, one reverse step or transition at
 a time, with noise drawn step by step, the way the library worked before
 it batched. Tests compare the batched paths against them to 1e-12: the
 arithmetic is the same, but the networks' matrix products round
 differently at other batch sizes. Paths without a network must match
 bit for bit.
 """
+
+import struct
 
 import numpy as np
 
@@ -209,3 +211,35 @@ def adam(params, grads, step_size=1e-3, b1=0.9, b2=0.999, eps=1e-8):
         v_hat = v / (1 - b2**t)
         params = params - step_size * m_hat / (np.sqrt(v_hat) + eps)
     return params, m, v
+
+
+def replay_consistent(env, traj):
+    """Re-step every recorded (s_t, a_t) with the trajectory's transition
+    draws and demand bit-equal next states."""
+    z = envs._traj_rngs(traj.seed)[2].standard_normal((len(traj), env.d_s))
+    return bool(np.array_equal(envs.step(env, traj.states, traj.actions, z), traj.next_states))
+
+
+def net_checkpoint(net):
+    """A bare net's checkpoint, as the ``uepo.nets`` docstring lays it out:
+    magic, version, width count, widths, then the parameters."""
+    w = net.layer_widths
+    return (b"UEPO" + struct.pack("<II", 1, len(w)) + struct.pack(f"<{len(w)}I", *w)
+            + struct.pack(f"<{net.params.size}d", *net.params))
+
+
+def policy_checkpoint(policy):
+    k = policy.schedule.k
+    return (net_checkpoint(policy.denoiser) + struct.pack("<I", k)
+            + struct.pack(f"<{k}d", *policy.schedule.beta)
+            + struct.pack("<III", policy.T, policy.d_a, policy.d_s))
+
+
+def dynamics_checkpoint(model):
+    return net_checkpoint(model.net) + struct.pack("<II", model.d_s, model.d_a)
+
+
+def head_checkpoint(head):
+    d_a = head.d_a
+    return (net_checkpoint(head.net) + struct.pack("<I", d_a)
+            + struct.pack(f"<{3 * d_a}d", *head.log_std, *head.action_low, *head.action_high))

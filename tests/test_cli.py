@@ -353,11 +353,15 @@ def test_augmented_data_of_another_env_is_exit_1(tmp_path, capsys):
     assert "augmented.jsonl" in err and "point_mass" in err and "pendulum" in err
 
 
-def _drop_d_s(path):
-    header, rest = path.read_text().split("\n", 1)
-    meta = json.loads(header)
-    del meta["d_s"]
-    path.write_text(json.dumps(meta) + "\n" + rest)
+def _edit_line(index, edit):
+    """Spoils a dataset file by rewriting its JSON line ``index`` (0 is the header)."""
+    def spoil(path):
+        lines = path.read_text().split("\n")
+        obj = json.loads(lines[index])
+        edit(obj)
+        lines[index] = json.dumps(obj)
+        path.write_text("\n".join(lines))
+    return spoil
 
 
 def _break_line(path):
@@ -370,21 +374,41 @@ def _cut(path):
     path.write_bytes(path.read_bytes()[:300])
 
 
+def _cut_last_field(path):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
 def _bad_magic(path):
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
 
 
 @pytest.mark.parametrize("name, spoil, stage, detail", [
-    ("dataset.jsonl", _drop_d_s, "train-diffusion", "'d_s'"),
+    ("dataset.jsonl", _edit_line(0, lambda meta: meta.pop("d_s")), "train-diffusion", "'d_s'"),
     ("dataset.jsonl", _break_line, "train-diffusion", "record 2 is not JSON"),
-    ("policy.bin", _cut, "sample-ensemble", "buffer"),
+    ("policy.bin", _cut, "sample-ensemble", "cut short"),
     ("policy.bin", _bad_magic, "sample-ensemble", "bad magic"),
-], ids=["header-without-d_s", "non-json-line", "cut-checkpoint", "bad-magic"])
+    ("dataset.jsonl", _edit_line(0, lambda meta: meta.pop("env")), "train-diffusion",
+     "header: dataset metadata missing required key 'env'"),
+    ("dataset.jsonl", _edit_line(1, lambda rec: rec["states"].pop()), "train-diffusion",
+     "record 1: cannot reshape"),
+    ("dataset.jsonl", _edit_line(1, lambda rec: rec.update(actions=rec["actions"][:-2])),
+     "train-diffusion", "record 1: 39 actions for 40 states"),
+    ("policy.bin", _cut_last_field, "sample-ensemble", "cut short"),
+    ("dynamics_joint.bin", _cut_last_field, "select", "cut short"),
+    ("head.bin", _cut_last_field, "eval", "cut short"),
+], ids=["header-without-d_s", "non-json-line", "cut-checkpoint", "bad-magic",
+        "header-without-env", "states-not-whole-rows", "one-action-short", "policy-cut-trailer",
+        "dynamics-cut-trailer", "head-cut-trailer"])
 def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil, stage,
                                                   detail):
     out = tmp_path / "o"
     cfg_path = _write_cfg(tmp_path, f"env.n_traj = 4\ndiffusion.widths = 8\n"
-                                    f"diffusion.train_steps = 1\nout = {out}\n")
+                                    f"diffusion.train_steps = 1\nfilter.epsilon = 1000.0\n"
+                                    f"filter.max_attempts = 4\ndynamics.widths = 8\n"
+                                    f"dynamics.epochs = 1\nselect.n_rollouts = 1\n"
+                                    f"distill.pool = 8\ndistill.epochs = 1\n"
+                                    f"ppo.iterations = 1\nppo.batch_episodes = 2\n"
+                                    f"eval.episodes = 1\nout = {out}\n")
     for earlier in cli.STAGES[:cli.STAGES.index(stage)]:
         assert cli.main([earlier, "--config", cfg_path]) == 0
     spoil(out / name)

@@ -174,24 +174,19 @@ def test_min_div_matches_div():
 
 
 def test_min_pairwise_div():
+    # every pair in one stacked call, bit for bit the smallest div of a pair
     rng = np.random.default_rng(6)
     seqs = [rng.standard_normal((5, 2)) for _ in range(4)]
-    pairs = divergence.pairwise_divergences(seqs)
-    assert len(pairs) == 6
-    best = min(p.value for p in pairs)
-    assert divergence.min_pairwise_div(seqs) == best
-    # every pair in one stacked call, bit for bit what div gives per pair
+    want = min(divergence.div(a, b) for i, a in enumerate(seqs) for b in seqs[i + 1:])
+    assert divergence.min_pairwise_div(seqs) == want
     for n, T, d in ((2, 4, 1), (5, 6, 2), (8, 12, 2), (4, 7, 3)):
         seqs = rng.standard_normal((n, T, d))
         seqs[0, 1:4] = seqs[0, 1] + np.arange(3.0)[:, None]  # zero accelerations
         seqs[1, :] = 0.5                                      # all-zero accelerations
-        pairs = divergence.pairwise_divergences(list(seqs))
-        assert [(p.i, p.j) for p in pairs] == [(i, j) for i in range(n)
-                                               for j in range(i + 1, n)]
-        for p in pairs:
-            assert p.value == divergence.div(seqs[p.i], seqs[p.j])
-        assert divergence.min_pairwise_div(seqs) == min(p.value for p in pairs)
+        want = min(divergence.div(seqs[i], seqs[j]) for i in range(n)
+                   for j in range(i + 1, n))
+        assert divergence.min_pairwise_div(seqs) == want
     with pytest.raises(ShapeError):
         divergence.min_pairwise_div(seqs[:1])
     with pytest.raises(ShapeError):
-        divergence.pairwise_divergences([seqs[0], seqs[1][:5]])
+        divergence.min_pairwise_div([seqs[0], seqs[1][:5]])

@@ -251,7 +251,7 @@ def test_offline_dataset_replay_and_modes():
     for tr in ds.trajectories:
         assert len(tr) == 10
         assert datasets.check_chain(tr)
-        assert envs.replay_consistent(env, tr)
+        assert oracles.replay_consistent(env, tr)
         want = [envs.reward(env, s, a, sn) for s, a, sn
                 in zip(tr.states, tr.actions, tr.next_states)]
         assert np.allclose(tr.rewards, want, atol=1e-12)
@@ -273,9 +273,9 @@ def test_offline_dataset_equals_one_trajectory_at_a_time(name, mix):
 def test_replay_detects_a_changed_transition():
     env = envs.make_env("pendulum", horizon=12)
     tr = envs.make_offline_dataset(env, 1, (0.5, 0.5), np.random.default_rng(17)).trajectories[0]
-    assert envs.replay_consistent(env, tr)
+    assert oracles.replay_consistent(env, tr)
     tr.next_states[7, 1] = np.nextafter(tr.next_states[7, 1], np.inf)
-    assert not envs.replay_consistent(env, tr)
+    assert not oracles.replay_consistent(env, tr)
 
 
 def test_offline_dataset_single_mode():

@@ -65,23 +65,6 @@ def test_u_log_prob_gaussian_oracle():
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
-def test_action_log_prob_integrates_to_one():
-    head = small_head()
-    s = np.array([0.5, -0.2])
-    xs = np.linspace(-2 + 1e-9, 2 - 1e-9, 40001)
-    dens = np.array([np.exp(finetune.action_log_prob(head, s, np.array([x])))
-                     for x in xs])
-    mass = float(np.trapezoid(dens, xs))
-    assert mass == pytest.approx(1.0, abs=1e-3)
-
-
-def test_action_log_prob_outside_box():
-    head = small_head()
-    s = np.zeros(2)
-    assert finetune.action_log_prob(head, s, np.array([2.5])) == -np.inf
-    assert finetune.action_log_prob(head, s, np.array([2.0])) == -np.inf
-
-
 def test_best_index_tie_breaks_low():
     assert finetune.best_index([1.0, 3.0, 3.0]) == 1
     assert finetune.best_index([5.0]) == 0

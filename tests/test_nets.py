@@ -1,10 +1,14 @@
+import ast
+import os
+import struct
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import oracles
-from uepo import nets
+from uepo import diffusion, dynamics, finetune, nets
 from uepo.errors import ConfigError, NonFiniteError, ShapeError
 
 
@@ -58,9 +62,9 @@ def test_adam_step_on_params_updates_the_net(tmp_path):
     rng = np.random.default_rng(8)
     built = nets.mlp_init([3, 5, 2], rng)
     path = str(tmp_path / "net.bin")
-    nets.save_mlp(built, path)
+    nets.save_checkpoint(path, built)
     x = rng.standard_normal((4, 3))
-    for m in (built, nets.load_mlp(path)):
+    for m in (built, nets.load_checkpoint(path, _bare_net)):
         before = nets.forward(m, x)
         g = rng.standard_normal(nets.param_count(m))
         nets.optimizer_step(nets.adam_init(g.size, step_size=0.1), m.params, g)
@@ -269,30 +273,115 @@ def test_time_embedding_validation():
         nets.time_embedding(11, 10, 8)
 
 
+def _bare_net(net, ints, floats):
+    return net
+
+
 def test_mlp_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     m = nets.mlp_init([3, 7, 2], rng)
     path = str(tmp_path / "net.bin")
-    nets.save_mlp(m, path)
-    back = nets.load_mlp(path)
+    nets.save_checkpoint(path, m)
+    back = nets.load_checkpoint(path, _bare_net)
     assert back.layer_widths == m.layer_widths
     assert np.array_equal(nets.get_params(back), nets.get_params(m))
 
 
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ConfigError):
-        nets.load_mlp(str(path))
+@dataclass(frozen=True)
+class Kind:
+    """How to build, save and load one kind of checkpoint, and its bytes as
+    the oracle packs them."""
+
+    build: object
+    save: object
+    load: object
+    net: object
+    oracle: object
 
 
-def test_checkpoint_rejects_trailing_bytes(tmp_path):
-    m = nets.mlp_init([2, 3, 1], np.random.default_rng(6))
-    path = tmp_path / "net.bin"
-    nets.save_mlp(m, str(path))
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(ConfigError):
-        nets.load_mlp(str(path))
+KINDS = {
+    "net": Kind(lambda rng: nets.mlp_init([3, 5, 2], rng),
+                lambda net, path: nets.save_checkpoint(path, net),
+                lambda path: nets.load_checkpoint(path, _bare_net),
+                lambda net: net, oracles.net_checkpoint),
+    "policy": Kind(lambda rng: diffusion.make_policy(
+                       3, 2, 2, [6], rng, schedule=diffusion.make_linear_schedule(4, 1e-4, 0.2)),
+                   diffusion.save_policy, diffusion.load_policy,
+                   lambda policy: policy.denoiser, oracles.policy_checkpoint),
+    "dynamics": Kind(lambda rng: dynamics.make_dynamics(3, 2, [7], rng),
+                     dynamics.save_dynamics, dynamics.load_dynamics,
+                     lambda model: model.net, oracles.dynamics_checkpoint),
+    "head": Kind(lambda rng: finetune.make_head(3, 2, [6], rng, -1.5, 0.5),
+                 lambda head, path: finetune.save_head(path, head), finetune.load_head,
+                 lambda head: head.net, oracles.head_checkpoint),
+}
+
+
+def _saved(kind, tmp_path):
+    """(object, its checkpoint path, the file's bytes, the offset past its net)."""
+    obj = KINDS[kind].build(np.random.default_rng(7))
+    path = tmp_path / f"{kind}.bin"
+    KINDS[kind].save(obj, str(path))
+    return obj, path, path.read_bytes(), len(oracles.net_checkpoint(KINDS[kind].net(obj)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_checkpoint_bytes_follow_the_documented_layout(tmp_path, kind):
+    obj, _, buf, _ = _saved(kind, tmp_path)
+    assert buf == KINDS[kind].oracle(obj)
+
+
+def _u32_at(offset, delta):
+    def spoil(buf, net_end):
+        pos = offset(buf, net_end)
+        (value,) = struct.unpack_from("<I", buf, pos)
+        return buf[:pos] + struct.pack("<I", value + delta) + buf[pos + 4:]
+    return spoil
+
+
+SPOILS = {
+    "bad-magic": (lambda buf, net_end: b"XXXX" + buf[4:], "bad magic"),
+    "bad-version": (_u32_at(lambda buf, net_end: 4, 1), "unsupported checkpoint version 2"),
+    "cut-header": (lambda buf, net_end: buf[:6], "cut short"),
+    "cut-net": (lambda buf, net_end: buf[:net_end - 3], "cut short"),
+    "cut-fields": (lambda buf, net_end: buf[:-4], "cut short"),
+    "extra-byte": (lambda buf, net_end: buf + b"\x00", "1 trailing bytes"),
+}
+# a trailer field that contradicts the net it follows
+CONTRADICTIONS = {
+    "policy": (_u32_at(lambda buf, net_end: len(buf) - 12, 1), "T=4"),
+    "dynamics": (_u32_at(lambda buf, net_end: len(buf) - 8, -1), "d_s=2"),
+    "head": (_u32_at(lambda buf, net_end: net_end, 1), "stored d_a 3"),
+}
+
+
+@pytest.mark.parametrize("kind, spoil, detail", [
+    *[pytest.param(kind, *SPOILS[name], id=f"{kind}-{name}") for kind in KINDS
+      for name in SPOILS if not (kind == "net" and name == "cut-fields")],
+    *[pytest.param(kind, *CONTRADICTIONS[kind], id=f"{kind}-contradiction")
+      for kind in CONTRADICTIONS],
+])
+def test_malformed_checkpoint_is_config_error_naming_it(tmp_path, kind, spoil, detail):
+    _, path, buf, net_end = _saved(kind, tmp_path)
+    path.write_bytes(spoil(buf, net_end))
+    with pytest.raises(ConfigError) as info:
+        KINDS[kind].load(str(path))
+    assert str(path) in str(info.value) and detail in str(info.value), info.value
+
+
+def test_only_nets_knows_the_checkpoint_layout():
+    # every other module reads and writes checkpoints through nets alone
+    src = os.path.dirname(nets.__file__)
+    importers = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names)
+                        or isinstance(node, ast.ImportFrom) and node.module == "struct"):
+                    importers.append(name)
+    assert importers == ["nets.py"]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
