@@ -32,9 +32,10 @@ losses += diffusion.train_denoiser(policy, anchors, windows_a, 800, 192, 3e-4, r
 print(f"  denoising loss {losses[0]:.3f} -> {losses[-1]:.3f}")
 
 n_plus = n_minus = n_neither = 0
+origin = np.zeros((1, 4))
 for seed in range(200):
-    actions = diffusion.sample(policy, np.zeros(4), seed)
-    d_plus, d_minus = envs.goal_distances(env, np.zeros(4), actions)
+    actions = diffusion.sample(policy, origin, [seed])
+    (d_plus,), (d_minus,) = envs.goal_distances(env, origin, actions)
     if d_plus < 0.3:
         n_plus += 1
     elif d_minus < 0.3:
@@ -60,13 +61,13 @@ print("\n  min pairwise divergence of 4-member ensembles")
 print("  base_seed   eta=0.1   eta=0")
 guided_cfg = DivergenceConfig(tau=0.5, eta=0.1, guided_steps=10)
 plain_cfg = DivergenceConfig(tau=0.5, eta=0.0, guided_steps=10)
-flat_anchor = np.zeros(1)
+flat_anchor = np.zeros((1, 1))
 guided, plain = [], []
 for base_seed in range(8):
     g = min_pairwise_div(diffusion.sample_ensemble(
-        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg)))
+        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg))[0])
     p = min_pairwise_div(diffusion.sample_ensemble(
-        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg)))
+        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg))[0])
     guided.append(g)
     plain.append(p)
     print(f"  {base_seed:9d}   {g:7.4f}   {p:7.4f}")

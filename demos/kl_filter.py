@@ -38,7 +38,7 @@ cover_rng = np.random.default_rng(99)
 trajs = list(ds.trajectories)
 for _ in range(60):
     s0 = pool[int(cover_rng.integers(0, len(pool)))]
-    trajs.append(rollout_virtual(env, policy, s0, int(cover_rng.integers(0, 2 ** 63))))
+    trajs += rollout_virtual(env, policy, s0[None], [int(cover_rng.integers(0, 2 ** 63))])
 s, a, s_next = transitions(TrajectoryDataset(trajs, dict(ds.meta)))
 covered = dynamics.TransitionBatch(s, a, s_next)
 

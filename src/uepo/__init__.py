@@ -20,8 +20,7 @@ from .divergence import DivergenceConfig, div, guide, sigma_div
 from .dynamics import (GaussianDynamics, TransitionBatch, gaussian_kl,
                        make_dynamics, train_joint)
 from .envs import make_env, make_offline_dataset
-from .finetune import (GaussianPolicy, PpoConfig, distill, evaluate_head,
-                       ppo_finetune, select_policy)
+from .finetune import GaussianPolicy, PpoConfig, distill, ppo_finetune, select_policy
 from .objective import ObjectiveConfig, ensemble_objective
 
 __version__ = "0.1.0"

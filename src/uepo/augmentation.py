@@ -17,7 +17,7 @@ import numpy as np
 from . import diffusion, dynamics, envs
 from .datasets import Trajectory, TrajectoryDataset, initial_states, n_transitions
 from .diffusion import DiffusionPolicy, sample
-from .errors import ConfigError, EmptyBatchError, StarvationError
+from .errors import ConfigError, EmptyBatchError, ShapeError, StarvationError
 
 DEFAULT_EPSILON = 0.15
 DEFAULT_RATIO = 2.0
@@ -67,24 +67,22 @@ def _attempt_seeds(seed: int, env, horizon: int) -> tuple[int, np.ndarray]:
     return int(samp_c.generate_state(1, np.uint64)[0]), z
 
 
-def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed):
-    """Open-loop policy rollouts in the real environment.
+def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed) -> list[Trajectory]:
+    """Open-loop policy rollouts in the real environment from a (B, d_s)
+    stack of starts with one seed each, their plans sampled in one batch
+    and stepped in lockstep.
 
-    One (d_s,) start with one seed gives one Trajectory; a (B, d_s) stack
-    of starts with one seed each gives a list of B, their plans sampled
-    in one batch and stepped in lockstep. Each rollout's action sequence
-    and environment noise run on independent streams spawned from its
-    recorded seed, so a trajectory is a pure function of (policy
-    parameters, start, seed) and of its place in the sampler's chunking.
+    Each rollout's action sequence and environment noise run on
+    independent streams spawned from its recorded seed, so a trajectory
+    is a pure function of (policy parameters, start, seed) and of its
+    place in the sampler's chunking.
     """
     starts = np.asarray(s0, dtype=float)
-    one = starts.ndim == 1
-    if one:
-        starts, seed = starts[None], [seed]
+    if starts.ndim != 2 or starts.shape[1] != env.d_s:
+        raise ShapeError(f"start stack shape {starts.shape} != (B, {env.d_s})")
     streams = [_attempt_seeds(sd, env, policy.T) for sd in seed]
     plans = sample(policy, starts, [samp for samp, _ in streams])
-    trajs = envs.rollout_open_loop(env, starts, plans, np.stack([z for _, z in streams]), seed)
-    return trajs[0] if one else trajs
+    return envs.rollout_open_loop(env, starts, plans, np.stack([z for _, z in streams]), seed)
 
 
 def _model_dist(model, s: np.ndarray, a: np.ndarray):

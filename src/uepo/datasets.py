@@ -55,13 +55,6 @@ class Trajectory:
         return len(self.states)
 
 
-def check_chain(traj: Trajectory, atol: float = 0.0) -> bool:
-    """True when each step's next state equals the following step's state."""
-    if len(traj) < 2:
-        return True
-    return bool(np.allclose(traj.next_states[:-1], traj.states[1:], rtol=0.0, atol=atol))
-
-
 @dataclass
 class TrajectoryDataset:
     """Trajectory list plus metadata; trajectories may differ in length but
@@ -105,14 +98,6 @@ def initial_states(ds: TrajectoryDataset) -> np.ndarray:
     if not ds.trajectories:
         return np.zeros((0, int(ds.meta["d_s"])))
     return np.stack([tr.states[0] for tr in ds.trajectories])
-
-
-def mode_counts(ds: TrajectoryDataset) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for tr in ds.trajectories:
-        if tr.mode is not None:
-            counts[tr.mode] = counts.get(tr.mode, 0) + 1
-    return counts
 
 
 def _record(tr: Trajectory, env_name: str) -> dict:
@@ -162,6 +147,8 @@ def load_dataset(path: str) -> TrajectoryDataset:
             where = f"record {n}"
             rec = json.loads(ln)
             states = np.asarray(rec["states"], dtype=float).reshape(-1, d_s)
+            if len(states) == 0:
+                raise ConfigError("no transitions")
             actions = np.asarray(rec["actions"], dtype=float).reshape(-1, d_a)
             nxt = np.asarray(rec["next_states"], dtype=float).reshape(-1, d_s)
             rewards = None if rec["rewards"] is None else np.asarray(rec["rewards"], dtype=float)

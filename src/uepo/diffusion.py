@@ -2,10 +2,10 @@
 
 A policy here is a distribution over (T, d_a) action matrices
 conditioned on one (d_s,) anchor state. Every function takes a (B, d_s)
-stack of anchors with a (B, T, d_a) stack of sequences; only
-:func:`sample` and :func:`sample_ensemble` also take one anchor alone.
-The denoiser's input row is [flattened actions | anchor repeated T times
-| time embedding], written by one helper for sampling and training.
+stack of anchors with a (B, T, d_a) stack of sequences; a stack of one
+is the one-anchor form. The denoiser's input row is [flattened actions
+| anchor repeated T times | time embedding], written by one helper for
+sampling and training.
 Training fits an MLP denoiser to predict the injected noise; sampling
 runs the ancestral reverse chain from seeded Gaussian noise, so each
 seed deterministically picks out one behavior. An ensemble of
@@ -300,24 +300,21 @@ def _unguided_chain(policy: DiffusionPolicy, anchors: np.ndarray, rngs, t_last: 
 
 
 def sample(policy: DiffusionPolicy, s: np.ndarray, seed) -> np.ndarray:
-    """Draw action sequences; a pure function of (parameters, s, seed).
+    """Draw a (B, T, d_a) stack of action sequences for a (B, d_s) stack of
+    anchors with one seed per anchor.
 
-    One (d_s,) anchor with one seed gives one (T, d_a) sequence; a
-    (B, d_s) stack with one seed per anchor gives a (B, T, d_a) stack.
     Row b is a pure function of (parameters, s[b], seed[b]) and of its
     place in the fixed chunking, so the same inputs give the same bytes.
-    It agrees with the same row sampled alone to 1e-12, not bit for bit:
-    the denoiser's matrix products round differently at other batch sizes.
+    It agrees with the same row sampled in a stack of one to 1e-12, not
+    bit for bit: the denoiser's matrix products round differently at
+    other batch sizes.
     """
-    s = np.asarray(s, dtype=float)
-    single = s.ndim == 1
-    anchors = _check_anchors(policy, s[None] if single else s)
-    seeds = [seed] if single else list(seed)
+    anchors = _check_anchors(policy, s)
+    seeds = list(seed)
     if len(seeds) != len(anchors):
         raise ShapeError(f"{len(seeds)} seeds for {len(anchors)} anchors")
     a = _unguided_chain(policy, anchors, [_seed_rng(x) for x in seeds], 0)
-    a = np.clip(a, policy.action_low, policy.action_high)
-    return a[0] if single else a
+    return np.clip(a, policy.action_low, policy.action_high)
 
 
 @dataclass(frozen=True)
@@ -353,12 +350,11 @@ def make_ensemble_spec(n: int, base_seed: int,
                         divergence_config)
 
 
-def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
-    """Generate the n sub-policy sequences in seed order.
+def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
+    """Generate the n sub-policy sequences in seed order for each of an
+    (N, d_s) stack of anchors, as an (N, n, T, d_a) array.
 
-    ``s`` is one (d_s,) anchor, which returns a list of n (T, d_a)
-    sequences, or a (N, d_s) stack, which returns an (N, n, T, d_a)
-    array. Every (anchor, member) row keeps its own generator, seeded as
+    Every (anchor, member) row keeps its own generator, seeded as
     in :func:`sample`. Sub-policy i > 0 runs that seeded reverse chain,
     except that during the last ``guided_steps`` steps its current
     estimate is perturbed away from the finished sequences of sub-policies
@@ -370,9 +366,6 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec):
     chain is sample(policy, anchors, [seed_i] * N), bit for bit.
     The same inputs give the same bytes.
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 1:
-        return list(sample_ensemble(policy, s[None], spec)[0])
     anchors = _check_anchors(policy, s)
     n_states, n = len(anchors), spec.n
     cfg = spec.divergence_config

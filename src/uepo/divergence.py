@@ -35,22 +35,6 @@ class DivergenceConfig:
             raise ConfigError(f"guided_steps must be positive, got {self.guided_steps}")
 
 
-def velocity(a: np.ndarray) -> np.ndarray:
-    """First differences along time; row t is a[t+1] - a[t]."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 2:
-        raise DegenerateHorizonError(f"velocity needs a (T>=2, d) sequence, got {a.shape}")
-    return np.diff(a, axis=0)
-
-
-def acceleration(a: np.ndarray) -> np.ndarray:
-    """Second differences along time."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 3:
-        raise DegenerateHorizonError(f"acceleration needs a (T>=3, d) sequence, got {a.shape}")
-    return np.diff(a, n=2, axis=0)
-
-
 def div(a_i: np.ndarray, a_j: np.ndarray) -> float:
     """Dynamics divergence between two same-shape (T, d) action sequences.
 

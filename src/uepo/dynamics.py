@@ -63,10 +63,6 @@ def make_dynamics(d_s: int, d_a: int, hidden, rng: np.random.Generator) -> Gauss
     return GaussianDynamics(net, d_s, d_a)
 
 
-def clone_dynamics(m: GaussianDynamics) -> GaussianDynamics:
-    return GaussianDynamics(nets.Mlp(list(m.net.layer_widths), m.net.params.copy()), m.d_s, m.d_a)
-
-
 def _split_output(m: GaussianDynamics, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean, raw_lv = out[..., : m.d_s], out[..., m.d_s:]
     return mean, np.minimum(np.maximum(raw_lv, LOG_VAR_MIN), LOG_VAR_MAX), raw_lv
@@ -120,8 +116,8 @@ def nll(m: GaussianDynamics, batch: TransitionBatch) -> tuple[float, np.ndarray]
 
 
 def gaussian_kl(p_mean, p_var, q_mean, q_var):
-    """Closed-form KL(N(p) || N(q)) for diagonal Gaussians, summed over
-    dims: a float for one vector each, one KL per row for (B, d) stacks."""
+    """Closed-form KL(N(p) || N(q)) for diagonal Gaussians, summed over the
+    last axis: one KL per row of (B, d) stacks, a float for one vector each."""
     p_mean = np.asarray(p_mean, dtype=float)
     p_var = np.asarray(p_var, dtype=float)
     q_mean = np.asarray(q_mean, dtype=float)
@@ -131,9 +127,8 @@ def gaussian_kl(p_mean, p_var, q_mean, q_var):
     if np.any(p_var <= 0) or np.any(q_var <= 0):
         raise ConfigError("variances must be strictly positive")
     ratio = p_var / q_var
-    kl = np.sum(0.5 * (np.log(q_var / p_var) + ratio
-                       + (p_mean - q_mean) ** 2 / q_var - 1.0), axis=-1)
-    return float(kl) if kl.ndim == 0 else kl
+    return np.sum(0.5 * (np.log(q_var / p_var) + ratio
+                         + (p_mean - q_mean) ** 2 / q_var - 1.0), axis=-1)
 
 
 def pool_nll(m: GaussianDynamics, pool: TransitionBatch,

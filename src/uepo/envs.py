@@ -12,7 +12,7 @@ multimodal demonstrations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import ConfigError, ShapeError
 
 ACTION_NOISE = 0.05
 RESET_DRAWS = 2  # standard normals one reset takes, in either environment
+COVERAGE_GAP_Y = 0.5  # apply_coverage_gap withholds the point mass's y > this
 
 
 def _row_norm(d: np.ndarray):
@@ -41,16 +42,18 @@ class PointMass2D:
     plus N(0, sigma_env^2 I) on all four dims. Two goals g_plus = (1, 1)
     and g_minus = (1, -1); reward is minus the distance of the next
     position to the nearer goal. Episodes reset near the origin at rest.
+    Only sigma_env and horizon are settable; dt = 0.1, damping = 0.05,
+    the goals and reset_scale = 0.05 are class constants.
     """
 
-    dt: float = 0.1
-    damping: float = 0.05
     sigma_env: float = 0.01
     horizon: int = 40
-    goal_plus: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
-    goal_minus: np.ndarray = field(default_factory=lambda: np.array([1.0, -1.0]))
-    reset_scale: float = 0.05
 
+    dt = 0.1
+    damping = 0.05
+    goal_plus = np.array([1.0, 1.0])
+    goal_minus = np.array([1.0, -1.0])
+    reset_scale = 0.05
     name = "point_mass"
     d_s = 4
     d_a = 2
@@ -92,15 +95,16 @@ class Pendulum1:
         theta'     = wrap(theta + dt * theta_dot)
 
     plus Gaussian noise; reward = -(theta^2 + 0.1 * theta_dot^2).
-    Episodes start hanging near the bottom.
+    Episodes start hanging near the bottom. Only sigma_env and horizon are
+    settable; dt, gravity and reset_scale = 0.05 are class constants.
     """
 
-    dt: float = 0.05
-    gravity: float = 9.8
     sigma_env: float = 0.01
     horizon: int = 50
-    reset_scale: float = 0.05
 
+    dt = 0.05
+    gravity = 9.8
+    reset_scale = 0.05
     name = "pendulum"
     d_s = 2
     d_a = 1
@@ -207,21 +211,15 @@ def scripted_action(env: Env, s: np.ndarray, mode) -> np.ndarray:
 
 
 def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
-                      z: np.ndarray | None, seed=0):
-    """Execute fixed action plans open-loop, all rows in lockstep.
-
-    One (T, d_a) plan from a (d_s,) start with (T, d_s) draws gives one
-    Trajectory; a (B, T, d_a) stack from (B, d_s) starts with (B, T, d_s)
-    draws gives a list of B, row i recorded with seed[i]. z None gives
-    the noise-free mean rollout.
+                      z: np.ndarray | None, seed) -> list[Trajectory]:
+    """Execute a (B, T, d_a) stack of fixed action plans open-loop from
+    (B, d_s) starts, all rows in lockstep, with (B, T, d_s) transition
+    draws z; row i becomes Trajectory i, recorded with seed[i]. z None
+    gives the noise-free mean rollouts.
     """
     actions = np.asarray(actions, dtype=float)
-    one = actions.ndim == 2
-    if one:
-        s0, actions, seed = np.asarray(s0)[None], actions[None], [seed]
-        z = None if z is None else np.asarray(z)[None]
     if actions.ndim != 3 or actions.shape[2] != env.d_a:
-        raise ShapeError(f"actions must be ([B,] T, {env.d_a}), got {actions.shape}")
+        raise ShapeError(f"actions must be (B, T, {env.d_a}), got {actions.shape}")
     n, horizon = actions.shape[:2]
     s = np.asarray(s0, dtype=float)
     states = np.empty((n, horizon, env.d_s))
@@ -231,18 +229,19 @@ def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
         s = step(env, s, actions[:, t], None if z is None else z[:, t])
         nexts[:, t] = s
     rewards = reward(env, states, actions, nexts)
-    trajs = [Trajectory(states[i], actions[i].copy(), nexts[i], rewards[i], seed=seed[i])
-             for i in range(n)]
-    return trajs[0] if one else trajs
+    return [Trajectory(states[i], actions[i].copy(), nexts[i], rewards[i], seed=seed[i])
+            for i in range(n)]
 
 
-def goal_distances(env: PointMass2D, s0: np.ndarray, actions: np.ndarray) -> tuple[float, float]:
-    """Closest noise-free approach of an open-loop rollout to each goal."""
-    traj = rollout_open_loop(env, s0, actions, None)
-    pos = traj.next_states[:, :2]
-    d_plus = float(np.min(np.linalg.norm(pos - env.goal_plus, axis=1)))
-    d_minus = float(np.min(np.linalg.norm(pos - env.goal_minus, axis=1)))
-    return d_plus, d_minus
+def goal_distances(env: PointMass2D, s0: np.ndarray,
+                   actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closest noise-free approach of each open-loop rollout of a
+    (B, T, d_a) plan stack from (B, d_s) starts: (B,) distances to
+    goal_plus and (B,) distances to goal_minus."""
+    trajs = rollout_open_loop(env, s0, actions, None, [0] * len(actions))
+    pos = np.stack([tr.next_states[:, :2] for tr in trajs])
+    return (np.min(np.linalg.norm(pos - env.goal_plus, axis=-1), axis=1),
+            np.min(np.linalg.norm(pos - env.goal_minus, axis=-1), axis=1))
 
 
 def _traj_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -301,9 +300,8 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
     return TrajectoryDataset(trajs, meta)
 
 
-def apply_coverage_gap(ds: TrajectoryDataset, y_limit: float = 0.5
-                       ) -> tuple[TrajectoryDataset, TrajectoryDataset]:
-    """Split a point-mass dataset at the undersampled region y > y_limit.
+def apply_coverage_gap(ds: TrajectoryDataset) -> tuple[TrajectoryDataset, TrajectoryDataset]:
+    """Split a point-mass dataset at the undersampled region y > COVERAGE_GAP_Y.
 
     Every trajectory is cut at its first transition touching the region;
     the prefixes form the training dataset, the withheld suffixes the
@@ -313,7 +311,7 @@ def apply_coverage_gap(ds: TrajectoryDataset, y_limit: float = 0.5
         raise ConfigError("coverage gap is defined for the point-mass environment")
     kept, gap = [], []
     for tr in ds.trajectories:
-        in_gap = (tr.states[:, 1] > y_limit) | (tr.next_states[:, 1] > y_limit)
+        in_gap = (tr.states[:, 1] > COVERAGE_GAP_Y) | (tr.next_states[:, 1] > COVERAGE_GAP_Y)
         cut = int(np.argmax(in_gap)) if in_gap.any() else len(tr)
         if cut > 0:
             kept.append(Trajectory(tr.states[:cut], tr.actions[:cut], tr.next_states[:cut],
@@ -323,6 +321,6 @@ def apply_coverage_gap(ds: TrajectoryDataset, y_limit: float = 0.5
             gap.append(Trajectory(tr.states[cut:], tr.actions[cut:], tr.next_states[cut:],
                                   None if tr.rewards is None else tr.rewards[cut:],
                                   seed=tr.seed, mode=tr.mode))
-    kept_meta = dict(ds.meta, coverage_gap_y=y_limit)
-    gap_meta = dict(ds.meta, coverage_gap_heldout_y=y_limit)
+    kept_meta = dict(ds.meta, coverage_gap_y=COVERAGE_GAP_Y)
+    gap_meta = dict(ds.meta, coverage_gap_heldout_y=COVERAGE_GAP_Y)
     return TrajectoryDataset(kept, kept_meta), TrajectoryDataset(gap, gap_meta)

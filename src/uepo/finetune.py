@@ -20,6 +20,7 @@ from .errors import (ConfigError, DistillationQualityWarning, EmptyBatchError,
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
+LOG_STD_INIT = -1.0
 
 
 @dataclass
@@ -67,11 +68,12 @@ class GaussianPolicy:
 
 
 def make_head(d_s: int, d_a: int, hidden, rng: np.random.Generator,
-              action_low, action_high, log_std_init: float = -1.0) -> GaussianPolicy:
+              action_low, action_high) -> GaussianPolicy:
+    """A fresh head with every log-std at LOG_STD_INIT."""
     net = nets.mlp_init([d_s, *hidden, d_a], rng)
     low = np.broadcast_to(np.asarray(action_low, dtype=float), (d_a,)).copy()
     high = np.broadcast_to(np.asarray(action_high, dtype=float), (d_a,)).copy()
-    return GaussianPolicy(net, np.full(d_a, float(log_std_init)), low, high)
+    return GaussianPolicy(net, np.full(d_a, LOG_STD_INIT), low, high)
 
 
 def clamp_log_std(head: GaussianPolicy) -> None:
@@ -118,15 +120,16 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
                   rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Pick the sub-policy with the best mean model-based return.
 
-    A sub-policy is the deterministic map s -> sample(policy, s, seed_i),
-    so its plan for a given start state never varies; rollouts differ
-    only through the start-state draw and one model-noise stream shared
-    by every sub-policy (common random numbers). Every rollout's
-    start state and noise are drawn first, in rollout order; then all
-    rollouts x sub-policies plans come from one :func:`diffusion.sample`
-    call on the stack of start states and step through the model
-    together, so ``reward_fn`` gets (rows, d) stacks. The same inputs give the same bytes, and the scores
-    agree with plans sampled and stepped one at a time to 1e-12. Returns
+    A sub-policy is the deterministic map
+    s -> sample(policy, [s], [seed_i])[0], so its plan for a given start
+    state never varies; rollouts differ only through the start-state
+    draw and one model-noise stream shared by every sub-policy (common
+    random numbers). Every rollout's start state and noise are drawn
+    first, in rollout order; then all rollouts x sub-policies plans come
+    from one :func:`diffusion.sample` call on the stack of start states
+    and step through the model together, so ``reward_fn`` gets (rows, d)
+    stacks. The same inputs give the same bytes, and the scores agree
+    with plans sampled and stepped one at a time to 1e-12. Returns
     (argmax index, per-sub-policy mean returns).
     """
     initial_states = np.asarray(initial_states, dtype=float)
@@ -163,7 +166,7 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     """Regress a Gaussian head's mean onto one sub-policy's first-step actions.
 
     The sub-policy is the deterministic fixed-seed sampler, so every
-    pool state gets the target sample(policy, s, seed)[0]; the
+    pool state gets the target sample(policy, [s], [seed])[0, 0]; the
     shared seed is what keeps targets mode-consistent at ambiguous
     states. All targets come from one :func:`diffusion.sample` call on
     the whole pool: the same inputs give the same bytes, and the targets agree
@@ -202,6 +205,9 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     return head, mse
 
 
+RATIO_GUARD = 1.5
+
+
 @dataclass
 class PpoConfig:
     clip_ratio: float = 0.2
@@ -211,7 +217,6 @@ class PpoConfig:
     batch_episodes: int = 16
     step_size: float = 3e-4
     value_step_size: float = 1e-3
-    ratio_guard: float = 1.5
 
     def __post_init__(self):
         if not 0 < self.clip_ratio < 1:
@@ -332,7 +337,7 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     Per iteration: collect cfg.batch_episodes episodes, fit advantages
     with GAE, then run up to cfg.epochs_per_batch full-batch updates.
     An epoch whose update pushes any likelihood ratio past
-    1 +- ratio_guard*clip_ratio is rolled back and the epoch loop stops,
+    1 +- RATIO_GUARD*clip_ratio is rolled back and the epoch loop stops,
     so one batch can never move the policy much past the clip region.
     A non-finite loss restores the pre-iteration parameters and raises;
     the returned curve holds (mean, std) of each iteration's returns.
@@ -342,7 +347,7 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     opt_std = nets.adam_init(head.d_a, step_size=cfg.step_size)
     opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
     curve: list[tuple[float, float]] = []
-    bound = cfg.ratio_guard * cfg.clip_ratio
+    bound = RATIO_GUARD * cfg.clip_ratio
     rows = cfg.batch_episodes * env.horizon
     ws, v_ws = nets.Workspace(head.net, rows), nets.Workspace(value_net, rows)
     for _ in range(iterations):
@@ -385,12 +390,6 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
             raise TrainingDivergenceError(
                 f"fine-tuning diverged; parameters rolled back ({exc})") from exc
     return head, curve
-
-
-def evaluate_head(head: GaussianPolicy, env, n_episodes: int,
-                  rng: np.random.Generator) -> float:
-    """Mean return of :func:`collect_episodes`' fresh stochastic episodes."""
-    return float(collect_episodes(head, env, n_episodes, rng)[3].mean())
 
 
 def curve_csv(curve) -> str:

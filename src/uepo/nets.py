@@ -59,6 +59,9 @@ class Mlp:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if len(self.layer_widths) < 2 or any(w <= 0 for w in self.layer_widths):
+            raise ConfigError(f"layer widths must be >= 2 positive entries, "
+                              f"got {self.layer_widths}")
         p = self.params
         if p.shape != (_n_params(self.layer_widths),) or p.dtype != float or not p.flags.c_contiguous:
             raise ShapeError(f"{p.dtype} {p.shape} parameters do not fit widths {self.layer_widths}")
@@ -95,9 +98,8 @@ def mlp_init(layer_widths, rng: np.random.Generator) -> Mlp:
     least two entries, all positive.
     """
     widths = [int(w) for w in layer_widths]
-    if len(widths) < 2 or any(w <= 0 for w in widths):
-        raise ConfigError(f"layer widths must be >= 2 positive entries, got {widths}")
-    m = Mlp(widths, np.zeros(_n_params(widths)))
+    # Mlp checks the widths; a negative one must not fail first in np.zeros
+    m = Mlp(widths, np.zeros(max(_n_params(widths), 0)))
     for w in m.weights:
         bound = np.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -232,6 +234,12 @@ def backward(m: Mlp, acts: list[np.ndarray], upstream: np.ndarray,
     return ws.grad
 
 
+# Adam's moment decays and the stability term added to sqrt(v_hat)
+MOMENT_DECAY_1 = 0.9
+MOMENT_DECAY_2 = 0.999
+EPSILON_STABILITY = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected adaptive-moment optimizer state for one parameter
@@ -241,23 +249,16 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     step_size: float = 1e-3
-    moment_decay_1: float = 0.9
-    moment_decay_2: float = 0.999
-    epsilon_stability: float = 1e-8
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
-def adam_init(n_params: int, step_size: float = 1e-3, moment_decay_1: float = 0.9,
-              moment_decay_2: float = 0.999, epsilon_stability: float = 1e-8) -> AdamState:
-    if step_size <= 0 or epsilon_stability <= 0:
-        raise ConfigError("step_size and epsilon_stability must be positive")
-    if not (0 <= moment_decay_1 < 1 and 0 <= moment_decay_2 < 1):
-        raise ConfigError("moment decays must lie in [0, 1)")
-    return AdamState(np.zeros(n_params), np.zeros(n_params), 0, step_size,
-                     moment_decay_1, moment_decay_2, epsilon_stability)
+def adam_init(n_params: int, step_size: float = 1e-3) -> AdamState:
+    if step_size <= 0:
+        raise ConfigError("step_size must be positive")
+    return AdamState(np.zeros(n_params), np.zeros(n_params), 0, step_size)
 
 
 def optimizer_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -277,7 +278,7 @@ def optimizer_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> n
     if not np.isfinite(grads).all():
         raise NonFiniteError("gradient contains non-finite components")
     state.step_count += 1
-    b1, b2 = state.moment_decay_1, state.moment_decay_2
+    b1, b2 = MOMENT_DECAY_1, MOMENT_DECAY_2
     m, v = state.first_moment, state.second_moment
     s1, s2 = state.scratch
     m *= b1
@@ -291,7 +292,7 @@ def optimizer_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> n
     np.multiply(state.step_size, s1, out=s1)
     np.divide(v, 1 - b2**state.step_count, out=s2)
     np.sqrt(s2, out=s2)
-    s2 += state.epsilon_stability
+    s2 += EPSILON_STABILITY
     s1 /= s2
     params -= s1
     return params

@@ -1,5 +1,6 @@
 """Scalar reference implementations of the batched sampling, scoring
-and rollout paths, and the checkpoint bytes packed field by field.
+and rollout paths, the checkpoint bytes packed field by field, and the
+small helpers several tests share.
 
 Each path runs a single row at a time, one reverse step or transition at
 a time, with noise drawn step by step, the way the library worked before
@@ -13,7 +14,7 @@ import struct
 
 import numpy as np
 
-from uepo import augmentation, diffusion, divergence, dynamics, envs, finetune
+from uepo import augmentation, diffusion, divergence, dynamics, envs, finetune, nets
 from uepo.datasets import Trajectory, TrajectoryDataset, initial_states, n_transitions
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -243,3 +244,28 @@ def head_checkpoint(head):
     d_a = head.d_a
     return (net_checkpoint(head.net) + struct.pack("<I", d_a)
             + struct.pack(f"<{3 * d_a}d", *head.log_std, *head.action_low, *head.action_high))
+
+
+def check_chain(traj):
+    """True when each step's next state equals the following step's state."""
+    return bool(np.array_equal(traj.next_states[:-1], traj.states[1:]))
+
+
+def mode_counts(ds):
+    """Trajectories per mode label, unlabelled ones left out."""
+    counts = {}
+    for tr in ds.trajectories:
+        if tr.mode is not None:
+            counts[tr.mode] = counts.get(tr.mode, 0) + 1
+    return counts
+
+
+def evaluate_head(head, env, n_episodes, rng):
+    """Mean return of ``finetune.collect_episodes``' fresh stochastic episodes."""
+    return float(finetune.collect_episodes(head, env, n_episodes, rng)[3].mean())
+
+
+def clone_dynamics(m):
+    """A dynamics model with a copy of ``m``'s parameters."""
+    return dynamics.GaussianDynamics(nets.Mlp(list(m.net.layer_widths), m.net.params.copy()),
+                                     m.d_s, m.d_a)

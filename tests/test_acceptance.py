@@ -12,6 +12,7 @@ from functools import partial
 
 import numpy as np
 
+import oracles
 from uepo import cli, diffusion, divergence, dynamics, envs, finetune, nets, objective
 from uepo.augmentation import FilterConfig, build_augmented, rollout_virtual
 from uepo.config import parse_config
@@ -176,9 +177,10 @@ def test_04_multimodality_capture():
     diffusion.train_denoiser(pol, anchors, demo_actions, 1200, 192, 1e-3, rng)
     diffusion.train_denoiser(pol, anchors, demo_actions, 800, 192, 3e-4, rng)
     n_plus = n_minus = 0
+    origin = np.zeros((1, 4))
     for seed in range(500):
-        actions = diffusion.sample(pol, np.zeros(4), seed)
-        d_plus, d_minus = envs.goal_distances(env, np.zeros(4), actions)
+        actions = diffusion.sample(pol, origin, [seed])
+        (d_plus,), (d_minus,) = envs.goal_distances(env, origin, actions)
         n_plus += d_plus < 0.3
         n_minus += d_minus < 0.3
     ok = n_plus >= 100 and n_minus >= 100
@@ -195,15 +197,15 @@ def test_05_guidance_effect():
     actions = np.concatenate([np.full((100, 4, 1), 0.8), np.full((100, 4, 1), -0.8)])
     anchors = np.zeros((200, 1))
     diffusion.train_denoiser(pol, anchors, actions, 3000, 128, 1e-3, rng)
-    anchor = np.zeros(1)
+    anchor = np.zeros((1, 1))
     guided_cfg = DivergenceConfig(0.5, 0.1, 10)
     plain_cfg = DivergenceConfig(0.5, 0.0, 10)
     guided, plain = [], []
     for base_seed in range(20):
         guided.append(min_pairwise_div(diffusion.sample_ensemble(
-            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg))))
+            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg))[0]))
         plain.append(min_pairwise_div(diffusion.sample_ensemble(
-            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg))))
+            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg))[0]))
     guided = np.array(guided)
     plain = np.array(plain)
     pooled = np.sqrt((guided.var(ddof=1) + plain.var(ddof=1)) / 2)
@@ -232,7 +234,7 @@ def test_06_filter_correctness():
     trajs = list(ds.trajectories)
     for _ in range(120):
         s0 = pool[int(cover_rng.integers(0, len(pool)))]
-        trajs.append(rollout_virtual(env, pol, s0, int(cover_rng.integers(0, 2 ** 63))))
+        trajs += rollout_virtual(env, pol, s0[None], [int(cover_rng.integers(0, 2 ** 63))])
     covered = _batch_of(TrajectoryDataset(trajs, dict(ds.meta)))
     model = dynamics.make_dynamics(4, 2, [64, 64], np.random.default_rng(100))
     _staged_train(model, covered, np.random.default_rng(200))
@@ -343,7 +345,7 @@ def test_09_offline_to_online_smoke():
                   stages=((250, 1e-3), (250, 3e-4), (200, 1e-4)))
     synthetic, _ = build_augmented(env, pol, model, ds, FilterConfig(0.15, 2.0),
                                    np.random.default_rng(300))
-    joint = dynamics.clone_dynamics(model)
+    joint = oracles.clone_dynamics(model)
     dynamics.train_joint(joint, real, _batch_of(synthetic), 200,
                          np.random.default_rng(201), batch_size=256, step_size=1e-4,
                          curve=False)
@@ -356,9 +358,9 @@ def test_09_offline_to_online_smoke():
                                          8, initial_states(ds), run_rng)
         pool = anchors[run_rng.permutation(len(anchors))[:400]]
         head, _ = finetune.distill(pol, spec.seeds[best], pool, run_rng)
-        pre = finetune.evaluate_head(head, env, 20, np.random.default_rng(8000 + i))
+        pre = oracles.evaluate_head(head, env, 20, np.random.default_rng(8000 + i))
         head, _ = finetune.ppo_finetune(head, env, finetune.PpoConfig(), 12, run_rng)
-        post = finetune.evaluate_head(head, env, 20, np.random.default_rng(8000 + i))
+        post = oracles.evaluate_head(head, env, 20, np.random.default_rng(8000 + i))
         wins += post >= pre
         pairs.append((pre, post))
     ok = wins >= 4

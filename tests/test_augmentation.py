@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from uepo import augmentation, datasets, diffusion, dynamics, envs
 from uepo.augmentation import FilterConfig
-from uepo.errors import ConfigError, EmptyBatchError, StarvationError
+from uepo.errors import ConfigError, EmptyBatchError, ShapeError, StarvationError
 
 
 class StubModel:
@@ -52,14 +54,14 @@ def test_filter_is_strict_at_epsilon():
 
 def test_rollout_virtual_is_seeded_and_chained():
     env, ds, policy = small_setup()
-    s0 = datasets.initial_states(ds)[0]
-    t1 = augmentation.rollout_virtual(env, policy, s0, seed=11)
-    t2 = augmentation.rollout_virtual(env, policy, s0, seed=11)
+    s0 = datasets.initial_states(ds)[:1]
+    (t1,) = augmentation.rollout_virtual(env, policy, s0, [11])
+    (t2,) = augmentation.rollout_virtual(env, policy, s0, [11])
     assert np.array_equal(t1.actions, t2.actions)
     assert np.array_equal(t1.next_states, t2.next_states)
     assert len(t1) <= policy.T
-    assert datasets.check_chain(t1)
-    t3 = augmentation.rollout_virtual(env, policy, s0, seed=12)
+    assert oracles.check_chain(t1)
+    (t3,) = augmentation.rollout_virtual(env, policy, s0, [12])
     assert not np.array_equal(t1.next_states, t3.next_states)
 
 
@@ -72,11 +74,42 @@ def test_rollout_virtual_stack_matches_single_rollouts():
     # one start and seed twice in a stack gives the same rollout twice
     assert np.array_equal(trajs[1].next_states, trajs[2].next_states)
     for s0, seed, traj in zip(starts, seeds, trajs):
-        one = augmentation.rollout_virtual(env, policy, s0, seed)
+        (one,) = augmentation.rollout_virtual(env, policy, s0[None], [seed])
         assert traj.seed == one.seed == seed
         assert np.array_equal(traj.states[0], s0)
         assert np.max(np.abs(traj.actions - one.actions)) <= 1e-12
         assert np.max(np.abs(traj.next_states - one.next_states)) <= 1e-12
+
+
+# one-item input to each stacked-only function: a (d_s,) start or anchor,
+# a (T, d_a) plan, and an int where a list of seeds belongs
+ONE_ITEM_CALLS = {
+    "sample": (lambda env, policy, s0, plan: diffusion.sample(policy, s0, 11), "(B, 4)"),
+    "sample_ensemble": (lambda env, policy, s0, plan: diffusion.sample_ensemble(
+        policy, s0, diffusion.EnsembleSpec((11, 12))), "(B, 4)"),
+    "rollout_virtual": (lambda env, policy, s0, plan: augmentation.rollout_virtual(
+        env, policy, s0, 11), "(B, 4)"),
+    "rollout_open_loop": (lambda env, policy, s0, plan: envs.rollout_open_loop(
+        env, s0, plan, np.zeros((len(plan), env.d_s)), 11), "(B, T, 2)"),
+    "goal_distances": (lambda env, policy, s0, plan: envs.goal_distances(env, s0, plan),
+                       "(B, T, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", ONE_ITEM_CALLS)
+def test_stacked_only_functions_refuse_one_item_input(monkeypatch, name):
+    env, ds, policy = small_setup()
+    s0 = datasets.initial_states(ds)[0]
+    plan = np.zeros((policy.T, env.d_a))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made before the shapes were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+    call, expected = ONE_ITEM_CALLS[name]
+    with pytest.raises(ShapeError, match=re.escape(expected)):
+        call(env, policy, s0, plan)
 
 
 def test_trajectory_kl_is_mean_of_transition_kls():
@@ -120,7 +153,7 @@ def test_build_augmented_hits_target_ratio():
     assert report.n_accepted == len(syn.trajectories)
     assert syn.meta["env"] == "point_mass"
     for tr in syn.trajectories:
-        assert datasets.check_chain(tr)
+        assert oracles.check_chain(tr)
 
 
 def test_build_augmented_is_seeded():

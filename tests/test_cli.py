@@ -396,9 +396,12 @@ def _bad_magic(path):
     ("policy.bin", _cut_last_field, "sample-ensemble", "cut short"),
     ("dynamics_joint.bin", _cut_last_field, "select", "cut short"),
     ("head.bin", _cut_last_field, "eval", "cut short"),
+    ("dataset.jsonl", _edit_line(1, lambda rec: rec.update(states=[], actions=[],
+                                                           next_states=[], rewards=[])),
+     "sample-ensemble", "record 1: no transitions"),
 ], ids=["header-without-d_s", "non-json-line", "cut-checkpoint", "bad-magic",
         "header-without-env", "states-not-whole-rows", "one-action-short", "policy-cut-trailer",
-        "dynamics-cut-trailer", "head-cut-trailer"])
+        "dynamics-cut-trailer", "head-cut-trailer", "empty-record"])
 def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil, stage,
                                                   detail):
     out = tmp_path / "o"

@@ -215,12 +215,12 @@ def test_train_denoiser_matches_reference_loop():
 def test_sample_determinism_and_clip():
     rng = np.random.default_rng(7)
     policy = tiny_policy(rng, T=4, d_a=2, d_s=1)
-    a1 = diffusion.sample(policy, np.zeros(1), seed=42)
-    a2 = diffusion.sample(policy, np.zeros(1), seed=42)
+    a1 = diffusion.sample(policy, np.zeros((1, 1)), [42])
+    a2 = diffusion.sample(policy, np.zeros((1, 1)), [42])
     assert np.array_equal(a1, a2)
-    assert a1.shape == (4, 2)
+    assert a1.shape == (1, 4, 2)
     assert np.all(a1 >= policy.action_low) and np.all(a1 <= policy.action_high)
-    a3 = diffusion.sample(policy, np.zeros(1), seed=43)
+    a3 = diffusion.sample(policy, np.zeros((1, 1)), [43])
     assert not np.array_equal(a1, a3)
 
 
@@ -288,10 +288,10 @@ def test_sample_stack_matches_scalar_chain():
     for b in range(n):
         want = oracles.reverse_chain(policy, anchors[b], seeds[b])
         assert np.max(np.abs(got[b] - want)) <= 1e-12
-    # one anchor alone
-    assert np.max(np.abs(diffusion.sample(policy, anchors[0], seeds[0]) - got[0])) <= 1e-12
-    assert np.max(np.abs(diffusion.sample(policy, anchors[0], seeds[0])
-                         - oracles.reverse_chain(policy, anchors[0], seeds[0]))) <= 1e-12
+    # a stack of one
+    one = diffusion.sample(policy, anchors[:1], seeds[:1])[0]
+    assert np.max(np.abs(one - got[0])) <= 1e-12
+    assert np.max(np.abs(one - oracles.reverse_chain(policy, anchors[0], seeds[0]))) <= 1e-12
     # one anchor and seed twice in a batch gives the same row
     twice = diffusion.sample(policy, anchors[[3, 3]], [seeds[3], seeds[3]])
     assert np.array_equal(twice[0], twice[1])
@@ -330,7 +330,7 @@ def test_ensemble_unguided_matches_sample_bitwise():
     for i, seed in enumerate(spec.seeds):
         assert np.array_equal(outs[:, i], diffusion.sample(policy, anchors, [seed] * 5))
         for w in range(5):
-            want = diffusion.sample(policy, anchors[w], seed)
+            want = diffusion.sample(policy, anchors[w:w + 1], [seed])[0]
             assert np.max(np.abs(outs[w, i] - want)) <= 1e-12
 
 
@@ -345,7 +345,7 @@ def test_ensemble_guidance_changes_later_members():
     first = diffusion.sample(policy, anchors, [spec.seeds[0]] * 3)
     assert np.array_equal(guided[:, 0], first)
     for w in range(3):
-        want = diffusion.sample(policy, anchors[w], spec.seeds[0])
+        want = diffusion.sample(policy, anchors[w:w + 1], spec.seeds[:1])[0]
         assert np.max(np.abs(guided[w, 0] - want)) <= 1e-12
     for i in (1, 2):
         plain = diffusion.sample(policy, anchors, [spec.seeds[i]] * 3)
@@ -365,10 +365,10 @@ def test_ensemble_matches_scalar_guided_loop(monkeypatch, guided_steps):
     for w in range(7):
         want = oracles.ensemble(policy, anchors[w], spec)
         assert np.max(np.abs(got[w] - np.stack(want))) <= 1e-12
-    # the single-anchor call keeps its list of n sequences
-    single = diffusion.sample_ensemble(policy, anchors[2], spec)
-    assert isinstance(single, list) and len(single) == 4
-    assert np.max(np.abs(np.stack(single) - got[2])) <= 1e-12
+    # a stack of one
+    single = diffusion.sample_ensemble(policy, anchors[2:3], spec)
+    assert single.shape == (1, 4, 4, 2)
+    assert np.max(np.abs(single[0] - got[2])) <= 1e-12
     # unguided members agree with the plain chain
     plain = diffusion.sample_ensemble(policy, anchors, diffusion.EnsembleSpec(spec.seeds))
     for w in range(7):
@@ -387,6 +387,6 @@ def test_policy_checkpoint_round_trip(tmp_path):
                           nets.get_params(policy.denoiser))
     assert np.array_equal(back.schedule.beta, policy.schedule.beta)
     assert (back.T, back.d_a, back.d_s) == (policy.T, policy.d_a, policy.d_s)
-    assert np.array_equal(diffusion.sample(back, np.zeros(2), 5),
-                          diffusion.sample(policy, np.zeros(2), 5))
+    assert np.array_equal(diffusion.sample(back, np.zeros((1, 2)), [5]),
+                          diffusion.sample(policy, np.zeros((1, 2)), [5]))
 

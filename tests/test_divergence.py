@@ -27,34 +27,6 @@ def brute_force_div(a_i, a_j):
     return total / T
 
 
-def test_velocity_small_oracle():
-    a = np.array([[0.0], [1.0], [3.0]])
-    assert np.array_equal(divergence.velocity(a), np.array([[1.0], [2.0]]))
-
-
-def test_velocity_constant_is_zero():
-    a = np.full((5, 3), 2.5)
-    assert np.array_equal(divergence.velocity(a), np.zeros((4, 3)))
-
-
-def test_velocity_matches_differencing():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a = rng.standard_normal((rng.integers(3, 10), rng.integers(1, 4)))
-        manual = np.stack([a[t] - a[t - 1] for t in range(1, len(a))])
-        assert np.array_equal(divergence.velocity(a), manual)
-
-
-def test_acceleration_linear_ramp_is_zero():
-    t = np.arange(6, dtype=float)[:, None]
-    assert np.array_equal(divergence.acceleration(3.0 * t), np.zeros((4, 1)))
-
-
-def test_acceleration_small_oracle():
-    a = np.array([[0.0], [1.0], [3.0]])
-    assert np.array_equal(divergence.acceleration(a), np.array([[1.0]]))
-
-
 def test_div_identity_is_exactly_zero():
     rng = np.random.default_rng(1)
     for _ in range(10):

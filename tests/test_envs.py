@@ -202,14 +202,14 @@ def test_scripted_pendulum_pumps_energy():
 def test_rollout_open_loop_chain_and_determinism():
     env = envs.make_env("point_mass", sigma_env=0.05)
     rng = np.random.default_rng(5)
-    actions = rng.uniform(-1, 1, size=(6, 2))
-    s0 = np.zeros(4)
-    z = np.random.default_rng(7).standard_normal((6, 4))
-    tr1 = envs.rollout_open_loop(env, s0, actions, z)
-    tr2 = envs.rollout_open_loop(env, s0, actions, z.copy())
+    actions = rng.uniform(-1, 1, size=(1, 6, 2))
+    s0 = np.zeros((1, 4))
+    z = np.random.default_rng(7).standard_normal((1, 6, 4))
+    (tr1,) = envs.rollout_open_loop(env, s0, actions, z, [0])
+    (tr2,) = envs.rollout_open_loop(env, s0, actions, z.copy(), [0])
     assert np.array_equal(tr1.next_states, tr2.next_states)
-    assert datasets.check_chain(tr1)
-    assert np.array_equal(tr1.states[0], s0)
+    assert oracles.check_chain(tr1)
+    assert np.array_equal(tr1.states[0], s0[0])
 
 
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
@@ -224,7 +224,8 @@ def test_stacked_rollouts_equal_one_at_a_time(name):
     for i, traj in enumerate(trajs):
         want = oracles.rollout_open_loop(env, s0[i], plans[i], np.random.default_rng(seeds[i]),
                                          seed=seeds[i])
-        one = envs.rollout_open_loop(env, s0[i], plans[i], z[i], seed=seeds[i])
+        (one,) = envs.rollout_open_loop(env, s0[i:i + 1], plans[i:i + 1], z[i:i + 1],
+                                        seeds[i:i + 1])
         for got in (traj, one):
             assert got.seed == seeds[i]
             for field in ("states", "actions", "next_states", "rewards"):
@@ -232,10 +233,20 @@ def test_stacked_rollouts_equal_one_at_a_time(name):
 
 
 def test_goal_distances_uses_noise_free_rollout():
-    env = envs.make_env("point_mass")
-    actions = np.tile(np.array([1.0, 1.0]), (env.horizon, 1))
-    d_plus, d_minus = envs.goal_distances(env, np.zeros(4), actions)
-    assert d_plus < d_minus  # pushing toward (1, 1) the whole way
+    env = envs.make_env("point_mass", sigma_env=0.5)
+    # pushing toward (1, 1), then toward (1, -1), the whole way
+    actions = np.stack([np.tile([1.0, 1.0], (env.horizon, 1)),
+                        np.tile([1.0, -1.0], (env.horizon, 1))])
+    d_plus, d_minus = envs.goal_distances(env, np.zeros((2, 4)), actions)
+    assert d_plus.shape == d_minus.shape == (2,)
+    assert d_plus[0] < d_minus[0] and d_minus[1] < d_plus[1]
+    for i in range(2):
+        s, pos = np.zeros(4), []
+        for a in actions[i]:
+            s = envs.step(env, s, a, None)
+            pos.append(s[:2])
+        assert d_plus[i] == np.min(np.linalg.norm(np.subtract(pos, env.goal_plus), axis=1))
+        assert d_minus[i] == np.min(np.linalg.norm(np.subtract(pos, env.goal_minus), axis=1))
 
 
 def test_offline_dataset_replay_and_modes():
@@ -244,13 +255,13 @@ def test_offline_dataset_replay_and_modes():
     ds = envs.make_offline_dataset(env, 30, (0.5, 0.5), rng)
     assert len(ds) == 30
     assert ds.meta["env"] == "point_mass"
-    counts = datasets.mode_counts(ds)
+    counts = oracles.mode_counts(ds)
     assert set(counts) == {0, 1}
     # binomial(30, 0.5) lands outside [5, 25] with probability < 2e-4
     assert 5 <= counts[0] <= 25
     for tr in ds.trajectories:
         assert len(tr) == 10
-        assert datasets.check_chain(tr)
+        assert oracles.check_chain(tr)
         assert oracles.replay_consistent(env, tr)
         want = [envs.reward(env, s, a, sn) for s, a, sn
                 in zip(tr.states, tr.actions, tr.next_states)]
@@ -281,7 +292,7 @@ def test_replay_detects_a_changed_transition():
 def test_offline_dataset_single_mode():
     env = envs.make_env("point_mass", horizon=5)
     ds = envs.make_offline_dataset(env, 8, (1.0, 0.0), np.random.default_rng(0))
-    assert datasets.mode_counts(ds) == {0: 8}
+    assert oracles.mode_counts(ds) == {0: 8}
 
 
 def test_offline_dataset_is_seeded():

@@ -342,7 +342,7 @@ def test_ppo_finetune_matches_reference_loop():
             nets.optimizer_step(opt_val, v_params, v_grad)
             nets.set_params(value_net, v_params)
             ratio = np.exp(finetune._u_log_prob(ref, states, us) - logp_old)
-            if np.max(np.abs(ratio - 1.0)) > cfg.ratio_guard * cfg.clip_ratio:
+            if np.max(np.abs(ratio - 1.0)) > finetune.RATIO_GUARD * cfg.clip_ratio:
                 nets.set_params(ref.net, pre[0])
                 ref.log_std[:] = pre[1]
                 nets.set_params(value_net, pre[2])
@@ -373,8 +373,8 @@ def test_ppo_ratio_guard_rolls_back_oversized_steps():
 def test_evaluate_head_is_seeded():
     env = envs.make_env("point_mass", sigma_env=0.05, horizon=6)
     head = small_head(seed=19, d_s=4, d_a=2, low=-1.0, high=1.0)
-    r1 = finetune.evaluate_head(head, env, 5, np.random.default_rng(20))
-    r2 = finetune.evaluate_head(head, env, 5, np.random.default_rng(20))
+    r1 = oracles.evaluate_head(head, env, 5, np.random.default_rng(20))
+    r2 = oracles.evaluate_head(head, env, 5, np.random.default_rng(20))
     assert r1 == r2
     episodes = finetune.collect_episodes(head, env, 5, np.random.default_rng(20))
     assert r1 == episodes[3].mean()

@@ -159,10 +159,10 @@ def test_adam_matches_textbook_oracle_over_many_steps():
     grads = [rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 3, size=n)
              * (rng.random(n) > 0.1) for _ in range(60)]
     params = start.copy()
-    state = nets.adam_init(n, step_size=3e-3, moment_decay_1=0.8, moment_decay_2=0.99)
+    state = nets.adam_init(n, step_size=3e-3)
     for g in grads:
         nets.optimizer_step(state, params, g)
-    want, m, v = oracles.adam(start, grads, step_size=3e-3, b1=0.8, b2=0.99)
+    want, m, v = oracles.adam(start, grads, step_size=3e-3)
     assert np.array_equal(params, want)
     assert np.array_equal(state.first_moment, m)
     assert np.array_equal(state.second_moment, v)
@@ -339,6 +339,12 @@ def _u32_at(offset, delta):
     return spoil
 
 
+def _u32_set(pos, value):
+    def spoil(buf, net_end):
+        return buf[:pos] + struct.pack("<I", value) + buf[pos + 4:]
+    return spoil
+
+
 SPOILS = {
     "bad-magic": (lambda buf, net_end: b"XXXX" + buf[4:], "bad magic"),
     "bad-version": (_u32_at(lambda buf, net_end: 4, 1), "unsupported checkpoint version 2"),
@@ -346,6 +352,10 @@ SPOILS = {
     "cut-net": (lambda buf, net_end: buf[:net_end - 3], "cut short"),
     "cut-fields": (lambda buf, net_end: buf[:-4], "cut short"),
     "extra-byte": (lambda buf, net_end: buf + b"\x00", "1 trailing bytes"),
+    # the width count sits at byte 8 and the first hidden width at byte 16
+    "no-widths": (_u32_set(8, 0), "layer widths must be >= 2 positive entries, got []"),
+    "one-width": (_u32_set(8, 1), "layer widths must be >= 2 positive entries"),
+    "zero-hidden-width": (_u32_set(16, 0), "layer widths must be >= 2 positive entries"),
 }
 # a trailer field that contradicts the net it follows
 CONTRADICTIONS = {
@@ -397,3 +407,7 @@ def test_mlp_init_validation():
         nets.mlp_init([3], rng)
     with pytest.raises(ConfigError):
         nets.mlp_init([3, 0, 2], rng)
+    with pytest.raises(ConfigError):
+        nets.mlp_init([2, -3], rng)
+    with pytest.raises(ConfigError):
+        nets.Mlp([3], np.zeros(0))
