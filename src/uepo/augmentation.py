@@ -152,8 +152,7 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
     kl_values: list[float] = []
     count = 0
     attempts = 0
-    capped = False
-    while count < target and attempts < max_attempts and not capped:
+    while count < target and attempts < max_attempts:
         starts, seeds = [], []
         for _ in range(min(diffusion.SAMPLE_CHUNK, max_attempts - attempts)):
             starts.append(pool[int(rng.integers(0, len(pool)))])
@@ -165,10 +164,8 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
             if not filter_trajectory(score, cfg):
                 continue
             if count + len(traj) > cap:
+                # count < target <= cap here, so at least one transition is kept
                 keep = cap - count
-                if keep <= 0:
-                    capped = True
-                    break
                 traj = Trajectory(traj.states[:keep], traj.actions[:keep],
                                   traj.next_states[:keep],
                                   None if traj.rewards is None else traj.rewards[:keep],

@@ -21,13 +21,18 @@ from functools import partial
 import numpy as np
 
 from . import augmentation, diffusion, divergence, dynamics, envs, finetune, nets
-from .config import RunConfig, load_config
+from .config import SCHEMA, RunConfig, format_value, load_config
 from .datasets import TrajectoryDataset, initial_states, load_dataset, save_dataset, transitions
 from .errors import ConfigError, MissingArtifactError
 
 DATASET = "dataset.jsonl"
 GAP = "gap.jsonl"
 AUGMENTED = "augmented.jsonl"
+
+ENSEMBLE_BASE_SEED = 17  # the ensemble's member seeds derive from it
+DIFFUSION_STEP_SIZE = 1e-3
+DYNAMICS_BATCH_SIZE = 256
+DYNAMICS_STEP_SIZE = 1e-3
 
 
 def _sha256(buf: bytes) -> str:
@@ -75,10 +80,7 @@ class StageRun:
 
 
 def _make_env(cfg: RunConfig):
-    overrides = {"sigma_env": cfg["env.sigma_env"]}
-    if cfg["env.horizon"] > 0:
-        overrides["horizon"] = cfg["env.horizon"]
-    return envs.make_env(cfg["env.name"], **overrides)
+    return envs.make_env(cfg["env.name"], sigma_env=cfg["env.sigma_env"])
 
 
 def _load_policy_for_env(run: StageRun, env) -> diffusion.DiffusionPolicy:
@@ -100,14 +102,11 @@ def _load_env_dataset(cfg: RunConfig, run: StageRun, name: str) -> TrajectoryDat
 def _ensemble_spec(cfg: RunConfig) -> diffusion.EnsembleSpec:
     dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
                                        cfg["ensemble.guided_steps"])
-    return diffusion.make_ensemble_spec(cfg["ensemble.n"], cfg["ensemble.base_seed"], dcfg)
+    return diffusion.make_ensemble_spec(cfg["ensemble.n"], ENSEMBLE_BASE_SEED, dcfg)
 
 
 def _windows(cfg: RunConfig, ds: TrajectoryDataset):
-    stride = cfg["diffusion.window_stride"]
-    if stride == 0:
-        return diffusion.prefix_windows(ds, cfg["diffusion.T"])
-    return diffusion.sliding_windows(ds, cfg["diffusion.T"], stride)
+    return diffusion.sliding_windows(ds, cfg["diffusion.T"], cfg["diffusion.window_stride"])
 
 
 def _real_batch(ds: TrajectoryDataset) -> dynamics.TransitionBatch:
@@ -160,7 +159,7 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
     losses = diffusion.train_denoiser(policy, anchors, actions,
                                       cfg["diffusion.train_steps"],
                                       cfg["diffusion.batch_size"],
-                                      cfg["diffusion.step_size"],
+                                      DIFFUSION_STEP_SIZE,
                                       np.random.default_rng(train_ss))
     diffusion.save_policy(policy, run.path("policy.bin"))
     run.register_output("policy.bin")
@@ -202,8 +201,8 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
                                    np.random.default_rng(init_ss))
     dynamics.train_joint(model, _real_batch(ds), None, cfg["dynamics.epochs"],
                          np.random.default_rng(shuffle_ss),
-                         batch_size=cfg["dynamics.batch_size"],
-                         step_size=cfg["dynamics.step_size"], curve=False)
+                         batch_size=DYNAMICS_BATCH_SIZE,
+                         step_size=DYNAMICS_STEP_SIZE, curve=False)
     dynamics.save_dynamics(model, run.path("dynamics_init.bin"))
     run.register_output("dynamics_init.bin")
     max_attempts = cfg["filter.max_attempts"] or None
@@ -235,8 +234,8 @@ def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
     curve = dynamics.train_joint(model, _real_batch(ds), synthetic,
                                  cfg["dynamics.epochs"],
                                  np.random.default_rng(shuffle_ss),
-                                 batch_size=cfg["dynamics.batch_size"],
-                                 step_size=cfg["dynamics.step_size"])
+                                 batch_size=DYNAMICS_BATCH_SIZE,
+                                 step_size=DYNAMICS_STEP_SIZE)
     dynamics.save_dynamics(model, run.path("dynamics_joint.bin"))
     run.register_output("dynamics_joint.bin")
     run.write_text("dynamics_loss.csv", _loss_csv("epoch,pool_nll", curve))
@@ -292,11 +291,8 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
                                  epochs=cfg["distill.epochs"])
     pcfg = finetune.PpoConfig(clip_ratio=cfg["ppo.clip_ratio"],
                               discount=cfg["ppo.discount"],
-                              gae_lambda=cfg["ppo.gae_lambda"],
                               epochs_per_batch=cfg["ppo.epochs_per_batch"],
-                              batch_episodes=cfg["ppo.batch_episodes"],
-                              step_size=cfg["ppo.step_size"],
-                              value_step_size=cfg["ppo.value_step_size"])
+                              batch_episodes=cfg["ppo.batch_episodes"])
     head, curve = finetune.ppo_finetune(head, env, pcfg, cfg["ppo.iterations"],
                                         np.random.default_rng(ppo_ss))
     finetune.save_head(run.path("head.bin"), head)
@@ -404,8 +400,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _keys_epilog() -> str:
+    lines = [f"{key} = {format_value(field.default)}" for key, field in SCHEMA.items()]
+    width = max(map(len, lines))
+    return "config keys, each at its default:\n" + "\n".join(
+        f"  {line.ljust(width)}  # {field.doc}" for line, field in zip(lines, SCHEMA.values()))
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="uepo", description=__doc__, add_help=True)
+    parser = _Parser(prog="uepo", description=__doc__, epilog=_keys_epilog(),
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("stage", choices=STAGES, metavar="stage",
                         help=f"one of: {', '.join(STAGES)}")
     parser.add_argument("--config", required=True, help="key=value config file")

@@ -32,7 +32,7 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(p) for p in parts)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -74,8 +74,6 @@ SCHEMA = {
                        "environment to instantiate"),
     "env.sigma_env": _Field(float, 0.05, _non_negative("env.sigma_env"),
                             "transition noise std"),
-    "env.horizon": _Field(int, 0, _non_negative("env.horizon"),
-                          "episode length; 0 keeps the environment default"),
     "env.n_traj": _Field(int, 60, _positive("env.n_traj"),
                          "trajectories generated by gen-data"),
     "env.mode_mix": _Field(float, 0.5, _unit_interval("env.mode_mix"),
@@ -97,14 +95,10 @@ SCHEMA = {
                                     "denoiser gradient steps"),
     "diffusion.batch_size": _Field(int, 128, _positive("diffusion.batch_size"),
                                    "denoiser batch size"),
-    "diffusion.step_size": _Field(float, 1e-3, _positive("diffusion.step_size"),
-                                  "denoiser Adam step size"),
-    "diffusion.window_stride": _Field(int, 4, _non_negative("diffusion.window_stride"),
-                                      "sliding-window stride; 0 uses prefix windows"),
+    "diffusion.window_stride": _Field(int, 4, _positive("diffusion.window_stride"),
+                                      "sliding-window stride"),
     "ensemble.n": _Field(int, 4, lambda v: v >= 1 or _fail(
         "ensemble.n must be >= 1"), "sub-policy count"),
-    "ensemble.base_seed": _Field(int, 17, _non_negative("ensemble.base_seed"),
-                                 "seed the member seeds derive from"),
     "ensemble.tau": _Field(float, 0.5, _positive("ensemble.tau"),
                            "divergence threshold"),
     "ensemble.eta": _Field(float, 0.1, _non_negative("ensemble.eta"),
@@ -126,10 +120,6 @@ SCHEMA = {
                               "dynamics model hidden widths"),
     "dynamics.epochs": _Field(int, 400, _positive("dynamics.epochs"),
                               "dynamics training epochs"),
-    "dynamics.batch_size": _Field(int, 256, _positive("dynamics.batch_size"),
-                                  "dynamics batch size"),
-    "dynamics.step_size": _Field(float, 1e-3, _positive("dynamics.step_size"),
-                                 "dynamics Adam step size"),
     "dynamics.use_augmented": _Field(_parse_bool, True, lambda v: True,
                                      "train-dynamics consumes the synthetic set"),
     "select.n_rollouts": _Field(int, 8, _positive("select.n_rollouts"),
@@ -142,18 +132,12 @@ SCHEMA = {
         f"ppo.clip_ratio must lie in (0, 1), got {v}"), "PPO clip range"),
     "ppo.discount": _Field(float, _PPO.discount, lambda v: 0.0 < v <= 1.0 or _fail(
         f"ppo.discount must lie in (0, 1], got {v}"), "return discount"),
-    "ppo.gae_lambda": _Field(float, _PPO.gae_lambda, _unit_interval("ppo.gae_lambda"),
-                             "advantage estimator lambda"),
     "ppo.epochs_per_batch": _Field(int, _PPO.epochs_per_batch, _positive("ppo.epochs_per_batch"),
                                    "gradient epochs per batch"),
     "ppo.batch_episodes": _Field(int, _PPO.batch_episodes, _positive("ppo.batch_episodes"),
                                  "episodes collected per iteration"),
     "ppo.iterations": _Field(int, 10, _positive("ppo.iterations"),
                              "fine-tuning iterations"),
-    "ppo.step_size": _Field(float, _PPO.step_size, _positive("ppo.step_size"),
-                            "policy Adam step size"),
-    "ppo.value_step_size": _Field(float, _PPO.value_step_size, _positive("ppo.value_step_size"),
-                                  "value net Adam step size"),
     "eval.episodes": _Field(int, 20, _positive("eval.episodes"),
                             "episodes evaluated"),
     "seed": _Field(int, 0, _non_negative("seed"), "global run seed"),
@@ -199,7 +183,7 @@ class RunConfig:
         return RunConfig(values)
 
     def canonical_text(self) -> str:
-        lines = [f"{k} = {_fmt(v)}" for k, v in sorted(self._values.items())
+        lines = [f"{k} = {format_value(v)}" for k, v in sorted(self._values.items())
                  if k != "out"]
         return "\n".join(lines) + "\n"
 

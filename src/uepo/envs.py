@@ -221,6 +221,8 @@ def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
     if actions.ndim != 3 or actions.shape[2] != env.d_a:
         raise ShapeError(f"actions must be (B, T, {env.d_a}), got {actions.shape}")
     n, horizon = actions.shape[:2]
+    if len(seed) != n:
+        raise ShapeError(f"{len(seed)} seeds for {n} action plans")
     s = np.asarray(s0, dtype=float)
     states = np.empty((n, horizon, env.d_s))
     nexts = np.empty_like(states)

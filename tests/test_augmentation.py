@@ -156,6 +156,26 @@ def test_build_augmented_hits_target_ratio():
         assert oracles.check_chain(tr)
 
 
+@pytest.mark.parametrize("ratio", [3.0, 2.99])
+def test_build_augmented_truncates_at_the_cap(ratio):
+    env, ds, policy = small_setup()
+    model = StubModel(env, offset=np.zeros(4), var=env.sigma_env**2)
+    cfg = FilterConfig(epsilon=0.5, ratio=ratio)
+    syn, report = augmentation.build_augmented(env, policy, model, ds, cfg,
+                                               np.random.default_rng(5))
+    cap = int(augmentation.MAX_RATIO * datasets.n_transitions(ds))
+    # ceil(2.99 * n_real) is the cap as well, so both ratios stop exactly on it
+    assert report.target_transitions == cap
+    assert datasets.n_transitions(syn) == report.achieved_transitions == cap
+    last = syn.trajectories[-1]
+    (full,) = augmentation.rollout_virtual(env, policy, last.states[:1], [last.seed])
+    assert 1 <= len(last) < len(full)
+    for field in ("states", "actions", "next_states", "rewards"):
+        assert np.array_equal(getattr(last, field), getattr(full, field)[:len(last)])
+    for tr in syn.trajectories:
+        assert oracles.check_chain(tr)
+
+
 def test_build_augmented_is_seeded():
     env, ds, policy = small_setup()
     model = StubModel(env, offset=np.zeros(4), var=env.sigma_env**2)

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from uepo import cli, dynamics
-from uepo.config import parse_config
+from uepo.config import SCHEMA, parse_config
 
 SMOKE = """
 env.name = point_mass
@@ -445,7 +445,10 @@ def test_only_train_dynamics_computes_the_pool_nll_curve(tmp_path, monkeypatch):
 
 def test_main_help_is_exit_0(capsys):
     assert cli.main(["--help"]) == 0
-    assert "uepo" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "uepo" in out
+    for key, field in SCHEMA.items():
+        assert f"  {key} = " in out and field.doc in out, key
 
 
 def test_python_m_uepo_help_is_exit_0():

@@ -32,8 +32,7 @@ def test_defaults_agree_with_the_library():
     assert (cfg["diffusion.k"], cfg["diffusion.beta_min"], cfg["diffusion.beta_max"]) == (
         diffusion.DEFAULT_K, diffusion.DEFAULT_BETA_MIN, diffusion.DEFAULT_BETA_MAX)
     ppo = finetune.PpoConfig()
-    for key in ("clip_ratio", "discount", "gae_lambda", "epochs_per_batch",
-                "batch_episodes", "step_size", "value_step_size"):
+    for key in ("clip_ratio", "discount", "epochs_per_batch", "batch_episodes"):
         assert cfg[f"ppo.{key}"] == getattr(ppo, key), key
 
 
@@ -96,6 +95,8 @@ def test_value_checks_fire():
         parse_config("ppo.discount = 1.5\n")
     with pytest.raises(ConfigError, match="empty list"):
         parse_config("diffusion.widths = ,\n")
+    with pytest.raises(ConfigError, match="diffusion.window_stride must be > 0"):
+        parse_config("diffusion.window_stride = 0\n")
 
 
 @pytest.mark.parametrize("key,value", [("ppo.clip_ratio", 1.5), ("ppo.clip_ratio", 1.0),
@@ -206,7 +207,10 @@ def test_beta_max_at_or_above_one_rejected():
 
 
 @pytest.mark.parametrize("key", ["objective.alpha", "data.dataset", "data.gap",
-                                 "data.augmented"])
+                                 "data.augmented", "env.horizon", "ensemble.base_seed",
+                                 "diffusion.step_size", "dynamics.batch_size",
+                                 "dynamics.step_size", "ppo.gae_lambda", "ppo.step_size",
+                                 "ppo.value_step_size"])
 def test_objective_alpha_is_not_a_key(key):
     # no stage reads them, so the schema has no such keys
     with pytest.raises(ConfigError, match=f"unknown config key: {key}"):

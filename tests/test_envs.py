@@ -212,6 +212,18 @@ def test_rollout_open_loop_chain_and_determinism():
     assert np.array_equal(tr1.states[0], s0[0])
 
 
+@pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
+def test_rollout_open_loop_wants_one_seed_per_plan(monkeypatch, seeds):
+    env = envs.make_env("point_mass", sigma_env=0.05)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the seed count was checked")
+
+    monkeypatch.setattr(envs, "step", no_step)
+    with pytest.raises(ShapeError, match=f"{len(seeds)} seeds for 2 action plans"):
+        envs.rollout_open_loop(env, np.zeros((2, 4)), np.zeros((2, 6, 2)), None, seeds)
+
+
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
 def test_stacked_rollouts_equal_one_at_a_time(name):
     env = envs.make_env(name, sigma_env=0.05)
