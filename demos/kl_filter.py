@@ -15,7 +15,8 @@ import numpy as np
 
 from uepo import diffusion, dynamics, envs
 from uepo.augmentation import (FilterConfig, build_augmented, kl_histogram,
-                               report_lines, rollout_virtual)
+                               report_items, rollout_virtual)
+from uepo.config import format_value
 from uepo.datasets import TrajectoryDataset, initial_states, transitions
 from uepo.errors import StarvationError
 
@@ -54,8 +55,8 @@ synthetic, report = build_augmented(env, policy, model, ds,
                                     FilterConfig(epsilon=0.5, ratio=2.0),
                                     np.random.default_rng(300))
 print("\nfilter report (well-fit model):")
-for line in report_lines(report):
-    print("  " + line)
+for key, value in report_items(report):
+    print(f"  {key} = {format_value(value)}")
 
 print("\nKL score histogram:")
 for lo, hi, count in kl_histogram(report.kl_values, n_bins=10):

@@ -190,17 +190,17 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
     return TrajectoryDataset(accepted, meta), report
 
 
-def report_lines(report: AugmentReport) -> list[str]:
-    """The report as key = value lines (stable order)."""
+def report_items(report: AugmentReport) -> list[tuple[str, object]]:
+    """The report as (key, value) pairs, in a stable order."""
     return [
-        f"attempts = {report.n_attempts}",
-        f"accepted = {report.n_accepted}",
-        f"acceptance_rate = {report.acceptance_rate!r}",
-        f"achieved_transitions = {report.achieved_transitions}",
-        f"target_transitions = {report.target_transitions}",
-        f"achieved_ratio = {report.achieved_ratio!r}",
-        f"epsilon = {report.epsilon!r}",
-        f"ratio = {report.ratio!r}",
+        ("attempts", report.n_attempts),
+        ("accepted", report.n_accepted),
+        ("acceptance_rate", report.acceptance_rate),
+        ("achieved_transitions", report.achieved_transitions),
+        ("target_transitions", report.target_transitions),
+        ("achieved_ratio", report.achieved_ratio),
+        ("epsilon", report.epsilon),
+        ("ratio", report.ratio),
     ]
 
 

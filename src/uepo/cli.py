@@ -1,13 +1,15 @@
 """Pipeline driver: ``uepo <stage> --config <path> [--seed N] [--out DIR]``.
 
-Each stage reads its inputs from the output directory, writes its
-artifacts atomically, and leaves a ``<stage>.manifest`` recording the
-config hash, the seed, and the sha256 of every input and output file.
-Wall time goes to a ``<stage>.time.txt`` sidecar so reruns of the same
-config stay byte-identical. A stage runs holding an exclusive ``flock``
-on ``<out>/.lock``, which names its pid while it runs. A second stage in
-the same directory fails at once; the kernel releases the lock of a run
-that dies, so a killed run needs no cleanup.
+Each stage reads its inputs from the output directory, writes exactly
+the files its ``_STAGES`` row declares (text through ``_csv`` or ``_kv``,
+so every value goes through ``config.format_value``), and leaves a
+``<stage>.manifest`` recording the config hash, the seed, and the sha256
+of every input and output file. Wall time goes to a ``<stage>.time.txt``
+sidecar so reruns of the same config stay byte-identical. A stage runs
+holding an exclusive ``flock`` on ``<out>/.lock``, which names its pid
+while it runs. A second stage in the same directory fails at once; the
+kernel releases the lock of a run that dies, so a killed run needs no
+cleanup.
 """
 
 import argparse
@@ -26,7 +28,6 @@ from .datasets import TrajectoryDataset, initial_states, load_dataset, save_data
 from .errors import ConfigError, MissingArtifactError
 
 DATASET = "dataset.jsonl"
-GAP = "gap.jsonl"
 AUGMENTED = "augmented.jsonl"
 
 ENSEMBLE_BASE_SEED = 17  # the ensemble's member seeds derive from it
@@ -35,48 +36,51 @@ DYNAMICS_BATCH_SIZE = 256
 DYNAMICS_STEP_SIZE = 1e-3
 
 
-def _sha256(buf: bytes) -> str:
-    return hashlib.sha256(buf).hexdigest()
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _stamp(path: str):
+    # identity and age of a file, None when absent; an atomic write changes both
+    st = os.stat(path) if os.path.exists(path) else None
+    return st and (st.st_ino, st.st_mtime_ns)
+
+
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
+
+
+def _kv(pairs) -> str:
+    return "".join(f"{key} = {format_value(value)}\n" for key, value in pairs)
 
 
 class StageRun:
-    """Bookkeeping for one stage execution: paths, hashes, manifest."""
+    """Bookkeeping for one stage execution: the sha256 of each input it
+    opens, and paths to the outputs its ``_STAGES`` row declares."""
 
-    def __init__(self, stage: str, cfg: RunConfig):
+    def __init__(self, stage: str, out: str):
         self.stage = stage
-        self.cfg = cfg
-        self.out = cfg["out"]
+        self.out = out
         self.inputs: dict[str, str] = {}
-        self.outputs: dict[str, str] = {}
-
-    def path(self, name: str) -> str:
-        return os.path.join(self.out, name)
+        self.outputs = {name: os.path.join(out, name) for name in _STAGES[stage][1]}
 
     def input_path(self, name: str) -> str:
-        p = self.path(name)
+        p = os.path.join(self.out, name)
         if not os.path.isfile(p):
             raise MissingArtifactError(
                 f"{self.stage}: missing input {name!r} in {self.out}; "
                 f"run the {_PRODUCERS[name]} stage first")
-        with open(p, "rb") as fh:
-            self.inputs[name] = _sha256(fh.read())
+        self.inputs[name] = _sha256(p)
         return p
 
-    def register_output(self, name: str) -> None:
-        with open(self.path(name), "rb") as fh:
-            self.outputs[name] = _sha256(fh.read())
+    def output_path(self, name: str) -> str:
+        if name not in self.outputs:
+            raise ValueError(f"{self.stage} does not declare the output {name!r}")
+        return self.outputs[name]
 
     def write_text(self, name: str, text: str) -> None:
-        nets.atomic_write_bytes(self.path(name), text.encode())
-        self.outputs[name] = _sha256(text.encode())
-
-    def manifest_text(self) -> str:
-        lines = [f"stage = {self.stage}",
-                 f"config_hash = {self.cfg.config_hash()}",
-                 f"seed = {self.cfg['seed']}"]
-        lines += [f"input.{k} = {v}" for k, v in sorted(self.inputs.items())]
-        lines += [f"output.{k} = {v}" for k, v in sorted(self.outputs.items())]
-        return "\n".join(lines) + "\n"
+        nets.atomic_write_bytes(self.output_path(name), text.encode())
 
 
 def _make_env(cfg: RunConfig):
@@ -114,32 +118,16 @@ def _real_batch(ds: TrajectoryDataset) -> dynamics.TransitionBatch:
     return dynamics.TransitionBatch(s, a, s_next)
 
 
-def _loss_csv(header: str, values) -> str:
-    lines = [header]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
-
-
 # --- stage bodies -----------------------------------------------------------
 
 
 def _stage_gen_data(cfg: RunConfig, run: StageRun, ss: np.random.SeedSequence):
     env = _make_env(cfg)
-    rng = np.random.default_rng(ss)
     mix = cfg["env.mode_mix"]
-    ds = envs.make_offline_dataset(env, cfg["env.n_traj"], (mix, 1.0 - mix), rng)
-    if cfg["env.coverage_gap"]:
-        kept, gap = envs.apply_coverage_gap(ds)
-        save_dataset(kept, run.path(DATASET))
-        save_dataset(gap, run.path(GAP))
-        run.register_output(DATASET)
-        run.register_output(GAP)
-        print(f"gen-data: {len(kept.trajectories)} kept trajectories, "
-              f"{len(gap.trajectories)} withheld")
-    else:
-        save_dataset(ds, run.path(DATASET))
-        run.register_output(DATASET)
-        print(f"gen-data: {len(ds.trajectories)} trajectories")
+    ds = envs.make_offline_dataset(env, cfg["env.n_traj"], (mix, 1.0 - mix),
+                                   np.random.default_rng(ss))
+    save_dataset(ds, run.output_path(DATASET))
+    print(f"gen-data: {len(ds.trajectories)} trajectories")
 
 
 def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
@@ -161,9 +149,8 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
                                       cfg["diffusion.batch_size"],
                                       DIFFUSION_STEP_SIZE,
                                       np.random.default_rng(train_ss))
-    diffusion.save_policy(policy, run.path("policy.bin"))
-    run.register_output("policy.bin")
-    run.write_text("diffusion_loss.csv", _loss_csv("step,loss", losses))
+    diffusion.save_policy(policy, run.output_path("policy.bin"))
+    run.write_text("diffusion_loss.csv", _csv("step,loss", enumerate(losses)))
     print(f"train-diffusion: {len(anchors)} windows, "
           f"final loss {losses[-1]:.4f}")
 
@@ -177,18 +164,13 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
     n_states = min(cfg["ensemble.n_states"], len(pool))
     picks = rng.choice(len(pool), size=n_states, replace=False)
     spec = _ensemble_spec(cfg)
-    act_lines = ["state_index,member,t," +
-                 ",".join(f"a{j}" for j in range(policy.d_a))]
-    div_lines = ["state_index,min_pairwise_div"]
-    for si, seqs in zip(picks, diffusion.sample_ensemble(policy, pool[picks], spec)):
-        for m, seq in enumerate(seqs):
-            for t in range(policy.T):
-                vals = ",".join(repr(float(x)) for x in seq[t])
-                act_lines.append(f"{si},{m},{t},{vals}")
-        if len(seqs) > 1:
-            div_lines.append(f"{si},{divergence.min_pairwise_div(seqs)!r}")
-    run.write_text("ensemble_actions.csv", "\n".join(act_lines) + "\n")
-    run.write_text("ensemble_div.csv", "\n".join(div_lines) + "\n")
+    ens = list(zip(picks, diffusion.sample_ensemble(policy, pool[picks], spec)))
+    run.write_text("ensemble_actions.csv", _csv(
+        "state_index,member,t," + ",".join(f"a{j}" for j in range(policy.d_a)),
+        ((si, m, t, *seq[t]) for si, seqs in ens for m, seq in enumerate(seqs)
+         for t in range(policy.T))))
+    run.write_text("ensemble_div.csv", _csv("state_index,min_pairwise_div", (
+        (si, divergence.min_pairwise_div(seqs)) for si, seqs in ens if len(seqs) > 1)))
     print(f"sample-ensemble: {n_states} states x {cfg['ensemble.n']} members")
 
 
@@ -203,21 +185,16 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
                          np.random.default_rng(shuffle_ss),
                          batch_size=DYNAMICS_BATCH_SIZE,
                          step_size=DYNAMICS_STEP_SIZE, curve=False)
-    dynamics.save_dynamics(model, run.path("dynamics_init.bin"))
-    run.register_output("dynamics_init.bin")
+    dynamics.save_dynamics(model, run.output_path("dynamics_init.bin"))
     max_attempts = cfg["filter.max_attempts"] or None
     fcfg = augmentation.FilterConfig(cfg["filter.epsilon"], cfg["filter.ratio"],
                                      max_attempts)
     synthetic, report = augmentation.build_augmented(
         env, policy, model, ds, fcfg, np.random.default_rng(aug_ss))
-    save_dataset(synthetic, run.path(AUGMENTED))
-    run.register_output(AUGMENTED)
-    run.write_text("augment_report.txt",
-                   "\n".join(augmentation.report_lines(report)) + "\n")
-    hist_lines = ["bin_low,bin_high,count"]
-    hist_lines += [f"{lo!r},{hi!r},{n}"
-                   for lo, hi, n in augmentation.kl_histogram(report.kl_values)]
-    run.write_text("kl_hist.csv", "\n".join(hist_lines) + "\n")
+    save_dataset(synthetic, run.output_path(AUGMENTED))
+    run.write_text("augment_report.txt", _kv(augmentation.report_items(report)))
+    run.write_text("kl_hist.csv", _csv("bin_low,bin_high,count",
+                                       augmentation.kl_histogram(report.kl_values)))
     print(f"augment: accepted {report.n_accepted}/{report.n_attempts} rollouts, "
           f"{report.achieved_transitions} synthetic transitions")
 
@@ -236,9 +213,8 @@ def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
                                  np.random.default_rng(shuffle_ss),
                                  batch_size=DYNAMICS_BATCH_SIZE,
                                  step_size=DYNAMICS_STEP_SIZE)
-    dynamics.save_dynamics(model, run.path("dynamics_joint.bin"))
-    run.register_output("dynamics_joint.bin")
-    run.write_text("dynamics_loss.csv", _loss_csv("epoch,pool_nll", curve))
+    dynamics.save_dynamics(model, run.output_path("dynamics_joint.bin"))
+    run.write_text("dynamics_loss.csv", _csv("epoch,pool_nll", enumerate(curve)))
     print(f"train-dynamics: pool NLL {curve[0]:.4f} -> {curve[-1]:.4f}")
 
 
@@ -253,13 +229,10 @@ def _stage_select(cfg: RunConfig, run: StageRun, ss):
                                           cfg["select.n_rollouts"],
                                           initial_states(ds),
                                           np.random.default_rng(ss))
-    run.write_text("selection.txt",
-                   f"best_index = {best}\nbest_seed = {spec.seeds[best]}\n"
-                   f"n_members = {len(spec.seeds)}\n")
-    score_lines = ["member,seed,score"]
-    score_lines += [f"{i},{spec.seeds[i]},{float(scores[i])!r}"
-                    for i in range(len(spec.seeds))]
-    run.write_text("selection_scores.csv", "\n".join(score_lines) + "\n")
+    run.write_text("selection.txt", _kv([("best_index", best), ("best_seed", spec.seeds[best]),
+                                         ("n_members", len(spec.seeds))]))
+    run.write_text("selection_scores.csv", _csv("member,seed,score",
+                                                zip(range(len(spec.seeds)), spec.seeds, scores)))
     print(f"select: best sub-policy {best} (seed {spec.seeds[best]})")
 
 
@@ -295,11 +268,10 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
                               batch_episodes=cfg["ppo.batch_episodes"])
     head, curve = finetune.ppo_finetune(head, env, pcfg, cfg["ppo.iterations"],
                                         np.random.default_rng(ppo_ss))
-    finetune.save_head(run.path("head.bin"), head)
-    run.register_output("head.bin")
-    run.write_text("finetune_curve.csv", finetune.curve_csv(curve))
-    run.write_text("distill.txt",
-                   f"best_seed = {best_seed}\ndistill_mse = {mse!r}\n")
+    finetune.save_head(run.output_path("head.bin"), head)
+    run.write_text("finetune_curve.csv", _csv("iteration,mean_return,std_return",
+                                              ((i, *point) for i, point in enumerate(curve))))
+    run.write_text("distill.txt", _kv([("best_seed", best_seed), ("distill_mse", mse)]))
     print(f"finetune: distill mse {mse:.4f}, "
           f"final mean return {curve[-1][0]:.3f}")
 
@@ -310,12 +282,9 @@ def _stage_eval(cfg: RunConfig, run: StageRun, ss):
     rng = np.random.default_rng(ss)
     _, _, _, ep_returns = finetune.collect_episodes(head, env,
                                                     cfg["eval.episodes"], rng)
-    lines = ["episode,return"]
-    lines += [f"{i},{float(r)!r}" for i, r in enumerate(ep_returns)]
-    run.write_text("eval.csv", "\n".join(lines) + "\n")
+    run.write_text("eval.csv", _csv("episode,return", enumerate(ep_returns)))
     mean = float(ep_returns.mean())
-    run.write_text("eval.txt", f"mean_return = {mean!r}\n"
-                               f"episodes = {len(ep_returns)}\n")
+    run.write_text("eval.txt", _kv([("mean_return", mean), ("episodes", len(ep_returns))]))
     print(f"eval: mean return {mean:.3f} over {len(ep_returns)} episodes")
 
 
@@ -333,20 +302,19 @@ def _stage_div_check(cfg: RunConfig, run: StageRun, ss):
     ok = (abs(d - _DIV_FIXTURE_VALUE) < 1e-12
           and abs(at_zero - cfg["ensemble.eta"]) < 1e-12
           and at_tau == 0.0)
-    text = (f"fixture_div = {d!r}\nexpected = {_DIV_FIXTURE_VALUE!r}\n"
-            f"sigma_div_at_zero = {at_zero!r}\n"
-            f"sigma_div_at_tau = {at_tau!r}\n"
-            f"status = {'ok' if ok else 'fail'}\n")
+    text = _kv([("fixture_div", d), ("expected", _DIV_FIXTURE_VALUE),
+                ("sigma_div_at_zero", at_zero), ("sigma_div_at_tau", at_tau),
+                ("status", "ok" if ok else "fail")])
     run.write_text("div_check.txt", text)
     print(text, end="")
     if not ok:
         raise RuntimeError("divergence self-test failed")
 
 
-# stage -> (body, files it writes), in pipeline order; a stage's seed
-# depends on its position, and every input a body opens has a producer here
+# stage -> (body, the only list of files it writes), in pipeline order; a stage's
+# seed depends on its position, and every input a body opens has a producer here
 _STAGES = {
-    "gen-data": (_stage_gen_data, (DATASET, GAP)),
+    "gen-data": (_stage_gen_data, (DATASET,)),
     "train-diffusion": (_stage_train_diffusion, ("policy.bin", "diffusion_loss.csv")),
     "sample-ensemble": (_stage_sample_ensemble,
                         ("ensemble_actions.csv", "ensemble_div.csv")),
@@ -362,7 +330,7 @@ STAGES = tuple(_STAGES)
 _PRODUCERS = {name: stage for stage, (_, files) in _STAGES.items() for name in files}
 
 
-def run_stage(stage: str, cfg: RunConfig) -> StageRun:
+def run_stage(stage: str, cfg: RunConfig) -> None:
     """Execute one stage under the out dir's lock and write its manifest."""
     if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
@@ -380,19 +348,27 @@ def run_stage(stage: str, cfg: RunConfig) -> StageRun:
             lock.truncate(0)
             lock.write(f"{os.getpid()}\n")
             lock.flush()
-            run = StageRun(stage, cfg)
+            run = StageRun(stage, cfg["out"])
+            before = {name: _stamp(p) for name, p in run.outputs.items()}
             ss = np.random.SeedSequence((cfg["seed"], STAGES.index(stage)))
             started = time.perf_counter()
             _STAGES[stage][0](cfg, run, ss)
             elapsed = time.perf_counter() - started
-            nets.atomic_write_bytes(run.path(f"{stage}.manifest"),
-                                    run.manifest_text().encode())
+            unwritten = [name for name, p in run.outputs.items()
+                         if _stamp(p) in (None, before[name])]
+            if unwritten:
+                raise RuntimeError(f"{stage} did not write {', '.join(unwritten)}")
+            manifest = [("stage", stage), ("config_hash", cfg.config_hash()),
+                        ("seed", cfg["seed"])]
+            manifest += [(f"input.{k}", v) for k, v in sorted(run.inputs.items())]
+            manifest += [(f"output.{k}", _sha256(p)) for k, p in sorted(run.outputs.items())]
+            nets.atomic_write_bytes(os.path.join(run.out, f"{stage}.manifest"),
+                                    _kv(manifest).encode())
             # wall time lives outside the manifest so reruns stay bit-identical
-            nets.atomic_write_bytes(run.path(f"{stage}.time.txt"),
-                                    f"wall_seconds = {elapsed!r}\n".encode())
+            nets.atomic_write_bytes(os.path.join(run.out, f"{stage}.time.txt"),
+                                    _kv([("wall_seconds", elapsed)]).encode())
         finally:
             lock.truncate(0)  # never unlinked: a later run must lock this same inode
-    return run
 
 
 class _Parser(argparse.ArgumentParser):

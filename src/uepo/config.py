@@ -9,7 +9,9 @@ with defaults.
 import dataclasses
 import hashlib
 
-from . import augmentation, diffusion, finetune
+import numpy as np
+
+from . import augmentation, diffusion, envs, finetune
 from .errors import ConfigError
 
 _ENV_NAMES = ("point_mass", "pendulum")
@@ -33,11 +35,13 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def format_value(value) -> str:
+    """The text of one value in a config or artifact file: any float,
+    numpy's included, as its shortest round-tripping repr."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,8 +82,6 @@ SCHEMA = {
                          "trajectories generated by gen-data"),
     "env.mode_mix": _Field(float, 0.5, _unit_interval("env.mode_mix"),
                            "probability of the first scripted mode"),
-    "env.coverage_gap": _Field(_parse_bool, False, lambda v: True,
-                               "also write the withheld-region split"),
     "diffusion.k": _Field(int, diffusion.DEFAULT_K, _positive("diffusion.k"), "denoising steps"),
     "diffusion.beta_min": _Field(float, diffusion.DEFAULT_BETA_MIN, _positive("diffusion.beta_min"),
                                  "noise schedule start"),
@@ -157,6 +159,10 @@ class RunConfig:
         for key, field in SCHEMA.items():
             merged[key] = values.get(key, field.default)
             field.check(merged[key])
+        horizon = envs.make_env(merged["env.name"]).horizon
+        if merged["diffusion.T"] > horizon:
+            raise ConfigError(f"diffusion.T = {merged['diffusion.T']} exceeds the "
+                              f"{merged['env.name']} horizon of {horizon}")
         if merged["diffusion.beta_min"] >= merged["diffusion.beta_max"]:
             raise ConfigError("diffusion.beta_min must be < diffusion.beta_max")
         # train-diffusion's schedule holds the other bounds, such as beta_max < 1

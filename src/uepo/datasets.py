@@ -9,7 +9,7 @@ by load is bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class TrajectoryDataset:
     share the metadata's state/action dims."""
 
     trajectories: list[Trajectory]
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def __post_init__(self):
         for key in ("env", "d_s", "d_a"):

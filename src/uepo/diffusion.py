@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets
-from .divergence import DivergenceConfig, min_div, perturb, sigma_div
+from .divergence import DivergenceConfig, guide
 from .errors import ConfigError, EmptyBatchError, ShapeError
 
 DEFAULT_K = 50
@@ -357,9 +357,10 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec) 
     Every (anchor, member) row keeps its own generator, seeded as
     in :func:`sample`. Sub-policy i > 0 runs that seeded reverse chain,
     except that during the last ``guided_steps`` steps its current
-    estimate is perturbed away from the finished sequences of sub-policies
+    estimate is guided away from the finished sequences of sub-policies
     j < i for the same anchor. The unguided steps run batched over all
-    rows; the guided steps run member by member, batched over anchors.
+    rows; the guided steps run member by member, batched over anchors,
+    with one :func:`divergence.guide` call per step.
     Guidance that never fires (eta = 0, or all divergences at or above
     tau) consumes no random draws, so those outputs agree with
     :func:`sample` to 1e-12. With guided_steps >= k, member i's whole
@@ -379,9 +380,7 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec) 
         a_i = a[:, i]
         for t in range(g - 1, -1, -1):
             if i > 0:
-                d_min = min_div(a_i, a[:, :i])
-                a_i = np.stack([perturb(row, sigma_div(d, cfg), rng)
-                                for row, d, rng in zip(a_i, d_min, member_rngs)])
+                a_i = guide(a_i, a[:, :i], cfg, member_rngs)
             z = None
             if t > 0:
                 z = np.stack([rng.standard_normal((policy.T, policy.d_a)) for rng in member_rngs])

@@ -113,20 +113,15 @@ def perturb(a: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray
     return a + sigma * rng.standard_normal(a.shape)
 
 
-def guide(a: np.ndarray, predecessors, cfg: DivergenceConfig,
-          rng: np.random.Generator) -> np.ndarray:
-    """Perturb ``a`` away from its most similar predecessor.
-
-    Computes the minimum divergence to the sequences in ``predecessors``
-    and, if that falls below ``cfg.tau``, applies :func:`perturb` at the
-    matching adaptive strength. With no predecessors (or eta = 0) this
-    is the identity and leaves the generator state untouched.
-    """
-    predecessors = list(predecessors)
-    if not predecessors:
-        return np.asarray(a, dtype=float)
-    d_min = min(div(a, p) for p in predecessors)
-    return perturb(a, sigma_div(d_min, cfg), rng)
+def guide(a: np.ndarray, predecessors: np.ndarray, cfg: DivergenceConfig,
+          rngs) -> np.ndarray:
+    """One guided step: row b of a (B, T, d) stack gets :func:`perturb`
+    from ``rngs[b]`` at ``sigma_div`` of its :func:`min_div` to its own
+    (B, P, T, d) predecessors, P >= 1. A row at or past ``cfg.tau`` (or
+    eta = 0) comes back unchanged and leaves its generator untouched."""
+    d_min = min_div(a, predecessors)
+    return np.stack([perturb(row, sigma_div(d, cfg), rng)
+                     for row, d, rng in zip(a, d_min, rngs, strict=True)])
 
 
 def min_pairwise_div(seqs) -> float:

@@ -255,8 +255,7 @@ def _traj_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.
 
 
 def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generator,
-                         action_noise: float = ACTION_NOISE,
-                         horizon: int | None = None) -> TrajectoryDataset:
+                         action_noise: float = ACTION_NOISE) -> TrajectoryDataset:
     """Scripted multimodal demonstrations with labeled modes.
 
     Each trajectory draws a fresh seed from rng and runs its reset,
@@ -270,7 +269,7 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
         raise ConfigError(f"mode_mix must be two non-negative proportions summing to 1, got {mode_mix}")
     if n_traj < 1:
         raise ConfigError("n_traj must be positive")
-    horizon = env.horizon if horizon is None else int(horizon)
+    horizon = env.horizon
 
     seeds, modes = [], []
     for _ in range(n_traj):

@@ -392,13 +392,6 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     return head, curve
 
 
-def curve_csv(curve) -> str:
-    lines = ["iteration,mean_return,std_return"]
-    for i, (mean, std) in enumerate(curve):
-        lines.append(f"{i},{mean!r},{std!r}")
-    return "\n".join(lines) + "\n"
-
-
 def save_head(path: str, head: GaussianPolicy) -> None:
     nets.save_checkpoint(path, head.net, head.d_a, head.log_std, head.action_low,
                          head.action_high)

@@ -20,6 +20,13 @@ from uepo.datasets import Trajectory, TrajectoryDataset, initial_states, n_trans
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
+def guide(a, predecessors, cfg, rng):
+    """One guided step of one (T, d) sequence: perturb it away from the
+    closest of its predecessors at the adaptive strength."""
+    d_min = min(divergence.div(a, p) for p in predecessors)
+    return divergence.perturb(a, divergence.sigma_div(d_min, cfg), rng)
+
+
 def reverse_chain(policy, s0, seed, predecessors=(), cfg=None):
     """One sequence from the seeded ancestral chain at anchor state s0,
     each reverse step a stack of one. With predecessors, each of the last
@@ -29,7 +36,7 @@ def reverse_chain(policy, s0, seed, predecessors=(), cfg=None):
     a = rng.standard_normal((policy.T, policy.d_a))
     for t in range(policy.schedule.k - 1, -1, -1):
         if predecessors and t < cfg.guided_steps:
-            a = divergence.guide(a, predecessors, cfg, rng)
+            a = guide(a, predecessors, cfg, rng)
         z = rng.standard_normal((1,) + a.shape) if t > 0 else None
         a = diffusion.reverse_step(policy, a[None], s, t, z)[0]
     return np.clip(a, policy.action_low, policy.action_high)

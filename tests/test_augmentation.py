@@ -213,15 +213,14 @@ def test_default_max_attempts_scales_with_budget():
     assert n == 1000  # 50 * 2 * 100 / 10
 
 
-def test_report_lines_and_histogram():
+def test_report_items_and_histogram():
     report = augmentation.AugmentReport(
         n_attempts=10, n_accepted=4, kl_values=[0.1, 0.2, 0.3, 0.4],
         achieved_transitions=40, target_transitions=40, epsilon=0.5, ratio=2.0)
-    lines = augmentation.report_lines(report)
-    keys = [ln.split(" = ")[0] for ln in lines]
-    assert keys == ["attempts", "accepted", "acceptance_rate",
-                    "achieved_transitions", "target_transitions",
-                    "achieved_ratio", "epsilon", "ratio"]
+    assert augmentation.report_items(report) == [
+        ("attempts", 10), ("accepted", 4), ("acceptance_rate", 0.4),
+        ("achieved_transitions", 40), ("target_transitions", 40),
+        ("achieved_ratio", 2.0), ("epsilon", 0.5), ("ratio", 2.0)]
     assert report.acceptance_rate == pytest.approx(0.4)
     hist = augmentation.kl_histogram(report.kl_values, n_bins=3)
     assert len(hist) == 3

@@ -5,11 +5,13 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from uepo import cli, dynamics
@@ -124,15 +126,76 @@ def test_manifest_chain(pipeline):
 def test_stage_table_names_every_manifest_file(pipeline):
     """The stage table declares exactly the files each stage writes, and
     every input comes from a stage that runs earlier."""
-    cfg, out = pipeline
-    assert not cfg["env.coverage_gap"]
+    _, out = pipeline
     for i, stage in enumerate(cli.STAGES):
         m = _read_manifest(os.path.join(out, f"{stage}.manifest"))
         outputs = {k.split(".", 1)[1] for k in m if k.startswith("output.")}
         inputs = {k.split(".", 1)[1] for k in m if k.startswith("input.")}
-        assert outputs == set(cli._STAGES[stage][1]) - {cli.GAP}, stage
+        assert outputs == set(cli._STAGES[stage][1]), stage
         for name in inputs:
             assert cli.STAGES.index(cli._PRODUCERS[name]) < i, (stage, name)
+
+
+def test_readme_stage_table_matches_cli_stages():
+    """The stage table in the README's "Command line" section lists the
+    stages in pipeline order, each with exactly the files it writes."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| writes |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:4] for line in table.splitlines() if line.startswith("| `")]
+    stages = tuple(stage.strip().strip("`") for stage, _, _ in rows)
+    assert stages == cli.STAGES
+    for stage, (_, _, writes) in zip(stages, rows):
+        assert re.findall(r"`([^`]+)`", writes) == list(cli._STAGES[stage][1]), stage
+
+
+def test_declared_file_the_body_did_not_write_fails_the_stage(tmp_path, monkeypatch):
+    # a file left by an earlier run does not count as written by this one
+    cfg = parse_config(f"out = {tmp_path}\n")
+    (tmp_path / "eval.csv").write_text("episode,return\n")
+
+    def body(cfg, run, ss):
+        run.write_text("eval.txt", "episodes = 0\n")
+
+    monkeypatch.setitem(cli._STAGES, "eval", (body, cli._STAGES["eval"][1]))
+    with pytest.raises(RuntimeError, match=r"^eval did not write eval\.csv$"):
+        cli.run_stage("eval", cfg)
+    assert not (tmp_path / "eval.manifest").exists()
+    _assert_lock_free(tmp_path / ".lock")
+
+
+@pytest.mark.parametrize("write", [lambda run: run.output_path("policy.bin"),
+                                   lambda run: run.write_text("gap.jsonl", "")],
+                         ids=["output_path", "write_text"])
+def test_undeclared_output_name_raises(tmp_path, monkeypatch, write):
+    cfg = parse_config(f"out = {tmp_path}\n")
+    monkeypatch.setitem(cli._STAGES, "div-check",
+                        (lambda cfg, run, ss: write(run), cli._STAGES["div-check"][1]))
+    with pytest.raises(ValueError, match="div-check does not declare the output"):
+        cli.run_stage("div-check", cfg)
+    assert sorted(os.listdir(tmp_path)) == [".lock"]
+
+
+def test_text_files_write_numpy_scalars_as_plain_numbers():
+    # numpy 2's repr of a scalar is "np.float64(0.3)"; the files hold the
+    # shortest float repr and plain integers instead
+    third = np.float64(0.1) + np.float64(0.2)
+    assert cli._csv("member,seed,score", [(np.int64(2), np.int64(17), third)]) == (
+        "member,seed,score\n2,17,0.30000000000000004\n")
+    assert cli._kv([("best_index", np.int64(2)), ("distill_mse", np.float64(1.5)),
+                    ("status", "ok")]) == "best_index = 2\ndistill_mse = 1.5\nstatus = ok\n"
+
+
+def test_curve_csv_format(pipeline):
+    cfg, out = pipeline
+    with open(os.path.join(out, "finetune_curve.csv")) as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "iteration,mean_return,std_return"
+    assert [row.split(",")[0] for row in rows] == [str(i) for i in range(cfg["ppo.iterations"])]
+    for row in rows:
+        for cell in row.split(",")[1:]:
+            assert repr(float(cell)) == cell
 
 
 def test_selection_and_eval_contents(pipeline):
@@ -479,14 +542,3 @@ def test_console_script_wired():
     except md.PackageNotFoundError:
         return
     assert list(installed.select(group="console_scripts", name="uepo")) == [declared]
-
-
-def test_gen_data_coverage_gap_split(tmp_path):
-    cfg = parse_config("env.n_traj = 8\nenv.coverage_gap = true\n"
-                       f"out = {tmp_path}\nseed = 5\n")
-    cli.run_stage("gen-data", cfg)
-    assert (tmp_path / "dataset.jsonl").exists()
-    assert (tmp_path / "gap.jsonl").exists()
-    m = _read_manifest(tmp_path / "gen-data.manifest")
-    outputs = {k.split(".", 1)[1] for k in m if k.startswith("output.")}
-    assert outputs == set(cli._STAGES["gen-data"][1])

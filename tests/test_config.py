@@ -43,14 +43,14 @@ env.name = pendulum   # trailing comment
 diffusion.T = 8
 
 ensemble.n = 3
-env.coverage_gap = yes
+dynamics.use_augmented = no
 dynamics.widths = 32, 16
 """
     cfg = parse_config(text)
     assert cfg["env.name"] == "pendulum"
     assert cfg["diffusion.T"] == 8
     assert cfg["ensemble.n"] == 3
-    assert cfg["env.coverage_gap"] is True
+    assert cfg["dynamics.use_augmented"] is False
     assert cfg["dynamics.widths"] == (32, 16)
 
 
@@ -58,10 +58,10 @@ def test_bool_parsing_variants():
     for token, want in [("true", True), ("1", True), ("yes", True),
                         ("false", False), ("0", False), ("no", False),
                         ("TRUE", True), ("No", False)]:
-        cfg = parse_config(f"env.coverage_gap = {token}\n")
-        assert cfg["env.coverage_gap"] is want
-    with pytest.raises(ConfigError, match="bad value for env.coverage_gap"):
-        parse_config("env.coverage_gap = maybe\n")
+        cfg = parse_config(f"dynamics.use_augmented = {token}\n")
+        assert cfg["dynamics.use_augmented"] is want
+    with pytest.raises(ConfigError, match="bad value for dynamics.use_augmented"):
+        parse_config("dynamics.use_augmented = maybe\n")
 
 
 def test_unknown_key_reports_line_number():
@@ -97,6 +97,16 @@ def test_value_checks_fire():
         parse_config("diffusion.widths = ,\n")
     with pytest.raises(ConfigError, match="diffusion.window_stride must be > 0"):
         parse_config("diffusion.window_stride = 0\n")
+
+
+def test_sequence_longer_than_the_episode_rejected():
+    # train-diffusion would find no window; the config refuses it at load
+    assert parse_config("diffusion.T = 40\n")["diffusion.T"] == 40
+    assert parse_config("env.name = pendulum\ndiffusion.T = 50\n")["diffusion.T"] == 50
+    with pytest.raises(ConfigError, match="diffusion.T = 41 exceeds the point_mass horizon of 40"):
+        parse_config("diffusion.T = 41\n")
+    with pytest.raises(ConfigError, match="diffusion.T = 51 exceeds the pendulum horizon of 50"):
+        parse_config("env.name = pendulum\ndiffusion.T = 51\n")
 
 
 @pytest.mark.parametrize("key,value", [("ppo.clip_ratio", 1.5), ("ppo.clip_ratio", 1.0),
@@ -210,7 +220,7 @@ def test_beta_max_at_or_above_one_rejected():
                                  "data.augmented", "env.horizon", "ensemble.base_seed",
                                  "diffusion.step_size", "dynamics.batch_size",
                                  "dynamics.step_size", "ppo.gae_lambda", "ppo.step_size",
-                                 "ppo.value_step_size"])
+                                 "ppo.value_step_size", "env.coverage_gap"])
 def test_objective_alpha_is_not_a_key(key):
     # no stage reads them, so the schema has no such keys
     with pytest.raises(ConfigError, match=f"unknown config key: {key}"):

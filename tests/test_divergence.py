@@ -100,28 +100,38 @@ def test_perturb_variance_monte_carlo():
     assert abs(var - 0.0025) / 0.0025 < 0.1
 
 
-def test_guide_empty_predecessors_is_identity():
+def test_guide_without_predecessors_raises():
     cfg = DivergenceConfig(tau=0.5, eta=0.1, guided_steps=10)
-    a = np.random.default_rng(1).standard_normal((5, 2))
-    out = divergence.guide(a, [], cfg, np.random.default_rng(2))
-    assert np.array_equal(out, a)
+    a = np.random.default_rng(1).standard_normal((3, 5, 2))
+    with pytest.raises(ShapeError):
+        divergence.guide(a, np.empty((3, 0, 5, 2)), cfg, [np.random.default_rng(2)] * 3)
 
 
 def test_guide_far_predecessor_is_identity():
+    # row 0's only predecessor is far, row 1's is itself: row 0 comes back
+    # unchanged and leaves its generator where it was
     cfg = DivergenceConfig(tau=0.1, eta=0.5, guided_steps=10)
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 2))
-    far = a + 100.0 * np.arange(6)[:, None]  # divergence well above tau
-    assert divergence.div(a, far) > cfg.tau
-    out = divergence.guide(a, [far], cfg, np.random.default_rng(4))
-    assert np.array_equal(out, a)
+    a = np.random.default_rng(3).standard_normal((2, 6, 2))
+    far = a[0] + 100.0 * np.arange(6)[:, None]  # divergence well above tau
+    assert divergence.div(a[0], far) > cfg.tau
+    rngs = [np.random.default_rng(4), np.random.default_rng(5)]
+    out = divergence.guide(a, np.stack([far, a[1]])[:, None], cfg, rngs)
+    assert np.array_equal(out[0], a[0])
+    assert rngs[0].random() == np.random.default_rng(4).random()
+    assert not np.array_equal(out[1], a[1])
 
 
 def test_guide_close_predecessor_perturbs():
+    # each row moves by its own generator's draws, at sigma_div(0) = eta
     cfg = DivergenceConfig(tau=0.5, eta=0.1, guided_steps=10)
-    a = np.zeros((6, 2))
-    out = divergence.guide(a, [a.copy()], cfg, np.random.default_rng(5))
-    assert not np.array_equal(out, a)
+    a = np.zeros((3, 6, 2))
+    out = divergence.guide(a, np.stack([a, a + 1.0], axis=1), cfg,
+                           [np.random.default_rng(seed) for seed in (5, 6, 7)])
+    for row, seed in zip(out, (5, 6, 7)):
+        want = divergence.perturb(np.zeros((6, 2)), 0.1, np.random.default_rng(seed))
+        assert np.array_equal(row, want)
+    with pytest.raises(ValueError):  # one generator per row, no fewer
+        divergence.guide(a, np.stack([a], axis=1), cfg, [np.random.default_rng(5)] * 2)
 
 
 def test_min_div_matches_div():

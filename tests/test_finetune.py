@@ -380,14 +380,6 @@ def test_evaluate_head_is_seeded():
     assert r1 == episodes[3].mean()
 
 
-def test_curve_csv_format():
-    text = finetune.curve_csv([(1.5, 0.25), (-2.0, 0.5)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "iteration,mean_return,std_return"
-    assert lines[1] == "0,1.5,0.25"
-    assert lines[2] == "1,-2.0,0.5"
-
-
 def test_head_checkpoint_round_trip(tmp_path):
     head = small_head(seed=22, d_s=3, d_a=2, low=-1.5, high=0.5)
     head.log_std[:] = np.array([-0.3, -1.2])
