@@ -9,6 +9,6 @@ head with clipped policy gradients in the real environment.
 """
 
 from . import (augmentation, cli, config, datasets, diffusion, divergence,
-               dynamics, envs, errors, finetune, nets, objective)
+               dynamics, envs, errors, finetune, nets)
 
 __version__ = "0.1.0"

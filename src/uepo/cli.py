@@ -197,6 +197,10 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
                                        augmentation.kl_histogram(report.kl_values)))
     print(f"augment: accepted {report.n_accepted}/{report.n_attempts} rollouts, "
           f"{report.achieved_transitions} synthetic transitions")
+    if report.achieved_transitions < report.target_transitions:
+        print(f"uepo: augment under-filled: {report.achieved_transitions} of "
+              f"{report.target_transitions} target transitions, ratio "
+              f"{report.achieved_ratio:.3f} of {report.ratio}", file=sys.stderr)
 
 
 def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):

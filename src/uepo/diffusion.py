@@ -25,7 +25,9 @@ from .errors import ConfigError, EmptyBatchError, ShapeError
 
 DEFAULT_K = 50
 DEFAULT_BETA_MIN = 1e-4
-DEFAULT_BETA_MAX = 0.02
+# over DEFAULT_K steps this leaves alpha_bar = 0.0046 at the last step, so the
+# reverse chain's N(0, I) start matches where the forward process ends
+DEFAULT_BETA_MAX = 0.2
 EMB_DIM = 16  # width of the denoiser's time embedding
 
 
@@ -42,7 +44,8 @@ class NoiseSchedule:
 
 def make_linear_schedule(k: int, beta_min: float = DEFAULT_BETA_MIN,
                          beta_max: float = DEFAULT_BETA_MAX) -> NoiseSchedule:
-    """Linearly interpolated noise rates; alpha_bar comes out strictly decreasing."""
+    """k noise rates spaced linearly from beta_min to beta_max; alpha_bar
+    comes out strictly decreasing."""
     if k < 1:
         raise ConfigError(f"step count must be >= 1, got {k}")
     if not (0 < beta_min <= beta_max < 1):
@@ -96,10 +99,10 @@ class DiffusionPolicy:
 
 
 def make_policy(T: int, d_a: int, d_s: int, hidden, rng: np.random.Generator,
-                schedule: NoiseSchedule | None = None,
-                action_low=None, action_high=None) -> DiffusionPolicy:
-    if schedule is None:
-        schedule = make_linear_schedule(DEFAULT_K)
+                schedule: NoiseSchedule, action_low=None, action_high=None) -> DiffusionPolicy:
+    """A policy over (T, d_a) sequences at (d_s,) anchors under ``schedule``,
+    its denoiser's ``hidden`` widths initialised from ``rng``; the action
+    box defaults to [-1, 1] in each dimension."""
     widths = [T * d_a + T * d_s + EMB_DIM, *hidden, T * d_a]
     net = nets.mlp_init(widths, rng)
     return DiffusionPolicy(net, schedule, T, d_a, d_s, action_low, action_high)
@@ -161,19 +164,6 @@ def sliding_windows(ds, T: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray
     if not anchors:
         raise EmptyBatchError(f"no trajectory has {T}+ transitions")
     return np.stack(anchors), np.stack(actions)
-
-
-def q_sample(a0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Forward-noise a clean sequence to level t:
-    sqrt(alpha_bar[t]) * a0 + sqrt(1 - alpha_bar[t]) * eps."""
-    a0 = np.asarray(a0, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if a0.shape != eps.shape:
-        raise ShapeError(f"noise shape {eps.shape} != sequence shape {a0.shape}")
-    if not 0 <= t < sched.k:
-        raise ConfigError(f"step index {t} outside [0, {sched.k})")
-    ab = sched.alpha_bar[t]
-    return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
 
 
 def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray,

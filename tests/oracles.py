@@ -1,6 +1,6 @@
-"""Scalar reference implementations of the batched sampling, scoring
-and rollout paths, the checkpoint bytes packed field by field, and the
-small helpers several tests share.
+"""Scalar reference implementations of the batched noising, sampling,
+scoring and rollout paths, the checkpoint bytes packed field by field,
+and the small helpers several tests share.
 
 Each path runs a single row at a time, one reverse step or transition at
 a time, with noise drawn step by step, the way the library worked before
@@ -16,6 +16,7 @@ import numpy as np
 
 from uepo import augmentation, diffusion, divergence, dynamics, envs, finetune, nets
 from uepo.datasets import Trajectory, TrajectoryDataset, initial_states, n_transitions
+from uepo.errors import ConfigError, ShapeError
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -25,6 +26,20 @@ def guide(a, predecessors, cfg, rng):
     closest of its predecessors at the adaptive strength."""
     d_min = min(divergence.div(a, p) for p in predecessors)
     return divergence.perturb(a, divergence.sigma_div(d_min, cfg), rng)
+
+
+def q_sample(a0: np.ndarray, t: int, eps: np.ndarray,
+             sched: diffusion.NoiseSchedule) -> np.ndarray:
+    """Forward-noise a clean sequence to level t:
+    sqrt(alpha_bar[t]) * a0 + sqrt(1 - alpha_bar[t]) * eps."""
+    a0 = np.asarray(a0, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if a0.shape != eps.shape:
+        raise ShapeError(f"noise shape {eps.shape} != sequence shape {a0.shape}")
+    if not 0 <= t < sched.k:
+        raise ConfigError(f"step index {t} outside [0, {sched.k})")
+    ab = sched.alpha_bar[t]
+    return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
 
 
 def reverse_chain(policy, s0, seed, predecessors=(), cfg=None):

@@ -1,6 +1,7 @@
 """End-to-end checks of the stage driver: a tiny pipeline run, manifest
 integrity, rerun determinism, and the exit-code contract of main()."""
 
+import ast
 import fcntl
 import hashlib
 import json
@@ -148,6 +149,26 @@ def test_readme_stage_table_matches_cli_stages():
     assert stages == cli.STAGES
     for stage, (_, _, writes) in zip(stages, rows):
         assert re.findall(r"`([^`]+)`", writes) == list(cli._STAGES[stage][1]), stage
+
+
+def test_every_library_module_is_reachable_from_the_stage_driver():
+    """Following the package's relative imports from cli reaches every
+    module, so none is code that no stage can run."""
+    src = os.path.dirname(cli.__file__)
+    modules = {name[:-3] for name in os.listdir(src) if name.endswith(".py")}
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        with open(os.path.join(src, name + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                todo += [n for n in names if n in modules]
+    assert modules - reached - {"__init__", "__main__"} == set()
 
 
 def test_declared_file_the_body_did_not_write_fails_the_stage(tmp_path, monkeypatch):
@@ -484,13 +505,18 @@ def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil,
     assert str(out / name) in err and detail in err, err
 
 
+def _tiny(max_attempts):
+    """SMOKE cut to seconds, with a filter that accepts every rollout."""
+    return (SMOKE.replace("train_steps = 300", "train_steps = 20")
+            .replace("epochs = 120", "epochs = 7")
+            .replace("attempts = 400", f"attempts = {max_attempts}")
+            .replace("epsilon = 1.0", "epsilon = 1000.0"))
+
+
 def test_only_train_dynamics_computes_the_pool_nll_curve(tmp_path, monkeypatch):
     # augment discards its initial model's curve, so it must not compute it
     out = tmp_path / "o"
-    small = (SMOKE.replace("train_steps = 300", "train_steps = 20")
-             .replace("epochs = 120", "epochs = 7").replace("attempts = 400", "attempts = 20")
-             .replace("epsilon = 1.0", "epsilon = 1000.0"))
-    cfg = parse_config(small + f"out = {out}\n")
+    cfg = parse_config(_tiny(20) + f"out = {out}\n")
     for stage in ("gen-data", "train-diffusion"):
         cli.run_stage(stage, cfg)
     calls, pool_nll = [], dynamics.pool_nll
@@ -504,6 +530,23 @@ def test_only_train_dynamics_computes_the_pool_nll_curve(tmp_path, monkeypatch):
     assert len(calls) == 0
     cli.run_stage("train-dynamics", cfg)
     assert len(calls) == cfg["dynamics.epochs"] + 1
+
+
+@pytest.mark.parametrize("max_attempts, under_filled", [(2, True), (200, False)])
+def test_augment_under_fill_is_one_stderr_line(tmp_path, capsys, max_attempts, under_filled):
+    # 480 real transitions at ratio 2 need 120 accepted 8-step rollouts
+    out = tmp_path / "o"
+    cfg_path = _write_cfg(tmp_path, _tiny(max_attempts) + f"out = {out}\n")
+    for stage in ("gen-data", "train-diffusion"):
+        assert cli.main([stage, "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["augment", "--config", cfg_path]) == 0
+    report = _read_manifest(out / "augment_report.txt")
+    want = (f"uepo: augment under-filled: {report['achieved_transitions']} of "
+            f"{report['target_transitions']} target transitions, ratio "
+            f"{float(report['achieved_ratio']):.3f} of 2.0\n")
+    assert capsys.readouterr().err == (want if under_filled else "")
+    assert (int(report["achieved_transitions"]) < int(report["target_transitions"])) == under_filled
 
 
 def test_main_help_is_exit_0(capsys):

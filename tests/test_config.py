@@ -36,6 +36,15 @@ def test_defaults_agree_with_the_library():
         assert cfg[f"ppo.{key}"] == getattr(ppo, key), key
 
 
+def test_default_schedule_ends_near_the_sampler_start():
+    # sampling starts from N(0, I), so the forward process must end near it
+    cfg = parse_config("")
+    assert cfg["diffusion.beta_max"] == 0.2
+    sched = diffusion.make_linear_schedule(cfg["diffusion.k"], cfg["diffusion.beta_min"],
+                                           cfg["diffusion.beta_max"])
+    assert sched.alpha_bar[-1] < 0.01
+
+
 def test_parse_basic_assignments_and_comments():
     text = """
 # a comment line

@@ -45,17 +45,6 @@ def test_schedule_validation():
         diffusion.make_linear_schedule(5, 1e-4, 1.0)
 
 
-def test_q_sample_formula():
-    rng = np.random.default_rng(0)
-    sched = diffusion.make_linear_schedule(6, 1e-4, 0.2)
-    a0 = rng.standard_normal((4, 2))
-    eps = rng.standard_normal((4, 2))
-    for t in range(6):
-        ab = sched.alpha_bar[t]
-        want = np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
-        assert np.allclose(diffusion.q_sample(a0, t, eps, sched), want, atol=1e-15)
-
-
 def test_predict_eps_input_layout():
     # each row is [flattened actions | anchor tiled T times | embedding],
     # built here row by row with np.tile, independently of the library
@@ -91,7 +80,7 @@ def test_denoising_loss_feeds_the_predict_eps_row(monkeypatch):
     t_idx = draws.integers(0, policy.schedule.k, size=4)
     eps = draws.standard_normal(actions.shape)
     for b, t in enumerate(t_idx):
-        noisy = diffusion.q_sample(actions[b], t, eps[b], policy.schedule)
+        noisy = oracles.q_sample(actions[b], t, eps[b], policy.schedule)
         diffusion.predict_eps(policy, noisy[None], anchors[b:b + 1], t)
         assert np.array_equal(seen[-1][0], seen[0][b])
 
