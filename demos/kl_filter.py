@@ -49,7 +49,7 @@ print("training the dynamics model on demonstrations + policy rollouts")
 for epochs, lr in ((200, 1e-3), (150, 3e-4), (100, 1e-4)):
     curve = dynamics.train_joint(model, covered, None, epochs, shuffle,
                                  batch_size=256, step_size=lr)
-print(f"  pool NLL after training: {curve[-1]:.3f}")
+print(f"  pool NLL after training: {curve[-1][1]:.3f}")
 
 synthetic, report = build_augmented(env, policy, model, ds,
                                     FilterConfig(epsilon=0.5, ratio=2.0),

@@ -218,8 +218,8 @@ def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
                                  batch_size=DYNAMICS_BATCH_SIZE,
                                  step_size=DYNAMICS_STEP_SIZE)
     dynamics.save_dynamics(model, run.output_path("dynamics_joint.bin"))
-    run.write_text("dynamics_loss.csv", _csv("epoch,pool_nll", enumerate(curve)))
-    print(f"train-dynamics: pool NLL {curve[0]:.4f} -> {curve[-1]:.4f}")
+    run.write_text("dynamics_loss.csv", _csv("epoch,pool_nll", curve))
+    print(f"train-dynamics: pool NLL {curve[0][1]:.4f} -> {curve[-1][1]:.4f}")
 
 
 def _stage_select(cfg: RunConfig, run: StageRun, ss):

@@ -4,7 +4,10 @@ The net maps (s, a) to per-dimension mean and raw log-variance of the
 next state; log-variance is clamped to [-10, 2] so predicted variances
 stay positive and bounded. Training minimizes the mean negative
 log-density over real transitions, optionally pooled with filtered
-synthetic ones.
+synthetic ones. A training step computes only the terms of the
+gradient; the scalar loss is computed where a caller reads it
+(:func:`nll`, :func:`pool_nll`). The training curve holds the full-pool
+loss at epoch 0, at every ``CURVE_EVERY``-th epoch and at the last.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .errors import ConfigError, EmptyBatchError, ShapeError
 
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 2.0
+# epochs between two full-pool points of train_joint's curve
+CURVE_EVERY = 10
 
 
 @dataclass
@@ -85,25 +90,31 @@ def _inputs(m: GaussianDynamics, batch: TransitionBatch) -> np.ndarray:
     return np.concatenate([batch.s, batch.a], axis=1)
 
 
-def _mean_nll(m: GaussianDynamics, out: np.ndarray, s_next: np.ndarray):
-    """Mean NLL of ``s_next`` under the net output ``out``, with the terms
-    its gradient needs: (loss, mean, var, delta, raw log-var)."""
+def _terms(m: GaussianDynamics, out: np.ndarray, s_next: np.ndarray):
+    """The Gaussian at the net output ``out`` and its residual at ``s_next``:
+    (mean, clamped log-var, var, delta = s_next - mean, raw log-var)."""
     mean, log_var, raw_lv = _split_output(m, out)
     var = np.exp(log_var)
-    delta = s_next - mean
-    loss = float(np.sum(0.5 * (np.log(2.0 * np.pi) + log_var + delta**2 / var)) / len(s_next))
-    return loss, mean, var, delta, raw_lv
+    return mean, log_var, var, s_next - mean, raw_lv
 
 
-def _nll_and_grad(m: GaussianDynamics, x: np.ndarray, s_next: np.ndarray,
-                  ws: nets.Workspace | None = None) -> tuple[float, np.ndarray]:
+def _mean_nll(terms) -> float:
+    """Mean negative log-density of the rows behind ``_terms``' output."""
+    _, log_var, var, delta, _ = terms
+    return float(np.sum(0.5 * (np.log(2.0 * np.pi) + log_var + delta**2 / var)) / len(delta))
+
+
+def _grad(m: GaussianDynamics, x: np.ndarray, s_next: np.ndarray,
+          ws: nets.Workspace | None = None):
+    """Parameter gradient of the mean NLL at inputs ``x``, and the
+    ``_terms`` it was built from; the loss itself is not computed."""
     acts = nets.forward_activations(m.net, x, ws)
-    loss, mean, var, delta, raw_lv = _mean_nll(m, acts[-1], s_next)
+    terms = mean, _, var, delta, raw_lv = _terms(m, acts[-1], s_next)
     n = len(s_next)
     up_mean = (mean - s_next) / var / n
     active = (raw_lv > LOG_VAR_MIN) & (raw_lv < LOG_VAR_MAX)
     up_lv = 0.5 * (1.0 - delta**2 / var) / n * active
-    return loss, nets.backward(m.net, acts, np.concatenate([up_mean, up_lv], axis=1), ws)
+    return nets.backward(m.net, acts, np.concatenate([up_mean, up_lv], axis=1), ws), terms
 
 
 def nll(m: GaussianDynamics, batch: TransitionBatch) -> tuple[float, np.ndarray]:
@@ -112,7 +123,8 @@ def nll(m: GaussianDynamics, batch: TransitionBatch) -> tuple[float, np.ndarray]
     Gradient flows through the log-variance clamp only where the raw
     output is strictly inside (-10, 2).
     """
-    return _nll_and_grad(m, _inputs(m, batch), batch.s_next)
+    grad, terms = _grad(m, _inputs(m, batch), batch.s_next)
+    return _mean_nll(terms), grad
 
 
 def gaussian_kl(p_mean, p_var, q_mean, q_var):
@@ -134,18 +146,22 @@ def gaussian_kl(p_mean, p_var, q_mean, q_var):
 def pool_nll(m: GaussianDynamics, pool: TransitionBatch,
              ws: nets.Workspace | None = None) -> float:
     """The loss of :func:`nll` from a forward pass alone."""
-    return _mean_nll(m, nets.forward(m.net, _inputs(m, pool), ws), pool.s_next)[0]
+    return _mean_nll(_terms(m, nets.forward(m.net, _inputs(m, pool), ws), pool.s_next))
 
 
 def train_joint(m: GaussianDynamics, real: TransitionBatch,
                 synthetic: TransitionBatch | None, epochs: int,
                 rng: np.random.Generator, batch_size: int = 128,
-                step_size: float = 1e-3, curve: bool = True) -> list[float] | None:
-    """Adam on the pooled NLL, in place; synthetic None or empty means
-    real-only. Returns the full-pool loss before training and after every
-    epoch, so curve[-1] <= curve[0] states the training postcondition.
-    With ``curve=False`` it skips those full-pool passes and returns None;
-    the trained parameters are the same either way.
+                step_size: float = 1e-3,
+                curve: bool = True) -> list[tuple[int, float]] | None:
+    """Adam on the pooled NLL, in place; synthetic None means real-only.
+
+    Returns the curve ``[(epoch, pool_nll), ...]``: the full-pool loss
+    before training (epoch 0), after every ``CURVE_EVERY``-th epoch and
+    after the last one, so ``curve[-1][1] <= curve[0][1]`` states the
+    training postcondition. With ``curve=False`` it skips those
+    full-pool passes and returns None; the trained parameters are the
+    same either way.
     """
     if epochs < 1:
         raise ConfigError("epochs must be positive")
@@ -155,19 +171,23 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
                                np.concatenate([real.a, synthetic.a]),
                                np.concatenate([real.s_next, synthetic.s_next]))
     n = len(pool)
-    # the pool is validated once; minibatches index its arrays directly
+    # the pool is validated once; each epoch gathers it in shuffled order
+    # into two buffers, and a minibatch is a slice of them
     x = _inputs(m, pool)
+    x_shuf, s_next_shuf = np.empty_like(x), np.empty_like(pool.s_next)
     opt = nets.adam_init(nets.param_count(m.net), step_size=step_size)
     ws = nets.Workspace(m.net, n if curve else min(batch_size, n))
-    losses = [pool_nll(m, pool, ws)] if curve else None
-    for _ in range(epochs):
+    losses = [(0, pool_nll(m, pool, ws))] if curve else None
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
+        np.take(x, order, axis=0, out=x_shuf)
+        np.take(pool.s_next, order, axis=0, out=s_next_shuf)
         for lo in range(0, n, batch_size):
-            idx = order[lo: lo + batch_size]
-            _, grad = _nll_and_grad(m, x[idx], pool.s_next[idx], ws)
+            grad, _ = _grad(m, x_shuf[lo: lo + batch_size],
+                            s_next_shuf[lo: lo + batch_size], ws)
             nets.optimizer_step(opt, m.net.params, grad)
-        if curve:
-            losses.append(pool_nll(m, pool, ws))
+        if curve and (epoch % CURVE_EVERY == 0 or epoch == epochs):
+            losses.append((epoch, pool_nll(m, pool, ws)))
     return losses
 
 

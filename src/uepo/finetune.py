@@ -183,15 +183,18 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     opt = nets.adam_init(nets.param_count(head.net), step_size=step_size)
     n = states.shape[0]
     ws = nets.Workspace(head.net, n)
+    # each epoch gathers the pool in shuffled order once; a minibatch is a slice
+    states_shuf, targets_shuf = np.empty_like(states), np.empty_like(targets)
     mse = np.inf
     for _ in range(epochs):
         order = rng.permutation(n)
+        np.take(states, order, axis=0, out=states_shuf)
+        np.take(targets, order, axis=0, out=targets_shuf)
         for lo in range(0, n, batch_size):
-            idx = order[lo:lo + batch_size]
-            acts = nets.forward_activations(head.net, states[idx], ws)
+            acts = nets.forward_activations(head.net, states_shuf[lo:lo + batch_size], ws)
             squashed = np.tanh(acts[-1])
             pred = head.center + head.half * squashed
-            err = pred - targets[idx]
+            err = pred - targets_shuf[lo:lo + batch_size]
             upstream = 2.0 * err * head.half * (1.0 - squashed ** 2) / err.size
             grads = nets.backward(head.net, acts, upstream, ws)
             nets.optimizer_step(opt, head.net.params, grads)

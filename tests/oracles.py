@@ -236,6 +236,33 @@ def adam(params, grads, step_size=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return params, m, v
 
 
+def distill(policy, seed, states, rng, hidden, epochs, batch_size, step_size, mse_target):
+    """finetune.distill's loop with a fresh ``states[idx]``/``targets[idx]``
+    gather per minibatch and fresh arrays at every step; returns the head
+    and its last full-pool MSE, without the warning."""
+    targets = diffusion.sample(policy, states, [seed] * len(states))[:, 0]
+    head = finetune.make_head(policy.d_s, policy.d_a, hidden, rng,
+                              policy.action_low, policy.action_high)
+    params = nets.get_params(head.net)
+    opt = nets.adam_init(params.size, step_size=step_size)
+    mse = np.inf
+    for _ in range(epochs):
+        order = rng.permutation(len(states))
+        for lo in range(0, len(states), batch_size):
+            idx = order[lo:lo + batch_size]
+            acts = nets.forward_activations(head.net, states[idx])
+            squashed = np.tanh(acts[-1])
+            err = head.center + head.half * squashed - targets[idx]
+            upstream = 2.0 * err * head.half * (1.0 - squashed ** 2) / err.size
+            nets.optimizer_step(opt, params, nets.backward(head.net, acts, upstream))
+            nets.set_params(head.net, params)
+        full = head.center + head.half * np.tanh(nets.forward(head.net, states))
+        mse = float(np.mean((full - targets) ** 2))
+        if mse < mse_target:
+            break
+    return head, mse
+
+
 def replay_consistent(env, traj):
     """Re-step every recorded (s_t, a_t) with the trajectory's transition
     draws and demand bit-equal next states."""

@@ -17,6 +17,7 @@ import pytest
 
 from uepo import cli, dynamics
 from uepo.config import SCHEMA, parse_config
+from uepo.datasets import load_dataset
 
 SMOKE = """
 env.name = point_mass
@@ -529,7 +530,27 @@ def test_only_train_dynamics_computes_the_pool_nll_curve(tmp_path, monkeypatch):
     cli.run_stage("augment", cfg)
     assert len(calls) == 0
     cli.run_stage("train-dynamics", cfg)
-    assert len(calls) == cfg["dynamics.epochs"] + 1
+    # the curve's points: epoch 0 and the last of the 7 epochs
+    assert cfg["dynamics.epochs"] == 7 and len(calls) == 2
+
+
+def test_dynamics_loss_csv_has_every_tenth_epoch_and_the_saved_model_nll(pipeline):
+    # in-tree twin of the benchmark's dynamics.curve check
+    cfg, out = pipeline
+    with open(os.path.join(out, "dynamics_loss.csv")) as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "epoch,pool_nll"
+    epochs = cfg["dynamics.epochs"]
+    assert epochs % dynamics.CURVE_EVERY == 0 and cfg["dynamics.use_augmented"]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(0, epochs + 1,
+                                                              dynamics.CURVE_EVERY))
+    real, syn = (cli._real_batch(load_dataset(os.path.join(out, name)))
+                 for name in (cli.DATASET, cli.AUGMENTED))
+    pool = dynamics.TransitionBatch(np.concatenate([real.s, syn.s]),
+                                    np.concatenate([real.a, syn.a]),
+                                    np.concatenate([real.s_next, syn.s_next]))
+    model = dynamics.load_dynamics(os.path.join(out, "dynamics_joint.bin"))
+    assert float(rows[-1].split(",")[1]) == dynamics.pool_nll(model, pool)
 
 
 @pytest.mark.parametrize("max_attempts, under_filled", [(2, True), (200, False)])

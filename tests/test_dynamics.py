@@ -175,8 +175,8 @@ def test_train_joint_reduces_pool_nll():
     real = TransitionBatch(s, a, s_next)
     curve = dynamics.train_joint(m, real, None, 30, np.random.default_rng(8),
                                  batch_size=32, step_size=3e-3)
-    assert len(curve) == 31
-    assert curve[-1] < curve[0]
+    assert [epoch for epoch, _ in curve] == [0, 10, 20, 30]
+    assert curve[-1][1] < curve[0][1]
 
 
 def test_train_joint_none_synthetic_matches_real_only_pool():
@@ -204,14 +204,16 @@ def test_train_joint_uses_synthetic_rows():
 
 def test_train_joint_matches_reference_loop():
     # oracle: the plain loop over the public API -- a fresh TransitionBatch
-    # per minibatch, nll's loss-and-gradient for every curve point -- must
-    # give the same parameters and curve bit for bit
+    # gathered per minibatch, nll's loss-and-gradient for every curve point
+    # -- must give the same parameters and curve bit for bit. 60 rows in
+    # minibatches of 16 leave a partial last one, and 23 epochs put the
+    # last curve point off the CURVE_EVERY grid
     rng = np.random.default_rng(13)
     real = random_batch(rng, n=37, d_s=2, d_a=1)
     syn = random_batch(rng, n=23, d_s=2, d_a=1)
     m = dynamics.make_dynamics(2, 1, [8, 8], np.random.default_rng(1))
     ref = dynamics.make_dynamics(2, 1, [8, 8], np.random.default_rng(1))
-    curve = dynamics.train_joint(m, real, syn, 4, np.random.default_rng(2),
+    curve = dynamics.train_joint(m, real, syn, 23, np.random.default_rng(2),
                                  batch_size=16, step_size=3e-3)
 
     pool = TransitionBatch(np.concatenate([real.s, syn.s]),
@@ -220,16 +222,18 @@ def test_train_joint_matches_reference_loop():
     shuffle = np.random.default_rng(2)
     params = nets.get_params(ref.net)
     opt = nets.adam_init(params.size, step_size=3e-3)
-    ref_curve = [dynamics.nll(ref, pool)[0]]
-    for _ in range(4):
+    ref_curve = [(0, dynamics.nll(ref, pool)[0])]
+    for epoch in range(1, 24):
         order = shuffle.permutation(len(pool))
         for lo in range(0, len(pool), 16):
             idx = order[lo:lo + 16]
             sub = TransitionBatch(pool.s[idx], pool.a[idx], pool.s_next[idx])
             nets.optimizer_step(opt, params, dynamics.nll(ref, sub)[1])
             nets.set_params(ref.net, params)
-        ref_curve.append(dynamics.nll(ref, pool)[0])
+        if epoch in (10, 20, 23):
+            ref_curve.append((epoch, dynamics.nll(ref, pool)[0]))
 
+    assert [epoch for epoch, _ in ref_curve] == [0, 10, 20, 23]
     assert curve == ref_curve
     assert np.array_equal(nets.get_params(m.net), nets.get_params(ref.net))
 
@@ -253,9 +257,9 @@ def test_train_joint_without_curve_trains_the_same_parameters():
     syn = random_batch(rng, n=6, d_s=2, d_a=1)
     m1 = dynamics.make_dynamics(2, 1, [8, 8], np.random.default_rng(1))
     m2 = dynamics.make_dynamics(2, 1, [8, 8], np.random.default_rng(1))
-    curve = dynamics.train_joint(m1, real, syn, 3, np.random.default_rng(2), batch_size=8)
-    assert len(curve) == 4
-    assert dynamics.train_joint(m2, real, syn, 3, np.random.default_rng(2), batch_size=8,
+    curve = dynamics.train_joint(m1, real, syn, 12, np.random.default_rng(2), batch_size=8)
+    assert [epoch for epoch, _ in curve] == [0, 10, 12]
+    assert dynamics.train_joint(m2, real, syn, 12, np.random.default_rng(2), batch_size=8,
                                 curve=False) is None
     assert np.array_equal(m1.net.params, m2.net.params)
 

@@ -136,34 +136,43 @@ def test_distill_matches_reference_loop():
     # and MSE bit for bit
     policy = small_policy(seed=3, T=4, d_a=1, d_s=2)
     states = np.random.default_rng(4).uniform(-1, 1, size=(30, 2))
+    kw = dict(hidden=(8,), epochs=3, batch_size=8, step_size=1e-2, mse_target=0.0)
     with pytest.warns(DistillationQualityWarning):
-        head, mse = finetune.distill(policy, 17, states, np.random.default_rng(5),
-                                     hidden=(8,), epochs=3, batch_size=8,
-                                     step_size=1e-2, mse_target=0.0)
+        head, mse = finetune.distill(policy, 17, states, np.random.default_rng(5), **kw)
 
     targets = diffusion.sample(policy, states, [17] * 30)[:, 0]
     # the batched targets agree with one-at-a-time sampling to 1e-12
     for s, target in zip(states, targets):
         want = oracles.reverse_chain(policy, s, 17)[0]
         assert np.max(np.abs(target - want)) <= 1e-12
-    rng = np.random.default_rng(5)
-    ref = finetune.make_head(2, 1, (8,), rng, policy.action_low, policy.action_high)
-    params = nets.get_params(ref.net)
-    opt = nets.adam_init(params.size, step_size=1e-2)
-    for _ in range(3):
-        order = rng.permutation(30)
-        for lo in range(0, 30, 8):
-            idx = order[lo:lo + 8]
-            acts = nets.forward_activations(ref.net, states[idx])
-            m = acts[-1]
-            err = ref.center + ref.half * np.tanh(m) - targets[idx]
-            upstream = 2.0 * err * ref.half * (1.0 - np.tanh(m) ** 2) / err.size
-            nets.optimizer_step(opt, params, nets.backward(ref.net, acts, upstream))
-            nets.set_params(ref.net, params)
-    full = ref.center + ref.half * np.tanh(nets.forward(ref.net, states))
+    ref, ref_mse = oracles.distill(policy, 17, states, np.random.default_rng(5), **kw)
 
-    assert mse == float(np.mean((full - targets) ** 2))
+    assert mse == ref_mse
     assert np.array_equal(nets.get_params(head.net), nets.get_params(ref.net))
+
+
+@pytest.mark.parametrize("hidden, batch_size, epochs, mse_target", [
+    ((8, 8), 7, 6, 0.0),        # a partial last minibatch; every epoch runs
+    ((16,), 64, 5, 0.0),        # one minibatch larger than the pool
+    ((16, 16), 8, 400, 0.005),  # stops early, after dozens of epochs
+])
+def test_distill_matches_the_per_minibatch_gather_loop(hidden, batch_size, epochs,
+                                                       mse_target):
+    # distill gathers each epoch's shuffled pool once and slices it; the
+    # oracle gathers states[idx] and targets[idx] per minibatch. This adds
+    # a deeper head, a minibatch wider than the pool and an early stop to
+    # the single case above
+    policy = small_policy(seed=3, T=4, d_a=1, d_s=2)
+    states = np.random.default_rng(4).uniform(-1, 1, size=(30, 2))
+    kw = dict(hidden=hidden, epochs=epochs, batch_size=batch_size, step_size=1e-2,
+              mse_target=mse_target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DistillationQualityWarning)
+        head, mse = finetune.distill(policy, 17, states, np.random.default_rng(5), **kw)
+    ref, ref_mse = oracles.distill(policy, 17, states, np.random.default_rng(5), **kw)
+    assert mse == ref_mse
+    assert np.array_equal(head.net.params, ref.net.params)
+    assert (mse < mse_target) == (mse_target > 0)
 
 
 def test_gae_hand_oracle():
