@@ -19,7 +19,7 @@ env = envs.PointMass2D()
 print("collecting 200 scripted demonstrations (half per goal)")
 ds = envs.make_offline_dataset(env, 200, (0.5, 0.5), np.random.default_rng(11))
 
-anchors, windows_a = diffusion.prefix_windows(ds, 40)
+anchors, windows_a = diffusion.sliding_windows(ds, 40, env.horizon)
 rng = np.random.default_rng(5)
 policy = diffusion.make_policy(40, 2, 4, [256, 256], rng,
                                schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
@@ -53,7 +53,8 @@ print("constant sequences at +0.8 or -0.8; members of an unguided ensemble")
 print("often collapse onto the same constant.")
 rng2 = np.random.default_rng(4)
 flat = diffusion.make_policy(4, 1, 1, [64, 64], rng2,
-                             schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2))
+                             schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
+                             action_low=-1.0, action_high=1.0)
 const_a = np.concatenate([np.full((100, 4, 1), 0.8), np.full((100, 4, 1), -0.8)])
 diffusion.train_denoiser(flat, np.zeros((200, 1)), const_a, 3000, 128, 1e-3, rng2)
 
@@ -64,10 +65,9 @@ plain_cfg = DivergenceConfig(tau=0.5, eta=0.0, guided_steps=10)
 flat_anchor = np.zeros((1, 1))
 guided, plain = [], []
 for base_seed in range(8):
-    g = min_pairwise_div(diffusion.sample_ensemble(
-        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg))[0])
-    p = min_pairwise_div(diffusion.sample_ensemble(
-        flat, flat_anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg))[0])
+    seeds = diffusion.member_seeds(4, base_seed)
+    g = min_pairwise_div(diffusion.sample_ensemble(flat, flat_anchor, seeds, guided_cfg)[0])
+    p = min_pairwise_div(diffusion.sample_ensemble(flat, flat_anchor, seeds, plain_cfg)[0])
     guided.append(g)
     plain.append(p)
     print(f"  {base_seed:9d}   {g:7.4f}   {p:7.4f}")

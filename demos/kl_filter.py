@@ -29,7 +29,7 @@ policy = diffusion.make_policy(8, 2, 4, [48, 48], rng,
                                schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
                                action_low=env.action_low,
                                action_high=env.action_high)
-anchors, windows_a = diffusion.prefix_windows(ds, 8)
+anchors, windows_a = diffusion.sliding_windows(ds, 8, env.horizon)
 diffusion.train_denoiser(policy, anchors, windows_a, 800, 128, 1e-3, rng)
 
 # fit the model on the demonstrations plus rollouts of this same policy,

@@ -87,10 +87,20 @@ def _make_env(cfg: RunConfig):
     return envs.make_env(cfg["env.name"], sigma_env=cfg["env.sigma_env"])
 
 
+def _load_for_env(run: StageRun, env, name: str, load, *args):
+    """``load(path, *args)`` of the named checkpoint, refused when it was made
+    for other state or action dimensions than ``env``'s."""
+    path = run.input_path(name)
+    model = load(path, *args)
+    if (model.d_s, model.d_a) != (env.d_s, env.d_a):
+        raise ConfigError(f"{path} holds a model for d_s = {model.d_s}, d_a = {model.d_a}, "
+                          f"but {env.name} has d_s = {env.d_s}, d_a = {env.d_a}")
+    return model
+
+
 def _load_policy_for_env(run: StageRun, env) -> diffusion.DiffusionPolicy:
-    path = run.input_path("policy.bin")
-    return diffusion.load_policy(path, action_low=env.action_low,
-                                 action_high=env.action_high)
+    return _load_for_env(run, env, "policy.bin", diffusion.load_policy, env.action_low,
+                         env.action_high)
 
 
 def _load_env_dataset(cfg: RunConfig, run: StageRun, name: str) -> TrajectoryDataset:
@@ -103,10 +113,8 @@ def _load_env_dataset(cfg: RunConfig, run: StageRun, name: str) -> TrajectoryDat
     return ds
 
 
-def _ensemble_spec(cfg: RunConfig) -> diffusion.EnsembleSpec:
-    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
-                                       cfg["ensemble.guided_steps"])
-    return diffusion.make_ensemble_spec(cfg["ensemble.n"], ENSEMBLE_BASE_SEED, dcfg)
+def _member_seeds(cfg: RunConfig) -> tuple[int, ...]:
+    return diffusion.member_seeds(cfg["ensemble.n"], ENSEMBLE_BASE_SEED)
 
 
 def _windows(cfg: RunConfig, ds: TrajectoryDataset):
@@ -138,12 +146,9 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
                                            cfg["diffusion.beta_min"],
                                            cfg["diffusion.beta_max"])
     init_ss, train_ss = ss.spawn(2)
-    policy = diffusion.make_policy(cfg["diffusion.T"], env.d_a, env.d_s,
-                                   cfg["diffusion.widths"],
-                                   np.random.default_rng(init_ss),
-                                   schedule=sched,
-                                   action_low=env.action_low,
-                                   action_high=env.action_high)
+    policy = diffusion.make_policy(cfg["diffusion.T"], env.d_a, env.d_s, cfg["diffusion.widths"],
+                                   np.random.default_rng(init_ss), sched, env.action_low,
+                                   env.action_high)
     losses = diffusion.train_denoiser(policy, anchors, actions,
                                       cfg["diffusion.train_steps"],
                                       cfg["diffusion.batch_size"],
@@ -163,8 +168,10 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
     rng = np.random.default_rng(ss)
     n_states = min(cfg["ensemble.n_states"], len(pool))
     picks = rng.choice(len(pool), size=n_states, replace=False)
-    spec = _ensemble_spec(cfg)
-    ens = list(zip(picks, diffusion.sample_ensemble(policy, pool[picks], spec)))
+    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
+                                       cfg["ensemble.guided_steps"])
+    ens = list(zip(picks, diffusion.sample_ensemble(policy, pool[picks], _member_seeds(cfg),
+                                                    dcfg)))
     run.write_text("ensemble_actions.csv", _csv(
         "state_index,member,t," + ",".join(f"a{j}" for j in range(policy.d_a)),
         ((si, m, t, *seq[t]) for si, seqs in ens for m, seq in enumerate(seqs)
@@ -226,18 +233,16 @@ def _stage_select(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
     ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
-    model = dynamics.load_dynamics(run.input_path("dynamics_joint.bin"))
-    spec = _ensemble_spec(cfg)
-    best, scores = finetune.select_policy(policy, spec, model,
-                                          partial(envs.reward, env),
-                                          cfg["select.n_rollouts"],
-                                          initial_states(ds),
+    model = _load_for_env(run, env, "dynamics_joint.bin", dynamics.load_dynamics)
+    seeds = _member_seeds(cfg)
+    best, scores = finetune.select_policy(policy, seeds, model, partial(envs.reward, env),
+                                          cfg["select.n_rollouts"], initial_states(ds),
                                           np.random.default_rng(ss))
-    run.write_text("selection.txt", _kv([("best_index", best), ("best_seed", spec.seeds[best]),
-                                         ("n_members", len(spec.seeds))]))
+    run.write_text("selection.txt", _kv([("best_index", best), ("best_seed", seeds[best]),
+                                         ("n_members", len(seeds))]))
     run.write_text("selection_scores.csv", _csv("member,seed,score",
-                                                zip(range(len(spec.seeds)), spec.seeds, scores)))
-    print(f"select: best sub-policy {best} (seed {spec.seeds[best]})")
+                                                zip(range(len(seeds)), seeds, scores)))
+    print(f"select: best sub-policy {best} (seed {seeds[best]})")
 
 
 def _read_key_values(path: str) -> dict:
@@ -282,7 +287,7 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
 
 def _stage_eval(cfg: RunConfig, run: StageRun, ss):
     env = _make_env(cfg)
-    head = finetune.load_head(run.input_path("head.bin"))
+    head = _load_for_env(run, env, "head.bin", finetune.load_head)
     rng = np.random.default_rng(ss)
     _, _, _, ep_returns = finetune.collect_episodes(head, env,
                                                     cfg["eval.episodes"], rng)
@@ -300,7 +305,8 @@ def _stage_div_check(cfg: RunConfig, run: StageRun, ss):
     a_i = np.zeros((4, 1))
     a_j = np.array([[0.0], [1.0], [2.0], [3.0]])
     d = divergence.div(a_i, a_j)
-    dcfg = _ensemble_spec(cfg).divergence_config
+    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
+                                       cfg["ensemble.guided_steps"])
     at_zero = divergence.sigma_div(0.0, dcfg)
     at_tau = divergence.sigma_div(cfg["ensemble.tau"], dcfg)
     ok = (abs(d - _DIV_FIXTURE_VALUE) < 1e-12

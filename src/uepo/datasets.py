@@ -152,6 +152,12 @@ def load_dataset(path: str) -> TrajectoryDataset:
             actions = np.asarray(rec["actions"], dtype=float).reshape(-1, d_a)
             nxt = np.asarray(rec["next_states"], dtype=float).reshape(-1, d_s)
             rewards = None if rec["rewards"] is None else np.asarray(rec["rewards"], dtype=float)
+            # json reads NaN and Infinity, and a number past the f64 range as infinity
+            if not all(np.isfinite(x).all() for x in (states, actions, nxt, rewards)
+                       if x is not None):
+                raise ConfigError("a non-finite number (NaN or infinity)")
+            if rec["env"] != meta["env"]:
+                raise ConfigError(f"env {rec['env']!r} differs from the header's {meta['env']!r}")
             mode = rec["mode"] if rec["mode"] is None else int(rec["mode"])
             ds.trajectories.append(Trajectory(states, actions, nxt, rewards, int(rec["seed"]),
                                               mode))

@@ -7,10 +7,10 @@ is the one-anchor form. The denoiser's input row is [flattened actions
 | anchor repeated T times | time embedding], written by one helper for
 sampling and training.
 Training fits an MLP denoiser to predict the injected noise; sampling
-runs the ancestral reverse chain from seeded Gaussian noise, so each
-seed deterministically picks out one behavior. An ensemble of
-sub-policies is just one trained model sampled under n distinct seeds,
-optionally steered apart by the divergence module while the chain runs.
+runs the ancestral chain of :func:`reverse_step` from seeded Gaussian
+noise, so each seed deterministically picks out one behavior. An
+ensemble is one trained model sampled under the seeds of
+:func:`member_seeds` and steered apart while the chain runs.
 """
 
 from __future__ import annotations
@@ -76,15 +76,11 @@ class DiffusionPolicy:
     T: int
     d_a: int
     d_s: int
-    action_low: np.ndarray = field(default=None)
-    action_high: np.ndarray = field(default=None)
+    action_low: np.ndarray
+    action_high: np.ndarray
     emb_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.action_low is None:
-            self.action_low = -np.ones(self.d_a)
-        if self.action_high is None:
-            self.action_high = np.ones(self.d_a)
         self.action_low = np.broadcast_to(np.asarray(self.action_low, float), (self.d_a,)).copy()
         self.action_high = np.broadcast_to(np.asarray(self.action_high, float), (self.d_a,)).copy()
         want_in = self.T * self.d_a + self.T * self.d_s + EMB_DIM
@@ -99,10 +95,10 @@ class DiffusionPolicy:
 
 
 def make_policy(T: int, d_a: int, d_s: int, hidden, rng: np.random.Generator,
-                schedule: NoiseSchedule, action_low=None, action_high=None) -> DiffusionPolicy:
+                schedule: NoiseSchedule, action_low, action_high) -> DiffusionPolicy:
     """A policy over (T, d_a) sequences at (d_s,) anchors under ``schedule``,
-    its denoiser's ``hidden`` widths initialised from ``rng``; the action
-    box defaults to [-1, 1] in each dimension."""
+    its denoiser's ``hidden`` widths initialised from ``rng``, its samples
+    clipped to the action box [action_low, action_high]."""
     widths = [T * d_a + T * d_s + EMB_DIM, *hidden, T * d_a]
     net = nets.mlp_init(widths, rng)
     return DiffusionPolicy(net, schedule, T, d_a, d_s, action_low, action_high)
@@ -134,18 +130,6 @@ def _denoiser_input(policy: DiffusionPolicy, a: np.ndarray, anchors: np.ndarray,
     return x
 
 
-def prefix_windows(ds, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start-anchored training examples from a trajectory dataset.
-
-    Each trajectory with at least T transitions contributes one example:
-    its initial state as the anchor and its first T actions. Shorter
-    trajectories are skipped so every example has a real length-T
-    continuation behind it. Returns (anchors (N, d_s), actions (N, T, d_a)).
-    """
-    # a stride past every trajectory's end leaves each one its t = 0 anchor
-    return sliding_windows(ds, T, 1 + max((len(tr) for tr in ds.trajectories), default=0))
-
-
 def sliding_windows(ds, T: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Examples anchored at every stride-th timestep of every trajectory.
 
@@ -164,18 +148,6 @@ def sliding_windows(ds, T: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray
     if not anchors:
         raise EmptyBatchError(f"no trajectory has {T}+ transitions")
     return np.stack(anchors), np.stack(actions)
-
-
-def predict_eps(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray,
-                t: int) -> np.ndarray:
-    """Denoiser's noise estimate at step t for a (B, T, d_a) stack of noisy
-    sequences at their (B, d_s) anchors, in one forward pass."""
-    a_t = np.asarray(a_t, dtype=float)
-    anchors = _check_anchors(policy, anchors, a_t)
-    if not 0 <= t <= policy.schedule.k:
-        raise ConfigError(f"step index {t} outside [0, {policy.schedule.k}]")
-    x = _denoiser_input(policy, a_t, anchors, policy.emb_table[t])
-    return nets.forward(policy.denoiser, x).reshape(a_t.shape)
 
 
 def denoising_loss(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.ndarray,
@@ -228,31 +200,28 @@ def train_denoiser(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.nda
     return losses
 
 
-def reverse_mean(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray,
-                 t: int) -> np.ndarray:
-    """Posterior mean of one denoising step for a (B, T, d_a) stack at its
-    (B, d_s) anchors:
-    (a_t - beta[t]/sqrt(1 - alpha_bar[t]) * eps_pred) / sqrt(alpha[t])."""
+def reverse_step(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray, t: int,
+                 z: np.ndarray | None) -> np.ndarray:
+    """One ancestral denoising step for a (B, T, d_a) stack at its (B, d_s)
+    anchors. One denoiser pass gives the noise estimate eps at step t; the
+    step returns the posterior mean
+    (a_t - beta[t]/sqrt(1 - alpha_bar[t]) * eps) / sqrt(alpha[t]),
+    plus sqrt(beta[t]) * z for t > 0, where z is a standard-normal draw
+    shaped like ``a_t``. The final step t = 0 is noiseless and ignores z."""
     a_t = np.asarray(a_t, dtype=float)
+    anchors = _check_anchors(policy, anchors, a_t)
     sched = policy.schedule
     if not 0 <= t < sched.k:
         raise ConfigError(f"step index {t} outside [0, {sched.k})")
-    eps_pred = predict_eps(policy, a_t, anchors, t)
+    if t > 0 and np.shape(z) != a_t.shape:
+        raise ShapeError(f"step noise shape {np.shape(z)} != sequence shape {a_t.shape}")
+    x = _denoiser_input(policy, a_t, anchors, policy.emb_table[t])
+    eps_pred = nets.forward(policy.denoiser, x).reshape(a_t.shape)
     coef = sched.beta[t] / np.sqrt(1.0 - sched.alpha_bar[t])
-    return (a_t - coef * eps_pred) / np.sqrt(sched.alpha[t])
-
-
-def reverse_step(policy: DiffusionPolicy, a_t: np.ndarray, anchors: np.ndarray, t: int,
-                 z: np.ndarray | None) -> np.ndarray:
-    """One ancestral denoising step: the posterior mean plus
-    sqrt(beta[t]) * z for t > 0, where z is a standard-normal draw shaped
-    like ``a_t``; the final step t = 0 is noiseless and ignores z."""
-    mean = reverse_mean(policy, a_t, anchors, t)
+    mean = (a_t - coef * eps_pred) / np.sqrt(sched.alpha[t])
     if t == 0:
         return mean
-    if np.shape(z) != mean.shape:
-        raise ShapeError(f"step noise shape {np.shape(z)} != sequence shape {mean.shape}")
-    return mean + np.sqrt(policy.schedule.beta[t]) * z
+    return mean + np.sqrt(sched.beta[t]) * z
 
 
 # Rows per denoiser GEMM in the samplers. GEMM results depend on the batch
@@ -307,62 +276,41 @@ def sample(policy: DiffusionPolicy, s: np.ndarray, seed) -> np.ndarray:
     return np.clip(a, policy.action_low, policy.action_high)
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """n sub-policy seeds plus the divergence-guidance configuration
-    (None disables guidance entirely)."""
-
-    seeds: tuple[int, ...]
-    divergence_config: DivergenceConfig | None = None
-
-    def __post_init__(self):
-        if len(self.seeds) < 1:
-            raise ConfigError("ensemble needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"ensemble seeds must be pairwise distinct: {self.seeds}")
-
-    @property
-    def n(self) -> int:
-        return len(self.seeds)
-
-
 def derive_seed(base_seed: int, i: int) -> int:
     """Stable per-sub-policy seed from one base seed."""
     ss = np.random.SeedSequence((int(base_seed) & 0xFFFFFFFFFFFFFFFF, i))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def make_ensemble_spec(n: int, base_seed: int,
-                       divergence_config: DivergenceConfig | None = None) -> EnsembleSpec:
+def member_seeds(n: int, base_seed: int) -> tuple[int, ...]:
+    """The seeds of an n-member ensemble, member i's from (base_seed, i)."""
     if n < 1:
         raise ConfigError(f"ensemble size must be >= 1, got {n}")
-    return EnsembleSpec(tuple(derive_seed(base_seed, i) for i in range(n)),
-                        divergence_config)
+    return tuple(derive_seed(base_seed, i) for i in range(n))
 
 
-def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
-    """Generate the n sub-policy sequences in seed order for each of an
-    (N, d_s) stack of anchors, as an (N, n, T, d_a) array.
+def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, seeds,
+                    cfg: DivergenceConfig) -> np.ndarray:
+    """Generate the sequences of the sub-policy ``seeds``, in seed order, for
+    each of an (N, d_s) stack of anchors, as an (N, n, T, d_a) array.
 
-    Every (anchor, member) row keeps its own generator, seeded as
-    in :func:`sample`. Sub-policy i > 0 runs that seeded reverse chain,
-    except that during the last ``guided_steps`` steps its current
-    estimate is guided away from the finished sequences of sub-policies
-    j < i for the same anchor. The unguided steps run batched over all
-    rows; the guided steps run member by member, batched over anchors,
-    with one :func:`divergence.guide` call per step.
-    Guidance that never fires (eta = 0, or all divergences at or above
-    tau) consumes no random draws, so those outputs agree with
-    :func:`sample` to 1e-12. With guided_steps >= k, member i's whole
-    chain is sample(policy, anchors, [seed_i] * N), bit for bit.
-    The same inputs give the same bytes.
+    Every (anchor, member) row keeps its own generator, seeded as in
+    :func:`sample`. Member i > 0 runs that seeded reverse chain, except
+    that during the last ``cfg.guided_steps`` steps its current estimate
+    is guided away from the finished sequences of members j < i at the
+    same anchor, with one :func:`divergence.guide` call per step. The
+    unguided steps run batched over all rows, the guided ones member by
+    member, batched over anchors. Guidance that never fires (eta = 0, or
+    every divergence at or above tau) consumes no draws, so the outputs
+    agree with :func:`sample` to 1e-12; with guided_steps >= k, member i
+    is sample(policy, anchors, [seeds[i]] * N) bit for bit. The same
+    inputs give the same bytes.
     """
     anchors = _check_anchors(policy, s)
-    n_states, n = len(anchors), spec.n
-    cfg = spec.divergence_config
-    g = 0 if cfg is None else min(cfg.guided_steps, policy.schedule.k)
+    n_states, n = len(anchors), len(seeds)
+    g = min(cfg.guided_steps, policy.schedule.k)
     # rows are anchor-major: row w * n + i is member i at anchor w
-    rngs = [_seed_rng(seed) for _ in range(n_states) for seed in spec.seeds]
+    rngs = [_seed_rng(seed) for _ in range(n_states) for seed in seeds]
     a = _unguided_chain(policy, np.repeat(anchors, n, axis=0), rngs, g)
     a = a.reshape(n_states, n, policy.T, policy.d_a)
     for i in range(n):
@@ -371,13 +319,11 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, spec: EnsembleSpec) 
         for t in range(g - 1, -1, -1):
             if i > 0:
                 a_i = guide(a_i, a[:, :i], cfg, member_rngs)
-            z = None
-            if t > 0:
-                z = np.stack([rng.standard_normal((policy.T, policy.d_a)) for rng in member_rngs])
+            # the draw at t = 0 is ignored; no later step reads these generators
+            z = np.stack([rng.standard_normal((policy.T, policy.d_a)) for rng in member_rngs])
             for lo in range(0, n_states, SAMPLE_CHUNK):
                 rows = slice(lo, lo + SAMPLE_CHUNK)
-                a_i[rows] = reverse_step(policy, a_i[rows], anchors[rows], t,
-                                         None if z is None else z[rows])
+                a_i[rows] = reverse_step(policy, a_i[rows], anchors[rows], t, z[rows])
         a[:, i] = np.clip(a_i, policy.action_low, policy.action_high)
     return a
 
@@ -391,8 +337,9 @@ def save_policy(policy: DiffusionPolicy, path: str) -> None:
                          policy.T, policy.d_a, policy.d_s)
 
 
-def load_policy(path: str, action_low=None, action_high=None) -> DiffusionPolicy:
-    """Rebuild a policy; the action box is not persisted and defaults to +-1."""
+def load_policy(path: str, action_low, action_high) -> DiffusionPolicy:
+    """Rebuild a policy whose samples are clipped to the given action box,
+    which the checkpoint does not store."""
     def parse(net, ints, floats):
         schedule = schedule_from_beta(floats(*ints(1)))
         return DiffusionPolicy(net, schedule, *ints(3), action_low, action_high)

@@ -115,13 +115,13 @@ def best_index(scores) -> int:
     return int(np.argmax(scores))
 
 
-def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpec,
-                  model, reward_fn, n_rollouts: int, initial_states: np.ndarray,
+def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], model,
+                  reward_fn, n_rollouts: int, initial_states: np.ndarray,
                   rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Pick the sub-policy with the best mean model-based return.
 
-    A sub-policy is the deterministic map
-    s -> sample(policy, [s], [seed_i])[0], so its plan for a given start
+    Sub-policy i is the deterministic map
+    s -> sample(policy, [s], [seeds[i]])[0], so its plan for a given start
     state never varies; rollouts differ only through the start-state
     draw and one model-noise stream shared by every sub-policy (common
     random numbers). Every rollout's start state and noise are drawn
@@ -137,7 +137,7 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
         raise EmptyBatchError("need a non-empty pool of start states")
     if n_rollouts < 1:
         raise ConfigError(f"n_rollouts must be >= 1, got {n_rollouts}")
-    n = len(spec.seeds)
+    n = len(seeds)
     starts, noises = [], []
     for _ in range(n_rollouts):
         starts.append(initial_states[rng.integers(len(initial_states))])
@@ -145,7 +145,7 @@ def select_policy(policy: diffusion.DiffusionPolicy, spec: diffusion.EnsembleSpe
     # row r * n + i is sub-policy i in rollout r
     s = np.repeat(np.stack(starts), n, axis=0)
     noise = np.repeat(np.stack(noises), n, axis=0)
-    plans = diffusion.sample(policy, s, list(spec.seeds) * n_rollouts)
+    plans = diffusion.sample(policy, s, list(seeds) * n_rollouts)
     totals = np.zeros(len(s))
     for t in range(policy.T):
         mean, var = dynamics.predict(model, s, plans[:, t])

@@ -57,13 +57,12 @@ def reverse_chain(policy, s0, seed, predecessors=(), cfg=None):
     return np.clip(a, policy.action_low, policy.action_high)
 
 
-def ensemble(policy, s0, spec):
+def ensemble(policy, s0, seeds, cfg):
     """The per-anchor guided ensemble: members in seed order, each guided
     away from the finished earlier members."""
     outs = []
-    for seed in spec.seeds:
-        preds = list(outs) if spec.divergence_config is not None else ()
-        outs.append(reverse_chain(policy, s0, seed, preds, spec.divergence_config))
+    for seed in seeds:
+        outs.append(reverse_chain(policy, s0, seed, list(outs), cfg))
     return outs
 
 
@@ -109,13 +108,13 @@ def build_augmented(env, policy, model, real, cfg, rng):
     return accepted, kl_values, attempts, count
 
 
-def select_scores(policy, spec, model, reward_fn, n_rollouts, initial_states, rng):
+def select_scores(policy, seeds, model, reward_fn, n_rollouts, initial_states, rng):
     """Per-sub-policy mean model-based returns, one plan at a time."""
-    scores = np.zeros(len(spec.seeds))
+    scores = np.zeros(len(seeds))
     for _ in range(n_rollouts):
         s0 = initial_states[rng.integers(len(initial_states))]
         noise = rng.standard_normal((policy.T, policy.d_s))
-        for i, seed in enumerate(spec.seeds):
+        for i, seed in enumerate(seeds):
             seq = reverse_chain(policy, s0, seed)
             s, total = s0, 0.0
             for t in range(policy.T):

@@ -115,7 +115,8 @@ def test_03_gradient_suite():
     rng = np.random.default_rng(3)
 
     pol = diffusion.make_policy(3, 1, 1, [6], rng,
-                                schedule=diffusion.make_linear_schedule(4, 1e-4, 0.2))
+                                schedule=diffusion.make_linear_schedule(4, 1e-4, 0.2),
+                                action_low=-1.0, action_high=1.0)
     anchors = rng.standard_normal((5, 3, 1))[:, 0]
     actions = rng.standard_normal((5, 3, 1))
     _, g = diffusion.denoising_loss(pol, anchors, actions, np.random.default_rng(99))
@@ -170,7 +171,7 @@ def test_04_multimodality_capture():
     t0 = time.perf_counter()
     env = envs.PointMass2D()
     ds = envs.make_offline_dataset(env, 300, (0.5, 0.5), np.random.default_rng(11))
-    anchors, demo_actions = diffusion.prefix_windows(ds, 40)
+    anchors, demo_actions = diffusion.sliding_windows(ds, 40, env.horizon)
     rng = np.random.default_rng(5)
     pol = diffusion.make_policy(40, 2, 4, [256, 256], rng,
                                 schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
@@ -194,7 +195,8 @@ def test_05_guidance_effect():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
     pol = diffusion.make_policy(4, 1, 1, [64, 64], rng,
-                                schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2))
+                                schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
+                                action_low=-1.0, action_high=1.0)
     actions = np.concatenate([np.full((100, 4, 1), 0.8), np.full((100, 4, 1), -0.8)])
     anchors = np.zeros((200, 1))
     diffusion.train_denoiser(pol, anchors, actions, 3000, 128, 1e-3, rng)
@@ -203,10 +205,11 @@ def test_05_guidance_effect():
     plain_cfg = DivergenceConfig(0.5, 0.0, 10)
     guided, plain = [], []
     for base_seed in range(20):
+        seeds = diffusion.member_seeds(4, base_seed)
         guided.append(min_pairwise_div(diffusion.sample_ensemble(
-            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, guided_cfg))[0]))
+            pol, anchor, seeds, guided_cfg)[0]))
         plain.append(min_pairwise_div(diffusion.sample_ensemble(
-            pol, anchor, diffusion.make_ensemble_spec(4, base_seed, plain_cfg))[0]))
+            pol, anchor, seeds, plain_cfg)[0]))
     guided = np.array(guided)
     plain = np.array(plain)
     pooled = np.sqrt((guided.var(ddof=1) + plain.var(ddof=1)) / 2)
@@ -221,7 +224,7 @@ def test_06_filter_correctness():
     t0 = time.perf_counter()
     env = envs.PointMass2D(sigma_env=0.05)
     ds = envs.make_offline_dataset(env, 25, (0.5, 0.5), np.random.default_rng(41))
-    windows_s, windows_a = diffusion.prefix_windows(ds, 10)
+    windows_s, windows_a = diffusion.sliding_windows(ds, 10, env.horizon)
     rng = np.random.default_rng(42)
     pol = diffusion.make_policy(10, 2, 4, [64, 64], rng,
                                 schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
@@ -278,7 +281,7 @@ def test_07_generalization_effect():
     env = envs.PointMass2D(sigma_env=0.05, horizon=16)
     ds = envs.make_offline_dataset(env, 100, (0.5, 0.5), np.random.default_rng(21))
     kept, gap = envs.apply_coverage_gap(ds)
-    windows_s, windows_a = diffusion.prefix_windows(kept, 12)
+    windows_s, windows_a = diffusion.sliding_windows(kept, 12, env.horizon)
     rng = np.random.default_rng(5)
     pol = diffusion.make_policy(12, 2, 4, [128, 128], rng,
                                 schedule=diffusion.make_linear_schedule(50, 1e-4, 0.2),
@@ -326,15 +329,15 @@ def test_09_offline_to_online_smoke():
     dynamics.train_joint(joint, real, _batch_of(synthetic), 200,
                          np.random.default_rng(201), batch_size=256, step_size=1e-4,
                          curve=False)
-    spec = diffusion.make_ensemble_spec(4, 17, DivergenceConfig(0.5, 0.1, 10))
+    seeds = diffusion.member_seeds(4, 17)
     wins = 0
     pairs = []
     for i in range(5):
         run_rng = np.random.default_rng(7000 + i)
-        best, _ = finetune.select_policy(pol, spec, joint, partial(envs.reward, env),
+        best, _ = finetune.select_policy(pol, seeds, joint, partial(envs.reward, env),
                                          8, initial_states(ds), run_rng)
         pool = anchors[run_rng.permutation(len(anchors))[:400]]
-        head, _ = finetune.distill(pol, spec.seeds[best], pool, run_rng)
+        head, _ = finetune.distill(pol, seeds[best], pool, run_rng)
         pre = oracles.evaluate_head(head, env, 20, np.random.default_rng(8000 + i))
         head, _ = finetune.ppo_finetune(head, env, finetune.PpoConfig(), 12, run_rng)
         post = oracles.evaluate_head(head, env, 20, np.random.default_rng(8000 + i))

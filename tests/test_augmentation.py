@@ -6,6 +6,7 @@ import pytest
 import oracles
 from uepo import augmentation, datasets, diffusion, dynamics, envs
 from uepo.augmentation import FilterConfig
+from uepo.divergence import DivergenceConfig
 from uepo.errors import ConfigError, EmptyBatchError, ShapeError, StarvationError
 
 
@@ -86,7 +87,7 @@ def test_rollout_virtual_stack_matches_single_rollouts():
 ONE_ITEM_CALLS = {
     "sample": (lambda env, policy, s0, plan: diffusion.sample(policy, s0, 11), "(B, 4)"),
     "sample_ensemble": (lambda env, policy, s0, plan: diffusion.sample_ensemble(
-        policy, s0, diffusion.EnsembleSpec((11, 12))), "(B, 4)"),
+        policy, s0, (11, 12), DivergenceConfig(0.5, 0.1)), "(B, 4)"),
     "rollout_virtual": (lambda env, policy, s0, plan: augmentation.rollout_virtual(
         env, policy, s0, 11), "(B, 4)"),
     "rollout_open_loop": (lambda env, policy, s0, plan: envs.rollout_open_loop(

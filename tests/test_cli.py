@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from uepo import cli, dynamics
+from uepo import cli, divergence, dynamics
 from uepo.config import SCHEMA, parse_config
 from uepo.datasets import load_dataset
 
@@ -467,6 +468,14 @@ def _bad_magic(path):
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
 
 
+# a run of every stage in about a second
+_SMALL = ("env.n_traj = 4\ndiffusion.widths = 8\ndiffusion.train_steps = 1\n"
+          "filter.epsilon = 1000.0\nfilter.max_attempts = 4\ndynamics.widths = 8\n"
+          "dynamics.epochs = 1\nselect.n_rollouts = 1\ndistill.pool = 8\n"
+          "distill.epochs = 1\nppo.iterations = 1\nppo.batch_episodes = 2\n"
+          "eval.episodes = 1\n")
+
+
 @pytest.mark.parametrize("name, spoil, stage, detail", [
     ("dataset.jsonl", _edit_line(0, lambda meta: meta.pop("d_s")), "train-diffusion", "'d_s'"),
     ("dataset.jsonl", _break_line, "train-diffusion", "record 2 is not JSON"),
@@ -484,19 +493,20 @@ def _bad_magic(path):
     ("dataset.jsonl", _edit_line(1, lambda rec: rec.update(states=[], actions=[],
                                                            next_states=[], rewards=[])),
      "sample-ensemble", "record 1: no transitions"),
+    ("dataset.jsonl", _edit_line(2, lambda rec: rec["states"].__setitem__(3, float("nan"))),
+     "train-diffusion", "record 2: a non-finite number (NaN or infinity)"),
+    ("dataset.jsonl", _edit_line(1, lambda rec: rec["rewards"].__setitem__(0, float("-inf"))),
+     "train-diffusion", "record 1: a non-finite number (NaN or infinity)"),
+    ("dataset.jsonl", _edit_line(3, lambda rec: rec.update(env="pendulum")), "train-diffusion",
+     "record 3: env 'pendulum' differs from the header's 'point_mass'"),
 ], ids=["header-without-d_s", "non-json-line", "cut-checkpoint", "bad-magic",
         "header-without-env", "states-not-whole-rows", "one-action-short", "policy-cut-trailer",
-        "dynamics-cut-trailer", "head-cut-trailer", "empty-record"])
+        "dynamics-cut-trailer", "head-cut-trailer", "empty-record", "nan-state",
+        "infinite-reward", "record-of-another-env"])
 def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil, stage,
                                                   detail):
     out = tmp_path / "o"
-    cfg_path = _write_cfg(tmp_path, f"env.n_traj = 4\ndiffusion.widths = 8\n"
-                                    f"diffusion.train_steps = 1\nfilter.epsilon = 1000.0\n"
-                                    f"filter.max_attempts = 4\ndynamics.widths = 8\n"
-                                    f"dynamics.epochs = 1\nselect.n_rollouts = 1\n"
-                                    f"distill.pool = 8\ndistill.epochs = 1\n"
-                                    f"ppo.iterations = 1\nppo.batch_episodes = 2\n"
-                                    f"eval.episodes = 1\nout = {out}\n")
+    cfg_path = _write_cfg(tmp_path, _SMALL + f"out = {out}\n")
     for earlier in cli.STAGES[:cli.STAGES.index(stage)]:
         assert cli.main([earlier, "--config", cfg_path]) == 0
     spoil(out / name)
@@ -504,6 +514,45 @@ def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil,
     assert cli.main([stage, "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert str(out / name) in err and detail in err, err
+
+
+@pytest.fixture(scope="module")
+def two_env_runs(tmp_path_factory):
+    """The stages up to finetune, run once per environment."""
+    root = tmp_path_factory.mktemp("two_env")
+    for env_name in ("point_mass", "pendulum"):
+        cfg = parse_config(_SMALL + f"env.name = {env_name}\nout = {root / env_name}\n")
+        for stage in cli.STAGES[:cli.STAGES.index("eval")]:
+            cli.run_stage(stage, cfg)
+    return root
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("policy.bin", "sample-ensemble"), ("policy.bin", "augment"), ("policy.bin", "select"),
+    ("policy.bin", "finetune"), ("dynamics_joint.bin", "select"), ("head.bin", "eval")])
+def test_checkpoint_of_another_env_is_exit_1(tmp_path, capsys, two_env_runs, name, stage):
+    # a point-mass checkpoint in an otherwise complete pendulum run
+    out = tmp_path / "o"
+    shutil.copytree(two_env_runs / "pendulum", out)
+    shutil.copyfile(two_env_runs / "point_mass" / name, out / name)
+    (out / f"{stage}.manifest").unlink(missing_ok=True)
+    cfg_path = _write_cfg(tmp_path, _SMALL + f"env.name = pendulum\nout = {out}\n")
+    capsys.readouterr()
+    assert cli.main([stage, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert str(out / name) in err and "d_s = 4, d_a = 2" in err and "pendulum" in err, err
+    assert not (out / f"{stage}.manifest").exists()
+
+
+def test_failed_div_check_writes_fail_and_no_manifest(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    cfg_path = _write_cfg(tmp_path, f"out = {out}\n")
+    monkeypatch.setattr(divergence, "div", lambda a_i, a_j: 0.5)
+    assert cli.main(["div-check", "--config", cfg_path]) == 2
+    assert "divergence self-test failed" in capsys.readouterr().err
+    assert "status = fail\n" in (out / "div_check.txt").read_text()
+    assert not (out / "div-check.manifest").exists()
+    _assert_lock_free(str(out / ".lock"))
 
 
 def _tiny(max_attempts):

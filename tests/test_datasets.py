@@ -105,3 +105,20 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError):
         datasets.load_dataset(str(path))
+
+
+@pytest.mark.parametrize("key, text", [("states", "NaN"), ("next_states", "-Infinity"),
+                                       ("actions", "1e999"), ("rewards", "Infinity")])
+def test_load_rejects_non_finite_numbers(tmp_path, key, text):
+    # json reads all four texts, the last as a float overflowing to infinity
+    ds = make_ds(np.random.default_rng(5), n=2)
+    ds.trajectories[1].rewards = np.zeros(len(ds.trajectories[1]))
+    path = tmp_path / "d.jsonl"
+    datasets.save_dataset(ds, str(path))
+    lines = path.read_text().split("\n")
+    rec = json.loads(lines[2])
+    rec[key][0] = "X"
+    lines[2] = json.dumps(rec).replace('"X"', text)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ConfigError, match="record 2: a non-finite number"):
+        datasets.load_dataset(str(path))

@@ -9,7 +9,8 @@ from uepo.errors import ConfigError, EmptyBatchError, ShapeError
 
 def tiny_policy(rng, T=3, d_a=1, d_s=1, k=4, hidden=(8,)):
     sched = diffusion.make_linear_schedule(k, 1e-4, 0.2)
-    return diffusion.make_policy(T, d_a, d_s, hidden, rng, schedule=sched)
+    return diffusion.make_policy(T, d_a, d_s, hidden, rng, schedule=sched,
+                                 action_low=-1.0, action_high=1.0)
 
 
 def chain_dataset(rng, lengths, d_s=2, d_a=1):
@@ -45,55 +46,62 @@ def test_schedule_validation():
         diffusion.make_linear_schedule(5, 1e-4, 1.0)
 
 
-def test_predict_eps_input_layout():
+def _seen_rows(monkeypatch, name):
+    # every input row the denoiser is given through nets.<name>
+    seen = []
+    real = getattr(nets, name)
+    monkeypatch.setattr(nets, name, lambda m, x, *rest: seen.append(x.copy()) or real(m, x, *rest))
+    return seen
+
+
+def _rows(policy, a_t, anchors, t):
     # each row is [flattened actions | anchor tiled T times | embedding],
-    # built here row by row with np.tile, independently of the library
+    # built row by row with np.tile, independently of the library
+    emb = nets.time_embedding(t, policy.schedule.k, diffusion.EMB_DIM)
+    return np.stack([np.concatenate([a.ravel(), np.tile(s0, policy.T), emb])
+                     for a, s0 in zip(a_t, anchors)])
+
+
+def test_reverse_step_input_layout(monkeypatch):
     rng = np.random.default_rng(1)
     policy = tiny_policy(rng, T=3, d_a=2, d_s=2)
     a_t = rng.standard_normal((2, 3, 2))
     anchors = rng.standard_normal((2, 2))
     t = 2
-    emb = nets.time_embedding(t, policy.schedule.k, diffusion.EMB_DIM)
-    x = np.stack([np.concatenate([a.ravel(), np.tile(s0, 3), emb])
-                  for a, s0 in zip(a_t, anchors)])
-    want = nets.forward(policy.denoiser, x).reshape(2, 3, 2)
-    assert np.allclose(diffusion.predict_eps(policy, a_t, anchors, t), want, atol=1e-14)
+    seen = _seen_rows(monkeypatch, "forward")
+    diffusion.reverse_step(policy, a_t, anchors, t, np.zeros_like(a_t))
+    assert len(seen) == 1 and np.allclose(seen[0], _rows(policy, a_t, anchors, t), atol=1e-14)
     # the embedding table would wrap a negative index silently
-    for bad in (-1, policy.schedule.k + 1):
+    for bad in (-1, policy.schedule.k):
         with pytest.raises(ConfigError):
-            diffusion.predict_eps(policy, a_t, anchors, bad)
+            diffusion.reverse_step(policy, a_t, anchors, bad, np.zeros_like(a_t))
 
 
-def test_denoising_loss_feeds_the_predict_eps_row(monkeypatch):
+def test_denoising_loss_feeds_the_reverse_step_row(monkeypatch):
     # training and sampling give the denoiser the same row for the same
     # (noisy actions, anchor, t)
     rng = np.random.default_rng(18)
     policy = tiny_policy(rng, T=3, d_a=2, d_s=2)
     anchors = rng.standard_normal((4, 2))
     actions = rng.standard_normal((4, 3, 2))
-    seen = []
-    real = nets.forward_activations
-    monkeypatch.setattr(nets, "forward_activations",
-                        lambda m, x, ws=None: seen.append(x.copy()) or real(m, x, ws))
+    trained = _seen_rows(monkeypatch, "forward_activations")
     diffusion.denoising_loss(policy, anchors, actions, np.random.default_rng(5))
+    sampled = _seen_rows(monkeypatch, "forward")
     draws = np.random.default_rng(5)
     t_idx = draws.integers(0, policy.schedule.k, size=4)
     eps = draws.standard_normal(actions.shape)
     for b, t in enumerate(t_idx):
         noisy = oracles.q_sample(actions[b], t, eps[b], policy.schedule)
-        diffusion.predict_eps(policy, noisy[None], anchors[b:b + 1], t)
-        assert np.array_equal(seen[-1][0], seen[0][b])
+        diffusion.reverse_step(policy, noisy[None], anchors[b:b + 1], t, np.zeros((1, 3, 2)))
+        assert np.array_equal(sampled[-1][0], trained[0][b])
 
 
-@pytest.mark.parametrize("fn", ["predict_eps", "reverse_mean", "reverse_step",
-                                "denoising_loss"])
+@pytest.mark.parametrize("fn", ["reverse_step", "denoising_loss"])
 def test_window_stack_is_not_an_anchor_stack(fn):
     policy = tiny_policy(np.random.default_rng(19), T=3, d_a=1, d_s=2)
     a = np.zeros((4, 3, 1))
     windows = np.zeros((4, 3, 2))
     calls = {
-        "predict_eps": lambda: diffusion.predict_eps(policy, a, windows, 1),
-        "reverse_mean": lambda: diffusion.reverse_mean(policy, a, windows, 1),
         "reverse_step": lambda: diffusion.reverse_step(policy, a, windows, 1, a),
         "denoising_loss": lambda: diffusion.denoising_loss(policy, windows, a,
                                                            np.random.default_rng(0)),
@@ -102,21 +110,21 @@ def test_window_stack_is_not_an_anchor_stack(fn):
         calls[fn]()
     # a sequence stack that does not match its anchors is refused too
     with pytest.raises(ShapeError):
-        diffusion.predict_eps(policy, a[:3], windows[:, 0], 1)
+        diffusion.reverse_step(policy, a[:3], windows[:, 0], 1, a[:3])
 
 
-def test_reverse_mean_formula():
+def test_reverse_step_formula():
     rng = np.random.default_rng(2)
     policy = tiny_policy(rng)
     a_t = rng.standard_normal((2, 3, 1))
     s = rng.standard_normal((2, 1))
     for t in range(policy.schedule.k):
-        eps = diffusion.predict_eps(policy, a_t, s, t)
+        eps = nets.forward(policy.denoiser, _rows(policy, a_t, s, t)).reshape(a_t.shape)
         beta = policy.schedule.beta[t]
         want = (a_t - beta / np.sqrt(1.0 - policy.schedule.alpha_bar[t]) * eps)
         want /= np.sqrt(policy.schedule.alpha[t])
-        assert np.allclose(diffusion.reverse_mean(policy, a_t, s, t), want,
-                           atol=1e-13)
+        assert np.allclose(diffusion.reverse_step(policy, a_t, s, t, np.zeros_like(a_t)),
+                           want, atol=1e-13)
 
 
 def test_reverse_step_noise_injection():
@@ -124,7 +132,7 @@ def test_reverse_step_noise_injection():
     policy = tiny_policy(rng)
     a_t = rng.standard_normal((2, 3, 1))
     s = rng.standard_normal((2, 1))
-    mean = diffusion.reverse_mean(policy, a_t, s, 2)
+    mean = diffusion.reverse_step(policy, a_t, s, 2, np.zeros_like(a_t))
     z = np.random.default_rng(11).standard_normal((2, 3, 1))
     want = mean + np.sqrt(policy.schedule.beta[2]) * z
     got = diffusion.reverse_step(policy, a_t, s, 2, z)
@@ -133,7 +141,7 @@ def test_reverse_step_noise_injection():
         diffusion.reverse_step(policy, a_t, s, 2, z[:, :2])
     # the last step is the posterior mean and takes no noise
     got0 = diffusion.reverse_step(policy, a_t, s, 0, None)
-    assert np.array_equal(got0, diffusion.reverse_mean(policy, a_t, s, 0))
+    assert np.array_equal(got0, diffusion.reverse_step(policy, a_t, s, 0, z))
 
 
 def test_denoising_loss_gradient_matches_fd():
@@ -213,10 +221,11 @@ def test_sample_determinism_and_clip():
     assert not np.array_equal(a1, a3)
 
 
-def test_prefix_windows_anchor_at_start():
+def test_windows_at_a_horizon_stride_anchor_at_start():
     rng = np.random.default_rng(8)
     ds = chain_dataset(rng, [5, 3, 4])
-    S, A = diffusion.prefix_windows(ds, T=4)
+    # a stride of at least every trajectory's length leaves each its t = 0 anchor
+    S, A = diffusion.sliding_windows(ds, T=4, stride=5)
     # only trajectories 0 (len 5) and 2 (len 4) are long enough
     assert S.shape == (2, 2) and A.shape == (2, 4, 1)
     assert np.array_equal(S[0], ds.trajectories[0].states[0])
@@ -240,7 +249,7 @@ def test_windows_validation():
     rng = np.random.default_rng(10)
     ds = chain_dataset(rng, [3])
     with pytest.raises(EmptyBatchError):
-        diffusion.prefix_windows(ds, T=10)
+        diffusion.sliding_windows(ds, T=10)
     with pytest.raises(ConfigError):
         diffusion.sliding_windows(ds, T=3, stride=0)
 
@@ -253,11 +262,11 @@ def test_derive_seed_deterministic_and_distinct():
     assert diffusion.derive_seed(18, 0) != seeds[0]
 
 
-def test_make_ensemble_spec_validation():
+def test_member_seeds_validation():
     with pytest.raises(ConfigError):
-        diffusion.make_ensemble_spec(0, 5)
-    spec = diffusion.make_ensemble_spec(3, 5)
-    assert len(spec.seeds) == 3
+        diffusion.member_seeds(0, 5)
+    seeds = diffusion.member_seeds(3, 5)
+    assert seeds == tuple(diffusion.derive_seed(5, i) for i in range(3))
 
 
 def _anchors(rng, n, d_s=1):
@@ -312,11 +321,11 @@ def test_ensemble_unguided_matches_sample_bitwise():
     policy = tiny_policy(rng, T=4, d_a=1, d_s=1)
     anchors = _anchors(rng, 5)
     cfg = divergence.DivergenceConfig(tau=0.5, eta=0.0, guided_steps=10)
-    spec = diffusion.make_ensemble_spec(3, 21, cfg)
-    outs = diffusion.sample_ensemble(policy, anchors, spec)
+    seeds = diffusion.member_seeds(3, 21)
+    outs = diffusion.sample_ensemble(policy, anchors, seeds, cfg)
     assert outs.shape == (5, 3, 4, 1)
     # guided_steps >= k: each member's chain runs batched over the anchors
-    for i, seed in enumerate(spec.seeds):
+    for i, seed in enumerate(seeds):
         assert np.array_equal(outs[:, i], diffusion.sample(policy, anchors, [seed] * 5))
         for w in range(5):
             want = diffusion.sample(policy, anchors[w:w + 1], [seed])[0]
@@ -329,15 +338,15 @@ def test_ensemble_guidance_changes_later_members():
     anchors = _anchors(rng, 3)
     # an enormous tau keeps the gate open at every guided step
     cfg = divergence.DivergenceConfig(tau=1e6, eta=0.5, guided_steps=4)
-    spec = diffusion.make_ensemble_spec(3, 21, cfg)
-    guided = diffusion.sample_ensemble(policy, anchors, spec)
-    first = diffusion.sample(policy, anchors, [spec.seeds[0]] * 3)
+    seeds = diffusion.member_seeds(3, 21)
+    guided = diffusion.sample_ensemble(policy, anchors, seeds, cfg)
+    first = diffusion.sample(policy, anchors, [seeds[0]] * 3)
     assert np.array_equal(guided[:, 0], first)
     for w in range(3):
-        want = diffusion.sample(policy, anchors[w:w + 1], spec.seeds[:1])[0]
+        want = diffusion.sample(policy, anchors[w:w + 1], seeds[:1])[0]
         assert np.max(np.abs(guided[w, 0] - want)) <= 1e-12
     for i in (1, 2):
-        plain = diffusion.sample(policy, anchors, [spec.seeds[i]] * 3)
+        plain = diffusion.sample(policy, anchors, [seeds[i]] * 3)
         assert not np.any(np.all(guided[:, i] == plain, axis=(1, 2)))
 
 
@@ -348,20 +357,21 @@ def test_ensemble_matches_scalar_guided_loop(monkeypatch, guided_steps):
     anchors = _anchors(rng, 7)
     # tau large enough that guidance fires on every member > 0
     cfg = divergence.DivergenceConfig(tau=50.0, eta=0.3, guided_steps=guided_steps)
-    spec = diffusion.make_ensemble_spec(4, 5, cfg)
+    seeds = diffusion.member_seeds(4, 5)
     monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", 3)
-    got = diffusion.sample_ensemble(policy, anchors, spec)
+    got = diffusion.sample_ensemble(policy, anchors, seeds, cfg)
     for w in range(7):
-        want = oracles.ensemble(policy, anchors[w], spec)
+        want = oracles.ensemble(policy, anchors[w], seeds, cfg)
         assert np.max(np.abs(got[w] - np.stack(want))) <= 1e-12
     # a stack of one
-    single = diffusion.sample_ensemble(policy, anchors[2:3], spec)
+    single = diffusion.sample_ensemble(policy, anchors[2:3], seeds, cfg)
     assert single.shape == (1, 4, 4, 2)
     assert np.max(np.abs(single[0] - got[2])) <= 1e-12
-    # unguided members agree with the plain chain
-    plain = diffusion.sample_ensemble(policy, anchors, diffusion.EnsembleSpec(spec.seeds))
+    # at eta = 0 guidance is off, and every member agrees with the plain chain
+    off = divergence.DivergenceConfig(tau=50.0, eta=0.0, guided_steps=guided_steps)
+    plain = diffusion.sample_ensemble(policy, anchors, seeds, off)
     for w in range(7):
-        for i, seed in enumerate(spec.seeds):
+        for i, seed in enumerate(seeds):
             want = oracles.reverse_chain(policy, anchors[w], seed)
             assert np.max(np.abs(plain[w, i] - want)) <= 1e-12
 
@@ -371,7 +381,7 @@ def test_policy_checkpoint_round_trip(tmp_path):
     policy = tiny_policy(rng, T=3, d_a=2, d_s=2)
     path = str(tmp_path / "policy.bin")
     diffusion.save_policy(policy, path)
-    back = diffusion.load_policy(path)
+    back = diffusion.load_policy(path, policy.action_low, policy.action_high)
     assert np.array_equal(nets.get_params(back.denoiser),
                           nets.get_params(policy.denoiser))
     assert np.array_equal(back.schedule.beta, policy.schedule.beta)

@@ -17,7 +17,7 @@ def small_head(seed=0, d_s=2, d_a=1, low=-2.0, high=2.0, hidden=(8,)):
 def small_policy(seed=0, T=4, d_a=2, d_s=4):
     sched = diffusion.make_linear_schedule(6, 1e-4, 0.2)
     return diffusion.make_policy(T, d_a, d_s, [12], np.random.default_rng(seed),
-                                 schedule=sched)
+                                 schedule=sched, action_low=-1.0, action_high=1.0)
 
 
 def test_head_validation_and_geometry():
@@ -76,12 +76,12 @@ def test_select_policy_deterministic_and_consistent():
     env = envs.make_env("point_mass", sigma_env=0.05)
     policy = small_policy()
     model = dynamics.make_dynamics(4, 2, [8], np.random.default_rng(1))
-    spec = diffusion.make_ensemble_spec(3, 13)
+    seeds = diffusion.member_seeds(3, 13)
     pool = np.zeros((5, 4))
     reward_fn = partial(envs.reward, env)
-    best1, scores1 = finetune.select_policy(policy, spec, model, reward_fn, 4,
+    best1, scores1 = finetune.select_policy(policy, seeds, model, reward_fn, 4,
                                             pool, np.random.default_rng(2))
-    best2, scores2 = finetune.select_policy(policy, spec, model, reward_fn, 4,
+    best2, scores2 = finetune.select_policy(policy, seeds, model, reward_fn, 4,
                                             pool, np.random.default_rng(2))
     assert best1 == best2
     assert np.array_equal(scores1, scores2)
@@ -93,12 +93,12 @@ def test_select_policy_matches_one_plan_at_a_time():
     env = envs.make_env("point_mass", sigma_env=0.05)
     policy = small_policy()
     model = dynamics.make_dynamics(4, 2, [8], np.random.default_rng(1))
-    spec = diffusion.make_ensemble_spec(5, 13)
+    seeds = diffusion.member_seeds(5, 13)
     pool = np.random.default_rng(3).standard_normal((6, 4))
     reward_fn = partial(envs.reward, env)
-    best, scores = finetune.select_policy(policy, spec, model, reward_fn, 7, pool,
+    best, scores = finetune.select_policy(policy, seeds, model, reward_fn, 7, pool,
                                           np.random.default_rng(2))
-    want = oracles.select_scores(policy, spec, model, reward_fn, 7, pool,
+    want = oracles.select_scores(policy, seeds, model, reward_fn, 7, pool,
                                  np.random.default_rng(2))
     assert np.max(np.abs(scores - want)) <= 1e-12
     assert best == finetune.best_index(want)

@@ -305,8 +305,9 @@ KINDS = {
                 lambda path: nets.load_checkpoint(path, _bare_net),
                 lambda net: net, oracles.net_checkpoint),
     "policy": Kind(lambda rng: diffusion.make_policy(
-                       3, 2, 2, [6], rng, schedule=diffusion.make_linear_schedule(4, 1e-4, 0.2)),
-                   diffusion.save_policy, diffusion.load_policy,
+                       3, 2, 2, [6], rng, schedule=diffusion.make_linear_schedule(4, 1e-4, 0.2),
+                       action_low=-1.0, action_high=1.0),
+                   diffusion.save_policy, lambda path: diffusion.load_policy(path, -1.0, 1.0),
                    lambda policy: policy.denoiser, oracles.policy_checkpoint),
     "dynamics": Kind(lambda rng: dynamics.make_dynamics(3, 2, [7], rng),
                      dynamics.save_dynamics, dynamics.load_dynamics,
