@@ -13,6 +13,7 @@ cleanup.
 """
 
 import argparse
+import dataclasses
 import fcntl
 import hashlib
 import os
@@ -99,8 +100,9 @@ def _load_for_env(run: StageRun, env, name: str, load, *args):
 
 
 def _load_policy_for_env(run: StageRun, env) -> diffusion.DiffusionPolicy:
-    return _load_for_env(run, env, "policy.bin", diffusion.load_policy, env.action_low,
-                         env.action_high)
+    # policy.bin has no action box; an open one fits any d_a, so the check comes first
+    policy = _load_for_env(run, env, "policy.bin", diffusion.load_policy, -np.inf, np.inf)
+    return dataclasses.replace(policy, action_low=env.action_low, action_high=env.action_high)
 
 
 def _load_env_dataset(cfg: RunConfig, run: StageRun, name: str) -> TrajectoryDataset:
@@ -124,6 +126,17 @@ def _windows(cfg: RunConfig, ds: TrajectoryDataset):
 def _real_batch(ds: TrajectoryDataset) -> dynamics.TransitionBatch:
     s, a, s_next = transitions(ds)
     return dynamics.TransitionBatch(s, a, s_next)
+
+
+def _fit_dynamics(cfg: RunConfig, real, synthetic, init_ss, shuffle_ss, curve: bool):
+    """augment's and train-dynamics' one recipe: a model of ``dynamics.widths`` trained
+    on the real and the optional synthetic pool, and ``train_joint``'s curve."""
+    model = dynamics.make_dynamics(real.s.shape[1], real.a.shape[1], cfg["dynamics.widths"],
+                                   np.random.default_rng(init_ss))
+    return model, dynamics.train_joint(model, real, synthetic, cfg["dynamics.epochs"],
+                                       np.random.default_rng(shuffle_ss),
+                                       batch_size=DYNAMICS_BATCH_SIZE,
+                                       step_size=DYNAMICS_STEP_SIZE, curve=curve)
 
 
 # --- stage bodies -----------------------------------------------------------
@@ -186,12 +199,7 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
     ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
     init_ss, shuffle_ss, aug_ss = ss.spawn(3)
-    model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
-                                   np.random.default_rng(init_ss))
-    dynamics.train_joint(model, _real_batch(ds), None, cfg["dynamics.epochs"],
-                         np.random.default_rng(shuffle_ss),
-                         batch_size=DYNAMICS_BATCH_SIZE,
-                         step_size=DYNAMICS_STEP_SIZE, curve=False)
+    model, _ = _fit_dynamics(cfg, _real_batch(ds), None, init_ss, shuffle_ss, curve=False)
     dynamics.save_dynamics(model, run.output_path("dynamics_init.bin"))
     max_attempts = cfg["filter.max_attempts"] or None
     fcfg = augmentation.FilterConfig(cfg["filter.epsilon"], cfg["filter.ratio"],
@@ -211,19 +219,11 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
 
 
 def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
-    env = _make_env(cfg)
     ds = _load_env_dataset(cfg, run, DATASET)
     synthetic = None
     if cfg["dynamics.use_augmented"]:
         synthetic = _real_batch(_load_env_dataset(cfg, run, AUGMENTED))
-    init_ss, shuffle_ss = ss.spawn(2)
-    model = dynamics.make_dynamics(env.d_s, env.d_a, cfg["dynamics.widths"],
-                                   np.random.default_rng(init_ss))
-    curve = dynamics.train_joint(model, _real_batch(ds), synthetic,
-                                 cfg["dynamics.epochs"],
-                                 np.random.default_rng(shuffle_ss),
-                                 batch_size=DYNAMICS_BATCH_SIZE,
-                                 step_size=DYNAMICS_STEP_SIZE)
+    model, curve = _fit_dynamics(cfg, _real_batch(ds), synthetic, *ss.spawn(2), curve=True)
     dynamics.save_dynamics(model, run.output_path("dynamics_joint.bin"))
     run.write_text("dynamics_loss.csv", _csv("epoch,pool_nll", curve))
     print(f"train-dynamics: pool NLL {curve[0][1]:.4f} -> {curve[-1][1]:.4f}")

@@ -14,7 +14,6 @@ import numpy as np
 from . import augmentation, diffusion, envs, finetune
 from .errors import ConfigError
 
-_ENV_NAMES = ("point_mass", "pendulum")
 _PPO = finetune.PpoConfig()  # the library's PPO defaults
 
 
@@ -73,8 +72,8 @@ def _fail(msg):
 # rather than three stages in.
 SCHEMA = {
     "env.name": _Field(str, "point_mass",
-                       lambda v: v in _ENV_NAMES or _fail(
-                           f"env.name must be one of {_ENV_NAMES}, got {v!r}"),
+                       lambda v: v in envs.ENVS or _fail(
+                           f"env.name must be one of {tuple(envs.ENVS)}, got {v!r}"),
                        "environment to instantiate"),
     "env.sigma_env": _Field(float, 0.05, _non_negative("env.sigma_env"),
                             "transition noise std"),

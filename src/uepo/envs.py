@@ -141,14 +141,13 @@ class Pendulum1:
 
 
 Env = PointMass2D | Pendulum1
+ENVS = {cls.name: cls for cls in (PointMass2D, Pendulum1)}  # the only list of environments
 
 
 def make_env(name: str, **overrides) -> Env:
-    if name == "point_mass":
-        return PointMass2D(**overrides)
-    if name == "pendulum":
-        return Pendulum1(**overrides)
-    raise ConfigError(f"unknown environment {name!r}")
+    if name not in ENVS:
+        raise ConfigError(f"unknown environment {name!r}")
+    return ENVS[name](**overrides)
 
 
 def step(env: Env, s: np.ndarray, a: np.ndarray, z: np.ndarray | None) -> np.ndarray:

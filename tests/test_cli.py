@@ -544,6 +544,43 @@ def test_checkpoint_of_another_env_is_exit_1(tmp_path, capsys, two_env_runs, nam
     assert not (out / f"{stage}.manifest").exists()
 
 
+@pytest.mark.parametrize("name, stage", [
+    ("policy.bin", "sample-ensemble"), ("policy.bin", "augment"), ("policy.bin", "select"),
+    ("policy.bin", "finetune"), ("dynamics_joint.bin", "select"), ("head.bin", "eval")])
+def test_pendulum_checkpoint_in_a_point_mass_run_is_exit_1(tmp_path, capsys, two_env_runs,
+                                                           name, stage):
+    # the reverse direction: a checkpoint with fewer action dimensions than the run's box
+    out = tmp_path / "o"
+    shutil.copytree(two_env_runs / "point_mass", out)
+    shutil.copyfile(two_env_runs / "pendulum" / name, out / name)
+    (out / f"{stage}.manifest").unlink(missing_ok=True)
+    cfg_path = _write_cfg(tmp_path, _SMALL + f"env.name = point_mass\nout = {out}\n")
+    capsys.readouterr()
+    assert cli.main([stage, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert str(out / name) in err and "d_s = 2, d_a = 1" in err and "point_mass" in err, err
+    assert not (out / f"{stage}.manifest").exists()
+
+
+def test_augment_and_train_dynamics_share_one_dynamics_recipe(tmp_path, monkeypatch):
+    # both stages fit through cli._fit_dynamics, so a recipe change reaches both
+    out = tmp_path / "o"
+    cfg = parse_config(_SMALL + f"out = {out}\n")
+    for stage in ("gen-data", "train-diffusion"):
+        cli.run_stage(stage, cfg)
+    recorded, train_joint = [], dynamics.train_joint
+
+    def recording(*args, **kwargs):
+        recorded.append(kwargs)
+        return train_joint(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "train_joint", recording)
+    for stage in ("augment", "train-dynamics"):
+        cli.run_stage(stage, cfg)
+    assert [{k: kw[k] for k in ("batch_size", "step_size")} for kw in recorded] == [
+        {"batch_size": cli.DYNAMICS_BATCH_SIZE, "step_size": cli.DYNAMICS_STEP_SIZE}] * 2
+
+
 def test_failed_div_check_writes_fail_and_no_manifest(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o"
     cfg_path = _write_cfg(tmp_path, f"out = {out}\n")
