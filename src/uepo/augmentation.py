@@ -36,7 +36,7 @@ class FilterConfig:
         if not 2.0 <= self.ratio <= MAX_RATIO:
             raise ConfigError(f"ratio must lie in [2, 3], got {self.ratio}")
         if self.max_attempts is not None and self.max_attempts < 1:
-            raise ConfigError("max_attempts must be positive")
+            raise ConfigError(f"max_attempts must be positive, got {self.max_attempts}")
 
 
 @dataclass

@@ -84,10 +84,6 @@ class StageRun:
         nets.atomic_write_bytes(self.output_path(name), text.encode())
 
 
-def _make_env(cfg: RunConfig):
-    return envs.make_env(cfg["env.name"], sigma_env=cfg["env.sigma_env"])
-
-
 def _load_for_env(run: StageRun, env, name: str, load, *args):
     """``load(path, *args)`` of the named checkpoint, refused when it was made
     for other state or action dimensions than ``env``'s."""
@@ -143,24 +139,20 @@ def _fit_dynamics(cfg: RunConfig, real, synthetic, init_ss, shuffle_ss, curve: b
 
 
 def _stage_gen_data(cfg: RunConfig, run: StageRun, ss: np.random.SeedSequence):
-    env = _make_env(cfg)
     mix = cfg["env.mode_mix"]
-    ds = envs.make_offline_dataset(env, cfg["env.n_traj"], (mix, 1.0 - mix),
+    ds = envs.make_offline_dataset(cfg.env, cfg["env.n_traj"], (mix, 1.0 - mix),
                                    np.random.default_rng(ss))
     save_dataset(ds, run.output_path(DATASET))
     print(f"gen-data: {len(ds.trajectories)} trajectories")
 
 
 def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
-    env = _make_env(cfg)
+    env = cfg.env
     ds = _load_env_dataset(cfg, run, DATASET)
     anchors, actions = _windows(cfg, ds)
-    sched = diffusion.make_linear_schedule(cfg["diffusion.k"],
-                                           cfg["diffusion.beta_min"],
-                                           cfg["diffusion.beta_max"])
     init_ss, train_ss = ss.spawn(2)
     policy = diffusion.make_policy(cfg["diffusion.T"], env.d_a, env.d_s, cfg["diffusion.widths"],
-                                   np.random.default_rng(init_ss), sched, env.action_low,
+                                   np.random.default_rng(init_ss), cfg.schedule, env.action_low,
                                    env.action_high)
     losses = diffusion.train_denoiser(policy, anchors, actions,
                                       cfg["diffusion.train_steps"],
@@ -174,17 +166,14 @@ def _stage_train_diffusion(cfg: RunConfig, run: StageRun, ss):
 
 
 def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
-    env = _make_env(cfg)
     ds = _load_env_dataset(cfg, run, DATASET)
-    policy = _load_policy_for_env(run, env)
+    policy = _load_policy_for_env(run, cfg.env)
     pool = initial_states(ds)
     rng = np.random.default_rng(ss)
     n_states = min(cfg["ensemble.n_states"], len(pool))
     picks = rng.choice(len(pool), size=n_states, replace=False)
-    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
-                                       cfg["ensemble.guided_steps"])
     ens = list(zip(picks, diffusion.sample_ensemble(policy, pool[picks], _member_seeds(cfg),
-                                                    dcfg)))
+                                                    cfg.guidance)))
     run.write_text("ensemble_actions.csv", _csv(
         "state_index,member,t," + ",".join(f"a{j}" for j in range(policy.d_a)),
         ((si, m, t, *seq[t]) for si, seqs in ens for m, seq in enumerate(seqs)
@@ -195,17 +184,13 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
 
 
 def _stage_augment(cfg: RunConfig, run: StageRun, ss):
-    env = _make_env(cfg)
     ds = _load_env_dataset(cfg, run, DATASET)
-    policy = _load_policy_for_env(run, env)
+    policy = _load_policy_for_env(run, cfg.env)
     init_ss, shuffle_ss, aug_ss = ss.spawn(3)
     model, _ = _fit_dynamics(cfg, _real_batch(ds), None, init_ss, shuffle_ss, curve=False)
     dynamics.save_dynamics(model, run.output_path("dynamics_init.bin"))
-    max_attempts = cfg["filter.max_attempts"] or None
-    fcfg = augmentation.FilterConfig(cfg["filter.epsilon"], cfg["filter.ratio"],
-                                     max_attempts)
     synthetic, report = augmentation.build_augmented(
-        env, policy, model, ds, fcfg, np.random.default_rng(aug_ss))
+        cfg.env, policy, model, ds, cfg.filter, np.random.default_rng(aug_ss))
     save_dataset(synthetic, run.output_path(AUGMENTED))
     run.write_text("augment_report.txt", _kv(augmentation.report_items(report)))
     run.write_text("kl_hist.csv", _csv("bin_low,bin_high,count",
@@ -230,7 +215,7 @@ def _stage_train_dynamics(cfg: RunConfig, run: StageRun, ss):
 
 
 def _stage_select(cfg: RunConfig, run: StageRun, ss):
-    env = _make_env(cfg)
+    env = cfg.env
     ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
     model = _load_for_env(run, env, "dynamics_joint.bin", dynamics.load_dynamics)
@@ -256,9 +241,8 @@ def _read_key_values(path: str) -> dict:
 
 
 def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
-    env = _make_env(cfg)
     ds = _load_env_dataset(cfg, run, DATASET)
-    policy = _load_policy_for_env(run, env)
+    policy = _load_policy_for_env(run, cfg.env)
     selection = _read_key_values(run.input_path("selection.txt"))
     try:
         best_seed = int(selection["best_seed"])
@@ -271,11 +255,7 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
     pool = anchors[perm[: cfg["distill.pool"]]]
     head, mse = finetune.distill(policy, best_seed, pool, distill_rng,
                                  epochs=cfg["distill.epochs"])
-    pcfg = finetune.PpoConfig(clip_ratio=cfg["ppo.clip_ratio"],
-                              discount=cfg["ppo.discount"],
-                              epochs_per_batch=cfg["ppo.epochs_per_batch"],
-                              batch_episodes=cfg["ppo.batch_episodes"])
-    head, curve = finetune.ppo_finetune(head, env, pcfg, cfg["ppo.iterations"],
+    head, curve = finetune.ppo_finetune(head, cfg.env, cfg.ppo, cfg["ppo.iterations"],
                                         np.random.default_rng(ppo_ss))
     finetune.save_head(run.output_path("head.bin"), head)
     run.write_text("finetune_curve.csv", _csv("iteration,mean_return,std_return",
@@ -286,10 +266,9 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
 
 
 def _stage_eval(cfg: RunConfig, run: StageRun, ss):
-    env = _make_env(cfg)
-    head = _load_for_env(run, env, "head.bin", finetune.load_head)
+    head = _load_for_env(run, cfg.env, "head.bin", finetune.load_head)
     rng = np.random.default_rng(ss)
-    _, _, _, ep_returns = finetune.collect_episodes(head, env,
+    _, _, _, ep_returns = finetune.collect_episodes(head, cfg.env,
                                                     cfg["eval.episodes"], rng)
     run.write_text("eval.csv", _csv("episode,return", enumerate(ep_returns)))
     mean = float(ep_returns.mean())
@@ -305,12 +284,11 @@ def _stage_div_check(cfg: RunConfig, run: StageRun, ss):
     a_i = np.zeros((4, 1))
     a_j = np.array([[0.0], [1.0], [2.0], [3.0]])
     d = divergence.div(a_i, a_j)
-    dcfg = divergence.DivergenceConfig(cfg["ensemble.tau"], cfg["ensemble.eta"],
-                                       cfg["ensemble.guided_steps"])
-    at_zero = divergence.sigma_div(0.0, dcfg)
-    at_tau = divergence.sigma_div(cfg["ensemble.tau"], dcfg)
+    guidance = cfg.guidance
+    at_zero = divergence.sigma_div(0.0, guidance)
+    at_tau = divergence.sigma_div(guidance.tau, guidance)
     ok = (abs(d - _DIV_FIXTURE_VALUE) < 1e-12
-          and abs(at_zero - cfg["ensemble.eta"]) < 1e-12
+          and abs(at_zero - guidance.eta) < 1e-12
           and at_tau == 0.0)
     text = _kv([("fixture_div", d), ("expected", _DIV_FIXTURE_VALUE),
                 ("sigma_div_at_zero", at_zero), ("sigma_div_at_tau", at_tau),

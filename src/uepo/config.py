@@ -3,18 +3,19 @@
 A config file is plain text, one `key = value` assignment per line, with
 `#` comments and blank lines ignored. Every key has a typed default below;
 unknown keys are rejected so a typo fails loudly instead of silently running
-with defaults.
+with defaults. Loading builds the environment, noise schedule, guidance,
+filter and PPO settings the stages use, and each of those types checks its
+own fields.
 """
 
 import dataclasses
 import hashlib
+import numbers
 
 import numpy as np
 
-from . import augmentation, diffusion, envs, finetune
+from . import augmentation, diffusion, divergence, envs, finetune
 from .errors import ConfigError
-
-_PPO = finetune.PpoConfig()  # the library's PPO defaults
 
 
 def _parse_bool(text: str) -> bool:
@@ -47,127 +48,124 @@ def format_value(value) -> str:
 class _Field:
     parse: object
     default: object
-    check: object
     doc: str
+    rule: str = ""  # a _RULES key; "" where a library type owns the rule, or none applies
 
 
-def _positive(name):
-    return lambda v: v > 0 or _fail(f"{name} must be > 0, got {v}")
+# the rules that no library type owns, each by the text its error quotes
+_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 3": lambda v: v >= 3,
+          "in [0, 1]": lambda v: 0 <= v <= 1, "positive": lambda v: all(w > 0 for w in v),
+          "non-empty": bool}
 
-
-def _non_negative(name):
-    return lambda v: v >= 0 or _fail(f"{name} must be >= 0, got {v}")
-
-
-def _unit_interval(name):
-    return lambda v: 0.0 <= v <= 1.0 or _fail(f"{name} must be in [0, 1], got {v}")
-
-
-def _fail(msg):
-    raise ConfigError(msg)
-
-
-# One flat schema for the whole pipeline. Stage code reads only the keys it
-# needs; validation always covers every key so a bad value fails at load time
-# rather than three stages in.
+# One flat schema for the whole pipeline. Validation always covers every
+# key, so a bad value fails at load time rather than three stages in.
 SCHEMA = {
-    "env.name": _Field(str, "point_mass",
-                       lambda v: v in envs.ENVS or _fail(
-                           f"env.name must be one of {tuple(envs.ENVS)}, got {v!r}"),
-                       "environment to instantiate"),
-    "env.sigma_env": _Field(float, 0.05, _non_negative("env.sigma_env"),
-                            "transition noise std"),
-    "env.n_traj": _Field(int, 60, _positive("env.n_traj"),
-                         "trajectories generated by gen-data"),
-    "env.mode_mix": _Field(float, 0.5, _unit_interval("env.mode_mix"),
-                           "probability of the first scripted mode"),
-    "diffusion.k": _Field(int, diffusion.DEFAULT_K, _positive("diffusion.k"), "denoising steps"),
-    "diffusion.beta_min": _Field(float, diffusion.DEFAULT_BETA_MIN, _positive("diffusion.beta_min"),
-                                 "noise schedule start"),
-    "diffusion.beta_max": _Field(float, diffusion.DEFAULT_BETA_MAX, _positive("diffusion.beta_max"),
-                                 "noise schedule end"),
-    "diffusion.T": _Field(int, 12, lambda v: v >= 3 or _fail(
-        "diffusion.T must be >= 3"), "action sequence length"),
-    "diffusion.widths": _Field(_parse_int_list, (128, 128),
-                               lambda v: all(w > 0 for w in v) or _fail(
-                                   "diffusion.widths must be positive"),
-                               "denoiser hidden widths"),
-    "diffusion.train_steps": _Field(int, 2000, _positive("diffusion.train_steps"),
-                                    "denoiser gradient steps"),
-    "diffusion.batch_size": _Field(int, 128, _positive("diffusion.batch_size"),
-                                   "denoiser batch size"),
-    "diffusion.window_stride": _Field(int, 4, _positive("diffusion.window_stride"),
-                                      "sliding-window stride"),
-    "ensemble.n": _Field(int, 4, lambda v: v >= 1 or _fail(
-        "ensemble.n must be >= 1"), "sub-policy count"),
-    "ensemble.tau": _Field(float, 0.5, _positive("ensemble.tau"),
-                           "divergence threshold"),
-    "ensemble.eta": _Field(float, 0.1, _non_negative("ensemble.eta"),
-                           "guidance noise scale"),
-    "ensemble.guided_steps": _Field(int, 10, _positive("ensemble.guided_steps"),
+    "env.name": _Field(str, "point_mass", "environment to instantiate"),
+    "env.sigma_env": _Field(float, 0.05, "transition noise std"),
+    "env.n_traj": _Field(int, 60, "trajectories generated by gen-data", "> 0"),
+    "env.mode_mix": _Field(float, 0.5, "probability of the first scripted mode", "in [0, 1]"),
+    "diffusion.k": _Field(int, diffusion.DEFAULT_K, "denoising steps"),
+    "diffusion.beta_min": _Field(float, diffusion.DEFAULT_BETA_MIN, "noise schedule start"),
+    "diffusion.beta_max": _Field(float, diffusion.DEFAULT_BETA_MAX, "noise schedule end"),
+    "diffusion.T": _Field(int, 12, "action sequence length", ">= 3"),
+    "diffusion.widths": _Field(_parse_int_list, (128, 128), "denoiser hidden widths", "positive"),
+    "diffusion.train_steps": _Field(int, 2000, "denoiser gradient steps", "> 0"),
+    "diffusion.batch_size": _Field(int, 128, "denoiser batch size", "> 0"),
+    "diffusion.window_stride": _Field(int, 4, "sliding-window stride", "> 0"),
+    "ensemble.n": _Field(int, 4, "sub-policy count", "> 0"),
+    "ensemble.tau": _Field(float, 0.5, "divergence threshold"),
+    "ensemble.eta": _Field(float, 0.1, "guidance noise scale"),
+    "ensemble.guided_steps": _Field(int, divergence.DivergenceConfig.guided_steps,
                                     "denoising steps with guidance active"),
-    "ensemble.n_states": _Field(int, 5, _positive("ensemble.n_states"),
-                                "initial states sampled by sample-ensemble"),
-    "filter.epsilon": _Field(float, augmentation.DEFAULT_EPSILON, _positive("filter.epsilon"),
-                             "KL acceptance threshold"),
+    "ensemble.n_states": _Field(int, 5, "initial states sampled by sample-ensemble", "> 0"),
+    "filter.epsilon": _Field(float, augmentation.DEFAULT_EPSILON, "KL acceptance threshold"),
     "filter.ratio": _Field(float, augmentation.DEFAULT_RATIO,
-                           lambda v: augmentation.FilterConfig(ratio=v),
                            "synthetic-to-real transition ratio"),
-    "filter.max_attempts": _Field(int, 0, _non_negative("filter.max_attempts"),
-                                  "rollout budget; 0 uses the library default"),
-    "dynamics.widths": _Field(_parse_int_list, (64, 64),
-                              lambda v: all(w > 0 for w in v) or _fail(
-                                  "dynamics.widths must be positive"),
-                              "dynamics model hidden widths"),
-    "dynamics.epochs": _Field(int, 400, _positive("dynamics.epochs"),
-                              "dynamics training epochs"),
-    "dynamics.use_augmented": _Field(_parse_bool, True, lambda v: True,
+    "filter.max_attempts": _Field(int, 0, "rollout budget; 0 uses the library default"),
+    "dynamics.widths": _Field(_parse_int_list, (64, 64), "dynamics model hidden widths",
+                              "positive"),
+    "dynamics.epochs": _Field(int, 400, "dynamics training epochs", "> 0"),
+    "dynamics.use_augmented": _Field(_parse_bool, True,
                                      "train-dynamics consumes the synthetic set"),
-    "select.n_rollouts": _Field(int, 8, _positive("select.n_rollouts"),
-                                "model rollouts per sub-policy"),
-    "distill.pool": _Field(int, 400, _positive("distill.pool"),
-                           "states distilled over"),
-    "distill.epochs": _Field(int, 400, _positive("distill.epochs"),
-                             "distillation epochs"),
-    "ppo.clip_ratio": _Field(float, _PPO.clip_ratio, lambda v: 0.0 < v < 1.0 or _fail(
-        f"ppo.clip_ratio must lie in (0, 1), got {v}"), "PPO clip range"),
-    "ppo.discount": _Field(float, _PPO.discount, lambda v: 0.0 < v <= 1.0 or _fail(
-        f"ppo.discount must lie in (0, 1], got {v}"), "return discount"),
-    "ppo.epochs_per_batch": _Field(int, _PPO.epochs_per_batch, _positive("ppo.epochs_per_batch"),
+    "select.n_rollouts": _Field(int, 8, "model rollouts per sub-policy", "> 0"),
+    "distill.pool": _Field(int, 400, "states distilled over", "> 0"),
+    "distill.epochs": _Field(int, 400, "distillation epochs", "> 0"),
+    "ppo.clip_ratio": _Field(float, finetune.PpoConfig.clip_ratio, "PPO clip range"),
+    "ppo.discount": _Field(float, finetune.PpoConfig.discount, "return discount"),
+    "ppo.epochs_per_batch": _Field(int, finetune.PpoConfig.epochs_per_batch,
                                    "gradient epochs per batch"),
-    "ppo.batch_episodes": _Field(int, _PPO.batch_episodes, _positive("ppo.batch_episodes"),
+    "ppo.batch_episodes": _Field(int, finetune.PpoConfig.batch_episodes,
                                  "episodes collected per iteration"),
-    "ppo.iterations": _Field(int, 10, _positive("ppo.iterations"),
-                             "fine-tuning iterations"),
-    "eval.episodes": _Field(int, 20, _positive("eval.episodes"),
-                            "episodes evaluated"),
-    "seed": _Field(int, 0, _non_negative("seed"), "global run seed"),
-    "out": _Field(str, "run_out", lambda v: bool(v) or _fail(
-        "out must be non-empty"), "output directory"),
+    "ppo.iterations": _Field(int, 10, "fine-tuning iterations", "> 0"),
+    "eval.episodes": _Field(int, 20, "episodes evaluated", "> 0"),
+    "seed": _Field(int, 0, "global run seed", ">= 0"),
+    "out": _Field(str, "run_out", "output directory", "non-empty"),
 }
 
 
+def _fits(value, kind: type) -> bool:
+    if isinstance(value, (bool, np.bool_)):  # Python counts a bool as an int
+        return kind is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+
+
+def _typed(key: str, value, kind: type):
+    """``value`` as a ``kind``, the type of the key's default. A numpy scalar
+    becomes the Python value, so it hashes as its parsed text does, and an
+    int becomes a float for a float key; any other mismatch is refused."""
+    if kind is tuple:  # a list of widths
+        if isinstance(value, tuple) and value and all(_fits(w, int) for w in value):
+            return tuple(int(w) for w in value)
+    elif _fits(value, kind):
+        return kind(value)
+    raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+
+
+def _build(make, values: dict, section: str, *names, **given):
+    """``make`` called with each of ``names`` read from the key
+    ``<section>.<name>``, and with ``given``. The library types name the
+    field first in each message, which is raised again naming the key."""
+    args = {name: values[f"{section}.{name}"] for name in names} | given
+    try:
+        return make(**args)
+    except ConfigError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in args:
+            raise
+        raise ConfigError(f"{section}.{name} {rest}") from None
+
+
 class RunConfig:
-    """Validated, immutable view over the flat key space."""
+    """Validated, immutable view over the flat key space, with the
+    library objects the stages take from it: ``env``, ``schedule``,
+    ``guidance``, ``filter`` and ``ppo``."""
 
     def __init__(self, values: dict):
         unknown = sorted(set(values) - set(SCHEMA))
         if unknown:
             raise ConfigError(f"unknown config key: {unknown[0]}")
-        merged = {}
+        v = {}
         for key, field in SCHEMA.items():
-            merged[key] = values.get(key, field.default)
-            field.check(merged[key])
-        horizon = envs.make_env(merged["env.name"]).horizon
-        if merged["diffusion.T"] > horizon:
-            raise ConfigError(f"diffusion.T = {merged['diffusion.T']} exceeds the "
-                              f"{merged['env.name']} horizon of {horizon}")
-        if merged["diffusion.beta_min"] >= merged["diffusion.beta_max"]:
+            v[key] = _typed(key, values.get(key, field.default), type(field.default))
+            if field.rule and not _RULES[field.rule](v[key]):
+                raise ConfigError(f"{key} must be {field.rule}, got {v[key]!r}")
+        env = _build(envs.make_env, v, "env", "name", "sigma_env")
+        if v["diffusion.T"] > env.horizon:
+            raise ConfigError(f"diffusion.T = {v['diffusion.T']} exceeds the "
+                              f"{env.name} horizon of {env.horizon}")
+        if v["diffusion.beta_min"] >= v["diffusion.beta_max"]:
             raise ConfigError("diffusion.beta_min must be < diffusion.beta_max")
-        # train-diffusion's schedule holds the other bounds, such as beta_max < 1
-        diffusion.make_linear_schedule(merged["diffusion.k"], merged["diffusion.beta_min"],
-                                       merged["diffusion.beta_max"])
-        object.__setattr__(self, "_values", merged)
+        vars(self).update(
+            _values=v, env=env,
+            schedule=_build(diffusion.make_linear_schedule, v, "diffusion",
+                            "k", "beta_min", "beta_max"),
+            guidance=_build(divergence.DivergenceConfig, v, "ensemble",
+                            "tau", "eta", "guided_steps"),
+            # 0 leaves the rollout budget to the library
+            filter=_build(augmentation.FilterConfig, v, "filter", "epsilon", "ratio",
+                          max_attempts=v["filter.max_attempts"] or None),
+            ppo=_build(finetune.PpoConfig, v, "ppo", "clip_ratio", "discount",
+                       "epochs_per_batch", "batch_episodes"))
 
     def __setattr__(self, name, value):
         raise AttributeError("RunConfig is immutable")

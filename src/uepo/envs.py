@@ -24,6 +24,13 @@ RESET_DRAWS = 2  # standard normals one reset takes, in either environment
 COVERAGE_GAP_Y = 0.5  # apply_coverage_gap withholds the point mass's y > this
 
 
+class _GaussianLaw:
+    def __post_init__(self):
+        # true_dist's variance is sigma_env^2, and the KL filter divides by it
+        if not self.sigma_env > 0:
+            raise ConfigError(f"sigma_env must be > 0, got {self.sigma_env}")
+
+
 def _row_norm(d: np.ndarray):
     # row norms through a matmul row dot product, which rounds like the 1-D
     # np.linalg.norm; the axis=-1 form differs in the last bit
@@ -31,7 +38,7 @@ def _row_norm(d: np.ndarray):
 
 
 @dataclass
-class PointMass2D:
+class PointMass2D(_GaussianLaw):
     """Damped double integrator on the plane.
 
     State (x, y, vx, vy), action (ax, ay) in [-1, 1]^2. One step:
@@ -85,7 +92,7 @@ def wrap_angle(x):
 
 
 @dataclass
-class Pendulum1:
+class Pendulum1(_GaussianLaw):
     """Torque-limited gravity pendulum, angle measured from upright.
 
     State (theta, theta_dot) with theta wrapped to (-pi, pi]; torque in
@@ -146,7 +153,7 @@ ENVS = {cls.name: cls for cls in (PointMass2D, Pendulum1)}  # the only list of e
 
 def make_env(name: str, **overrides) -> Env:
     if name not in ENVS:
-        raise ConfigError(f"unknown environment {name!r}")
+        raise ConfigError(f"name must be one of {tuple(ENVS)}, got {name!r}")
     return ENVS[name](**overrides)
 
 

@@ -226,6 +226,9 @@ class PpoConfig:
             raise ConfigError(f"clip_ratio must lie in (0, 1), got {self.clip_ratio}")
         if not 0 < self.discount <= 1:
             raise ConfigError(f"discount must lie in (0, 1], got {self.discount}")
+        for name in ("epochs_per_batch", "batch_episodes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, discount: float,

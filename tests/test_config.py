@@ -1,9 +1,10 @@
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
-from uepo import augmentation, diffusion, finetune
+from uepo import augmentation, diffusion, divergence, envs, finetune
 from uepo.config import RunConfig, SCHEMA, load_config, parse_config
 from uepo.errors import ConfigError
 
@@ -40,9 +41,19 @@ def test_default_schedule_ends_near_the_sampler_start():
     # sampling starts from N(0, I), so the forward process must end near it
     cfg = parse_config("")
     assert cfg["diffusion.beta_max"] == 0.2
-    sched = diffusion.make_linear_schedule(cfg["diffusion.k"], cfg["diffusion.beta_min"],
-                                           cfg["diffusion.beta_max"])
-    assert sched.alpha_bar[-1] < 0.01
+    assert cfg.schedule.alpha_bar[-1] < 0.01
+
+
+def test_load_builds_what_the_stages_use():
+    cfg = parse_config("env.name = pendulum\nenv.sigma_env = 0.2\ndiffusion.k = 7\n"
+                       "ensemble.tau = 0.3\nfilter.ratio = 2.5\nppo.discount = 0.9\n")
+    assert cfg.env == envs.make_env("pendulum", sigma_env=0.2)
+    assert np.array_equal(cfg.schedule.beta, diffusion.make_linear_schedule(7, 1e-4, 0.2).beta)
+    assert cfg.guidance == divergence.DivergenceConfig(0.3, 0.1, 10)
+    # filter.max_attempts = 0 leaves the budget to the library
+    assert cfg.filter == augmentation.FilterConfig(0.15, 2.5, None)
+    assert parse_config("filter.max_attempts = 9\n").filter.max_attempts == 9
+    assert cfg.ppo == finetune.PpoConfig(discount=0.9)
 
 
 def test_parse_basic_assignments_and_comments():
@@ -98,8 +109,11 @@ def test_value_checks_fire():
         parse_config("env.name = cartpole\n")
     with pytest.raises(ConfigError, match="diffusion.T must be >= 3"):
         parse_config("diffusion.T = 2\n")
-    with pytest.raises(ConfigError, match="env.sigma_env must be >= 0"):
+    # the environment owns sigma_env > 0: the KL filter divides by its variance
+    with pytest.raises(ConfigError, match="env.sigma_env must be > 0, got -0.1"):
         parse_config("env.sigma_env = -0.1\n")
+    with pytest.raises(ConfigError, match="env.sigma_env must be > 0, got 0.0"):
+        parse_config("env.sigma_env = 0\n")
     with pytest.raises(ConfigError, match="ppo.discount must lie in \\(0, 1\\]"):
         parse_config("ppo.discount = 1.5\n")
     with pytest.raises(ConfigError, match="empty list"):
@@ -216,12 +230,12 @@ def test_filter_ratio_outside_library_range_rejected():
 
 
 def test_zero_guided_steps_rejected():
-    with pytest.raises(ConfigError, match="ensemble.guided_steps must be > 0"):
+    with pytest.raises(ConfigError, match="ensemble.guided_steps must be positive"):
         parse_config("ensemble.guided_steps = 0\n")
 
 
 def test_beta_max_at_or_above_one_rejected():
-    with pytest.raises(ConfigError, match="beta_max < 1"):
+    with pytest.raises(ConfigError, match="diffusion.beta_max must be < 1"):
         parse_config("diffusion.beta_max = 1.5\n")
 
 
@@ -234,3 +248,43 @@ def test_objective_alpha_is_not_a_key(key):
     # no stage reads them, so the schema has no such keys
     with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
         parse_config(f"{key} = 0.1\n")
+
+
+def test_dict_values_must_have_their_keys_type():
+    # a truthy string would run with augmentation on, and a fractional
+    # trajectory count would load and fail in gen-data
+    for key, value in [("dynamics.use_augmented", "no"), ("env.n_traj", 2.5),
+                       ("diffusion.widths", [32]), ("seed", True), ("out", 3)]:
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be of type"):
+            RunConfig({key: value})
+    # numpy scalars become the Python values, so they hash as the parsed text
+    cfg = RunConfig({"dynamics.use_augmented": np.False_, "env.n_traj": np.int64(12),
+                     "ensemble.tau": np.float32(0.25), "diffusion.widths": (np.int64(32),),
+                     "ensemble.eta": 1})
+    assert cfg.config_hash() == parse_config(
+        "dynamics.use_augmented = false\nenv.n_traj = 12\nensemble.tau = 0.25\n"
+        "diffusion.widths = 32\nensemble.eta = 1\n").config_hash()
+    assert RunConfig({"dynamics.use_augmented": np.True_}).config_hash() == \
+        RunConfig({}).config_hash()
+
+
+# one out-of-range value per key; each must fail at load, naming its key
+_BAD_VALUES = {
+    "env.name": "cartpole", "env.sigma_env": "0", "env.n_traj": "0", "env.mode_mix": "1.5",
+    "diffusion.k": "0", "diffusion.beta_min": "0", "diffusion.beta_max": "1.5",
+    "diffusion.T": "2", "diffusion.widths": "32,0", "diffusion.train_steps": "0",
+    "diffusion.batch_size": "0", "diffusion.window_stride": "0", "ensemble.n": "0",
+    "ensemble.tau": "-1", "ensemble.eta": "-0.1", "ensemble.guided_steps": "0",
+    "ensemble.n_states": "0", "filter.epsilon": "0", "filter.ratio": "1.5",
+    "filter.max_attempts": "-1", "dynamics.widths": "0", "dynamics.epochs": "0",
+    "dynamics.use_augmented": "maybe", "select.n_rollouts": "0", "distill.pool": "0",
+    "distill.epochs": "0", "ppo.clip_ratio": "1.0", "ppo.discount": "0",
+    "ppo.epochs_per_batch": "0", "ppo.batch_episodes": "0", "ppo.iterations": "0",
+    "eval.episodes": "0", "seed": "-1", "out": "",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA))
+def test_every_key_refuses_a_bad_value_at_load(key):
+    with pytest.raises(ConfigError, match=rf"(^|\s){re.escape(key)}\b"):
+        parse_config(f"{key} = {_BAD_VALUES[key]}\n")

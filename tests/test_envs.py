@@ -11,12 +11,15 @@ def test_make_env_names_and_overrides():
     assert pm.sigma_env == 0.2 and pm.horizon == 7
     pend = envs.make_env("pendulum")
     assert pend.d_s == 2 and pend.d_a == 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="name must be one of"):
         envs.make_env("cartpole")
+    for name in envs.ENVS:
+        with pytest.raises(ConfigError, match="sigma_env must be > 0, got 0.0"):
+            envs.make_env(name, sigma_env=0.0)
 
 
 def test_point_mass_step_formula():
-    env = envs.make_env("point_mass", sigma_env=0.0)
+    env = envs.make_env("point_mass")
     s = np.array([0.1, -0.2, 0.5, 0.3])
     a = np.array([0.4, -0.6])
     got = envs.step(env, s, a, None)
@@ -26,7 +29,7 @@ def test_point_mass_step_formula():
 
 
 def test_point_mass_clips_actions():
-    env = envs.make_env("point_mass", sigma_env=0.0)
+    env = envs.make_env("point_mass")
     s = np.zeros(4)
     wild = envs.step(env, s, np.array([10.0, -10.0]), None)
     capped = envs.step(env, s, np.array([1.0, -1.0]), None)
@@ -34,7 +37,7 @@ def test_point_mass_clips_actions():
 
 
 def test_pendulum_step_formula_and_wrap():
-    env = envs.make_env("pendulum", sigma_env=0.0)
+    env = envs.make_env("pendulum")
     s = np.array([3.0, 2.0])
     a = np.array([1.5])
     got = envs.step(env, s, a, None)
