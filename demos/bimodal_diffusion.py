@@ -17,7 +17,7 @@ from uepo.divergence import DivergenceConfig, min_pairwise_div
 
 env = envs.PointMass2D()
 print("collecting 200 scripted demonstrations (half per goal)")
-ds = envs.make_offline_dataset(env, 200, (0.5, 0.5), np.random.default_rng(11))
+ds = envs.make_offline_dataset(env, 200, 0.5, np.random.default_rng(11))
 
 anchors, windows_a = diffusion.sliding_windows(ds, 40, env.horizon)
 rng = np.random.default_rng(5)

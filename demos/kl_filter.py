@@ -21,7 +21,7 @@ from uepo.datasets import TrajectoryDataset, initial_states, transitions
 from uepo.errors import StarvationError
 
 env = envs.PointMass2D(sigma_env=0.05)
-ds = envs.make_offline_dataset(env, 15, (0.5, 0.5), np.random.default_rng(41))
+ds = envs.make_offline_dataset(env, 15, 0.5, np.random.default_rng(41))
 print(f"real dataset: {len(ds.trajectories)} trajectories")
 
 rng = np.random.default_rng(42)
@@ -65,7 +65,7 @@ for lo, hi, count in kl_histogram(report.kl_values, n_bins=10):
 
 print("\nnow a model whose predicted mean is wrong by 1.0 in dim 0")
 env_hard = envs.PointMass2D(sigma_env=1.0)
-ds_hard = envs.make_offline_dataset(env_hard, 5, (0.5, 0.5), np.random.default_rng(43))
+ds_hard = envs.make_offline_dataset(env_hard, 5, 0.5, np.random.default_rng(43))
 
 
 class OffsetModel:

@@ -17,7 +17,7 @@ import numpy as np
 from . import diffusion, dynamics, envs
 from .datasets import Trajectory, TrajectoryDataset, initial_states, n_transitions
 from .diffusion import DiffusionPolicy, sample
-from .errors import ConfigError, EmptyBatchError, ShapeError, StarvationError
+from .errors import ConfigError, EmptyBatchError, ShapeError, StarvationError, require
 
 DEFAULT_EPSILON = 0.15
 DEFAULT_RATIO = 2.0
@@ -31,12 +31,11 @@ class FilterConfig:
     max_attempts: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        require("epsilon", self.epsilon, "> 0")
         if not 2.0 <= self.ratio <= MAX_RATIO:
             raise ConfigError(f"ratio must lie in [2, 3], got {self.ratio}")
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be positive, got {self.max_attempts}")
+        if self.max_attempts is not None:
+            require("max_attempts", self.max_attempts, "> 0")
 
 
 @dataclass
@@ -108,8 +107,7 @@ def trajectory_kl(traj: Trajectory, env, model) -> float:
 
 def filter_trajectory(score: float, cfg: FilterConfig) -> bool:
     """Accept iff score < epsilon, strictly."""
-    if score < 0:
-        raise ConfigError(f"KL score must be non-negative, got {score}")
+    require("score", score, ">= 0")
     return score < cfg.epsilon
 
 

@@ -31,7 +31,6 @@ from .errors import ConfigError, MissingArtifactError
 DATASET = "dataset.jsonl"
 AUGMENTED = "augmented.jsonl"
 
-ENSEMBLE_BASE_SEED = 17  # the ensemble's member seeds derive from it
 DIFFUSION_STEP_SIZE = 1e-3
 DYNAMICS_BATCH_SIZE = 256
 DYNAMICS_STEP_SIZE = 1e-3
@@ -111,10 +110,6 @@ def _load_env_dataset(cfg: RunConfig, run: StageRun, name: str) -> TrajectoryDat
     return ds
 
 
-def _member_seeds(cfg: RunConfig) -> tuple[int, ...]:
-    return diffusion.member_seeds(cfg["ensemble.n"], ENSEMBLE_BASE_SEED)
-
-
 def _windows(cfg: RunConfig, ds: TrajectoryDataset):
     return diffusion.sliding_windows(ds, cfg["diffusion.T"], cfg["diffusion.window_stride"])
 
@@ -139,8 +134,7 @@ def _fit_dynamics(cfg: RunConfig, real, synthetic, init_ss, shuffle_ss, curve: b
 
 
 def _stage_gen_data(cfg: RunConfig, run: StageRun, ss: np.random.SeedSequence):
-    mix = cfg["env.mode_mix"]
-    ds = envs.make_offline_dataset(cfg.env, cfg["env.n_traj"], (mix, 1.0 - mix),
+    ds = envs.make_offline_dataset(cfg.env, cfg["env.n_traj"], cfg["env.mode_mix"],
                                    np.random.default_rng(ss))
     save_dataset(ds, run.output_path(DATASET))
     print(f"gen-data: {len(ds.trajectories)} trajectories")
@@ -172,8 +166,7 @@ def _stage_sample_ensemble(cfg: RunConfig, run: StageRun, ss):
     rng = np.random.default_rng(ss)
     n_states = min(cfg["ensemble.n_states"], len(pool))
     picks = rng.choice(len(pool), size=n_states, replace=False)
-    ens = list(zip(picks, diffusion.sample_ensemble(policy, pool[picks], _member_seeds(cfg),
-                                                    cfg.guidance)))
+    ens = list(zip(picks, diffusion.sample_ensemble(policy, pool[picks], cfg.seeds, cfg.guidance)))
     run.write_text("ensemble_actions.csv", _csv(
         "state_index,member,t," + ",".join(f"a{j}" for j in range(policy.d_a)),
         ((si, m, t, *seq[t]) for si, seqs in ens for m, seq in enumerate(seqs)
@@ -219,7 +212,7 @@ def _stage_select(cfg: RunConfig, run: StageRun, ss):
     ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, env)
     model = _load_for_env(run, env, "dynamics_joint.bin", dynamics.load_dynamics)
-    seeds = _member_seeds(cfg)
+    seeds = cfg.seeds
     best, scores = finetune.select_policy(policy, seeds, model, partial(envs.reward, env),
                                           cfg["select.n_rollouts"], initial_states(ds),
                                           np.random.default_rng(ss))

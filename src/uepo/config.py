@@ -4,18 +4,21 @@ A config file is plain text, one `key = value` assignment per line, with
 `#` comments and blank lines ignored. Every key has a typed default below;
 unknown keys are rejected so a typo fails loudly instead of silently running
 with defaults. Loading builds the environment, noise schedule, guidance,
-filter and PPO settings the stages use, and each of those types checks its
-own fields.
+filter and PPO settings and the ensemble's member seeds that the stages
+use, and each of those builders checks its own arguments.
 """
 
 import dataclasses
 import hashlib
+import math
 import numbers
 
 import numpy as np
 
 from . import augmentation, diffusion, divergence, envs, finetune
-from .errors import ConfigError
+from .errors import ConfigError, require
+
+ENSEMBLE_BASE_SEED = 17  # the ensemble's member seeds derive from it
 
 
 def _parse_bool(text: str) -> bool:
@@ -46,60 +49,53 @@ def format_value(value) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class _Field:
-    parse: object
-    default: object
+    default: object  # its type is the key's type, and picks the key's parser
     doc: str
-    rule: str = ""  # a _RULES key; "" where a library type owns the rule, or none applies
+    rule: str = ""  # an errors.RULES key; "" where a built object owns the rule, or none applies
 
 
-# the rules that no library type owns, each by the text its error quotes
-_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 3": lambda v: v >= 3,
-          "in [0, 1]": lambda v: 0 <= v <= 1, "positive": lambda v: all(w > 0 for w in v),
-          "non-empty": bool}
+_PARSERS = {bool: _parse_bool, tuple: _parse_int_list}  # any other type parses as itself
 
 # One flat schema for the whole pipeline. Validation always covers every
 # key, so a bad value fails at load time rather than three stages in.
 SCHEMA = {
-    "env.name": _Field(str, "point_mass", "environment to instantiate"),
-    "env.sigma_env": _Field(float, 0.05, "transition noise std"),
-    "env.n_traj": _Field(int, 60, "trajectories generated by gen-data", "> 0"),
-    "env.mode_mix": _Field(float, 0.5, "probability of the first scripted mode", "in [0, 1]"),
-    "diffusion.k": _Field(int, diffusion.DEFAULT_K, "denoising steps"),
-    "diffusion.beta_min": _Field(float, diffusion.DEFAULT_BETA_MIN, "noise schedule start"),
-    "diffusion.beta_max": _Field(float, diffusion.DEFAULT_BETA_MAX, "noise schedule end"),
-    "diffusion.T": _Field(int, 12, "action sequence length", ">= 3"),
-    "diffusion.widths": _Field(_parse_int_list, (128, 128), "denoiser hidden widths", "positive"),
-    "diffusion.train_steps": _Field(int, 2000, "denoiser gradient steps", "> 0"),
-    "diffusion.batch_size": _Field(int, 128, "denoiser batch size", "> 0"),
-    "diffusion.window_stride": _Field(int, 4, "sliding-window stride", "> 0"),
-    "ensemble.n": _Field(int, 4, "sub-policy count", "> 0"),
-    "ensemble.tau": _Field(float, 0.5, "divergence threshold"),
-    "ensemble.eta": _Field(float, 0.1, "guidance noise scale"),
-    "ensemble.guided_steps": _Field(int, divergence.DivergenceConfig.guided_steps,
+    "env.name": _Field("point_mass", "environment to instantiate"),
+    "env.sigma_env": _Field(0.05, "transition noise std"),
+    "env.n_traj": _Field(60, "trajectories generated by gen-data", "> 0"),
+    "env.mode_mix": _Field(0.5, "probability of the first scripted mode", "in [0, 1]"),
+    "diffusion.k": _Field(diffusion.DEFAULT_K, "denoising steps"),
+    "diffusion.beta_min": _Field(diffusion.DEFAULT_BETA_MIN, "noise schedule start"),
+    "diffusion.beta_max": _Field(diffusion.DEFAULT_BETA_MAX, "noise schedule end"),
+    "diffusion.T": _Field(12, "action sequence length", ">= 3"),
+    "diffusion.widths": _Field((128, 128), "denoiser hidden widths", "positive"),
+    "diffusion.train_steps": _Field(2000, "denoiser gradient steps", "> 0"),
+    "diffusion.batch_size": _Field(128, "denoiser batch size", "> 0"),
+    "diffusion.window_stride": _Field(4, "sliding-window stride", "> 0"),
+    "ensemble.n": _Field(4, "sub-policy count"),
+    "ensemble.tau": _Field(0.5, "divergence threshold"),
+    "ensemble.eta": _Field(0.1, "guidance noise scale"),
+    "ensemble.guided_steps": _Field(divergence.DivergenceConfig.guided_steps,
                                     "denoising steps with guidance active"),
-    "ensemble.n_states": _Field(int, 5, "initial states sampled by sample-ensemble", "> 0"),
-    "filter.epsilon": _Field(float, augmentation.DEFAULT_EPSILON, "KL acceptance threshold"),
-    "filter.ratio": _Field(float, augmentation.DEFAULT_RATIO,
-                           "synthetic-to-real transition ratio"),
-    "filter.max_attempts": _Field(int, 0, "rollout budget; 0 uses the library default"),
-    "dynamics.widths": _Field(_parse_int_list, (64, 64), "dynamics model hidden widths",
-                              "positive"),
-    "dynamics.epochs": _Field(int, 400, "dynamics training epochs", "> 0"),
-    "dynamics.use_augmented": _Field(_parse_bool, True,
-                                     "train-dynamics consumes the synthetic set"),
-    "select.n_rollouts": _Field(int, 8, "model rollouts per sub-policy", "> 0"),
-    "distill.pool": _Field(int, 400, "states distilled over", "> 0"),
-    "distill.epochs": _Field(int, 400, "distillation epochs", "> 0"),
-    "ppo.clip_ratio": _Field(float, finetune.PpoConfig.clip_ratio, "PPO clip range"),
-    "ppo.discount": _Field(float, finetune.PpoConfig.discount, "return discount"),
-    "ppo.epochs_per_batch": _Field(int, finetune.PpoConfig.epochs_per_batch,
+    "ensemble.n_states": _Field(5, "initial states sampled by sample-ensemble", "> 0"),
+    "filter.epsilon": _Field(augmentation.DEFAULT_EPSILON, "KL acceptance threshold"),
+    "filter.ratio": _Field(augmentation.DEFAULT_RATIO, "synthetic-to-real transition ratio"),
+    "filter.max_attempts": _Field(0, "rollout budget; 0 uses the library default"),
+    "dynamics.widths": _Field((64, 64), "dynamics model hidden widths", "positive"),
+    "dynamics.epochs": _Field(400, "dynamics training epochs", "> 0"),
+    "dynamics.use_augmented": _Field(True, "train-dynamics consumes the synthetic set"),
+    "select.n_rollouts": _Field(8, "model rollouts per sub-policy", "> 0"),
+    "distill.pool": _Field(400, "states distilled over", "> 0"),
+    "distill.epochs": _Field(400, "distillation epochs", "> 0"),
+    "ppo.clip_ratio": _Field(finetune.PpoConfig.clip_ratio, "PPO clip range"),
+    "ppo.discount": _Field(finetune.PpoConfig.discount, "return discount"),
+    "ppo.epochs_per_batch": _Field(finetune.PpoConfig.epochs_per_batch,
                                    "gradient epochs per batch"),
-    "ppo.batch_episodes": _Field(int, finetune.PpoConfig.batch_episodes,
+    "ppo.batch_episodes": _Field(finetune.PpoConfig.batch_episodes,
                                  "episodes collected per iteration"),
-    "ppo.iterations": _Field(int, 10, "fine-tuning iterations", "> 0"),
-    "eval.episodes": _Field(int, 20, "episodes evaluated", "> 0"),
-    "seed": _Field(int, 0, "global run seed", ">= 0"),
-    "out": _Field(str, "run_out", "output directory", "non-empty"),
+    "ppo.iterations": _Field(10, "fine-tuning iterations", "> 0"),
+    "eval.episodes": _Field(20, "episodes evaluated", "> 0"),
+    "seed": _Field(0, "global run seed", ">= 0"),
+    "out": _Field("run_out", "output directory", "non-empty"),
 }
 
 
@@ -117,14 +113,18 @@ def _typed(key: str, value, kind: type):
         if isinstance(value, tuple) and value and all(_fits(w, int) for w in value):
             return tuple(int(w) for w in value)
     elif _fits(value, kind):
-        return kind(value)
+        value = kind(value)
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+        return value
     raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
 
 
 def _build(make, values: dict, section: str, *names, **given):
     """``make`` called with each of ``names`` read from the key
-    ``<section>.<name>``, and with ``given``. The library types name the
-    field first in each message, which is raised again naming the key."""
+    ``<section>.<name>``, and with ``given``. A library message names its
+    argument first, as ``errors.require`` writes it, and is raised again
+    naming the key."""
     args = {name: values[f"{section}.{name}"] for name in names} | given
     try:
         return make(**args)
@@ -138,7 +138,7 @@ def _build(make, values: dict, section: str, *names, **given):
 class RunConfig:
     """Validated, immutable view over the flat key space, with the
     library objects the stages take from it: ``env``, ``schedule``,
-    ``guidance``, ``filter`` and ``ppo``."""
+    ``guidance``, ``filter``, ``ppo`` and the member ``seeds``."""
 
     def __init__(self, values: dict):
         unknown = sorted(set(values) - set(SCHEMA))
@@ -147,8 +147,8 @@ class RunConfig:
         v = {}
         for key, field in SCHEMA.items():
             v[key] = _typed(key, values.get(key, field.default), type(field.default))
-            if field.rule and not _RULES[field.rule](v[key]):
-                raise ConfigError(f"{key} must be {field.rule}, got {v[key]!r}")
+            if field.rule:
+                require(key, v[key], field.rule)
         env = _build(envs.make_env, v, "env", "name", "sigma_env")
         if v["diffusion.T"] > env.horizon:
             raise ConfigError(f"diffusion.T = {v['diffusion.T']} exceeds the "
@@ -165,7 +165,9 @@ class RunConfig:
             filter=_build(augmentation.FilterConfig, v, "filter", "epsilon", "ratio",
                           max_attempts=v["filter.max_attempts"] or None),
             ppo=_build(finetune.PpoConfig, v, "ppo", "clip_ratio", "discount",
-                       "epochs_per_batch", "batch_episodes"))
+                       "epochs_per_batch", "batch_episodes"),
+            seeds=_build(diffusion.member_seeds, v, "ensemble", "n",
+                         base_seed=ENSEMBLE_BASE_SEED))
 
     def __setattr__(self, name, value):
         raise AttributeError("RunConfig is immutable")
@@ -212,7 +214,8 @@ def parse_config(text: str) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key: {key}")
         try:
-            values[key] = SCHEMA[key].parse(value_text)
+            kind = type(SCHEMA[key].default)
+            values[key] = _PARSERS.get(kind, kind)(value_text)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return RunConfig(values)

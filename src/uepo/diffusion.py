@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nets
 from .divergence import DivergenceConfig, guide
-from .errors import ConfigError, EmptyBatchError, ShapeError
+from .errors import ConfigError, EmptyBatchError, ShapeError, require
 
 DEFAULT_K = 50
 DEFAULT_BETA_MIN = 1e-4
@@ -46,8 +46,7 @@ def make_linear_schedule(k: int, beta_min: float = DEFAULT_BETA_MIN,
                          beta_max: float = DEFAULT_BETA_MAX) -> NoiseSchedule:
     """k noise rates spaced linearly from beta_min to beta_max; alpha_bar
     comes out strictly decreasing."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    require("k", k, "> 0")
     if not 0 < beta_min <= beta_max:
         raise ConfigError(f"beta_min must lie in (0, beta_max = {beta_max}], got {beta_min}")
     if not beta_max < 1:
@@ -140,8 +139,7 @@ def sliding_windows(ds, T: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray
     mid-trajectory states, not just initial ones. Returns
     (anchors (N, d_s), actions (N, T, d_a)).
     """
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    require("stride", stride, "> 0")
     anchors, actions = [], []
     for tr in ds.trajectories:
         for t in range(0, len(tr) - T + 1, stride):
@@ -286,8 +284,7 @@ def derive_seed(base_seed: int, i: int) -> int:
 
 def member_seeds(n: int, base_seed: int) -> tuple[int, ...]:
     """The seeds of an n-member ensemble, member i's from (base_seed, i)."""
-    if n < 1:
-        raise ConfigError(f"ensemble size must be >= 1, got {n}")
+    require("n", n, "> 0")
     return tuple(derive_seed(base_seed, i) for i in range(n))
 
 

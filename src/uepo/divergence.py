@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateHorizonError, ShapeError
+from .errors import DegenerateHorizonError, ShapeError, require
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,9 @@ class DivergenceConfig:
     guided_steps: int = 10
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be non-negative, got {self.eta}")
-        if self.guided_steps <= 0:
-            raise ConfigError(f"guided_steps must be positive, got {self.guided_steps}")
+        require("tau", self.tau, "> 0")
+        require("eta", self.eta, ">= 0")
+        require("guided_steps", self.guided_steps, "> 0")
 
 
 def div(a_i: np.ndarray, a_j: np.ndarray) -> float:
@@ -95,8 +92,7 @@ def min_div(a: np.ndarray, predecessors: np.ndarray) -> np.ndarray:
 
 def sigma_div(d: float, cfg: DivergenceConfig) -> float:
     """Perturbation strength eta * (tau - d) / tau, gated to 0 once d >= tau."""
-    if d < 0:
-        raise ShapeError(f"divergence must be non-negative, got {d}")
+    require("d", d, ">= 0")
     if d >= cfg.tau:
         return 0.0
     return cfg.eta * (cfg.tau - d) / cfg.tau
@@ -105,8 +101,7 @@ def sigma_div(d: float, cfg: DivergenceConfig) -> float:
 def perturb(a: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add N(0, sigma^2) noise elementwise; sigma = 0 returns the input
     unchanged without consuming any random draws."""
-    if sigma < 0:
-        raise ConfigError(f"sigma must be non-negative, got {sigma}")
+    require("sigma", sigma, ">= 0")
     a = np.asarray(a, dtype=float)
     if sigma == 0.0:
         return a

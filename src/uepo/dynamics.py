@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .errors import ConfigError, EmptyBatchError, ShapeError
+from .errors import ConfigError, EmptyBatchError, ShapeError, require
 
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 2.0
@@ -163,8 +163,7 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
     full-pool passes and returns None; the trained parameters are the
     same either way.
     """
-    if epochs < 1:
-        raise ConfigError("epochs must be positive")
+    require("epochs", epochs, "> 0")
     pool = real
     if synthetic is not None:
         pool = TransitionBatch(np.concatenate([real.s, synthetic.s]),

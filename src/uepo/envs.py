@@ -17,18 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Trajectory, TrajectoryDataset
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require
 
 ACTION_NOISE = 0.05
 RESET_DRAWS = 2  # standard normals one reset takes, in either environment
-COVERAGE_GAP_Y = 0.5  # apply_coverage_gap withholds the point mass's y > this
 
 
 class _GaussianLaw:
     def __post_init__(self):
         # true_dist's variance is sigma_env^2, and the KL filter divides by it
-        if not self.sigma_env > 0:
-            raise ConfigError(f"sigma_env must be > 0, got {self.sigma_env}")
+        require("sigma_env", self.sigma_env, "> 0")
 
 
 def _row_norm(d: np.ndarray):
@@ -260,9 +258,10 @@ def _traj_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.
             np.random.default_rng(env_c))
 
 
-def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generator,
+def make_offline_dataset(env: Env, n_traj: int, mode_mix: float, rng: np.random.Generator,
                          action_noise: float = ACTION_NOISE) -> TrajectoryDataset:
-    """Scripted multimodal demonstrations with labeled modes.
+    """Scripted multimodal demonstrations with labeled modes, each
+    trajectory in the first mode with probability ``mode_mix``.
 
     Each trajectory draws a fresh seed from rng and runs its reset,
     action-noise and transition-noise streams off that seed alone, so
@@ -270,17 +269,14 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
     seed and mode is drawn first, in trajectory order; then each stream
     is drawn in bulk and all trajectories step together.
     """
-    mode_mix = np.asarray(mode_mix, dtype=float)
-    if mode_mix.shape != (2,) or np.any(mode_mix < 0) or abs(mode_mix.sum() - 1.0) > 1e-9:
-        raise ConfigError(f"mode_mix must be two non-negative proportions summing to 1, got {mode_mix}")
-    if n_traj < 1:
-        raise ConfigError("n_traj must be positive")
+    require("n_traj", n_traj, "> 0")
+    require("mode_mix", mode_mix, "in [0, 1]")
     horizon = env.horizon
 
     seeds, modes = [], []
     for _ in range(n_traj):
         seeds.append(int(rng.integers(0, 2**63)))
-        modes.append(0 if rng.random() < mode_mix[0] else 1)
+        modes.append(0 if rng.random() < mode_mix else 1)
     streams = [_traj_rngs(seed) for seed in seeds]
     s = reset(env, np.stack([init.standard_normal(RESET_DRAWS) for init, _, _ in streams]))
     act_z = np.stack([act.standard_normal((horizon, env.d_a)) for _, act, _ in streams])
@@ -303,31 +299,5 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix, rng: np.random.Generat
 
     meta = {"env": env.name, "d_s": env.d_s, "d_a": env.d_a, "horizon": horizon,
             "sigma_env": env.sigma_env, "action_noise": action_noise,
-            "mode_mix": mode_mix.tolist(), "n_traj": n_traj}
+            "mode_mix": [float(mode_mix), 1.0 - mode_mix], "n_traj": n_traj}
     return TrajectoryDataset(trajs, meta)
-
-
-def apply_coverage_gap(ds: TrajectoryDataset) -> tuple[TrajectoryDataset, TrajectoryDataset]:
-    """Split a point-mass dataset at the undersampled region y > COVERAGE_GAP_Y.
-
-    Every trajectory is cut at its first transition touching the region;
-    the prefixes form the training dataset, the withheld suffixes the
-    held-out gap set. Both sides keep chain consistency and seeds.
-    """
-    if ds.meta["env"] != "point_mass":
-        raise ConfigError("coverage gap is defined for the point-mass environment")
-    kept, gap = [], []
-    for tr in ds.trajectories:
-        in_gap = (tr.states[:, 1] > COVERAGE_GAP_Y) | (tr.next_states[:, 1] > COVERAGE_GAP_Y)
-        cut = int(np.argmax(in_gap)) if in_gap.any() else len(tr)
-        if cut > 0:
-            kept.append(Trajectory(tr.states[:cut], tr.actions[:cut], tr.next_states[:cut],
-                                   None if tr.rewards is None else tr.rewards[:cut],
-                                   seed=tr.seed, mode=tr.mode))
-        if cut < len(tr):
-            gap.append(Trajectory(tr.states[cut:], tr.actions[cut:], tr.next_states[cut:],
-                                  None if tr.rewards is None else tr.rewards[cut:],
-                                  seed=tr.seed, mode=tr.mode))
-    kept_meta = dict(ds.meta, coverage_gap_y=COVERAGE_GAP_Y)
-    gap_meta = dict(ds.meta, coverage_gap_heldout_y=COVERAGE_GAP_Y)
-    return TrajectoryDataset(kept, kept_meta), TrajectoryDataset(gap, gap_meta)

@@ -9,6 +9,20 @@ class ConfigError(ValueError):
     """A configuration value violates its documented constraints."""
 
 
+# The range rules, each by the text its error quotes. Each is written as the
+# values it admits, so a NaN keeps none of the numeric ones.
+RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 3": lambda v: v >= 3,
+         "in [0, 1]": lambda v: 0 <= v <= 1, "positive": lambda v: all(w > 0 for w in v),
+         "non-empty": bool}
+
+
+def require(name: str, value, rule: str) -> None:
+    """Raise ``<name> must be <rule>, got <value!r>`` unless ``value`` keeps the
+    ``RULES`` entry ``rule``; the message starts with the name it checks."""
+    if not RULES[rule](value):
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
 class NonFiniteError(ValueError):
     """A numeric input contains NaN or infinity."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffusion, dynamics, envs, nets
 from .errors import (ConfigError, DistillationQualityWarning, EmptyBatchError,
-                     NonFiniteError, ShapeError, TrainingDivergenceError)
+                     NonFiniteError, ShapeError, TrainingDivergenceError, require)
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
@@ -135,8 +135,7 @@ def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], mod
     initial_states = np.asarray(initial_states, dtype=float)
     if initial_states.ndim != 2 or initial_states.shape[0] == 0:
         raise EmptyBatchError("need a non-empty pool of start states")
-    if n_rollouts < 1:
-        raise ConfigError(f"n_rollouts must be >= 1, got {n_rollouts}")
+    require("n_rollouts", n_rollouts, "> 0")
     n = len(seeds)
     starts, noises = [], []
     for _ in range(n_rollouts):
@@ -227,8 +226,7 @@ class PpoConfig:
         if not 0 < self.discount <= 1:
             raise ConfigError(f"discount must lie in (0, 1], got {self.discount}")
         for name in ("epochs_per_batch", "batch_episodes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            require(name, getattr(self, name), "> 0")
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, discount: float,
@@ -306,8 +304,7 @@ def collect_episodes(head: GaussianPolicy, env, n_episodes: int,
     Returns (states, us, rewards) stacked per episode plus the episode
     returns; every array keeps episode-major order, H rows per episode.
     """
-    if n_episodes < 1:
-        raise ConfigError(f"need at least one episode, got {n_episodes}")
+    require("n_episodes", n_episodes, "> 0")
     horizon, d_s, d_a = env.horizon, env.d_s, env.d_a
     draws = rng.standard_normal((n_episodes, envs.RESET_DRAWS + horizon * (d_a + d_s)))
     step_draws = draws[:, envs.RESET_DRAWS:].reshape(n_episodes, horizon, d_a + d_s)

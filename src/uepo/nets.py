@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError, require
 
 CHECKPOINT_MAGIC = b"UEPO"
 CHECKPOINT_VERSION = 1
@@ -133,8 +133,7 @@ class Workspace:
     """
 
     def __init__(self, m: Mlp, rows: int):
-        if rows < 1:
-            raise ConfigError(f"a workspace needs at least one row, got {rows}")
+        require("rows", rows, "> 0")
         self.rows = rows
         self.layer_widths = list(m.layer_widths)
         self.acts = self.deltas = self.derivs = None
@@ -256,8 +255,7 @@ class AdamState:
 
 
 def adam_init(n_params: int, step_size: float = 1e-3) -> AdamState:
-    if step_size <= 0:
-        raise ConfigError("step_size must be positive")
+    require("step_size", step_size, "> 0")
     return AdamState(np.zeros(n_params), np.zeros(n_params), 0, step_size)
 
 

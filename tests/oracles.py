@@ -197,7 +197,7 @@ def make_offline_dataset(env, n_traj, mode_mix, rng, action_noise=envs.ACTION_NO
     trajs = []
     for _ in range(n_traj):
         seed = int(rng.integers(0, 2**63))
-        mode = 0 if rng.random() < mode_mix[0] else 1
+        mode = 0 if rng.random() < mode_mix else 1
         init_rng, act_rng, env_rng = envs._traj_rngs(seed)
         s = envs.reset(env, init_rng.standard_normal(envs.RESET_DRAWS))
         states, actions, nexts = [], [], []
@@ -216,8 +216,37 @@ def make_offline_dataset(env, n_traj, mode_mix, rng, action_noise=envs.ACTION_NO
                                 seed=seed, mode=mode))
     meta = {"env": env.name, "d_s": env.d_s, "d_a": env.d_a, "horizon": horizon,
             "sigma_env": env.sigma_env, "action_noise": action_noise,
-            "mode_mix": list(map(float, mode_mix)), "n_traj": n_traj}
+            "mode_mix": [mode_mix, 1.0 - mode_mix], "n_traj": n_traj}
     return TrajectoryDataset(trajs, meta)
+
+
+COVERAGE_GAP_Y = 0.5  # apply_coverage_gap withholds the point mass's y > this
+
+
+def apply_coverage_gap(ds):
+    """Split a point-mass dataset at the undersampled region y > COVERAGE_GAP_Y.
+
+    Every trajectory is cut at its first transition touching the region;
+    the prefixes form the training dataset, the withheld suffixes the
+    held-out gap set. Both sides keep chain consistency and seeds.
+    """
+    if ds.meta["env"] != "point_mass":
+        raise ConfigError("coverage gap is defined for the point-mass environment")
+    kept, gap = [], []
+    for tr in ds.trajectories:
+        in_gap = (tr.states[:, 1] > COVERAGE_GAP_Y) | (tr.next_states[:, 1] > COVERAGE_GAP_Y)
+        cut = int(np.argmax(in_gap)) if in_gap.any() else len(tr)
+        if cut > 0:
+            kept.append(Trajectory(tr.states[:cut], tr.actions[:cut], tr.next_states[:cut],
+                                   None if tr.rewards is None else tr.rewards[:cut],
+                                   seed=tr.seed, mode=tr.mode))
+        if cut < len(tr):
+            gap.append(Trajectory(tr.states[cut:], tr.actions[cut:], tr.next_states[cut:],
+                                  None if tr.rewards is None else tr.rewards[cut:],
+                                  seed=tr.seed, mode=tr.mode))
+    kept_meta = dict(ds.meta, coverage_gap_y=COVERAGE_GAP_Y)
+    gap_meta = dict(ds.meta, coverage_gap_heldout_y=COVERAGE_GAP_Y)
+    return TrajectoryDataset(kept, kept_meta), TrajectoryDataset(gap, gap_meta)
 
 
 def adam(params, grads, step_size=1e-3, b1=0.9, b2=0.999, eps=1e-8):

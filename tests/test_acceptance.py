@@ -170,7 +170,7 @@ def test_03_gradient_suite():
 def test_04_multimodality_capture():
     t0 = time.perf_counter()
     env = envs.PointMass2D()
-    ds = envs.make_offline_dataset(env, 300, (0.5, 0.5), np.random.default_rng(11))
+    ds = envs.make_offline_dataset(env, 300, 0.5, np.random.default_rng(11))
     anchors, demo_actions = diffusion.sliding_windows(ds, 40, env.horizon)
     rng = np.random.default_rng(5)
     pol = diffusion.make_policy(40, 2, 4, [256, 256], rng,
@@ -223,7 +223,7 @@ def test_05_guidance_effect():
 def test_06_filter_correctness():
     t0 = time.perf_counter()
     env = envs.PointMass2D(sigma_env=0.05)
-    ds = envs.make_offline_dataset(env, 25, (0.5, 0.5), np.random.default_rng(41))
+    ds = envs.make_offline_dataset(env, 25, 0.5, np.random.default_rng(41))
     windows_s, windows_a = diffusion.sliding_windows(ds, 10, env.horizon)
     rng = np.random.default_rng(42)
     pol = diffusion.make_policy(10, 2, 4, [64, 64], rng,
@@ -249,7 +249,7 @@ def test_06_filter_correctness():
                    < report.target_transitions + pol.T)
 
     env_hard = envs.PointMass2D(sigma_env=1.0)
-    ds_hard = envs.make_offline_dataset(env_hard, 6, (0.5, 0.5), np.random.default_rng(43))
+    ds_hard = envs.make_offline_dataset(env_hard, 6, 0.5, np.random.default_rng(43))
 
     class OffsetModel:
         """True law shifted by 1.0 in the first dim: per-transition KL = 0.5."""
@@ -279,8 +279,8 @@ def test_06_filter_correctness():
 def test_07_generalization_effect():
     t0 = time.perf_counter()
     env = envs.PointMass2D(sigma_env=0.05, horizon=16)
-    ds = envs.make_offline_dataset(env, 100, (0.5, 0.5), np.random.default_rng(21))
-    kept, gap = envs.apply_coverage_gap(ds)
+    ds = envs.make_offline_dataset(env, 100, 0.5, np.random.default_rng(21))
+    kept, gap = oracles.apply_coverage_gap(ds)
     windows_s, windows_a = diffusion.sliding_windows(kept, 12, env.horizon)
     rng = np.random.default_rng(5)
     pol = diffusion.make_policy(12, 2, 4, [128, 128], rng,
@@ -312,7 +312,7 @@ def test_07_generalization_effect():
 def test_09_offline_to_online_smoke():
     t0 = time.perf_counter()
     env = envs.PointMass2D(sigma_env=0.05)
-    ds = envs.make_offline_dataset(env, 60, (0.5, 0.5), np.random.default_rng(31))
+    ds = envs.make_offline_dataset(env, 60, 0.5, np.random.default_rng(31))
     anchors, windows_a = diffusion.sliding_windows(ds, 12, stride=4)
     rng = np.random.default_rng(7)
     pol = diffusion.make_policy(12, 2, 4, [128, 128], rng,

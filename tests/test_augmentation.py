@@ -25,7 +25,7 @@ class StubModel:
 
 def small_setup(sigma_env=0.05, n_traj=8, horizon=8, T=5):
     env = envs.make_env("point_mass", sigma_env=sigma_env, horizon=horizon)
-    ds = envs.make_offline_dataset(env, n_traj, (0.5, 0.5),
+    ds = envs.make_offline_dataset(env, n_traj, 0.5,
                                    np.random.default_rng(3))
     sched = diffusion.make_linear_schedule(8, 1e-4, 0.2)
     policy = diffusion.make_policy(T, env.d_a, env.d_s, [16],
@@ -122,7 +122,7 @@ def test_trajectory_kl_is_mean_of_transition_kls():
     # a learned model scores the whole trajectory in one stacked forward pass
     for name in ("point_mass", "pendulum"):
         env = envs.make_env(name, sigma_env=0.05, horizon=12)
-        ds = envs.make_offline_dataset(env, 3, (0.5, 0.5), np.random.default_rng(8))
+        ds = envs.make_offline_dataset(env, 3, 0.5, np.random.default_rng(8))
         model = dynamics.make_dynamics(env.d_s, env.d_a, [16, 16], np.random.default_rng(9))
         for traj in ds.trajectories:
             got = augmentation.trajectory_kl(traj, env, model)
@@ -133,7 +133,7 @@ def test_trajectory_kl_is_mean_of_transition_kls():
 def test_trajectory_kl_offset_stub_is_half():
     # matched unit variances and a unit mean offset in one dim: KL = 0.5
     env = envs.make_env("point_mass", sigma_env=1.0, horizon=6)
-    ds = envs.make_offline_dataset(env, 2, (1.0, 0.0), np.random.default_rng(0))
+    ds = envs.make_offline_dataset(env, 2, 1.0, np.random.default_rng(0))
     model = StubModel(env, offset=np.array([1.0, 0.0, 0.0, 0.0]), var=1.0)
     score = augmentation.trajectory_kl(ds.trajectories[0], env, model)
     assert score == pytest.approx(0.5, abs=1e-12)

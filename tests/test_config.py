@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uepo import augmentation, diffusion, divergence, envs, finetune
-from uepo.config import RunConfig, SCHEMA, load_config, parse_config
+from uepo.config import ENSEMBLE_BASE_SEED, RunConfig, SCHEMA, load_config, parse_config
 from uepo.errors import ConfigError
 
 
@@ -54,6 +54,7 @@ def test_load_builds_what_the_stages_use():
     assert cfg.filter == augmentation.FilterConfig(0.15, 2.5, None)
     assert parse_config("filter.max_attempts = 9\n").filter.max_attempts == 9
     assert cfg.ppo == finetune.PpoConfig(discount=0.9)
+    assert cfg.seeds == diffusion.member_seeds(4, ENSEMBLE_BASE_SEED)
 
 
 def test_parse_basic_assignments_and_comments():
@@ -230,7 +231,7 @@ def test_filter_ratio_outside_library_range_rejected():
 
 
 def test_zero_guided_steps_rejected():
-    with pytest.raises(ConfigError, match="ensemble.guided_steps must be positive"):
+    with pytest.raises(ConfigError, match="ensemble.guided_steps must be > 0"):
         parse_config("ensemble.guided_steps = 0\n")
 
 
@@ -288,3 +289,15 @@ _BAD_VALUES = {
 def test_every_key_refuses_a_bad_value_at_load(key):
     with pytest.raises(ConfigError, match=rf"(^|\s){re.escape(key)}\b"):
         parse_config(f"{key} = {_BAD_VALUES[key]}\n")
+
+
+@pytest.mark.parametrize("key", [k for k, f in SCHEMA.items() if isinstance(f.default, float)])
+def test_float_keys_must_be_finite(key):
+    # one message for every non-finite float, before any range rule: an
+    # infinite threshold or noise scale keeps `> 0` and would load, then fail
+    # or misbehave stages later
+    for text in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite, got {text}$"):
+            parse_config(f"{key} = {text}\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
+        RunConfig({key: np.float64("nan")})

@@ -267,7 +267,7 @@ def test_goal_distances_uses_noise_free_rollout():
 def test_offline_dataset_replay_and_modes():
     env = envs.make_env("point_mass", sigma_env=0.05, horizon=10)
     rng = np.random.default_rng(11)
-    ds = envs.make_offline_dataset(env, 30, (0.5, 0.5), rng)
+    ds = envs.make_offline_dataset(env, 30, 0.5, rng)
     assert len(ds) == 30
     assert ds.meta["env"] == "point_mass"
     counts = oracles.mode_counts(ds)
@@ -284,7 +284,7 @@ def test_offline_dataset_replay_and_modes():
 
 
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
-@pytest.mark.parametrize("mix", [(0.5, 0.5), (1.0, 0.0)])
+@pytest.mark.parametrize("mix", [0.5, 1.0], ids=["mix0", "mix1"])
 def test_offline_dataset_equals_one_trajectory_at_a_time(name, mix):
     env = envs.make_env(name, sigma_env=0.05)
     for n_traj, noise in ((1, envs.ACTION_NOISE), (13, envs.ACTION_NOISE), (5, 0.0)):
@@ -298,7 +298,7 @@ def test_offline_dataset_equals_one_trajectory_at_a_time(name, mix):
 
 def test_replay_detects_a_changed_transition():
     env = envs.make_env("pendulum", horizon=12)
-    tr = envs.make_offline_dataset(env, 1, (0.5, 0.5), np.random.default_rng(17)).trajectories[0]
+    tr = envs.make_offline_dataset(env, 1, 0.5, np.random.default_rng(17)).trajectories[0]
     assert oracles.replay_consistent(env, tr)
     tr.next_states[7, 1] = np.nextafter(tr.next_states[7, 1], np.inf)
     assert not oracles.replay_consistent(env, tr)
@@ -306,21 +306,21 @@ def test_replay_detects_a_changed_transition():
 
 def test_offline_dataset_single_mode():
     env = envs.make_env("point_mass", horizon=5)
-    ds = envs.make_offline_dataset(env, 8, (1.0, 0.0), np.random.default_rng(0))
+    ds = envs.make_offline_dataset(env, 8, 1.0, np.random.default_rng(0))
     assert oracles.mode_counts(ds) == {0: 8}
 
 
 def test_offline_dataset_is_seeded():
     env = envs.make_env("point_mass", horizon=5)
-    a = envs.make_offline_dataset(env, 4, (0.5, 0.5), np.random.default_rng(2))
-    b = envs.make_offline_dataset(env, 4, (0.5, 0.5), np.random.default_rng(2))
+    a = envs.make_offline_dataset(env, 4, 0.5, np.random.default_rng(2))
+    b = envs.make_offline_dataset(env, 4, 0.5, np.random.default_rng(2))
     assert datasets.dataset_bytes(a) == datasets.dataset_bytes(b)
 
 
 def test_coverage_gap_split():
     env = envs.make_env("point_mass", sigma_env=0.05)
-    ds = envs.make_offline_dataset(env, 40, (0.5, 0.5), np.random.default_rng(21))
-    kept, gap = envs.apply_coverage_gap(ds)
+    ds = envs.make_offline_dataset(env, 40, 0.5, np.random.default_rng(21))
+    kept, gap = oracles.apply_coverage_gap(ds)
     assert len(gap.trajectories) > 0
     for tr in kept.trajectories:
         assert np.all(tr.states[:, 1] <= 0.5)
@@ -329,5 +329,5 @@ def test_coverage_gap_split():
     assert crossed > 0
     with pytest.raises(ConfigError):
         pend_ds = envs.make_offline_dataset(envs.make_env("pendulum", horizon=5),
-                                            2, (1.0, 0.0), np.random.default_rng(0))
-        envs.apply_coverage_gap(pend_ds)
+                                            2, 1.0, np.random.default_rng(0))
+        oracles.apply_coverage_gap(pend_ds)
