@@ -53,6 +53,9 @@ for stage in cli.STAGES:
 
 print("artifacts:")
 for name in sorted(os.listdir(out)):
+    if name.endswith(".time.txt"):  # wall times: their size varies from run to run
+        print(f"  {name}")
+        continue
     size = os.path.getsize(os.path.join(out, name))
     print(f"  {name:24s} {size:8d} bytes")
 print(f"\nevery stage wrote a <stage>.manifest; rerun any stage with a")

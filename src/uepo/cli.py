@@ -19,7 +19,6 @@ import hashlib
 import os
 import sys
 import time
-from functools import partial
 
 import numpy as np
 
@@ -213,7 +212,7 @@ def _stage_select(cfg: RunConfig, run: StageRun, ss):
     policy = _load_policy_for_env(run, env)
     model = _load_for_env(run, env, "dynamics_joint.bin", dynamics.load_dynamics)
     seeds = cfg.seeds
-    best, scores = finetune.select_policy(policy, seeds, model, partial(envs.reward, env),
+    best, scores = finetune.select_policy(policy, seeds, model, env,
                                           cfg["select.n_rollouts"], initial_states(ds),
                                           np.random.default_rng(ss))
     run.write_text("selection.txt", _kv([("best_index", best), ("best_seed", seeds[best]),

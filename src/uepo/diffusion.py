@@ -237,25 +237,36 @@ def _seed_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _unguided_chain(policy: DiffusionPolicy, anchors: np.ndarray, rngs, t_last: int) -> np.ndarray:
-    """Initial draw and reverse steps k-1 down to t_last for every row.
+def _chain(policy: DiffusionPolicy, anchors: np.ndarray, rngs, predecessors=None,
+           cfg: DivergenceConfig | None = None) -> np.ndarray:
+    """The seeded ancestral chain of every row, clipped to the action box.
 
-    Rows run in chunks of SAMPLE_CHUNK. Each row's noise is one bulk draw
-    from its own generator, which yields the same numbers in the same
-    order as drawing them step by step.
+    Row b draws its start and step noise from ``rngs[b]``. Rows run in
+    chunks of SAMPLE_CHUNK. With (B, P, T, d_a) ``predecessors``, each of
+    the last min(cfg.guided_steps, k) steps first moves the chunk with
+    :func:`divergence.guide`, then draws that step's noise row by row;
+    the earlier steps take theirs from one bulk draw per row, which
+    yields the same numbers in the same order as drawing them step by
+    step.
     """
-    k = policy.schedule.k
-    n_draws = 1 + k - max(t_last, 1)
-    a = np.empty((len(rngs), policy.T, policy.d_a))
+    k, shape = policy.schedule.k, (policy.T, policy.d_a)
+    g = 0 if predecessors is None else min(cfg.guided_steps, k)
+    out = np.empty((len(rngs), *shape))
     for lo in range(0, len(rngs), SAMPLE_CHUNK):
         rows = slice(lo, lo + SAMPLE_CHUNK)
-        z = np.stack([rng.standard_normal((n_draws, policy.T, policy.d_a))
-                      for rng in rngs[rows]])
-        a_c = z[:, 0]
-        for j, t in enumerate(range(k - 1, t_last - 1, -1), start=1):
-            a_c = reverse_step(policy, a_c, anchors[rows], t, z[:, j] if t > 0 else None)
-        a[rows] = a_c
-    return a
+        chunk = rngs[rows]
+        # the start and the noise of the unguided steps t > 0
+        z = np.stack([rng.standard_normal((1 + k - max(g, 1), *shape)) for rng in chunk])
+        a = z[:, 0]
+        for t in range(k - 1, -1, -1):
+            if t < g:
+                a = guide(a, predecessors[rows], cfg, chunk)
+                z_t = np.stack([rng.standard_normal(shape) for rng in chunk]) if t > 0 else None
+            else:
+                z_t = z[:, k - t] if t > 0 else None
+            a = reverse_step(policy, a, anchors[rows], t, z_t)
+        out[rows] = a
+    return np.clip(out, policy.action_low, policy.action_high)
 
 
 def sample(policy: DiffusionPolicy, s: np.ndarray, seed) -> np.ndarray:
@@ -272,8 +283,7 @@ def sample(policy: DiffusionPolicy, s: np.ndarray, seed) -> np.ndarray:
     seeds = list(seed)
     if len(seeds) != len(anchors):
         raise ShapeError(f"{len(seeds)} seeds for {len(anchors)} anchors")
-    a = _unguided_chain(policy, anchors, [_seed_rng(x) for x in seeds], 0)
-    return np.clip(a, policy.action_low, policy.action_high)
+    return _chain(policy, anchors, [_seed_rng(x) for x in seeds])
 
 
 def derive_seed(base_seed: int, i: int) -> int:
@@ -293,37 +303,19 @@ def sample_ensemble(policy: DiffusionPolicy, s: np.ndarray, seeds,
     """Generate the sequences of the sub-policy ``seeds``, in seed order, for
     each of an (N, d_s) stack of anchors, as an (N, n, T, d_a) array.
 
-    Every (anchor, member) row keeps its own generator, seeded as in
-    :func:`sample`. Member i > 0 runs that seeded reverse chain, except
-    that during the last ``cfg.guided_steps`` steps its current estimate
+    Member i runs the chain of sample(policy, anchors, [seeds[i]] * N),
+    except that during its last ``cfg.guided_steps`` steps each estimate
     is guided away from the finished sequences of members j < i at the
-    same anchor, with one :func:`divergence.guide` call per step. The
-    unguided steps run batched over all rows, the guided ones member by
-    member, batched over anchors. Guidance that never fires (eta = 0, or
-    every divergence at or above tau) consumes no draws, so the outputs
-    agree with :func:`sample` to 1e-12; with guided_steps >= k, member i
-    is sample(policy, anchors, [seeds[i]] * N) bit for bit. The same
-    inputs give the same bytes.
+    same anchor, with one :func:`divergence.guide` call per step and
+    chunk. Guidance that never fires (eta = 0, or every divergence at or
+    above tau) consumes no draws, so member i is then that sample bit
+    for bit. The same inputs give the same bytes.
     """
     anchors = _check_anchors(policy, s)
-    n_states, n = len(anchors), len(seeds)
-    g = min(cfg.guided_steps, policy.schedule.k)
-    # rows are anchor-major: row w * n + i is member i at anchor w
-    rngs = [_seed_rng(seed) for _ in range(n_states) for seed in seeds]
-    a = _unguided_chain(policy, np.repeat(anchors, n, axis=0), rngs, g)
-    a = a.reshape(n_states, n, policy.T, policy.d_a)
-    for i in range(n):
-        member_rngs = rngs[i::n]
-        a_i = a[:, i]
-        for t in range(g - 1, -1, -1):
-            if i > 0:
-                a_i = guide(a_i, a[:, :i], cfg, member_rngs)
-            # the draw at t = 0 is ignored; no later step reads these generators
-            z = np.stack([rng.standard_normal((policy.T, policy.d_a)) for rng in member_rngs])
-            for lo in range(0, n_states, SAMPLE_CHUNK):
-                rows = slice(lo, lo + SAMPLE_CHUNK)
-                a_i[rows] = reverse_step(policy, a_i[rows], anchors[rows], t, z[rows])
-        a[:, i] = np.clip(a_i, policy.action_low, policy.action_high)
+    a = np.empty((len(anchors), len(seeds), policy.T, policy.d_a))
+    for i, seed in enumerate(seeds):
+        rngs = [_seed_rng(seed) for _ in anchors]
+        a[:, i] = _chain(policy, anchors, rngs, a[:, :i] if i else None, cfg)
     return a
 
 

@@ -116,7 +116,7 @@ def best_index(scores) -> int:
 
 
 def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], model,
-                  reward_fn, n_rollouts: int, initial_states: np.ndarray,
+                  env, n_rollouts: int, initial_states: np.ndarray,
                   rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Pick the sub-policy with the best mean model-based return.
 
@@ -127,9 +127,9 @@ def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], mod
     random numbers). Every rollout's start state and noise are drawn
     first, in rollout order; then all rollouts x sub-policies plans come
     from one :func:`diffusion.sample` call on the stack of start states
-    and step through the model together, so ``reward_fn`` gets (rows, d)
-    stacks. The same inputs give the same bytes, and the scores agree
-    with plans sampled and stepped one at a time to 1e-12. Returns
+    and step through the model together, scored by ``env``'s reward on
+    (rows, d) stacks. The same inputs give the same bytes, and the scores
+    agree with plans sampled and stepped one at a time to 1e-12. Returns
     (argmax index, per-sub-policy mean returns).
     """
     initial_states = np.asarray(initial_states, dtype=float)
@@ -149,7 +149,7 @@ def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], mod
     for t in range(policy.T):
         mean, var = dynamics.predict(model, s, plans[:, t])
         s_next = mean + np.sqrt(var) * noise[:, t]
-        totals += reward_fn(s, plans[:, t], s_next)
+        totals += envs.reward(env, s, plans[:, t], s_next)
         s = s_next
     scores = np.sum(totals.reshape(n_rollouts, n) / n_rollouts, axis=0)
     return best_index(scores), scores

@@ -9,7 +9,6 @@ recipes are fully seeded, so a rerun on one machine is deterministic.
 import hashlib
 import os
 import time
-from functools import partial
 
 import numpy as np
 
@@ -334,7 +333,7 @@ def test_09_offline_to_online_smoke():
     pairs = []
     for i in range(5):
         run_rng = np.random.default_rng(7000 + i)
-        best, _ = finetune.select_policy(pol, seeds, joint, partial(envs.reward, env),
+        best, _ = finetune.select_policy(pol, seeds, joint, env,
                                          8, initial_states(ds), run_rng)
         pool = anchors[run_rng.permutation(len(anchors))[:400]]
         head, _ = finetune.distill(pol, seeds[best], pool, run_rng)

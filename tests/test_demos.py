@@ -74,3 +74,9 @@ def test_fast_demo_runs(tmp_path, name):
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    if name == "pipeline.py":
+        # a timing file's size follows the digits of its wall time, so the
+        # artifact listing names those files without a size
+        listing = done.stdout.partition("artifacts:")[2].splitlines()
+        timings = [line.split() for line in listing if ".time.txt" in line]
+        assert timings and all(len(words) == 1 for words in timings), timings

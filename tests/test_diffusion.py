@@ -324,12 +324,22 @@ def test_ensemble_unguided_matches_sample_bitwise():
     seeds = diffusion.member_seeds(3, 21)
     outs = diffusion.sample_ensemble(policy, anchors, seeds, cfg)
     assert outs.shape == (5, 3, 4, 1)
-    # guided_steps >= k: each member's chain runs batched over the anchors
+    # each member runs sample's chain over the anchors, in sample's chunks
     for i, seed in enumerate(seeds):
         assert np.array_equal(outs[:, i], diffusion.sample(policy, anchors, [seed] * 5))
         for w in range(5):
             want = diffusion.sample(policy, anchors[w:w + 1], [seed])[0]
             assert np.max(np.abs(outs[w, i] - want)) <= 1e-12
+    # guided_steps < k, more anchors than one chunk, the pipeline's denoiser
+    # shape: the steps before the guided ones run in the same chunks too
+    policy = diffusion.make_policy(12, 2, 4, (128, 128), rng, diffusion.make_linear_schedule(50),
+                                   action_low=-1.0, action_high=1.0)
+    n = diffusion.SAMPLE_CHUNK + 6
+    anchors = _anchors(rng, n, d_s=4)
+    seeds = diffusion.member_seeds(4, 7)
+    outs = diffusion.sample_ensemble(policy, anchors, seeds, cfg)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(outs[:, i], diffusion.sample(policy, anchors, [seed] * n))
 
 
 def test_ensemble_guidance_changes_later_members():

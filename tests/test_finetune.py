@@ -78,10 +78,9 @@ def test_select_policy_deterministic_and_consistent():
     model = dynamics.make_dynamics(4, 2, [8], np.random.default_rng(1))
     seeds = diffusion.member_seeds(3, 13)
     pool = np.zeros((5, 4))
-    reward_fn = partial(envs.reward, env)
-    best1, scores1 = finetune.select_policy(policy, seeds, model, reward_fn, 4,
+    best1, scores1 = finetune.select_policy(policy, seeds, model, env, 4,
                                             pool, np.random.default_rng(2))
-    best2, scores2 = finetune.select_policy(policy, seeds, model, reward_fn, 4,
+    best2, scores2 = finetune.select_policy(policy, seeds, model, env, 4,
                                             pool, np.random.default_rng(2))
     assert best1 == best2
     assert np.array_equal(scores1, scores2)
@@ -95,10 +94,9 @@ def test_select_policy_matches_one_plan_at_a_time():
     model = dynamics.make_dynamics(4, 2, [8], np.random.default_rng(1))
     seeds = diffusion.member_seeds(5, 13)
     pool = np.random.default_rng(3).standard_normal((6, 4))
-    reward_fn = partial(envs.reward, env)
-    best, scores = finetune.select_policy(policy, seeds, model, reward_fn, 7, pool,
+    best, scores = finetune.select_policy(policy, seeds, model, env, 7, pool,
                                           np.random.default_rng(2))
-    want = oracles.select_scores(policy, seeds, model, reward_fn, 7, pool,
+    want = oracles.select_scores(policy, seeds, model, partial(envs.reward, env), 7, pool,
                                  np.random.default_rng(2))
     assert np.max(np.abs(scores - want)) <= 1e-12
     assert best == finetune.best_index(want)
