@@ -238,8 +238,15 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
     selection = _read_key_values(run.input_path("selection.txt"))
     try:
         best_seed = int(selection["best_seed"])
+        best, n_members = int(selection["best_index"]), int(selection["n_members"])
     except (KeyError, ValueError):
-        raise ConfigError(f"selection.txt in {run.out} has no usable best_seed")
+        raise ConfigError(f"selection.txt in {run.out} has no usable best_seed, best_index "
+                          f"and n_members")
+    seeds = cfg.seeds
+    if n_members != len(seeds) or not 0 <= best < n_members or seeds[best] != best_seed:
+        raise ConfigError(f"selection.txt in {run.out} picks member {best} of {n_members} "
+                          f"(seed {best_seed}), which is not a member of this config's "
+                          f"{len(seeds)}-member ensemble")
     anchors, _ = _windows(cfg, ds)
     distill_ss, ppo_ss = ss.spawn(2)
     distill_rng = np.random.default_rng(distill_ss)

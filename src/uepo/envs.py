@@ -214,29 +214,41 @@ def scripted_action(env: Env, s: np.ndarray, mode) -> np.ndarray:
                    env.action_low, env.action_high)
 
 
+def rollout(env: Env, s: np.ndarray, act, z: np.ndarray, law=None):
+    """Step a (B, d_s) stack of states in lockstep through (B, H, d_s)
+    draws z: step t takes the actions act(t, s) at the stack s it starts
+    from and moves by law(s, a, z[:, t]), this environment's `step` by
+    default. Returns the (B, H, .) states, actions and next states, the
+    (B, H) rewards of one `reward` call, and the (B,) returns, summed in
+    step order as a one-row running sum adds them."""
+    s = np.asarray(s, dtype=float)
+    n, horizon = z.shape[:2]
+    states, nexts = np.empty((2, n, horizon, env.d_s))
+    actions = np.empty((n, horizon, env.d_a))
+    for t in range(horizon):
+        a = act(t, s)
+        states[:, t], actions[:, t] = s, a
+        s = step(env, s, a, z[:, t]) if law is None else law(s, a, z[:, t])
+        nexts[:, t] = s
+    rewards = reward(env, states, actions, nexts)
+    return states, actions, nexts, rewards, np.cumsum(rewards, axis=1)[:, -1]
+
+
 def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
-                      z: np.ndarray | None, seed) -> list[Trajectory]:
+                      z: np.ndarray, seed) -> list[Trajectory]:
     """Execute a (B, T, d_a) stack of fixed action plans open-loop from
     (B, d_s) starts, all rows in lockstep, with (B, T, d_s) transition
-    draws z; row i becomes Trajectory i, recorded with seed[i]. z None
-    gives the noise-free mean rollouts.
+    draws z; row i becomes Trajectory i, recorded with seed[i].
     """
     actions = np.asarray(actions, dtype=float)
     if actions.ndim != 3 or actions.shape[2] != env.d_a:
         raise ShapeError(f"actions must be (B, T, {env.d_a}), got {actions.shape}")
-    n, horizon = actions.shape[:2]
-    if len(seed) != n:
-        raise ShapeError(f"{len(seed)} seeds for {n} action plans")
-    s = np.asarray(s0, dtype=float)
-    states = np.empty((n, horizon, env.d_s))
-    nexts = np.empty_like(states)
-    for t in range(horizon):
-        states[:, t] = s
-        s = step(env, s, actions[:, t], None if z is None else z[:, t])
-        nexts[:, t] = s
-    rewards = reward(env, states, actions, nexts)
-    return [Trajectory(states[i], actions[i].copy(), nexts[i], rewards[i], seed=seed[i])
-            for i in range(n)]
+    if len(seed) != len(actions) or np.shape(z) != actions.shape[:2] + (env.d_s,):
+        raise ShapeError(f"{len(seed)} seeds for {len(actions)} action plans, and draws "
+                         f"of shape {np.shape(z)} for plans of shape {actions.shape}")
+    states, acts, nexts, rewards, _ = rollout(env, s0, lambda t, s: actions[:, t], z)
+    return [Trajectory(states[i], acts[i], nexts[i], rewards[i], seed=seed[i])
+            for i in range(len(actions))]
 
 
 def goal_distances(env: PointMass2D, s0: np.ndarray,
@@ -244,7 +256,8 @@ def goal_distances(env: PointMass2D, s0: np.ndarray,
     """Closest noise-free approach of each open-loop rollout of a
     (B, T, d_a) plan stack from (B, d_s) starts: (B,) distances to
     goal_plus and (B,) distances to goal_minus."""
-    trajs = rollout_open_loop(env, s0, actions, None, [0] * len(actions))
+    zeros = np.zeros(np.shape(actions)[:2] + (env.d_s,))
+    trajs = rollout_open_loop(env, s0, actions, zeros, [0] * len(actions))
     pos = np.stack([tr.next_states[:, :2] for tr in trajs])
     return (np.min(np.linalg.norm(pos - env.goal_plus, axis=-1), axis=1),
             np.min(np.linalg.norm(pos - env.goal_minus, axis=-1), axis=1))
@@ -282,18 +295,13 @@ def make_offline_dataset(env: Env, n_traj: int, mode_mix: float, rng: np.random.
     act_z = np.stack([act.standard_normal((horizon, env.d_a)) for _, act, _ in streams])
     env_z = np.stack([env_rng.standard_normal((horizon, env.d_s)) for _, _, env_rng in streams])
     modes = np.array(modes)
-    states = np.empty((n_traj, horizon, env.d_s))
-    actions = np.empty((n_traj, horizon, env.d_a))
-    nexts = np.empty_like(states)
-    for t in range(horizon):
+
+    def demonstrator(t, s):
         a = scripted_action(env, s, modes)
         if action_noise > 0:
             a = np.clip(a + action_noise * act_z[:, t], env.action_low, env.action_high)
-        states[:, t] = s
-        actions[:, t] = a
-        s = step(env, s, a, env_z[:, t])
-        nexts[:, t] = s
-    rewards = reward(env, states, actions, nexts)
+        return a
+    states, actions, nexts, rewards, _ = rollout(env, s, demonstrator, env_z)
     trajs = [Trajectory(states[i], actions[i], nexts[i], rewards[i],
                         seed=seeds[i], mode=int(modes[i])) for i in range(n_traj)]
 

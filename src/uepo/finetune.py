@@ -127,10 +127,10 @@ def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], mod
     random numbers). Every rollout's start state and noise are drawn
     first, in rollout order; then all rollouts x sub-policies plans come
     from one :func:`diffusion.sample` call on the stack of start states
-    and step through the model together, scored by ``env``'s reward on
-    (rows, d) stacks. The same inputs give the same bytes, and the scores
-    agree with plans sampled and stepped one at a time to 1e-12. Returns
-    (argmax index, per-sub-policy mean returns).
+    and step through the model together in one :func:`envs.rollout`,
+    scored by ``env``'s reward. The same inputs give the same bytes, and
+    the scores agree with plans sampled and stepped one at a time to
+    1e-12. Returns (argmax index, per-sub-policy mean returns).
     """
     initial_states = np.asarray(initial_states, dtype=float)
     if initial_states.ndim != 2 or initial_states.shape[0] == 0:
@@ -145,12 +145,11 @@ def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], mod
     s = np.repeat(np.stack(starts), n, axis=0)
     noise = np.repeat(np.stack(noises), n, axis=0)
     plans = diffusion.sample(policy, s, list(seeds) * n_rollouts)
-    totals = np.zeros(len(s))
-    for t in range(policy.T):
-        mean, var = dynamics.predict(model, s, plans[:, t])
-        s_next = mean + np.sqrt(var) * noise[:, t]
-        totals += envs.reward(env, s, plans[:, t], s_next)
-        s = s_next
+
+    def model_law(s, a, z):
+        mean, var = dynamics.predict(model, s, a)
+        return mean + np.sqrt(var) * z
+    *_, totals = envs.rollout(env, s, lambda t, s: plans[:, t], noise, model_law)
     scores = np.sum(totals.reshape(n_rollouts, n) / n_rollouts, axis=0)
     return best_index(scores), scores
 
@@ -293,8 +292,8 @@ def ppo_surrogate(head: GaussianPolicy, states: np.ndarray, us: np.ndarray,
 
 def collect_episodes(head: GaussianPolicy, env, n_episodes: int,
                      rng: np.random.Generator):
-    """Roll stochastic episodes in the real environment, all in lockstep:
-    one head forward pass and one transition-law call per time step.
+    """Roll stochastic episodes in the real environment, all in lockstep
+    in one :func:`envs.rollout`, with one head forward pass per step.
 
     One bulk draw gives row e episode e's draws in the order a one-episode
     loop would take them: its reset, then each step's action draw and
@@ -308,18 +307,13 @@ def collect_episodes(head: GaussianPolicy, env, n_episodes: int,
     horizon, d_s, d_a = env.horizon, env.d_s, env.d_a
     draws = rng.standard_normal((n_episodes, envs.RESET_DRAWS + horizon * (d_a + d_s)))
     step_draws = draws[:, envs.RESET_DRAWS:].reshape(n_episodes, horizon, d_a + d_s)
-    states = np.empty((n_episodes, horizon, d_s))
     us = np.empty((n_episodes, horizon, d_a))
-    rewards = np.empty((n_episodes, horizon))
-    s = envs.reset(env, draws[:, :envs.RESET_DRAWS])
-    for t in range(horizon):
+
+    def act(t, s):
         a, us[:, t] = sample_action(head, s, step_draws[:, t, :d_a])
-        s_next = envs.step(env, s, a, step_draws[:, t, d_a:])
-        states[:, t] = s
-        rewards[:, t] = envs.reward(env, s, a, s_next)
-        s = s_next
-    # cumsum adds in step order, as a one-episode running sum does
-    ep_returns = np.cumsum(rewards, axis=1)[:, -1]
+        return a
+    states, _, _, rewards, ep_returns = envs.rollout(
+        env, envs.reset(env, draws[:, :envs.RESET_DRAWS]), act, step_draws[:, :, d_a:])
     return (states.reshape(-1, d_s), us.reshape(-1, d_a), rewards.reshape(-1), ep_returns)
 
 

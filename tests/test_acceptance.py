@@ -44,7 +44,9 @@ def _staged_train(model, batch, shuffle_rng,
                              batch_size=256, step_size=lr, curve=False)
 
 
-def _fd_grad(loss_at, base, h=1e-6):
+# the float64 central-difference optimum is near eps**(1/3), about 6e-6; a
+# smaller step lets rounding error dominate the check
+def _fd_grad(loss_at, base, h=1e-5):
     numeric = np.zeros_like(base)
     for i in range(base.size):
         p = base.copy()

@@ -562,6 +562,35 @@ def test_pendulum_checkpoint_in_a_point_mass_run_is_exit_1(tmp_path, capsys, two
     assert not (out / f"{stage}.manifest").exists()
 
 
+def _set_selection(key, value):
+    def spoil(path):
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", path.read_text(),
+                               flags=re.M))
+    return spoil
+
+
+@pytest.mark.parametrize("spoil, overrides", [
+    (_set_selection("best_seed", 12345), ""),
+    (_set_selection("best_index", 9), ""),
+    (lambda path: None, "ensemble.n = 2\n"),
+], ids=["seed-of-no-member", "index-past-the-ensemble", "fewer-members-in-the-config"])
+def test_selection_of_another_ensemble_is_exit_1(tmp_path, capsys, two_env_runs, spoil,
+                                                 overrides):
+    # finetune distills only a member that select picked from this config's ensemble
+    out = tmp_path / "o"
+    shutil.copytree(two_env_runs / "point_mass", out)
+    (out / "finetune.manifest").unlink()
+    (out / "distill.txt").unlink()
+    spoil(out / "selection.txt")
+    members = len(parse_config(_SMALL + overrides).seeds)
+    cfg_path = _write_cfg(tmp_path, _SMALL + overrides + f"out = {out}\n")
+    capsys.readouterr()
+    assert cli.main(["finetune", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "selection.txt" in err and f"{members}-member ensemble" in err, err
+    assert not (out / "finetune.manifest").exists() and not (out / "distill.txt").exists()
+
+
 def test_augment_and_train_dynamics_share_one_dynamics_recipe(tmp_path, monkeypatch):
     # both stages fit through cli._fit_dynamics, so a recipe change reaches both
     out = tmp_path / "o"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -128,8 +130,8 @@ def test_stacked_demonstrator_equals_scalar_branches(name):
 
 
 def test_one_row_rewards_keep_their_scalar_formulas():
-    # PPO scores one row at a time, so its rewards round as the scalar
-    # expressions do: a 1-D norm, and ** on a float
+    # a one-row call rounds as the scalar expressions do: a 1-D norm,
+    # and ** on a float
     rng = np.random.default_rng(14)
     pm, pend = envs.make_env("point_mass"), envs.make_env("pendulum")
     for _ in range(10000):
@@ -227,6 +229,15 @@ def test_rollout_open_loop_wants_one_seed_per_plan(monkeypatch, seeds):
         envs.rollout_open_loop(env, np.zeros((2, 4)), np.zeros((2, 6, 2)), None, seeds)
 
 
+@pytest.mark.parametrize("steps", [5, 7])
+def test_rollout_open_loop_wants_one_draw_per_step(steps):
+    env = envs.make_env("point_mass", sigma_env=0.05)
+    expected = f"draws of shape (2, {steps}, 4) for plans of shape (2, 6, 2)"
+    with pytest.raises(ShapeError, match=re.escape(expected)):
+        envs.rollout_open_loop(env, np.zeros((2, 4)), np.zeros((2, 6, 2)),
+                               np.zeros((2, steps, 4)), [1, 2])
+
+
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
 def test_stacked_rollouts_equal_one_at_a_time(name):
     env = envs.make_env(name, sigma_env=0.05)
@@ -245,6 +256,50 @@ def test_stacked_rollouts_equal_one_at_a_time(name):
             assert got.seed == seeds[i]
             for field in ("states", "actions", "next_states", "rewards"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_rollout_steps_the_stack_in_lockstep(name):
+    env = envs.make_env(name, sigma_env=0.05)
+    rng = np.random.default_rng(23)
+    s0, modes = _random_rows(env, rng, 6)[0], np.array([0, 1, 1, 0, 1, 0])
+    z = rng.standard_normal((6, 9, env.d_s))
+    starts, draws = [], []
+
+    def act(t, s):
+        starts.append(s.copy())
+        return envs.scripted_action(env, s, modes)
+
+    def law(s, a, z_t):
+        draws.append(z_t.copy())
+        return envs.step(env, s, a, 2.0 * z_t)
+
+    states, actions, nexts, rewards, returns = envs.rollout(env, s0, act, z, law)
+    assert states.shape == nexts.shape == z.shape and actions.shape == (6, 9, env.d_a)
+    assert np.array_equal(np.stack(starts, axis=1), states)
+    assert np.array_equal(np.stack(draws, axis=1), z)
+    assert np.array_equal(states[:, 0], s0) and np.array_equal(states[:, 1:], nexts[:, :-1])
+    assert np.array_equal(rewards, envs.reward(env, states, actions, nexts))
+    for i in range(6):
+        total, s = 0.0, s0[i]
+        for t in range(9):
+            total += rewards[i, t]
+            a = envs.scripted_action(env, s, modes[i])
+            s = envs.step(env, s, a, 2.0 * z[i, t])
+            assert np.array_equal(actions[i, t], a) and np.array_equal(nexts[i, t], s)
+        assert returns[i] == total
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_rollout_default_law_is_the_open_loop_rollout(name):
+    env = envs.make_env(name, sigma_env=0.05)
+    rng = np.random.default_rng(24)
+    s0, plans = _random_rows(env, rng, 5)[0], rng.uniform(-3.0, 3.0, (5, 7, env.d_a))
+    z = rng.standard_normal((5, 7, env.d_s))
+    got = envs.rollout(env, s0, lambda t, s: plans[:, t], z)
+    for i, traj in enumerate(envs.rollout_open_loop(env, s0, plans, z, list(range(5)))):
+        want = (traj.states, traj.actions, traj.next_states, traj.rewards)
+        assert all(np.array_equal(g[i], w) for g, w in zip(got, want))
 
 
 def test_goal_distances_uses_noise_free_rollout():
