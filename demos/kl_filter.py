@@ -17,7 +17,7 @@ from uepo import diffusion, dynamics, envs
 from uepo.augmentation import (FilterConfig, build_augmented, kl_histogram,
                                report_items, rollout_virtual)
 from uepo.config import format_value
-from uepo.datasets import TrajectoryDataset, initial_states, transitions
+from uepo.datasets import Trajectory, TrajectoryDataset, initial_states, transitions
 from uepo.errors import StarvationError
 
 env = envs.PointMass2D(sigma_env=0.05)
@@ -39,7 +39,9 @@ cover_rng = np.random.default_rng(99)
 trajs = list(ds.trajectories)
 for _ in range(60):
     s0 = pool[int(cover_rng.integers(0, len(pool)))]
-    trajs += rollout_virtual(env, policy, s0[None], [int(cover_rng.integers(0, 2 ** 63))])
+    states, actions, nexts, _, _ = rollout_virtual(env, policy, s0[None],
+                                                   [int(cover_rng.integers(0, 2 ** 63))])
+    trajs.append(Trajectory(states[0], actions[0], nexts[0]))
 s, a, s_next = transitions(TrajectoryDataset(trajs, dict(ds.meta)))
 covered = dynamics.TransitionBatch(s, a, s_next)
 

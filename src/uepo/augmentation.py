@@ -66,10 +66,10 @@ def _attempt_seeds(seed: int, env, horizon: int) -> tuple[int, np.ndarray]:
     return int(samp_c.generate_state(1, np.uint64)[0]), z
 
 
-def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed) -> list[Trajectory]:
+def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed):
     """Open-loop policy rollouts in the real environment from a (B, d_s)
     stack of starts with one seed each, their plans sampled in one batch
-    and stepped in lockstep.
+    and stepped in lockstep; returns ``envs.rollout``'s stacks.
 
     Each rollout's action sequence and environment noise run on
     independent streams spawned from its recorded seed, so a trajectory
@@ -81,7 +81,7 @@ def rollout_virtual(env, policy: DiffusionPolicy, s0: np.ndarray, seed) -> list[
         raise ShapeError(f"start stack shape {starts.shape} != (B, {env.d_s})")
     streams = [_attempt_seeds(sd, env, policy.T) for sd in seed]
     plans = sample(policy, starts, [samp for samp, _ in streams])
-    return envs.rollout_open_loop(env, starts, plans, np.stack([z for _, z in streams]), seed)
+    return envs.rollout_open_loop(env, starts, plans, np.stack([z for _, z in streams]))
 
 
 def _model_dist(model, s: np.ndarray, a: np.ndarray):
@@ -91,18 +91,19 @@ def _model_dist(model, s: np.ndarray, a: np.ndarray):
     return dynamics.predict(model, s, a)
 
 
-def trajectory_kl(traj: Trajectory, env, model) -> float:
-    """Mean per-transition KL(true law of ``env`` || model) along the
-    trajectory, with every transition scored in one stacked call.
+def trajectory_kl(env, model, states: np.ndarray, actions: np.ndarray):
+    """Mean per-transition KL(true law of ``env`` || model) of each row of
+    (..., T, d) state and action stacks, with one call to each law for
+    the whole stack: one score per row, one for a (T, d) trajectory.
 
     The mean (rather than the sum) keeps the score comparable across
     horizons, so one epsilon works for any rollout length.
     """
-    if len(traj) == 0:
+    if np.shape(states)[-2] == 0:
         raise EmptyBatchError("trajectory has no transitions")
-    true_mean, true_var = envs.true_dist(env, traj.states, traj.actions)
-    pred_mean, pred_var = _model_dist(model, traj.states, traj.actions)
-    return float(np.mean(dynamics.gaussian_kl(true_mean, true_var, pred_mean, pred_var)))
+    true_mean, true_var = envs.true_dist(env, states, actions)
+    pred_mean, pred_var = _model_dist(model, states, actions)
+    return np.mean(dynamics.gaussian_kl(true_mean, true_var, pred_mean, pred_var), axis=-1)
 
 
 def filter_trajectory(score: float, cfg: FilterConfig) -> bool:
@@ -129,8 +130,9 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
     Each attempt draws a start state and a seed from ``rng``, and
     :func:`rollout_virtual` of that seed is its rollout. Up to
     ``diffusion.SAMPLE_CHUNK`` attempts are rolled out in one stacked
-    :func:`rollout_virtual` call; the rollouts are then
-    scored and admitted in order, and the attempts drawn past the one
+    :func:`rollout_virtual` call and scored in one :func:`trajectory_kl`
+    call; the rollouts are then admitted in order, each admitted one
+    becoming a ``Trajectory``, and the attempts drawn past the one
     that fills the target are discarded uncounted. So ``rng`` may be
     drawn from more often than the report's ``attempts``. The same
     inputs give the same bytes, and the scores agree with
@@ -155,21 +157,17 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
         for _ in range(min(diffusion.SAMPLE_CHUNK, max_attempts - attempts)):
             starts.append(pool[int(rng.integers(0, len(pool)))])
             seeds.append(int(rng.integers(0, 2**63)))
-        for traj in rollout_virtual(env, policy, np.stack(starts), seeds):
+        states, actions, nexts, rewards, _ = rollout_virtual(env, policy, np.stack(starts), seeds)
+        for i, score in enumerate(trajectory_kl(env, model_init, states, actions).tolist()):
             attempts += 1
-            score = trajectory_kl(traj, env, model_init)
             kl_values.append(score)
             if not filter_trajectory(score, cfg):
                 continue
-            if count + len(traj) > cap:
-                # count < target <= cap here, so at least one transition is kept
-                keep = cap - count
-                traj = Trajectory(traj.states[:keep], traj.actions[:keep],
-                                  traj.next_states[:keep],
-                                  None if traj.rewards is None else traj.rewards[:keep],
-                                  seed=traj.seed)
-            accepted.append(traj)
-            count += len(traj)
+            # count < target <= cap here, so at least one transition is kept
+            keep = min(policy.T, cap - count)
+            accepted.append(Trajectory(states[i, :keep], actions[i, :keep], nexts[i, :keep],
+                                       rewards[i, :keep], seed=seeds[i]))
+            count += keep
             if count >= target:
                 break
 

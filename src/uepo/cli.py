@@ -101,11 +101,13 @@ def _load_policy_for_env(run: StageRun, env) -> diffusion.DiffusionPolicy:
 
 def _load_env_dataset(cfg: RunConfig, run: StageRun, name: str) -> TrajectoryDataset:
     """The named dataset file, refused when it was recorded in another
-    environment than ``env.name``."""
+    environment, or at other dimensions, than ``env.name``'s."""
     ds = load_dataset(run.input_path(name))
-    if ds.meta["env"] != cfg["env.name"]:
-        raise ConfigError(f"{name} in {run.out} holds {ds.meta['env']} data, "
-                          f"but env.name is {cfg['env.name']}")
+    env = cfg.env
+    if (ds.meta["env"], ds.meta["d_s"], ds.meta["d_a"]) != (env.name, env.d_s, env.d_a):
+        raise ConfigError(f"{name} in {run.out} holds {ds.meta['env']} data of "
+                          f"(d_s, d_a) = ({ds.meta['d_s']}, {ds.meta['d_a']}), but env.name "
+                          f"is {env.name} of ({env.d_s}, {env.d_a})")
     return ds
 
 

@@ -153,8 +153,6 @@ class RunConfig:
         if v["diffusion.T"] > env.horizon:
             raise ConfigError(f"diffusion.T = {v['diffusion.T']} exceeds the "
                               f"{env.name} horizon of {env.horizon}")
-        if v["diffusion.beta_min"] >= v["diffusion.beta_max"]:
-            raise ConfigError("diffusion.beta_min must be < diffusion.beta_max")
         vars(self).update(
             _values=v, env=env,
             schedule=_build(diffusion.make_linear_schedule, v, "diffusion",

@@ -47,8 +47,8 @@ def make_linear_schedule(k: int, beta_min: float = DEFAULT_BETA_MIN,
     """k noise rates spaced linearly from beta_min to beta_max; alpha_bar
     comes out strictly decreasing."""
     require("k", k, "> 0")
-    if not 0 < beta_min <= beta_max:
-        raise ConfigError(f"beta_min must lie in (0, beta_max = {beta_max}], got {beta_min}")
+    if not 0 < beta_min < beta_max:
+        raise ConfigError(f"beta_min must lie in (0, beta_max = {beta_max}), got {beta_min}")
     if not beta_max < 1:
         raise ConfigError(f"beta_max must be < 1, got {beta_max}")
     return schedule_from_beta(np.linspace(beta_min, beta_max, k))

@@ -74,13 +74,15 @@ def _split_output(m: GaussianDynamics, out: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def predict(m: GaussianDynamics, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of s' at one (s, a) or at each row of (B, d)
-    stacks; variance = exp(clamped log-var)."""
+    """Mean and variance of s' at one (s, a) or at each row of (..., d)
+    stacks, all rows in one pass of the net; variance = exp(clamped log-var)."""
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     if s.shape[-1:] != (m.d_s,) or a.shape[-1:] != (m.d_a,) or s.shape[:-1] != a.shape[:-1]:
         raise ShapeError(f"expected dims (..., {m.d_s}), (..., {m.d_a}), got {s.shape}, {a.shape}")
-    mean, log_var, _ = _split_output(m, nets.forward(m.net, np.concatenate([s, a], axis=-1)))
+    x = np.concatenate([s, a], axis=-1)
+    out = nets.forward(m.net, x.reshape(-1, x.shape[-1])).reshape(s.shape[:-1] + (-1,))
+    mean, log_var, _ = _split_output(m, out)
     return mean, np.exp(log_var)
 
 

@@ -234,21 +234,17 @@ def rollout(env: Env, s: np.ndarray, act, z: np.ndarray, law=None):
     return states, actions, nexts, rewards, np.cumsum(rewards, axis=1)[:, -1]
 
 
-def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray,
-                      z: np.ndarray, seed) -> list[Trajectory]:
+def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray, z: np.ndarray):
     """Execute a (B, T, d_a) stack of fixed action plans open-loop from
     (B, d_s) starts, all rows in lockstep, with (B, T, d_s) transition
-    draws z; row i becomes Trajectory i, recorded with seed[i].
-    """
+    draws z. Returns `rollout`'s stacks."""
     actions = np.asarray(actions, dtype=float)
     if actions.ndim != 3 or actions.shape[2] != env.d_a:
         raise ShapeError(f"actions must be (B, T, {env.d_a}), got {actions.shape}")
-    if len(seed) != len(actions) or np.shape(z) != actions.shape[:2] + (env.d_s,):
-        raise ShapeError(f"{len(seed)} seeds for {len(actions)} action plans, and draws "
-                         f"of shape {np.shape(z)} for plans of shape {actions.shape}")
-    states, acts, nexts, rewards, _ = rollout(env, s0, lambda t, s: actions[:, t], z)
-    return [Trajectory(states[i], acts[i], nexts[i], rewards[i], seed=seed[i])
-            for i in range(len(actions))]
+    if np.shape(s0) != (len(actions), env.d_s) or np.shape(z) != actions.shape[:2] + (env.d_s,):
+        raise ShapeError(f"starts of shape {np.shape(s0)} and draws of shape {np.shape(z)} "
+                         f"for plans of shape {actions.shape}")
+    return rollout(env, s0, lambda t, s: actions[:, t], z)
 
 
 def goal_distances(env: PointMass2D, s0: np.ndarray,
@@ -257,8 +253,7 @@ def goal_distances(env: PointMass2D, s0: np.ndarray,
     (B, T, d_a) plan stack from (B, d_s) starts: (B,) distances to
     goal_plus and (B,) distances to goal_minus."""
     zeros = np.zeros(np.shape(actions)[:2] + (env.d_s,))
-    trajs = rollout_open_loop(env, s0, actions, zeros, [0] * len(actions))
-    pos = np.stack([tr.next_states[:, :2] for tr in trajs])
+    pos = rollout_open_loop(env, s0, actions, zeros)[2][..., :2]
     return (np.min(np.linalg.norm(pos - env.goal_plus, axis=-1), axis=1),
             np.min(np.linalg.norm(pos - env.goal_minus, axis=-1), axis=1))
 

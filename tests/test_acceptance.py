@@ -16,7 +16,7 @@ import oracles
 from uepo import cli, diffusion, divergence, dynamics, envs, finetune, nets
 from uepo.augmentation import FilterConfig, build_augmented, rollout_virtual
 from uepo.config import parse_config
-from uepo.datasets import TrajectoryDataset, initial_states, transitions
+from uepo.datasets import Trajectory, TrajectoryDataset, initial_states, transitions
 from uepo.divergence import DivergenceConfig, min_pairwise_div
 from uepo.errors import StarvationError
 
@@ -239,7 +239,9 @@ def test_06_filter_correctness():
     trajs = list(ds.trajectories)
     for _ in range(120):
         s0 = pool[int(cover_rng.integers(0, len(pool)))]
-        trajs += rollout_virtual(env, pol, s0[None], [int(cover_rng.integers(0, 2 ** 63))])
+        states, actions, nexts, _, _ = rollout_virtual(env, pol, s0[None],
+                                                       [int(cover_rng.integers(0, 2 ** 63))])
+        trajs.append(Trajectory(states[0], actions[0], nexts[0]))
     covered = _batch_of(TrajectoryDataset(trajs, dict(ds.meta)))
     model = dynamics.make_dynamics(4, 2, [64, 64], np.random.default_rng(100))
     _staged_train(model, covered, np.random.default_rng(200))

@@ -53,16 +53,22 @@ def test_filter_is_strict_at_epsilon():
     assert not augmentation.filter_trajectory(0.06, cfg)
 
 
+def _trajectories(rollouts):
+    # each row of rollout stacks as a Trajectory
+    states, actions, nexts, rewards, _ = rollouts
+    return [datasets.Trajectory(*row) for row in zip(states, actions, nexts, rewards)]
+
+
 def test_rollout_virtual_is_seeded_and_chained():
     env, ds, policy = small_setup()
     s0 = datasets.initial_states(ds)[:1]
-    (t1,) = augmentation.rollout_virtual(env, policy, s0, [11])
-    (t2,) = augmentation.rollout_virtual(env, policy, s0, [11])
+    (t1,) = _trajectories(augmentation.rollout_virtual(env, policy, s0, [11]))
+    (t2,) = _trajectories(augmentation.rollout_virtual(env, policy, s0, [11]))
     assert np.array_equal(t1.actions, t2.actions)
     assert np.array_equal(t1.next_states, t2.next_states)
     assert len(t1) <= policy.T
     assert oracles.check_chain(t1)
-    (t3,) = augmentation.rollout_virtual(env, policy, s0, [12])
+    (t3,) = _trajectories(augmentation.rollout_virtual(env, policy, s0, [12]))
     assert not np.array_equal(t1.next_states, t3.next_states)
 
 
@@ -70,13 +76,13 @@ def test_rollout_virtual_stack_matches_single_rollouts():
     env, ds, policy = small_setup()
     starts = datasets.initial_states(ds)[[0, 3, 3, 5]]
     seeds = [11, 12, 12, 2**62 + 9]
-    trajs = augmentation.rollout_virtual(env, policy, starts, seeds)
-    assert isinstance(trajs, list) and len(trajs) == 4
+    stacks = augmentation.rollout_virtual(env, policy, starts, seeds)
+    assert [x.shape[:2] for x in stacks] == [(4, policy.T)] * 4 + [(4,)]
+    trajs = _trajectories(stacks)
     # one start and seed twice in a stack gives the same rollout twice
     assert np.array_equal(trajs[1].next_states, trajs[2].next_states)
     for s0, seed, traj in zip(starts, seeds, trajs):
-        (one,) = augmentation.rollout_virtual(env, policy, s0[None], [seed])
-        assert traj.seed == one.seed == seed
+        (one,) = _trajectories(augmentation.rollout_virtual(env, policy, s0[None], [seed]))
         assert np.array_equal(traj.states[0], s0)
         assert np.max(np.abs(traj.actions - one.actions)) <= 1e-12
         assert np.max(np.abs(traj.next_states - one.next_states)) <= 1e-12
@@ -91,7 +97,7 @@ ONE_ITEM_CALLS = {
     "rollout_virtual": (lambda env, policy, s0, plan: augmentation.rollout_virtual(
         env, policy, s0, 11), "(B, 4)"),
     "rollout_open_loop": (lambda env, policy, s0, plan: envs.rollout_open_loop(
-        env, s0, plan, np.zeros((len(plan), env.d_s)), 11), "(B, T, 2)"),
+        env, s0, plan, np.zeros((len(plan), env.d_s))), "(B, T, 2)"),
     "goal_distances": (lambda env, policy, s0, plan: envs.goal_distances(env, s0, plan),
                        "(B, T, 2)"),
 }
@@ -117,17 +123,33 @@ def test_trajectory_kl_is_mean_of_transition_kls():
     env, ds, policy = small_setup()
     traj = ds.trajectories[0]
     model = StubModel(env, offset=np.zeros(4), var=env.sigma_env**2 * 2.0)
-    got = augmentation.trajectory_kl(traj, env, model)
+    got = augmentation.trajectory_kl(env, model, traj.states, traj.actions)
     assert got == pytest.approx(oracles.trajectory_kl(traj, env, model), rel=1e-12)
-    # a learned model scores the whole trajectory in one stacked forward pass
-    for name in ("point_mass", "pendulum"):
-        env = envs.make_env(name, sigma_env=0.05, horizon=12)
-        ds = envs.make_offline_dataset(env, 3, 0.5, np.random.default_rng(8))
-        model = dynamics.make_dynamics(env.d_s, env.d_a, [16, 16], np.random.default_rng(9))
-        for traj in ds.trajectories:
-            got = augmentation.trajectory_kl(traj, env, model)
-            want = oracles.trajectory_kl(traj, env, model)
-            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _stack(ds):
+    return (np.stack([tr.states for tr in ds.trajectories]),
+            np.stack([tr.actions for tr in ds.trajectories]))
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_stacked_trajectory_kl_scores_each_row(name):
+    # a learned model scores the whole stack in one forward pass
+    env = envs.make_env(name, sigma_env=0.05, horizon=12)
+    ds = envs.make_offline_dataset(env, 7, 0.5, np.random.default_rng(18))
+    states, actions = _stack(ds)
+    model = dynamics.make_dynamics(env.d_s, env.d_a, [16, 16], np.random.default_rng(19))
+    scores = augmentation.trajectory_kl(env, model, states, actions)
+    assert scores.shape == (7,)
+    for score, traj in zip(scores, ds.trajectories):
+        want = oracles.trajectory_kl(traj, env, model)
+        assert abs(score - want) <= 1e-12 * abs(want)
+    # one (T, d) trajectory scores as a stack of one does
+    one = augmentation.trajectory_kl(env, model, states[0], actions[0])
+    assert np.ndim(one) == 0
+    assert one == augmentation.trajectory_kl(env, model, states[:1], actions[:1])[0]
+    with pytest.raises(EmptyBatchError):
+        augmentation.trajectory_kl(env, model, states[:, :0], actions[:, :0])
 
 
 def test_trajectory_kl_offset_stub_is_half():
@@ -135,8 +157,8 @@ def test_trajectory_kl_offset_stub_is_half():
     env = envs.make_env("point_mass", sigma_env=1.0, horizon=6)
     ds = envs.make_offline_dataset(env, 2, 1.0, np.random.default_rng(0))
     model = StubModel(env, offset=np.array([1.0, 0.0, 0.0, 0.0]), var=1.0)
-    score = augmentation.trajectory_kl(ds.trajectories[0], env, model)
-    assert score == pytest.approx(0.5, abs=1e-12)
+    scores = augmentation.trajectory_kl(env, model, *_stack(ds))
+    assert np.max(np.abs(scores - 0.5)) <= 1e-12
 
 
 def test_build_augmented_hits_target_ratio():
@@ -169,7 +191,8 @@ def test_build_augmented_truncates_at_the_cap(ratio):
     assert report.target_transitions == cap
     assert datasets.n_transitions(syn) == report.achieved_transitions == cap
     last = syn.trajectories[-1]
-    (full,) = augmentation.rollout_virtual(env, policy, last.states[:1], [last.seed])
+    (full,) = _trajectories(augmentation.rollout_virtual(env, policy, last.states[:1],
+                                                         [last.seed]))
     assert 1 <= len(last) < len(full)
     for field in ("states", "actions", "next_states", "rewards"):
         assert np.array_equal(getattr(last, field), getattr(full, field)[:len(last)])

@@ -425,6 +425,17 @@ def test_dataset_of_another_env_is_exit_1(tmp_path, capsys, stage):
     err = capsys.readouterr().err
     assert "dataset.jsonl" in err and "point_mass" in err and "pendulum" in err
     assert not (out / f"{stage}.manifest").exists()
+    # pendulum rows labelled point_mass: the header's dimensions are refused
+    pend = tmp_path / "p"
+    cli.run_stage("gen-data", parse_config(f"env.name = pendulum\nenv.n_traj = 4\n"
+                                           f"out = {pend}\n"))
+    path = pend / "dataset.jsonl"
+    path.write_text(path.read_text().replace('"env":"pendulum"', '"env":"point_mass"'))
+    cfg_path = _write_cfg(tmp_path, f"out = {pend}\n")
+    assert cli.main([stage, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.jsonl" in err and "(2, 1)" in err and "(4, 2)" in err
+    assert not (pend / f"{stage}.manifest").exists()
 
 
 def test_augmented_data_of_another_env_is_exit_1(tmp_path, capsys):

@@ -151,7 +151,7 @@ def test_ppo_bound_edges_load():
 
 
 def test_beta_ordering_cross_check():
-    with pytest.raises(ConfigError, match="beta_min must be < "):
+    with pytest.raises(ConfigError, match=re.escape("diffusion.beta_min must lie in (0, beta_max")):
         parse_config("diffusion.beta_min = 0.5\ndiffusion.beta_max = 0.5\n")
     # and the reversed case
     with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,11 @@ def test_schedule_validation():
         diffusion.make_linear_schedule(5, 0.0, 0.02)
     with pytest.raises(ConfigError):
         diffusion.make_linear_schedule(5, 1e-4, 1.0)
+
+
+def test_linear_schedule_wants_beta_min_below_beta_max():
+    with pytest.raises(ConfigError, match=re.escape("beta_min must lie in (0, beta_max = 0.1)")):
+        diffusion.make_linear_schedule(5, 0.1, 0.1)
 
 
 def _seen_rows(monkeypatch, name):

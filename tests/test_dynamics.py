@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ def test_predict_on_stacks_matches_per_row():
         assert np.max(np.abs(var[i] - row_var)) <= 1e-12 * np.max(row_var)
     with pytest.raises(ShapeError):
         dynamics.predict(m, s, a[:39])
+
+
+def test_predict_on_trajectory_stacks_matches_per_row():
+    rng = np.random.default_rng(16)
+    m = dynamics.make_dynamics(6, 2, [16, 16], rng)
+    s, a = rng.standard_normal((5, 12, 6)), rng.standard_normal((5, 12, 2))
+    mean, var = dynamics.predict(m, s, a)
+    assert mean.shape == var.shape == (5, 12, 6)
+    for i in range(5):
+        row_mean, row_var = dynamics.predict(m, s[i], a[i])
+        assert np.max(np.abs(mean[i] - row_mean)) <= 1e-12
+        assert np.max(np.abs(var[i] - row_var)) <= 1e-12 * np.max(row_var)
+    with pytest.raises(ShapeError, match=re.escape("expected dims (..., 6), (..., 2)")):
+        dynamics.predict(m, s[..., :5], a)
 
 
 def test_kl_on_stacks_is_one_kl_per_row():

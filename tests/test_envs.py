@@ -210,23 +210,25 @@ def test_rollout_open_loop_chain_and_determinism():
     actions = rng.uniform(-1, 1, size=(1, 6, 2))
     s0 = np.zeros((1, 4))
     z = np.random.default_rng(7).standard_normal((1, 6, 4))
-    (tr1,) = envs.rollout_open_loop(env, s0, actions, z, [0])
-    (tr2,) = envs.rollout_open_loop(env, s0, actions, z.copy(), [0])
-    assert np.array_equal(tr1.next_states, tr2.next_states)
-    assert oracles.check_chain(tr1)
-    assert np.array_equal(tr1.states[0], s0[0])
+    states, _, nexts, _, _ = envs.rollout_open_loop(env, s0, actions, z)
+    again = envs.rollout_open_loop(env, s0, actions, z.copy())
+    assert np.array_equal(nexts, again[2])
+    assert np.array_equal(nexts[:, :-1], states[:, 1:])
+    assert np.array_equal(states[:, 0], s0)
 
 
-@pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
-def test_rollout_open_loop_wants_one_seed_per_plan(monkeypatch, seeds):
+@pytest.mark.parametrize("starts", [1, 3])
+def test_rollout_open_loop_wants_one_start_per_plan(monkeypatch, starts):
     env = envs.make_env("point_mass", sigma_env=0.05)
 
     def no_step(*args, **kwargs):
-        raise AssertionError("a step ran before the seed count was checked")
+        raise AssertionError("a step ran before the start count was checked")
 
     monkeypatch.setattr(envs, "step", no_step)
-    with pytest.raises(ShapeError, match=f"{len(seeds)} seeds for 2 action plans"):
-        envs.rollout_open_loop(env, np.zeros((2, 4)), np.zeros((2, 6, 2)), None, seeds)
+    expected = f"starts of shape ({starts}, 4) and draws of shape (2, 6, 4)"
+    with pytest.raises(ShapeError, match=re.escape(expected)):
+        envs.rollout_open_loop(env, np.zeros((starts, 4)), np.zeros((2, 6, 2)),
+                               np.zeros((2, 6, 4)))
 
 
 @pytest.mark.parametrize("steps", [5, 7])
@@ -235,7 +237,7 @@ def test_rollout_open_loop_wants_one_draw_per_step(steps):
     expected = f"draws of shape (2, {steps}, 4) for plans of shape (2, 6, 2)"
     with pytest.raises(ShapeError, match=re.escape(expected)):
         envs.rollout_open_loop(env, np.zeros((2, 4)), np.zeros((2, 6, 2)),
-                               np.zeros((2, steps, 4)), [1, 2])
+                               np.zeros((2, steps, 4)))
 
 
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
@@ -245,17 +247,14 @@ def test_stacked_rollouts_equal_one_at_a_time(name):
     s0, plans = _random_rows(env, rng, 9)[0], rng.uniform(-3.0, 3.0, (9, 7, env.d_a))
     seeds = [int(x) for x in rng.integers(0, 2**63, 9)]
     z = np.stack([np.random.default_rng(seed).standard_normal((7, env.d_s)) for seed in seeds])
-    trajs = envs.rollout_open_loop(env, s0, plans, z, seeds)
-    assert len(trajs) == 9
-    for i, traj in enumerate(trajs):
-        want = oracles.rollout_open_loop(env, s0[i], plans[i], np.random.default_rng(seeds[i]),
-                                         seed=seeds[i])
-        (one,) = envs.rollout_open_loop(env, s0[i:i + 1], plans[i:i + 1], z[i:i + 1],
-                                        seeds[i:i + 1])
-        for got in (traj, one):
-            assert got.seed == seeds[i]
-            for field in ("states", "actions", "next_states", "rewards"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
+    stacks = envs.rollout_open_loop(env, s0, plans, z)
+    assert len(stacks[0]) == 9
+    for i in range(9):
+        want = oracles.rollout_open_loop(env, s0[i], plans[i], np.random.default_rng(seeds[i]))
+        one = envs.rollout_open_loop(env, s0[i:i + 1], plans[i:i + 1], z[i:i + 1])
+        for got in ([x[i] for x in stacks], [x[0] for x in one]):
+            for g, field in zip(got, ("states", "actions", "next_states", "rewards")):
+                assert np.array_equal(g, getattr(want, field))
 
 
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
@@ -297,9 +296,8 @@ def test_rollout_default_law_is_the_open_loop_rollout(name):
     s0, plans = _random_rows(env, rng, 5)[0], rng.uniform(-3.0, 3.0, (5, 7, env.d_a))
     z = rng.standard_normal((5, 7, env.d_s))
     got = envs.rollout(env, s0, lambda t, s: plans[:, t], z)
-    for i, traj in enumerate(envs.rollout_open_loop(env, s0, plans, z, list(range(5)))):
-        want = (traj.states, traj.actions, traj.next_states, traj.rewards)
-        assert all(np.array_equal(g[i], w) for g, w in zip(got, want))
+    want = envs.rollout_open_loop(env, s0, plans, z)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_goal_distances_uses_noise_free_rollout():
