@@ -49,8 +49,7 @@ model = dynamics.make_dynamics(4, 2, [64, 64], np.random.default_rng(100))
 shuffle = np.random.default_rng(200)
 print("training the dynamics model on demonstrations + policy rollouts")
 for epochs, lr in ((200, 1e-3), (150, 3e-4), (100, 1e-4)):
-    curve = dynamics.train_joint(model, covered, None, epochs, shuffle,
-                                 batch_size=256, step_size=lr)
+    curve = dynamics.train_joint(model, covered, None, epochs, shuffle, step_size=lr)
 print(f"  pool NLL after training: {curve[-1][1]:.3f}")
 
 synthetic, report = build_augmented(env, policy, model, ds,

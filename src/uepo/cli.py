@@ -31,8 +31,6 @@ DATASET = "dataset.jsonl"
 AUGMENTED = "augmented.jsonl"
 
 DIFFUSION_STEP_SIZE = 1e-3
-DYNAMICS_BATCH_SIZE = 256
-DYNAMICS_STEP_SIZE = 1e-3
 
 
 def _sha256(path: str) -> str:
@@ -126,9 +124,7 @@ def _fit_dynamics(cfg: RunConfig, real, synthetic, init_ss, shuffle_ss, curve: b
     model = dynamics.make_dynamics(real.s.shape[1], real.a.shape[1], cfg["dynamics.widths"],
                                    np.random.default_rng(init_ss))
     return model, dynamics.train_joint(model, real, synthetic, cfg["dynamics.epochs"],
-                                       np.random.default_rng(shuffle_ss),
-                                       batch_size=DYNAMICS_BATCH_SIZE,
-                                       step_size=DYNAMICS_STEP_SIZE, curve=curve)
+                                       np.random.default_rng(shuffle_ss), curve=curve)
 
 
 # --- stage bodies -----------------------------------------------------------

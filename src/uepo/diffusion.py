@@ -184,6 +184,8 @@ def train_denoiser(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.nda
                    rng: np.random.Generator) -> list[float]:
     """Minibatch Adam on the denoising loss over (N, d_s) anchors and their
     (N, T, d_a) action sequences; returns the per-step losses."""
+    require("steps", steps, "> 0")
+    require("batch_size", batch_size, "> 0")
     anchors = _check_anchors(policy, anchors)
     actions = np.asarray(actions, dtype=float)
     if len(anchors) == 0:

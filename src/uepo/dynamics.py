@@ -153,10 +153,10 @@ def pool_nll(m: GaussianDynamics, pool: TransitionBatch,
 
 def train_joint(m: GaussianDynamics, real: TransitionBatch,
                 synthetic: TransitionBatch | None, epochs: int,
-                rng: np.random.Generator, batch_size: int = 128,
+                rng: np.random.Generator, batch_size: int = 256,
                 step_size: float = 1e-3,
                 curve: bool = True) -> list[tuple[int, float]] | None:
-    """Adam on the pooled NLL, in place; synthetic None means real-only.
+    """Adam on the pooled NLL in place by :func:`nets.train_epochs`; synthetic None: real only.
 
     Returns the curve ``[(epoch, pool_nll), ...]``: the full-pool loss
     before training (epoch 0), after every ``CURVE_EVERY``-th epoch and
@@ -171,22 +171,13 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
         pool = TransitionBatch(np.concatenate([real.s, synthetic.s]),
                                np.concatenate([real.a, synthetic.a]),
                                np.concatenate([real.s_next, synthetic.s_next]))
-    n = len(pool)
-    # the pool is validated once; each epoch gathers it in shuffled order
-    # into two buffers, and a minibatch is a slice of them
-    x = _inputs(m, pool)
-    x_shuf, s_next_shuf = np.empty_like(x), np.empty_like(pool.s_next)
-    opt = nets.adam_init(nets.param_count(m.net), step_size=step_size)
-    ws = nets.Workspace(m.net, n if curve else min(batch_size, n))
+    # called first, so that batch_size is checked before it sizes the workspace
+    run = nets.train_epochs(m.net.params, _inputs(m, pool), pool.s_next,
+                            lambda x, s_next: _grad(m, x, s_next, ws)[0],
+                            epochs, batch_size, step_size, rng)
+    ws = nets.Workspace(m.net, len(pool) if curve else min(batch_size, len(pool)))
     losses = [(0, pool_nll(m, pool, ws))] if curve else None
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        np.take(x, order, axis=0, out=x_shuf)
-        np.take(pool.s_next, order, axis=0, out=s_next_shuf)
-        for lo in range(0, n, batch_size):
-            grad, _ = _grad(m, x_shuf[lo: lo + batch_size],
-                            s_next_shuf[lo: lo + batch_size], ws)
-            nets.optimizer_step(opt, m.net.params, grad)
+    for epoch in run:
         if curve and (epoch % CURVE_EVERY == 0 or epoch == epochs):
             losses.append((epoch, pool_nll(m, pool, ws)))
     return losses

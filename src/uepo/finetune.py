@@ -161,41 +161,39 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
             rng: np.random.Generator, hidden=(64, 64), epochs: int = 400,
             batch_size: int = 64, step_size: float = 1e-3,
             mse_target: float = DISTILL_MSE_TARGET) -> tuple[GaussianPolicy, float]:
-    """Regress a Gaussian head's mean onto one sub-policy's first-step actions.
+    """Fit a Gaussian head onto one sub-policy's first-step actions by :func:`fit_head`.
 
-    The sub-policy is the deterministic fixed-seed sampler, so every
-    pool state gets the target sample(policy, [s], [seed])[0, 0]; the
-    shared seed is what keeps targets mode-consistent at ambiguous
-    states. All targets come from one :func:`diffusion.sample` call on
-    the whole pool: the same inputs give the same bytes, and the targets agree
-    with one-at-a-time samples to 1e-12. Stops early under mse_target;
-    otherwise warns with the achieved value.
-    """
-    states = np.asarray(states, dtype=float)
+    The sub-policy is the deterministic fixed-seed sampler, so every pool state
+    gets the target sample(policy, [s], [seed])[0, 0]; the shared seed keeps
+    targets mode-consistent at ambiguous states. All targets come from one
+    :func:`diffusion.sample` call on the pool, and agree with one-at-a-time
+    samples to 1e-12."""
+    targets = diffusion.sample(policy, states, [seed] * len(states))[:, 0]
+    return fit_head(states, targets, policy.action_low, policy.action_high, rng, hidden,
+                    epochs, batch_size, step_size, mse_target)
+
+
+def fit_head(states: np.ndarray, targets: np.ndarray, action_low, action_high, rng,
+             hidden=(64, 64), epochs: int = 400, batch_size: int = 64, step_size: float = 1e-3,
+             mse_target: float = DISTILL_MSE_TARGET) -> tuple[GaussianPolicy, float]:
+    """A new head whose squashed mean is regressed onto (N, d_a) targets at (N, d_s)
+    states by :func:`nets.train_epochs` on the squared error; :func:`make_head` draws
+    from ``rng`` first, then the epochs' shuffles. Stops after the first epoch whose
+    full-pool MSE is under mse_target; otherwise warns with the achieved value."""
+    states, targets = np.asarray(states, dtype=float), np.asarray(targets, dtype=float)
     if states.ndim != 2 or states.shape[0] == 0:
         raise EmptyBatchError(f"need a non-empty (N, d_s) state pool, got {states.shape}")
-    targets = diffusion.sample(policy, states, [seed] * len(states))[:, 0]
+    head = make_head(states.shape[1], targets.shape[1], hidden, rng, action_low, action_high)
+    ws = nets.Workspace(head.net, len(states))
 
-    head = make_head(policy.d_s, policy.d_a, hidden, rng,
-                     policy.action_low, policy.action_high)
-    opt = nets.adam_init(nets.param_count(head.net), step_size=step_size)
-    n = states.shape[0]
-    ws = nets.Workspace(head.net, n)
-    # each epoch gathers the pool in shuffled order once; a minibatch is a slice
-    states_shuf, targets_shuf = np.empty_like(states), np.empty_like(targets)
-    mse = np.inf
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        np.take(states, order, axis=0, out=states_shuf)
-        np.take(targets, order, axis=0, out=targets_shuf)
-        for lo in range(0, n, batch_size):
-            acts = nets.forward_activations(head.net, states_shuf[lo:lo + batch_size], ws)
-            squashed = np.tanh(acts[-1])
-            pred = head.center + head.half * squashed
-            err = pred - targets_shuf[lo:lo + batch_size]
-            upstream = 2.0 * err * head.half * (1.0 - squashed ** 2) / err.size
-            grads = nets.backward(head.net, acts, upstream, ws)
-            nets.optimizer_step(opt, head.net.params, grads)
+    def grad(x, y):
+        acts = nets.forward_activations(head.net, x, ws)
+        squashed = np.tanh(acts[-1])
+        err = head.center + head.half * squashed - y
+        upstream = 2.0 * err * head.half * (1.0 - squashed ** 2) / err.size
+        return nets.backward(head.net, acts, upstream, ws)
+    for _ in nets.train_epochs(head.net.params, states, targets, grad, epochs, batch_size,
+                               step_size, rng):
         full = head.center + head.half * np.tanh(nets.forward(head.net, states, ws))
         mse = float(np.mean((full - targets) ** 2))
         if mse < mse_target:
@@ -339,6 +337,7 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     A non-finite loss restores the pre-iteration parameters and raises;
     the returned curve holds (mean, std) of each iteration's returns.
     """
+    require("iterations", iterations, "> 0")
     value_net = nets.mlp_init([head.d_s, 64, 64, 1], rng)
     opt_net = nets.adam_init(nets.param_count(head.net), step_size=cfg.step_size)
     opt_std = nets.adam_init(head.d_a, step_size=cfg.step_size)

@@ -296,6 +296,28 @@ def optimizer_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> n
     return params
 
 
+def train_epochs(params: np.ndarray, x: np.ndarray, y: np.ndarray, grad, epochs: int,
+                 batch_size: int, step_size: float, rng: np.random.Generator):
+    """Shuffled-minibatch Adam on ``params``, in place: each epoch gathers the rows of
+    ``x`` and ``y`` in one ``rng.permutation``'s order into two buffers and steps with
+    ``grad(x_slice, y_slice)`` once per ``batch_size`` slice. The counts are checked at
+    the call; the returned iterator yields each epoch's number (1 to ``epochs``) after it."""
+    require("epochs", epochs, "> 0")
+    require("batch_size", batch_size, "> 0")
+    opt, x_shuf, y_shuf = adam_init(params.size, step_size), np.empty_like(x), np.empty_like(y)
+
+    def run():
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(len(x))
+            np.take(x, order, axis=0, out=x_shuf)
+            np.take(y, order, axis=0, out=y_shuf)
+            for lo in range(0, len(x), batch_size):
+                optimizer_step(opt, params, grad(x_shuf[lo:lo + batch_size],
+                                                 y_shuf[lo:lo + batch_size]))
+            yield epoch
+    return run()
+
+
 def time_embedding(t: int, k: int, dim: int) -> np.ndarray:
     """Sinusoidal embedding of a diffusion-step index.
 

@@ -41,7 +41,7 @@ def _staged_train(model, batch, shuffle_rng,
                   synthetic=None):
     for epochs, lr in stages:
         dynamics.train_joint(model, batch, synthetic, epochs, shuffle_rng,
-                             batch_size=256, step_size=lr, curve=False)
+                             step_size=lr, curve=False)
 
 
 # the float64 central-difference optimum is near eps**(1/3), about 6e-6; a
@@ -330,8 +330,7 @@ def test_09_offline_to_online_smoke():
                                    np.random.default_rng(300))
     joint = oracles.clone_dynamics(model)
     dynamics.train_joint(joint, real, _batch_of(synthetic), 200,
-                         np.random.default_rng(201), batch_size=256, step_size=1e-4,
-                         curve=False)
+                         np.random.default_rng(201), step_size=1e-4, curve=False)
     seeds = diffusion.member_seeds(4, 17)
     wins = 0
     pairs = []

@@ -77,9 +77,56 @@ _LIBRARY_CHECKS = [
     (lambda: nets.adam_init(3, 0.0), "step_size must be > 0, got 0.0"),
 ]
 
+_POLICY = diffusion.make_policy(4, 1, 2, [8], np.random.default_rng(0),
+                                schedule=diffusion.make_linear_schedule(4, 1e-4, 0.2),
+                                action_low=-1.0, action_high=1.0)
+_STATES = np.random.default_rng(1).uniform(-1, 1, size=(6, 2))
+_MODEL = dynamics.make_dynamics(2, 1, [8], np.random.default_rng(2))
+_REAL = dynamics.TransitionBatch(np.ones((5, 2)), np.zeros((5, 1)), np.ones((5, 2)))
+_HEAD = finetune.make_head(4, 2, (8,), np.random.default_rng(8), _ENV.action_low,
+                           _ENV.action_high)
 
-@pytest.mark.parametrize("call,message", _LIBRARY_CHECKS,
-                         ids=[message.split()[0] for _, message in _LIBRARY_CHECKS])
+
+def _distill(**kw):
+    return finetune.distill(_POLICY, 17, _STATES, np.random.default_rng(4), **kw)
+
+
+def _train_joint(**kw):
+    return dynamics.train_joint(_MODEL, _REAL, None, 3, np.random.default_rng(5), **kw)
+
+
+def _train_denoiser(steps=5, batch_size=4):
+    return diffusion.train_denoiser(_POLICY, _STATES, np.zeros((6, 4, 1)), steps, batch_size,
+                                    1e-3, np.random.default_rng(6))
+
+
+# the training counts, checked before the first optimizer step: each case once
+# trained nothing without an error, or failed naming another argument
+_COUNT_CHECKS = [
+    ("distill-epochs=0", lambda: _distill(epochs=0), "epochs must be > 0, got 0"),
+    ("distill-epochs=-3", lambda: _distill(epochs=-3), "epochs must be > 0, got -3"),
+    ("distill-batch_size=0", lambda: _distill(batch_size=0), "batch_size must be > 0, got 0"),
+    ("distill-batch_size=-1", lambda: _distill(batch_size=-1),
+     "batch_size must be > 0, got -1"),
+    ("train_joint-batch_size=0", lambda: _train_joint(batch_size=0),
+     "batch_size must be > 0, got 0"),
+    ("train_joint-batch_size=-2", lambda: _train_joint(batch_size=-2),
+     "batch_size must be > 0, got -2"),
+    ("train_joint-batch_size=-2-no-curve", lambda: _train_joint(batch_size=-2, curve=False),
+     "batch_size must be > 0, got -2"),
+    ("train_denoiser-steps=0", lambda: _train_denoiser(steps=0), "steps must be > 0, got 0"),
+    ("train_denoiser-steps=-1", lambda: _train_denoiser(steps=-1), "steps must be > 0, got -1"),
+    ("train_denoiser-batch_size=0", lambda: _train_denoiser(batch_size=0),
+     "batch_size must be > 0, got 0"),
+    ("ppo_finetune-iterations=0",
+     lambda: finetune.ppo_finetune(_HEAD, _ENV, finetune.PpoConfig(), 0, np.random.default_rng(7)),
+     "iterations must be > 0, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,message", _LIBRARY_CHECKS + [(call, message) for _, call, message in _COUNT_CHECKS],
+    ids=[message.split()[0] for _, message in _LIBRARY_CHECKS] + [i for i, _, _ in _COUNT_CHECKS])
 def test_library_checks_use_the_table(call, message):
     with pytest.raises(ConfigError) as exc:
         call()

@@ -173,6 +173,39 @@ def test_distill_matches_the_per_minibatch_gather_loop(hidden, batch_size, epoch
     assert (mse < mse_target) == (mse_target > 0)
 
 
+@pytest.mark.parametrize("epochs, mse_target, stops_early", [
+    (400, 0.005, True),   # stops after dozens of epochs
+    (4, 0.0, False),      # runs every epoch and warns
+])
+def test_distill_is_its_target_call_then_fit_head(epochs, mse_target, stops_early):
+    policy = small_policy(seed=3, T=4, d_a=1, d_s=2)
+    states = np.random.default_rng(4).uniform(-1, 1, size=(30, 2))
+    kw = dict(hidden=(16, 16), epochs=epochs, batch_size=8, step_size=1e-2,
+              mse_target=mse_target)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DistillationQualityWarning)
+        head, mse = finetune.distill(policy, 17, states, np.random.default_rng(5), **kw)
+        targets = diffusion.sample(policy, states, [17] * len(states))[:, 0]
+        part, part_mse = finetune.fit_head(states, targets, policy.action_low,
+                                           policy.action_high, np.random.default_rng(5), **kw)
+    assert np.array_equal(head.net.params, part.net.params)
+    assert np.array_equal(head.log_std, part.log_std)
+    assert mse == part_mse
+    assert (mse < mse_target) == stops_early
+    assert len(caught) == (0 if stops_early else 2)
+
+
+def test_an_empty_pool_is_refused_before_any_draw():
+    policy = small_policy(seed=3, T=4, d_a=1, d_s=2)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(EmptyBatchError, match="non-empty"):
+        finetune.distill(policy, 17, np.zeros((0, 2)), rng)
+    with pytest.raises(EmptyBatchError, match="non-empty"):
+        finetune.fit_head(np.zeros((0, 2)), np.zeros((0, 1)), -1.0, 1.0, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_gae_hand_oracle():
     rewards = np.array([1.0, 0.0, 2.0])
     values = np.array([0.5, 0.2, 0.1, 0.0])

@@ -169,6 +169,36 @@ def test_adam_matches_textbook_oracle_over_many_steps():
     assert state.step_count == 60
 
 
+def test_train_epochs_shuffles_slices_and_steps_adam():
+    # 7 rows in slices of 3: each epoch is one permutation gathered into
+    # minibatches of 3, 3 and 1 rows, one Adam step per minibatch
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((7, 2)), rng.standard_normal((7, 1))
+    start = rng.standard_normal(3)
+    params, seen, grads = start.copy(), [], []
+
+    def grad(xb, yb):
+        seen.append(np.hstack([xb, yb]))
+        grads.append(np.array([xb.sum(), yb.sum(), len(xb) + params[0]]))
+        return grads[-1]
+    with pytest.raises(ConfigError, match="^epochs must be > 0, got 0$"):
+        nets.train_epochs(params, x, y, grad, 0, 3, 1e-2, rng)
+    with pytest.raises(ConfigError, match="^batch_size must be > 0, got 0$"):
+        nets.train_epochs(params, x, y, grad, 3, 0, 1e-2, rng)
+    shuffle, twin = np.random.default_rng(9), np.random.default_rng(9)
+    run = nets.train_epochs(params, x, y, grad, 3, 3, 1e-2, shuffle)
+    # nothing is drawn or stepped before the first epoch is asked for
+    assert np.array_equal(params, start) and not seen
+    assert list(run) == [1, 2, 3]
+    assert [len(b) for b in seen] == [3, 3, 1] * 3
+    for epoch in range(3):
+        order = twin.permutation(7)
+        assert np.array_equal(np.vstack(seen[3 * epoch: 3 * epoch + 3]),
+                              np.hstack([x, y])[order])
+    want, _, _ = oracles.adam(start, grads, step_size=1e-2)
+    assert np.array_equal(params, want)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
