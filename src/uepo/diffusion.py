@@ -186,8 +186,8 @@ def train_denoiser(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.nda
     (N, T, d_a) action sequences; returns the per-step losses."""
     require("steps", steps, "> 0")
     require("batch_size", batch_size, "> 0")
-    anchors = _check_anchors(policy, anchors)
     actions = np.asarray(actions, dtype=float)
+    anchors = _check_anchors(policy, anchors, actions)
     if len(anchors) == 0:
         raise EmptyBatchError("no training windows")
     opt = nets.adam_init(nets.param_count(policy.denoiser), step_size=step_size)

@@ -27,6 +27,8 @@ class _GaussianLaw:
     def __post_init__(self):
         # true_dist's variance is sigma_env^2, and the KL filter divides by it
         require("sigma_env", self.sigma_env, "> 0")
+        # every episode and dataset record needs at least one step
+        require("horizon", self.horizon, "> 0")
 
 
 def _row_norm(d: np.ndarray):
@@ -234,17 +236,18 @@ def rollout(env: Env, s: np.ndarray, act, z: np.ndarray, law=None):
     return states, actions, nexts, rewards, np.cumsum(rewards, axis=1)[:, -1]
 
 
-def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray, z: np.ndarray):
+def rollout_open_loop(env: Env, s0: np.ndarray, actions: np.ndarray, z: np.ndarray, law=None):
     """Execute a (B, T, d_a) stack of fixed action plans open-loop from
     (B, d_s) starts, all rows in lockstep, with (B, T, d_s) transition
-    draws z. Returns `rollout`'s stacks."""
+    draws z, under `rollout`'s ``law`` (this environment's `step` when
+    None). Returns `rollout`'s stacks."""
     actions = np.asarray(actions, dtype=float)
     if actions.ndim != 3 or actions.shape[2] != env.d_a:
         raise ShapeError(f"actions must be (B, T, {env.d_a}), got {actions.shape}")
     if np.shape(s0) != (len(actions), env.d_s) or np.shape(z) != actions.shape[:2] + (env.d_s,):
         raise ShapeError(f"starts of shape {np.shape(s0)} and draws of shape {np.shape(z)} "
                          f"for plans of shape {actions.shape}")
-    return rollout(env, s0, lambda t, s: actions[:, t], z)
+    return rollout(env, s0, lambda t, s: actions[:, t], z, law)
 
 
 def goal_distances(env: PointMass2D, s0: np.ndarray,

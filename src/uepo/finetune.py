@@ -127,7 +127,7 @@ def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], mod
     random numbers). Every rollout's start state and noise are drawn
     first, in rollout order; then all rollouts x sub-policies plans come
     from one :func:`diffusion.sample` call on the stack of start states
-    and step through the model together in one :func:`envs.rollout`,
+    and step through the model together in one :func:`envs.rollout_open_loop`,
     scored by ``env``'s reward. The same inputs give the same bytes, and
     the scores agree with plans sampled and stepped one at a time to
     1e-12. Returns (argmax index, per-sub-policy mean returns).
@@ -149,7 +149,7 @@ def select_policy(policy: diffusion.DiffusionPolicy, seeds: tuple[int, ...], mod
     def model_law(s, a, z):
         mean, var = dynamics.predict(model, s, a)
         return mean + np.sqrt(var) * z
-    *_, totals = envs.rollout(env, s, lambda t, s: plans[:, t], noise, model_law)
+    *_, totals = envs.rollout_open_loop(env, s, plans, noise, model_law)
     scores = np.sum(totals.reshape(n_rollouts, n) / n_rollouts, axis=0)
     return best_index(scores), scores
 
@@ -183,6 +183,9 @@ def fit_head(states: np.ndarray, targets: np.ndarray, action_low, action_high, r
     states, targets = np.asarray(states, dtype=float), np.asarray(targets, dtype=float)
     if states.ndim != 2 or states.shape[0] == 0:
         raise EmptyBatchError(f"need a non-empty (N, d_s) state pool, got {states.shape}")
+    if targets.ndim != 2 or len(targets) != len(states):
+        raise ShapeError(f"targets of shape {targets.shape} for {len(states)} states; "
+                         f"need (N, d_a)")
     head = make_head(states.shape[1], targets.shape[1], hidden, rng, action_low, action_high)
     ws = nets.Workspace(head.net, len(states))
 

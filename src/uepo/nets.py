@@ -300,10 +300,13 @@ def train_epochs(params: np.ndarray, x: np.ndarray, y: np.ndarray, grad, epochs:
                  batch_size: int, step_size: float, rng: np.random.Generator):
     """Shuffled-minibatch Adam on ``params``, in place: each epoch gathers the rows of
     ``x`` and ``y`` in one ``rng.permutation``'s order into two buffers and steps with
-    ``grad(x_slice, y_slice)`` once per ``batch_size`` slice. The counts are checked at
-    the call; the returned iterator yields each epoch's number (1 to ``epochs``) after it."""
+    ``grad(x_slice, y_slice)`` once per ``batch_size`` slice. The counts and the pairing
+    of the rows are checked at the call; the returned iterator yields each epoch's number
+    (1 to ``epochs``) after it."""
     require("epochs", epochs, "> 0")
     require("batch_size", batch_size, "> 0")
+    if len(x) != len(y):
+        raise ShapeError(f"{len(x)} input rows for {len(y)} target rows")
     opt, x_shuf, y_shuf = adam_init(params.size, step_size), np.empty_like(x), np.empty_like(y)
 
     def run():

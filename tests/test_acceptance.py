@@ -15,7 +15,7 @@ import numpy as np
 import oracles
 from uepo import cli, diffusion, divergence, dynamics, envs, finetune, nets
 from uepo.augmentation import FilterConfig, build_augmented, rollout_virtual
-from uepo.config import parse_config
+from uepo.config import load_config
 from uepo.datasets import Trajectory, TrajectoryDataset, initial_states, transitions
 from uepo.divergence import DivergenceConfig, min_pairwise_div
 from uepo.errors import StarvationError
@@ -351,33 +351,16 @@ def test_09_offline_to_online_smoke():
              f"{wins}/5 seeds with post >= pre: {detail}", t0, 600.0)
 
 
-_REPRO_CFG = """
-env.name = point_mass
-env.sigma_env = 0.05
-env.n_traj = 12
-diffusion.T = 8
-diffusion.widths = 32,32
-diffusion.train_steps = 300
-diffusion.beta_max = 0.2
-ensemble.n = 3
-ensemble.n_states = 2
-filter.epsilon = 1.0
-filter.max_attempts = 400
-dynamics.epochs = 120
-distill.pool = 80
-distill.epochs = 150
-ppo.iterations = 2
-ppo.batch_episodes = 4
-eval.episodes = 4
-seed = 3
-"""
+# the small reproducibility config, which the demo and CI also run
+_REPRO_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "demos", "small.cfg")
 
 
 def test_10_reproducibility(tmp_path):
     t0 = time.perf_counter()
     outs = [tmp_path / "first", tmp_path / "second"]
     for out in outs:
-        cfg = parse_config(_REPRO_CFG + f"out = {out}\n")
+        cfg = load_config(_REPRO_CFG).replaced(out=str(out))
         for stage in cli.STAGES:
             cli.run_stage(stage, cfg)
 

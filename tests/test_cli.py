@@ -17,29 +17,12 @@ import numpy as np
 import pytest
 
 from uepo import cli, divergence, dynamics
-from uepo.config import SCHEMA, parse_config
+from uepo.config import SCHEMA, load_config, parse_config
 from uepo.datasets import load_dataset
 
-SMOKE = """
-env.name = point_mass
-env.sigma_env = 0.05
-env.n_traj = 12
-diffusion.T = 8
-diffusion.widths = 32,32
-diffusion.train_steps = 300
-diffusion.beta_max = 0.2
-ensemble.n = 3
-ensemble.n_states = 2
-filter.epsilon = 1.0
-filter.max_attempts = 400
-dynamics.epochs = 120
-distill.pool = 80
-distill.epochs = 150
-ppo.iterations = 2
-ppo.batch_episodes = 4
-eval.episodes = 4
-seed = 3
-"""
+# the small reproducibility config, which acceptance test 10, the demo and CI also run
+SMALL_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "demos", "small.cfg")
 
 
 def _sha(path):
@@ -60,7 +43,7 @@ def _read_manifest(path):
 def pipeline(tmp_path_factory):
     """All nine stages run once into a shared directory."""
     out = tmp_path_factory.mktemp("pipeline")
-    cfg = parse_config(SMOKE + f"out = {out}\n")
+    cfg = load_config(SMALL_CFG).replaced(out=str(out))
     for stage in cli.STAGES:
         cli.run_stage(stage, cfg)
     return cfg, str(out)
@@ -538,38 +521,30 @@ def two_env_runs(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("name, stage", [
-    ("policy.bin", "sample-ensemble"), ("policy.bin", "augment"), ("policy.bin", "select"),
-    ("policy.bin", "finetune"), ("dynamics_joint.bin", "select"), ("head.bin", "eval")])
-def test_checkpoint_of_another_env_is_exit_1(tmp_path, capsys, two_env_runs, name, stage):
-    # a point-mass checkpoint in an otherwise complete pendulum run
+_CHECKPOINT_STAGES = [("policy.bin", "sample-ensemble"), ("policy.bin", "augment"),
+                      ("policy.bin", "select"), ("policy.bin", "finetune"),
+                      ("dynamics_joint.bin", "select"), ("head.bin", "eval")]
+_ENV_DIMS = {"point_mass": "d_s = 4, d_a = 2", "pendulum": "d_s = 2, d_a = 1"}
+
+
+# a point-mass checkpoint in a pendulum run (bare ids), and the reverse (ids ending
+# -into-point_mass): a checkpoint with fewer action dimensions than the run's box
+@pytest.mark.parametrize("run_env, name, stage", [
+    pytest.param(run_env, name, stage,
+                 id=f"{name}-{stage}" + ("-into-point_mass" if run_env == "point_mass" else ""))
+    for run_env in ("pendulum", "point_mass") for name, stage in _CHECKPOINT_STAGES])
+def test_checkpoint_of_another_env_is_exit_1(tmp_path, capsys, two_env_runs, run_env, name,
+                                             stage):
+    other = next(env_name for env_name in _ENV_DIMS if env_name != run_env)
     out = tmp_path / "o"
-    shutil.copytree(two_env_runs / "pendulum", out)
-    shutil.copyfile(two_env_runs / "point_mass" / name, out / name)
+    shutil.copytree(two_env_runs / run_env, out)
+    shutil.copyfile(two_env_runs / other / name, out / name)
     (out / f"{stage}.manifest").unlink(missing_ok=True)
-    cfg_path = _write_cfg(tmp_path, _SMALL + f"env.name = pendulum\nout = {out}\n")
+    cfg_path = _write_cfg(tmp_path, _SMALL + f"env.name = {run_env}\nout = {out}\n")
     capsys.readouterr()
     assert cli.main([stage, "--config", cfg_path]) == 1
     err = capsys.readouterr().err
-    assert str(out / name) in err and "d_s = 4, d_a = 2" in err and "pendulum" in err, err
-    assert not (out / f"{stage}.manifest").exists()
-
-
-@pytest.mark.parametrize("name, stage", [
-    ("policy.bin", "sample-ensemble"), ("policy.bin", "augment"), ("policy.bin", "select"),
-    ("policy.bin", "finetune"), ("dynamics_joint.bin", "select"), ("head.bin", "eval")])
-def test_pendulum_checkpoint_in_a_point_mass_run_is_exit_1(tmp_path, capsys, two_env_runs,
-                                                           name, stage):
-    # the reverse direction: a checkpoint with fewer action dimensions than the run's box
-    out = tmp_path / "o"
-    shutil.copytree(two_env_runs / "point_mass", out)
-    shutil.copyfile(two_env_runs / "pendulum" / name, out / name)
-    (out / f"{stage}.manifest").unlink(missing_ok=True)
-    cfg_path = _write_cfg(tmp_path, _SMALL + f"env.name = point_mass\nout = {out}\n")
-    capsys.readouterr()
-    assert cli.main([stage, "--config", cfg_path]) == 1
-    err = capsys.readouterr().err
-    assert str(out / name) in err and "d_s = 2, d_a = 1" in err and "point_mass" in err, err
+    assert str(out / name) in err and _ENV_DIMS[other] in err and run_env in err, err
     assert not (out / f"{stage}.manifest").exists()
 
 
@@ -633,8 +608,10 @@ def test_failed_div_check_writes_fail_and_no_manifest(tmp_path, capsys, monkeypa
 
 
 def _tiny(max_attempts):
-    """SMOKE cut to seconds, with a filter that accepts every rollout."""
-    return (SMOKE.replace("train_steps = 300", "train_steps = 20")
+    """The small config cut to seconds, with a filter that accepts every rollout."""
+    with open(SMALL_CFG, encoding="utf-8") as fh:
+        small = fh.read()
+    return (small.replace("train_steps = 300", "train_steps = 20")
             .replace("epochs = 120", "epochs = 7")
             .replace("attempts = 400", f"attempts = {max_attempts}")
             .replace("epsilon = 1.0", "epsilon = 1000.0"))

@@ -189,6 +189,20 @@ def test_train_denoiser_reduces_loss():
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
 
+@pytest.mark.parametrize("windows", [4, 20])
+def test_train_denoiser_pairs_each_anchor_with_one_window(windows):
+    # 4 windows for 10 anchors once failed indexing, and 20 trained on half of them
+    policy = tiny_policy(np.random.default_rng(1), d_s=2)
+    before = nets.get_params(policy.denoiser).copy()
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(ShapeError, match=r"sequence stack shape \(%d, 3, 1\)" % windows):
+        diffusion.train_denoiser(policy, np.zeros((10, 2)), np.zeros((windows, 3, 1)), 5, 4,
+                                 1e-2, rng)
+    assert np.array_equal(nets.get_params(policy.denoiser), before)
+    assert rng.bit_generator.state == state
+
+
 def test_train_denoiser_matches_reference_loop():
     # oracle: the plain loop over the public API, with the parameters
     # copied out of the net and back in at every step, must give the same

@@ -65,6 +65,7 @@ _LIBRARY_CHECKS = [
     (lambda: divergence.perturb(np.zeros(2), -1.0, None), "sigma must be >= 0, got -1.0"),
     (lambda: dynamics.train_joint(None, None, None, 0, None), "epochs must be > 0, got 0"),
     (lambda: envs.make_env("pendulum", sigma_env=math.nan), "sigma_env must be > 0, got nan"),
+    (lambda: envs.make_env("point_mass", horizon=0), "horizon must be > 0, got 0"),
     (lambda: envs.make_offline_dataset(_ENV, 0, 0.5, None), "n_traj must be > 0, got 0"),
     (lambda: envs.make_offline_dataset(_ENV, 1, 1.5, None),
      "mode_mix must be in [0, 1], got 1.5"),

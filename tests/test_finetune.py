@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from uepo import diffusion, dynamics, envs, finetune, nets
-from uepo.errors import ConfigError, DistillationQualityWarning, EmptyBatchError, ShapeError
+from uepo.errors import (ConfigError, DistillationQualityWarning, EmptyBatchError, ShapeError,
+                         TrainingDivergenceError)
 from functools import partial
 
 
@@ -100,6 +101,19 @@ def test_select_policy_matches_one_plan_at_a_time():
                                  np.random.default_rng(2))
     assert np.max(np.abs(scores - want)) <= 1e-12
     assert best == finetune.best_index(want)
+
+
+@pytest.mark.parametrize("cut", [lambda p: p[:, :-1], lambda p: np.concatenate([p, p], axis=1),
+                                 lambda p: p[..., :1]], ids=["short", "long", "narrow"])
+def test_select_policy_executes_plans_through_the_open_loop_check(monkeypatch, cut):
+    # plans one step short once failed indexing, and plans too long were cut without a word
+    env = envs.make_env("point_mass", sigma_env=0.05)
+    model = dynamics.make_dynamics(4, 2, [8], np.random.default_rng(1))
+    sample = diffusion.sample
+    monkeypatch.setattr(diffusion, "sample", lambda *args: cut(sample(*args)))
+    with pytest.raises(ShapeError, match="plans of shape|actions must be"):
+        finetune.select_policy(small_policy(), diffusion.member_seeds(3, 13), model, env, 2,
+                               np.zeros((5, 4)), np.random.default_rng(2))
 
 
 def test_distill_fits_a_coherent_target():
@@ -203,6 +217,16 @@ def test_an_empty_pool_is_refused_before_any_draw():
         finetune.distill(policy, 17, np.zeros((0, 2)), rng)
     with pytest.raises(EmptyBatchError, match="non-empty"):
         finetune.fit_head(np.zeros((0, 2)), np.zeros((0, 1)), -1.0, 1.0, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 1), (6, 1), (5, 1, 1)],
+                         ids=["1-d", "fewer-rows", "more-rows", "3-d"])
+def test_fit_head_wants_one_target_row_per_state(shape):
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ShapeError, match="need \\(N, d_a\\)"):
+        finetune.fit_head(np.zeros((5, 2)), np.zeros(shape), -1.0, 1.0, rng)
     assert rng.bit_generator.state == before
 
 
@@ -408,6 +432,31 @@ def test_ppo_ratio_guard_rolls_back_oversized_steps():
     # of every iteration, so each one rolls back completely
     assert np.array_equal(nets.get_params(head.net), before)
     assert np.array_equal(head.log_std, log_std_before)
+
+
+def test_ppo_non_finite_loss_rolls_back_the_iteration_and_raises(monkeypatch):
+    # a NaN loss on the second epoch of iteration 2 restores the parameters
+    # that iteration 1 left, which a one-iteration run from the same seed ends with
+    env = envs.make_env("point_mass", sigma_env=0.05, horizon=8)
+    cfg = finetune.PpoConfig(batch_episodes=4, epochs_per_batch=3)
+    once = small_head(seed=21, d_s=4, d_a=2, low=-1.0, high=1.0, hidden=(16,))
+    finetune.ppo_finetune(once, env, cfg, 1, np.random.default_rng(22))
+
+    batches, surrogate = [], finetune.ppo_surrogate
+
+    def poisoned(head, states, us, logp_old, *args):
+        if not batches or batches[-1][0] is not logp_old:
+            batches.append([logp_old, 0])
+        batches[-1][1] += 1
+        loss, g_net, g_std = surrogate(head, states, us, logp_old, *args)
+        return (np.nan if (len(batches), batches[-1][1]) == (2, 2) else loss), g_net, g_std
+    monkeypatch.setattr(finetune, "ppo_surrogate", poisoned)
+    head = small_head(seed=21, d_s=4, d_a=2, low=-1.0, high=1.0, hidden=(16,))
+    with pytest.raises(TrainingDivergenceError, match="rolled back"):
+        finetune.ppo_finetune(head, env, cfg, 3, np.random.default_rng(22))
+    assert [calls for _, calls in batches] == [3, 2]
+    assert np.array_equal(head.net.params, once.net.params)
+    assert np.array_equal(head.log_std, once.log_std)
 
 
 def test_evaluate_head_is_seeded():

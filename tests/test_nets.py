@@ -199,6 +199,16 @@ def test_train_epochs_shuffles_slices_and_steps_adam():
     assert np.array_equal(params, want)
 
 
+def test_train_epochs_refuses_unpaired_rows():
+    # once a numpy error from np.take on the first epoch
+    rng = np.random.default_rng(4)
+    params = np.zeros(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ShapeError, match="^7 input rows for 6 target rows$"):
+        nets.train_epochs(params, np.zeros((7, 2)), np.zeros((6, 1)), None, 3, 3, 1e-2, rng)
+    assert rng.bit_generator.state == state and not params.any()
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
