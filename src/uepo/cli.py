@@ -1,8 +1,8 @@
 """Pipeline driver: ``uepo <stage> --config <path> [--seed N] [--out DIR]``.
 
 Each stage reads its inputs from the output directory, writes exactly
-the files its ``_STAGES`` row declares (text through ``_csv`` or ``_kv``,
-so every value goes through ``config.format_value``), and leaves a
+the files its ``_STAGES`` row declares (text through ``_csv`` or
+``config.format_pairs``, every value by ``config.format_value``), and leaves a
 ``<stage>.manifest`` recording the config hash, the seed, and the sha256
 of every input and output file. Wall time goes to a ``<stage>.time.txt``
 sidecar so reruns of the same config stay byte-identical. A stage runs
@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import augmentation, diffusion, divergence, dynamics, envs, finetune, nets
-from .config import SCHEMA, RunConfig, format_value, load_config
+from .config import SCHEMA, RunConfig, format_pairs, format_value, load_config, parse_pairs
 from .datasets import TrajectoryDataset, initial_states, load_dataset, save_dataset, transitions
 from .errors import ConfigError, MissingArtifactError
 
@@ -46,10 +46,6 @@ def _stamp(path: str):
 
 def _csv(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
-
-
-def _kv(pairs) -> str:
-    return "".join(f"{key} = {format_value(value)}\n" for key, value in pairs)
 
 
 class StageRun:
@@ -182,7 +178,7 @@ def _stage_augment(cfg: RunConfig, run: StageRun, ss):
     synthetic, report = augmentation.build_augmented(
         cfg.env, policy, model, ds, cfg.filter, np.random.default_rng(aug_ss))
     save_dataset(synthetic, run.output_path(AUGMENTED))
-    run.write_text("augment_report.txt", _kv(augmentation.report_items(report)))
+    run.write_text("augment_report.txt", format_pairs(augmentation.report_items(report)))
     run.write_text("kl_hist.csv", _csv("bin_low,bin_high,count",
                                        augmentation.kl_histogram(report.kl_values)))
     print(f"augment: accepted {report.n_accepted}/{report.n_attempts} rollouts, "
@@ -213,31 +209,24 @@ def _stage_select(cfg: RunConfig, run: StageRun, ss):
     best, scores = finetune.select_policy(policy, seeds, model, env,
                                           cfg["select.n_rollouts"], initial_states(ds),
                                           np.random.default_rng(ss))
-    run.write_text("selection.txt", _kv([("best_index", best), ("best_seed", seeds[best]),
-                                         ("n_members", len(seeds))]))
+    selection = [("best_index", best), ("best_seed", seeds[best]), ("n_members", len(seeds))]
+    run.write_text("selection.txt", format_pairs(selection))
     run.write_text("selection_scores.csv", _csv("member,seed,score",
                                                 zip(range(len(seeds)), seeds, scores)))
     print(f"select: best sub-policy {best} (seed {seeds[best]})")
 
 
-def _read_key_values(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-    return values
-
-
 def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
     ds = _load_env_dataset(cfg, run, DATASET)
     policy = _load_policy_for_env(run, cfg.env)
-    selection = _read_key_values(run.input_path("selection.txt"))
     try:
+        with open(run.input_path("selection.txt"), "r", encoding="utf-8") as fh:
+            selection = {key: value for _, key, value in parse_pairs(fh.read())}
         best_seed = int(selection["best_seed"])
         best, n_members = int(selection["best_index"]), int(selection["n_members"])
-    except (KeyError, ValueError):
+    except ConfigError as exc:  # parse_pairs names the line; caught before ValueError
+        raise ConfigError(f"selection.txt in {run.out}: {exc}") from None
+    except (KeyError, ValueError):  # a missing key, or text that is not UTF-8 or an int
         raise ConfigError(f"selection.txt in {run.out} has no usable best_seed, best_index "
                           f"and n_members")
     seeds = cfg.seeds
@@ -257,7 +246,7 @@ def _stage_finetune(cfg: RunConfig, run: StageRun, ss):
     finetune.save_head(run.output_path("head.bin"), head)
     run.write_text("finetune_curve.csv", _csv("iteration,mean_return,std_return",
                                               ((i, *point) for i, point in enumerate(curve))))
-    run.write_text("distill.txt", _kv([("best_seed", best_seed), ("distill_mse", mse)]))
+    run.write_text("distill.txt", format_pairs([("best_seed", best_seed), ("distill_mse", mse)]))
     print(f"finetune: distill mse {mse:.4f}, "
           f"final mean return {curve[-1][0]:.3f}")
 
@@ -269,7 +258,7 @@ def _stage_eval(cfg: RunConfig, run: StageRun, ss):
                                                     cfg["eval.episodes"], rng)
     run.write_text("eval.csv", _csv("episode,return", enumerate(ep_returns)))
     mean = float(ep_returns.mean())
-    run.write_text("eval.txt", _kv([("mean_return", mean), ("episodes", len(ep_returns))]))
+    run.write_text("eval.txt", format_pairs([("mean_return", mean), ("episodes", len(ep_returns))]))
     print(f"eval: mean return {mean:.3f} over {len(ep_returns)} episodes")
 
 
@@ -287,9 +276,9 @@ def _stage_div_check(cfg: RunConfig, run: StageRun, ss):
     ok = (abs(d - _DIV_FIXTURE_VALUE) < 1e-12
           and abs(at_zero - guidance.eta) < 1e-12
           and at_tau == 0.0)
-    text = _kv([("fixture_div", d), ("expected", _DIV_FIXTURE_VALUE),
-                ("sigma_div_at_zero", at_zero), ("sigma_div_at_tau", at_tau),
-                ("status", "ok" if ok else "fail")])
+    text = format_pairs([("fixture_div", d), ("expected", _DIV_FIXTURE_VALUE),
+                         ("sigma_div_at_zero", at_zero), ("sigma_div_at_tau", at_tau),
+                         ("status", "ok" if ok else "fail")])
     run.write_text("div_check.txt", text)
     print(text, end="")
     if not ok:
@@ -348,10 +337,10 @@ def run_stage(stage: str, cfg: RunConfig) -> None:
             manifest += [(f"input.{k}", v) for k, v in sorted(run.inputs.items())]
             manifest += [(f"output.{k}", _sha256(p)) for k, p in sorted(run.outputs.items())]
             nets.atomic_write_bytes(os.path.join(run.out, f"{stage}.manifest"),
-                                    _kv(manifest).encode())
+                                    format_pairs(manifest).encode())
             # wall time lives outside the manifest so reruns stay bit-identical
             nets.atomic_write_bytes(os.path.join(run.out, f"{stage}.time.txt"),
-                                    _kv([("wall_seconds", elapsed)]).encode())
+                                    format_pairs([("wall_seconds", elapsed)]).encode())
         finally:
             lock.truncate(0)  # never unlinked: a later run must lock this same inode
 
@@ -362,7 +351,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _keys_epilog() -> str:
-    lines = [f"{key} = {format_value(field.default)}" for key, field in SCHEMA.items()]
+    lines = format_pairs((key, field.default) for key, field in SCHEMA.items()).splitlines()
     width = max(map(len, lines))
     return "config keys, each at its default:\n" + "\n".join(
         f"  {line.ljust(width)}  # {field.doc}" for line, field in zip(lines, SCHEMA.values()))
@@ -385,11 +374,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out"] = args.out
+        overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
         if overrides:
             cfg = cfg.replaced(**overrides)
     except ConfigError as exc:

@@ -1,11 +1,12 @@
-"""Run configuration: flat key=value files with dotted keys.
+"""Run configuration, and the `key = value` text of configs and artifacts.
 
-A config file is plain text, one `key = value` assignment per line, with
-`#` comments and blank lines ignored. Every key has a typed default below;
-unknown keys are rejected so a typo fails loudly instead of silently running
-with defaults. Loading builds the environment, noise schedule, guidance,
-filter and PPO settings and the ensemble's member seeds that the stages
-use, and each of those builders checks its own arguments.
+That text holds one `key = value` line per key, with `#` comments and blank
+lines ignored; :func:`format_pairs` writes it and :func:`parse_pairs` reads
+it. Every config key has a typed default below; unknown keys are rejected so
+a typo fails loudly instead of silently running with defaults. Loading
+builds the environment, noise schedule, guidance, filter and PPO settings
+and the ensemble's member seeds that the stages use, and each of those
+builders checks its own arguments.
 """
 
 import dataclasses
@@ -45,6 +46,28 @@ def format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def format_pairs(pairs) -> str:
+    """One `key = value` line per (key, value) pair, in order."""
+    return "".join(f"{key} = {format_value(value)}\n" for key, value in pairs)
+
+
+def parse_pairs(text: str):
+    """(line number, key, value text) of each `key = value` line of text, past
+    `#` comments and blank lines; a line without `=` or a repeated key is refused."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value_text = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key: {key}")
+        seen.add(key)
+        yield lineno, key, value_text
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,9 +209,7 @@ class RunConfig:
         return RunConfig(values)
 
     def canonical_text(self) -> str:
-        lines = [f"{k} = {format_value(v)}" for k, v in sorted(self._values.items())
-                 if k != "out"]
-        return "\n".join(lines) + "\n"
+        return format_pairs((k, v) for k, v in sorted(self._values.items()) if k != "out")
 
     def config_hash(self) -> str:
         # The out directory is a location, not an input: excluding it keeps
@@ -198,19 +219,9 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value_text = line.partition("=")
-        key = key.strip()
-        value_text = value_text.strip()
+    for lineno, key, value_text in parse_pairs(text):
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key: {key}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key: {key}")
         try:
             kind = type(SCHEMA[key].default)
             values[key] = _PARSERS.get(kind, kind)(value_text)

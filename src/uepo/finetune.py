@@ -69,10 +69,12 @@ class GaussianPolicy:
 
 def make_head(d_s: int, d_a: int, hidden, rng: np.random.Generator,
               action_low, action_high) -> GaussianPolicy:
-    """A fresh head with every log-std at LOG_STD_INIT."""
+    """A fresh head with every log-std at LOG_STD_INIT, for scalar or (d_a,) box bounds."""
+    box = [np.asarray(bound, dtype=float) for bound in (action_low, action_high)]
+    if any(bound.shape not in ((), (1,), (d_a,)) for bound in box):
+        raise ShapeError(f"action box of shapes {box[0].shape}, {box[1].shape} for d_a = {d_a}")
     net = nets.mlp_init([d_s, *hidden, d_a], rng)
-    low = np.broadcast_to(np.asarray(action_low, dtype=float), (d_a,)).copy()
-    high = np.broadcast_to(np.asarray(action_high, dtype=float), (d_a,)).copy()
+    low, high = (np.broadcast_to(bound, (d_a,)).copy() for bound in box)
     return GaussianPolicy(net, np.full(d_a, LOG_STD_INIT), low, high)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from uepo import cli, divergence, dynamics
-from uepo.config import SCHEMA, load_config, parse_config
+from uepo.config import SCHEMA, format_pairs, load_config, parse_config, parse_pairs
 from uepo.datasets import load_dataset
 
 # the small reproducibility config, which acceptance test 10, the demo and CI also run
@@ -30,13 +30,9 @@ def _sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _read_manifest(path):
-    values = {}
+def _read_pairs(path):
     with open(path) as fh:
-        for line in fh:
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
+        return {key: value for _, key, value in parse_pairs(fh.read())}
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +74,7 @@ def test_all_artifacts_present(pipeline):
 def test_manifest_header_fields(pipeline):
     cfg, out = pipeline
     for stage in cli.STAGES:
-        m = _read_manifest(os.path.join(out, f"{stage}.manifest"))
+        m = _read_pairs(os.path.join(out, f"{stage}.manifest"))
         assert m["stage"] == stage
         assert m["config_hash"] == cfg.config_hash()
         assert m["seed"] == "3"
@@ -87,7 +83,7 @@ def test_manifest_header_fields(pipeline):
 def test_manifest_hashes_match_files(pipeline):
     _, out = pipeline
     for stage in cli.STAGES:
-        m = _read_manifest(os.path.join(out, f"{stage}.manifest"))
+        m = _read_pairs(os.path.join(out, f"{stage}.manifest"))
         for key, digest in m.items():
             if key.startswith(("input.", "output.")):
                 name = key.split(".", 1)[1]
@@ -99,7 +95,7 @@ def test_manifest_chain(pipeline):
     _, out = pipeline
     produced = {}
     for stage in cli.STAGES:
-        m = _read_manifest(os.path.join(out, f"{stage}.manifest"))
+        m = _read_pairs(os.path.join(out, f"{stage}.manifest"))
         for key, digest in m.items():
             if key.startswith("input."):
                 name = key.split(".", 1)[1]
@@ -114,7 +110,7 @@ def test_stage_table_names_every_manifest_file(pipeline):
     every input comes from a stage that runs earlier."""
     _, out = pipeline
     for i, stage in enumerate(cli.STAGES):
-        m = _read_manifest(os.path.join(out, f"{stage}.manifest"))
+        m = _read_pairs(os.path.join(out, f"{stage}.manifest"))
         outputs = {k.split(".", 1)[1] for k in m if k.startswith("output.")}
         inputs = {k.split(".", 1)[1] for k in m if k.startswith("input.")}
         assert outputs == set(cli._STAGES[stage][1]), stage
@@ -189,8 +185,22 @@ def test_text_files_write_numpy_scalars_as_plain_numbers():
     third = np.float64(0.1) + np.float64(0.2)
     assert cli._csv("member,seed,score", [(np.int64(2), np.int64(17), third)]) == (
         "member,seed,score\n2,17,0.30000000000000004\n")
-    assert cli._kv([("best_index", np.int64(2)), ("distill_mse", np.float64(1.5)),
-                    ("status", "ok")]) == "best_index = 2\ndistill_mse = 1.5\nstatus = ok\n"
+    assert format_pairs([("best_index", np.int64(2)), ("distill_mse", np.float64(1.5)),
+                         ("status", "ok")]) == "best_index = 2\ndistill_mse = 1.5\nstatus = ok\n"
+
+
+def test_every_key_value_file_parses_through_the_one_reader(pipeline):
+    # configs, manifests, time sidecars and the key = value artifacts share one format
+    _, out = pipeline
+    names = [f"{stage}{suffix}" for stage in cli.STAGES for suffix in (".manifest", ".time.txt")]
+    names += [name for _, files in cli._STAGES.values() for name in files if name.endswith(".txt")]
+    assert sorted(names) == sorted(name for name in os.listdir(out)
+                                   if name.endswith((".txt", ".manifest")))
+    for name in names:
+        with open(os.path.join(out, name)) as fh:
+            text = fh.read()
+        pairs = [(key, value) for _, key, value in parse_pairs(text)]
+        assert pairs and format_pairs(pairs) == text, name
 
 
 def test_curve_csv_format(pipeline):
@@ -206,10 +216,10 @@ def test_curve_csv_format(pipeline):
 
 def test_selection_and_eval_contents(pipeline):
     cfg, out = pipeline
-    sel = _read_manifest(os.path.join(out, "selection.txt"))
+    sel = _read_pairs(os.path.join(out, "selection.txt"))
     assert int(sel["n_members"]) == cfg["ensemble.n"]
     assert 0 <= int(sel["best_index"]) < cfg["ensemble.n"]
-    ev = _read_manifest(os.path.join(out, "eval.txt"))
+    ev = _read_pairs(os.path.join(out, "eval.txt"))
     assert int(ev["episodes"]) == cfg["eval.episodes"]
     float(ev["mean_return"])  # parses
 
@@ -221,13 +231,13 @@ def test_selection_scores_parse_and_best_is_first_argmax(pipeline):
     assert header == "member,seed,score"
     scores = [float(row.split(",")[2]) for row in rows]
     assert len(scores) == cfg["ensemble.n"]
-    sel = _read_manifest(os.path.join(out, "selection.txt"))
+    sel = _read_pairs(os.path.join(out, "selection.txt"))
     assert int(sel["best_index"]) == scores.index(max(scores))
 
 
 def test_div_check_reports_ok(pipeline):
     _, out = pipeline
-    m = _read_manifest(os.path.join(out, "div_check.txt"))
+    m = _read_pairs(os.path.join(out, "div_check.txt"))
     assert m["status"] == "ok"
     assert float(m["fixture_div"]) == 0.75
 
@@ -247,7 +257,7 @@ def test_seed_flows_into_outputs(pipeline, tmp_path):
     cfg, out = pipeline
     other = cfg.replaced(seed=4, out=str(tmp_path))
     cli.run_stage("gen-data", other)
-    m = _read_manifest(tmp_path / "gen-data.manifest")
+    m = _read_pairs(tmp_path / "gen-data.manifest")
     assert m["seed"] == "4"
     assert _sha(tmp_path / "dataset.jsonl") != _sha(os.path.join(out, "dataset.jsonl"))
 
@@ -370,7 +380,7 @@ def test_main_seed_override(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["div-check", "--config", cfg_path, "--seed", "9",
                      "--out", str(out)]) == 0
-    m = _read_manifest(out / "div-check.manifest")
+    m = _read_pairs(out / "div-check.manifest")
     assert m["seed"] == "9"
 
 
@@ -577,6 +587,27 @@ def test_selection_of_another_ensemble_is_exit_1(tmp_path, capsys, two_env_runs,
     assert not (out / "finetune.manifest").exists() and not (out / "distill.txt").exists()
 
 
+@pytest.mark.parametrize("spoil, detail", [
+    (lambda text: text + b"best_seed = 12345\n", ": line 4: duplicate key: best_seed"),
+    (lambda text: text.replace(b"n_members = ", b"n_members "), ": line 3: expected key = value"),
+    (lambda text: text + b"\xff\n", " has no usable best_seed"),
+], ids=["repeated-best_seed", "line-without-equals", "not-utf-8"])
+def test_malformed_selection_is_exit_1_naming_it(tmp_path, capsys, two_env_runs, spoil, detail):
+    # selection.txt is read by the config's reader: no line is skipped and no key repeated
+    out = tmp_path / "o"
+    shutil.copytree(two_env_runs / "point_mass", out)
+    (out / "finetune.manifest").unlink()
+    (out / "distill.txt").unlink()
+    path = out / "selection.txt"
+    path.write_bytes(spoil(path.read_bytes()))
+    cfg_path = _write_cfg(tmp_path, _SMALL + f"out = {out}\n")
+    capsys.readouterr()
+    assert cli.main(["finetune", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"uepo: selection.txt in {out}{detail}"), err
+    assert not (out / "finetune.manifest").exists() and not (out / "distill.txt").exists()
+
+
 def test_augment_and_train_dynamics_share_one_dynamics_recipe(tmp_path, monkeypatch):
     # both stages fit through cli._fit_dynamics, so a recipe change reaches both
     out = tmp_path / "o"
@@ -665,7 +696,7 @@ def test_augment_under_fill_is_one_stderr_line(tmp_path, capsys, max_attempts, u
         assert cli.main([stage, "--config", cfg_path]) == 0
     capsys.readouterr()
     assert cli.main(["augment", "--config", cfg_path]) == 0
-    report = _read_manifest(out / "augment_report.txt")
+    report = _read_pairs(out / "augment_report.txt")
     want = (f"uepo: augment under-filled: {report['achieved_transitions']} of "
             f"{report['target_transitions']} target transitions, ratio "
             f"{float(report['achieved_ratio']):.3f} of 2.0\n")
@@ -679,6 +710,15 @@ def test_main_help_is_exit_0(capsys):
     assert "uepo" in out
     for key, field in SCHEMA.items():
         assert f"  {key} = " in out and field.doc in out, key
+
+
+def test_help_key_list_is_a_valid_config(capsys):
+    # each key's line, without its indent and its "# doc", is the key at its default
+    assert cli.main(["--help"]) == 0
+    listed = capsys.readouterr().out.split("config keys, each at its default:\n", 1)[1]
+    lines = [line.split("#", 1)[0].strip() for line in listed.splitlines()]
+    assert len(lines) == len(SCHEMA)
+    assert parse_config("\n".join(lines)).canonical_text() == parse_config("").canonical_text()
 
 
 def test_python_m_uepo_help_is_exit_0():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from uepo import augmentation, diffusion, divergence, envs, finetune
-from uepo.config import ENSEMBLE_BASE_SEED, RunConfig, SCHEMA, load_config, parse_config
+from uepo.config import (ENSEMBLE_BASE_SEED, RunConfig, SCHEMA, format_pairs, format_value,
+                         load_config, parse_config, parse_pairs)
 from uepo.errors import ConfigError
 
 
@@ -98,6 +99,29 @@ def test_duplicate_key_rejected():
 def test_missing_equals_rejected():
     with pytest.raises(ConfigError, match="line 1: expected key = value"):
         parse_config("just some words\n")
+
+
+def test_pairs_round_trip_through_the_one_writer_and_reader():
+    # numpy 2's repr of a scalar is "np.float64(0.3)"; the text holds the
+    # shortest float repr and plain integers instead
+    third = np.float64(0.1) + np.float64(0.2)
+    pairs = [("best_index", np.int64(2)), ("distill_mse", third), ("ok", True),
+             ("flag", False), ("widths", (64, 32)), ("ratio", 2.0), ("small", 1e-300),
+             ("status", "ok")]
+    text = format_pairs(pairs)
+    assert text.splitlines()[:2] == ["best_index = 2", "distill_mse = 0.30000000000000004"]
+    assert [(key, value) for _, key, value in parse_pairs(text)] == [
+        (key, format_value(value)) for key, value in pairs]
+    assert [lineno for lineno, _, _ in parse_pairs(text)] == list(range(1, len(pairs) + 1))
+
+
+def test_reader_skips_comments_and_blank_lines_and_names_lines():
+    text = "# a comment\n\n a = 1  # trailing\nb=x y\n"
+    assert list(parse_pairs(text)) == [(3, "a", "1"), (4, "b", "x y")]
+    with pytest.raises(ConfigError, match="line 2: duplicate key: a"):
+        list(parse_pairs("a = 1\na = 2\n"))
+    with pytest.raises(ConfigError, match="line 2: expected key = value, got 'no equals'"):
+        list(parse_pairs("a = 1\nno equals\n"))
 
 
 def test_bad_int_reports_line_and_key():

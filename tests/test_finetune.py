@@ -230,6 +230,17 @@ def test_fit_head_wants_one_target_row_per_state(shape):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("low, high", [(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+                                       (-1.0, np.ones(3)), (np.full((1, 1), -1.0), 1.0)],
+                         ids=["both-too-wide", "high-too-wide", "2-d"])
+def test_fit_head_checks_the_action_box_before_any_draw(low, high):
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ShapeError, match=r"action box of shapes .* for d_a = 1"):
+        finetune.fit_head(np.zeros((5, 2)), np.zeros((5, 1)), low, high, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_gae_hand_oracle():
     rewards = np.array([1.0, 0.0, 2.0])
     values = np.array([0.5, 0.2, 0.1, 0.0])
