@@ -171,11 +171,10 @@ def build_augmented(env, policy: DiffusionPolicy, model_init, real: TrajectoryDa
             if count >= target:
                 break
 
-    if not accepted:
+    if not accepted:  # the loop scored at least one attempt: target >= 2, max_attempts >= 1
         raise StarvationError(
             f"no trajectory passed the KL filter in {attempts} attempts "
-            f"(epsilon={cfg.epsilon}, min score={min(kl_values):.4f})" if kl_values
-            else "no rollout attempts were possible",
+            f"(epsilon={cfg.epsilon}, min score={min(kl_values):.4f})",
             kl_values,
         )
     meta = dict(real.meta)

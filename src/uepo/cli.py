@@ -10,6 +10,9 @@ holding an exclusive ``flock`` on ``<out>/.lock``, which names its pid
 while it runs. A second stage in the same directory fails at once; the
 kernel releases the lock of a run that dies, so a killed run needs no
 cleanup.
+
+``--seed`` and ``--out`` are the text of two more config lines, each replacing
+the file's line for its key, and ``config.load_config`` parses them with it.
 """
 
 import argparse
@@ -363,20 +366,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("stage", choices=STAGES, metavar="stage",
                         help=f"one of: {', '.join(STAGES)}")
     parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--out", default=None,
-                        help="override the output directory")
+    parser.add_argument("--seed", help="override the config seed")
+    parser.add_argument("--out", help="override the output directory")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config)
-        overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
-        if overrides:
-            cfg = cfg.replaced(**overrides)
+        cfg = load_config(args.config, seed=args.seed, out=args.out)
     except ConfigError as exc:
         print(f"uepo: {exc}", file=sys.stderr)
         return 1

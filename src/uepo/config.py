@@ -1,18 +1,20 @@
 """Run configuration, and the `key = value` text of configs and artifacts.
 
-That text holds one `key = value` line per key, with `#` comments and blank
-lines ignored; :func:`format_pairs` writes it and :func:`parse_pairs` reads
-it. Every config key has a typed default below; unknown keys are rejected so
-a typo fails loudly instead of silently running with defaults. Loading
-builds the environment, noise schedule, guidance, filter and PPO settings
-and the ensemble's member seeds that the stages use, and each of those
-builders checks its own arguments.
+That text holds one `key = value` line per key; a `#` at the start of a line
+or after whitespace starts a comment, and blank lines are ignored.
+:func:`format_pairs` writes it and :func:`parse_pairs` reads it. A config
+enters only as that text: :func:`parse_config` parses each line by the type
+of its key's default, refuses unknown keys so a typo fails loudly instead of
+silently running with defaults, and takes the CLI's `--seed` and `--out` as
+the text of two more lines. Loading builds the environment, noise schedule,
+guidance, filter and PPO settings and the ensemble's member seeds that the
+stages use, and each of those builders checks its own arguments.
 """
 
 import dataclasses
 import hashlib
 import math
-import numbers
+import re
 
 import numpy as np
 
@@ -53,12 +55,15 @@ def format_pairs(pairs) -> str:
     return "".join(f"{key} = {format_value(value)}\n" for key, value in pairs)
 
 
+_COMMENT = re.compile(r"(^|\s)#.*")  # so a value such as `runs/a#1` keeps its `#`
+
+
 def parse_pairs(text: str):
     """(line number, key, value text) of each `key = value` line of text, past
     `#` comments and blank lines; a line without `=` or a repeated key is refused."""
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         key, eq, value_text = (part.strip() for part in line.partition("="))
@@ -122,27 +127,6 @@ SCHEMA = {
 }
 
 
-def _fits(value, kind: type) -> bool:
-    if isinstance(value, (bool, np.bool_)):  # Python counts a bool as an int
-        return kind is bool
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
-
-
-def _typed(key: str, value, kind: type):
-    """``value`` as a ``kind``, the type of the key's default. A numpy scalar
-    becomes the Python value, so it hashes as its parsed text does, and an
-    int becomes a float for a float key; any other mismatch is refused."""
-    if kind is tuple:  # a list of widths
-        if isinstance(value, tuple) and value and all(_fits(w, int) for w in value):
-            return tuple(int(w) for w in value)
-    elif _fits(value, kind):
-        value = kind(value)
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
-        return value
-    raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
-
-
 def _build(make, values: dict, section: str, *names, **given):
     """``make`` called with each of ``names`` read from the key
     ``<section>.<name>``, and with ``given``. A library message names its
@@ -161,15 +145,12 @@ def _build(make, values: dict, section: str, *names, **given):
 class RunConfig:
     """Validated, immutable view over the flat key space, with the
     library objects the stages take from it: ``env``, ``schedule``,
-    ``guidance``, ``filter``, ``ppo`` and the member ``seeds``."""
+    ``guidance``, ``filter``, ``ppo`` and the member ``seeds``. Built by
+    :func:`parse_config`; a key it was not given takes its default."""
 
     def __init__(self, values: dict):
-        unknown = sorted(set(values) - set(SCHEMA))
-        if unknown:
-            raise ConfigError(f"unknown config key: {unknown[0]}")
-        v = {}
+        v = {key: values.get(key, field.default) for key, field in SCHEMA.items()}
         for key, field in SCHEMA.items():
-            v[key] = _typed(key, values.get(key, field.default), type(field.default))
             if field.rule:
                 require(key, v[key], field.rule)
         env = _build(envs.make_env, v, "env", "name", "sigma_env")
@@ -199,15 +180,6 @@ class RunConfig:
         except KeyError:
             raise ConfigError(f"unknown config key: {key}") from None
 
-    def replaced(self, **overrides) -> "RunConfig":
-        """New config with `seed` and/or `out` swapped (CLI flag overrides)."""
-        values = dict(self._values)
-        for name, value in overrides.items():
-            if name not in ("seed", "out"):
-                raise ConfigError(f"only seed and out may be overridden, not {name}")
-            values[name] = value
-        return RunConfig(values)
-
     def canonical_text(self) -> str:
         return format_pairs((k, v) for k, v in sorted(self._values.items()) if k != "out")
 
@@ -217,23 +189,32 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, seed: str | None = None, out: str | None = None) -> RunConfig:
+    """The config that ``text`` states. ``seed`` and ``out``, the text of the
+    CLI's `--seed` and `--out`, each replace the line of their key and are
+    parsed and checked as it would be; their errors name the flag."""
+    flags = {key: value for key, value in (("seed", seed), ("out", out)) if value is not None}
+    entries = [(f"line {lineno}", key, value) for lineno, key, value in parse_pairs(text)
+               if key not in flags] + [(f"--{key}", key, value) for key, value in flags.items()]
     values = {}
-    for lineno, key, value_text in parse_pairs(text):
+    for where, key, value_text in entries:
         if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown config key: {key}")
+            raise ConfigError(f"{where}: unknown config key: {key}")
         try:
             kind = type(SCHEMA[key].default)
             values[key] = _PARSERS.get(kind, kind)(value_text)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+        if kind is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
     return RunConfig(values)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, **flags) -> RunConfig:
+    """:func:`parse_config` of the file at ``path``, with the same flags."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, **flags)

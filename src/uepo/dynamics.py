@@ -27,16 +27,23 @@ CURVE_EVERY = 10
 
 @dataclass
 class GaussianDynamics:
+    """A net from (s, a) to s' mean and raw log-variance, whose widths state
+    the dimensions: ``2 * d_s`` outputs and ``d_s + d_a`` inputs."""
+
     net: nets.Mlp
-    d_s: int
-    d_a: int
 
     def __post_init__(self):
-        if self.net.in_width != self.d_s + self.d_a or self.net.out_width != 2 * self.d_s:
-            raise ShapeError(
-                f"dynamics net widths ({self.net.in_width} -> {self.net.out_width}) "
-                f"do not match d_s={self.d_s}, d_a={self.d_a}"
-            )
+        if self.net.out_width % 2 or self.d_a <= 0:
+            raise ShapeError(f"dynamics net widths ({self.net.in_width} -> {self.net.out_width}) "
+                             f"are not (d_s + d_a -> 2 * d_s) for any d_s, d_a > 0")
+
+    @property
+    def d_s(self) -> int:
+        return self.net.out_width // 2
+
+    @property
+    def d_a(self) -> int:
+        return self.net.in_width - self.d_s
 
 
 @dataclass
@@ -64,8 +71,7 @@ class TransitionBatch:
 
 
 def make_dynamics(d_s: int, d_a: int, hidden, rng: np.random.Generator) -> GaussianDynamics:
-    net = nets.mlp_init([d_s + d_a, *hidden, 2 * d_s], rng)
-    return GaussianDynamics(net, d_s, d_a)
+    return GaussianDynamics(nets.mlp_init([d_s + d_a, *hidden, 2 * d_s], rng))
 
 
 def _split_output(m: GaussianDynamics, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,5 +193,14 @@ def save_dynamics(m: GaussianDynamics, path: str) -> None:
     nets.save_checkpoint(path, m.net, m.d_s, m.d_a)
 
 
+def _parse_dynamics(net: nets.Mlp, ints, floats) -> GaussianDynamics:
+    # the (d_s, d_a) trailer restates the widths, and must agree with them
+    m, (d_s, d_a) = GaussianDynamics(net), ints(2)
+    if (d_s, d_a) != (m.d_s, m.d_a):
+        raise ConfigError(f"dynamics net widths ({net.in_width} -> {net.out_width}) "
+                          f"do not match the stored d_s={d_s}, d_a={d_a}")
+    return m
+
+
 def load_dynamics(path: str) -> GaussianDynamics:
-    return nets.load_checkpoint(path, lambda net, ints, floats: GaussianDynamics(net, *ints(2)))
+    return nets.load_checkpoint(path, _parse_dynamics)

@@ -344,5 +344,4 @@ def evaluate_head(head, env, n_episodes, rng):
 
 def clone_dynamics(m):
     """A dynamics model with a copy of ``m``'s parameters."""
-    return dynamics.GaussianDynamics(nets.Mlp(list(m.net.layer_widths), m.net.params.copy()),
-                                     m.d_s, m.d_a)
+    return dynamics.GaussianDynamics(nets.Mlp(list(m.net.layer_widths), m.net.params.copy()))

@@ -360,7 +360,7 @@ def test_10_reproducibility(tmp_path):
     t0 = time.perf_counter()
     outs = [tmp_path / "first", tmp_path / "second"]
     for out in outs:
-        cfg = load_config(_REPRO_CFG).replaced(out=str(out))
+        cfg = load_config(_REPRO_CFG, out=str(out))
         for stage in cli.STAGES:
             cli.run_stage(stage, cfg)
 

@@ -39,7 +39,7 @@ def _read_pairs(path):
 def pipeline(tmp_path_factory):
     """All nine stages run once into a shared directory."""
     out = tmp_path_factory.mktemp("pipeline")
-    cfg = load_config(SMALL_CFG).replaced(out=str(out))
+    cfg = load_config(SMALL_CFG, out=str(out))
     for stage in cli.STAGES:
         cli.run_stage(stage, cfg)
     return cfg, str(out)
@@ -254,8 +254,8 @@ def test_rerun_is_byte_identical(pipeline):
 
 def test_seed_flows_into_outputs(pipeline, tmp_path):
     """A different --seed must change the data, not just the manifest."""
-    cfg, out = pipeline
-    other = cfg.replaced(seed=4, out=str(tmp_path))
+    _, out = pipeline
+    other = load_config(SMALL_CFG, seed="4", out=str(tmp_path))
     cli.run_stage("gen-data", other)
     m = _read_pairs(tmp_path / "gen-data.manifest")
     assert m["seed"] == "4"
@@ -382,6 +382,35 @@ def test_main_seed_override(tmp_path):
                      "--out", str(out)]) == 0
     m = _read_pairs(out / "div-check.manifest")
     assert m["seed"] == "9"
+
+
+def test_flags_give_the_runs_of_a_file_that_states_them(tmp_path):
+    # --seed N --out DIR is the run of a copy of the file with those two lines
+    with open(SMALL_CFG) as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith("seed =")]
+    flagged, stated = tmp_path / "flagged", tmp_path / "stated"
+    copy = _write_cfg(tmp_path, "\n".join(lines + ["seed = 5", f"out = {stated}"]) + "\n")
+    stages = ("gen-data", "train-diffusion", "sample-ensemble", "div-check")
+    for stage in stages:
+        assert cli.main([stage, "--config", SMALL_CFG, "--seed", "5", "--out", str(flagged)]) == 0
+        assert cli.main([stage, "--config", copy]) == 0
+    for stage in stages:
+        manifest = (flagged / f"{stage}.manifest").read_bytes()
+        assert manifest == (stated / f"{stage}.manifest").read_bytes(), stage
+    assert _read_pairs(flagged / "gen-data.manifest")["config_hash"] == \
+        load_config(copy).config_hash() != load_config(SMALL_CFG).config_hash()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    # parsed as a line would be, the flag standing for the line number
+    ("--seed", "x", "--seed: bad value for seed: invalid literal for int() with base 10: 'x'"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--out", "", "out must be non-empty, got ''"),
+])
+def test_bad_flag_is_exit_1_naming_its_key(tmp_path, capsys, flag, value, message):
+    cfg_path = _write_cfg(tmp_path, "seed = 1\n")
+    assert cli.main(["div-check", "--config", cfg_path, flag, value]) == 1
+    assert capsys.readouterr().err == f"uepo: {message}\n"
 
 
 def test_main_bad_config_key_is_exit_1(tmp_path, capsys):

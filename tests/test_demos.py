@@ -3,7 +3,8 @@ changes a call form they rely on, would break them silently. Every demo is
 parsed: every name it imports from ``uepo`` and every ``name.attr`` on such
 an import must resolve. The two fast demos, ``kl_filter.py`` and
 ``pipeline.py``, are also run to completion in a temporary directory;
-``bimodal_diffusion.py`` trains for about 15 s, so it is only parsed."""
+``bimodal_diffusion.py`` trains for about 15 s, so it is only parsed here,
+and the CI job ``tier1`` runs it."""
 
 import ast
 import glob

@@ -310,3 +310,22 @@ def test_dynamics_checkpoint_round_trip(tmp_path):
     m_mean, m_var = dynamics.predict(m, s, a)
     b_mean, b_var = dynamics.predict(back, s, a)
     assert np.array_equal(m_mean, b_mean) and np.array_equal(m_var, b_var)
+
+
+@pytest.mark.parametrize("widths", [[5, 7, 3], [2, 7, 4], [1, 7, 4]],
+                         ids=["odd-output", "no-action", "too-few-inputs"])
+def test_dynamics_dimensions_come_from_the_widths(widths):
+    # 2 * d_s outputs and d_s + d_a inputs, with d_a > 0; anything else is malformed
+    with pytest.raises(ShapeError, match=r"are not \(d_s \+ d_a -> 2 \* d_s\)"):
+        dynamics.GaussianDynamics(nets.mlp_init(widths, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("stored", [(2, 3), (4, 1)], ids=["d_s-off", "d_a-off"])
+def test_load_dynamics_refuses_a_trailer_that_disagrees_with_the_widths(tmp_path, stored):
+    # the (d_s, d_a) trailer is written for readers of the file, and must restate the widths
+    path = str(tmp_path / "dyn.bin")
+    nets.save_checkpoint(path, dynamics.make_dynamics(3, 2, [7], np.random.default_rng(0)).net,
+                         *stored)
+    with pytest.raises(ConfigError, match=re.escape(f"do not match the stored d_s={stored[0]}, "
+                                                    f"d_a={stored[1]}")):
+        dynamics.load_dynamics(path)
