@@ -374,14 +374,9 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config, seed=args.seed, out=args.out)
-    except ConfigError as exc:
-        print(f"uepo: {exc}", file=sys.stderr)
-        return 1
+        run_stage(args.stage, load_config(args.config, seed=args.seed, out=args.out))
     except SystemExit as exc:  # argparse --help exits 0 through here
         return 0 if exc.code in (0, None) else 1
-    try:
-        run_stage(args.stage, cfg)
     except ConfigError as exc:
         print(f"uepo: {exc}", file=sys.stderr)
         return 1

@@ -167,4 +167,6 @@ def load_dataset(path: str) -> TrajectoryDataset:
         raise ConfigError(f"{path}: {where} has no key {exc}") from exc
     except ValueError as exc:  # includes ConfigError and ShapeError
         raise ConfigError(f"{path}: {where}: {exc}") from exc
+    if not ds.trajectories:
+        raise ConfigError(f"{path}: no trajectory records")
     return ds

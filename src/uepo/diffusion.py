@@ -56,7 +56,7 @@ def make_linear_schedule(k: int, beta_min: float = DEFAULT_BETA_MIN,
 
 def schedule_from_beta(beta: np.ndarray) -> NoiseSchedule:
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or beta.size < 1 or np.any(beta <= 0) or np.any(beta >= 1):
+    if beta.ndim != 1 or beta.size < 1 or not np.all((beta > 0) & (beta < 1)):
         raise ConfigError("beta must be a vector with entries in (0, 1)")
     alpha = 1.0 - beta
     return NoiseSchedule(beta.size, beta, alpha, np.cumprod(alpha))
@@ -190,10 +190,10 @@ def train_denoiser(policy: DiffusionPolicy, anchors: np.ndarray, actions: np.nda
     anchors = _check_anchors(policy, anchors, actions)
     if len(anchors) == 0:
         raise EmptyBatchError("no training windows")
-    opt = nets.adam_init(nets.param_count(policy.denoiser), step_size=step_size)
+    opt = nets.adam_init(policy.denoiser.params.size, step_size=step_size)
     losses = []
     n = len(anchors)
-    ws = nets.Workspace(policy.denoiser, min(batch_size, n))
+    ws = nets.Workspace(policy.denoiser)
     for _ in range(steps):
         idx = rng.integers(0, n, size=min(batch_size, n))
         loss, grad = denoising_loss(policy, anchors[idx], actions[idx], rng, ws)

@@ -1,13 +1,15 @@
 """Learned diagonal-Gaussian transition model and its training.
 
 The net maps (s, a) to per-dimension mean and raw log-variance of the
-next state; log-variance is clamped to [-10, 2] so predicted variances
-stay positive and bounded. Training minimizes the mean negative
-log-density over real transitions, optionally pooled with filtered
-synthetic ones. A training step computes only the terms of the
-gradient; the scalar loss is computed where a caller reads it
-(:func:`nll`, :func:`pool_nll`). The training curve holds the full-pool
-loss at epoch 0, at every ``CURVE_EVERY``-th epoch and at the last.
+next state. Its [s | a] input rows come from one builder, ``_inputs``,
+for prediction, the losses and training alike. The log-variance is
+clamped to [-10, 2] so predicted variances stay positive and bounded.
+Training minimizes the mean negative log-density over real transitions,
+optionally pooled with filtered synthetic ones. A training step computes
+only the terms of the gradient; the scalar loss is computed where a
+caller reads it (:func:`nll`, :func:`pool_nll`). The training curve holds
+the full-pool loss at epoch 0, at every ``CURVE_EVERY``-th epoch and at
+the last.
 """
 
 from __future__ import annotations
@@ -79,23 +81,22 @@ def _split_output(m: GaussianDynamics, out: np.ndarray) -> tuple[np.ndarray, np.
     return mean, np.minimum(np.maximum(raw_lv, LOG_VAR_MIN), LOG_VAR_MAX), raw_lv
 
 
-def predict(m: GaussianDynamics, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of s' at one (s, a) or at each row of (..., d)
-    stacks, all rows in one pass of the net; variance = exp(clamped log-var)."""
+def _inputs(m: GaussianDynamics, s, a) -> np.ndarray:
+    """The net's [s | a] input rows for (..., d_s) states and (..., d_a)
+    actions, as one (N, d_s + d_a) matrix."""
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     if s.shape[-1:] != (m.d_s,) or a.shape[-1:] != (m.d_a,) or s.shape[:-1] != a.shape[:-1]:
         raise ShapeError(f"expected dims (..., {m.d_s}), (..., {m.d_a}), got {s.shape}, {a.shape}")
-    x = np.concatenate([s, a], axis=-1)
-    out = nets.forward(m.net, x.reshape(-1, x.shape[-1])).reshape(s.shape[:-1] + (-1,))
+    return np.concatenate([s, a], axis=-1).reshape(-1, m.net.in_width)
+
+
+def predict(m: GaussianDynamics, s: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of s' at one (s, a) or at each row of (..., d)
+    stacks, all rows in one pass of the net; variance = exp(clamped log-var)."""
+    out = nets.forward(m.net, _inputs(m, s, a)).reshape(np.shape(s)[:-1] + (-1,))
     mean, log_var, _ = _split_output(m, out)
     return mean, np.exp(log_var)
-
-
-def _inputs(m: GaussianDynamics, batch: TransitionBatch) -> np.ndarray:
-    if batch.s.shape[1] != m.d_s or batch.a.shape[1] != m.d_a:
-        raise ShapeError("batch dims do not match the model")
-    return np.concatenate([batch.s, batch.a], axis=1)
 
 
 def _terms(m: GaussianDynamics, out: np.ndarray, s_next: np.ndarray):
@@ -131,7 +132,7 @@ def nll(m: GaussianDynamics, batch: TransitionBatch) -> tuple[float, np.ndarray]
     Gradient flows through the log-variance clamp only where the raw
     output is strictly inside (-10, 2).
     """
-    grad, terms = _grad(m, _inputs(m, batch), batch.s_next)
+    grad, terms = _grad(m, _inputs(m, batch.s, batch.a), batch.s_next)
     return _mean_nll(terms), grad
 
 
@@ -154,7 +155,7 @@ def gaussian_kl(p_mean, p_var, q_mean, q_var):
 def pool_nll(m: GaussianDynamics, pool: TransitionBatch,
              ws: nets.Workspace | None = None) -> float:
     """The loss of :func:`nll` from a forward pass alone."""
-    return _mean_nll(_terms(m, nets.forward(m.net, _inputs(m, pool), ws), pool.s_next))
+    return _mean_nll(_terms(m, nets.forward(m.net, _inputs(m, pool.s, pool.a), ws), pool.s_next))
 
 
 def train_joint(m: GaussianDynamics, real: TransitionBatch,
@@ -177,11 +178,10 @@ def train_joint(m: GaussianDynamics, real: TransitionBatch,
         pool = TransitionBatch(np.concatenate([real.s, synthetic.s]),
                                np.concatenate([real.a, synthetic.a]),
                                np.concatenate([real.s_next, synthetic.s_next]))
-    # called first, so that batch_size is checked before it sizes the workspace
-    run = nets.train_epochs(m.net.params, _inputs(m, pool), pool.s_next,
+    ws = nets.Workspace(m.net)
+    run = nets.train_epochs(m.net.params, _inputs(m, pool.s, pool.a), pool.s_next,
                             lambda x, s_next: _grad(m, x, s_next, ws)[0],
                             epochs, batch_size, step_size, rng)
-    ws = nets.Workspace(m.net, len(pool) if curve else min(batch_size, len(pool)))
     losses = [(0, pool_nll(m, pool, ws))] if curve else None
     for epoch in run:
         if curve and (epoch % CURVE_EVERY == 0 or epoch == epochs):

@@ -157,19 +157,17 @@ def make_env(name: str, **overrides) -> Env:
     return ENVS[name](**overrides)
 
 
-def step(env: Env, s: np.ndarray, a: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+def step(env: Env, s: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Sample the next state of one (s, a), or of each row of a (B, d)
-    stack, from its standard-normal draw z (the shape of s). z None gives
-    the deterministic mean. A stacked row equals the same row stepped
-    alone bit for bit, so a recorded rollout replays from its draws."""
+    stack, from its standard-normal draw z (the shape of s). A stacked
+    row equals the same row stepped alone bit for bit, so a recorded
+    rollout replays from its draws."""
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != env.d_s or a.shape != s.shape[:-1] + (env.d_a,):
         raise ShapeError(f"state, action shapes {s.shape}, {a.shape} are not "
                          f"([B,] {env.d_s}), ([B,] {env.d_a})")
     mean = _clipped_mean(env, s, a)
-    if z is None:
-        return mean
     if np.shape(z) != s.shape:
         raise ShapeError(f"draw shape {np.shape(z)} != state shape {s.shape}")
     s_next = mean + env.sigma_env * z

@@ -160,10 +160,9 @@ DISTILL_MSE_TARGET = 0.02
 
 
 def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
-            rng: np.random.Generator, hidden=(64, 64), epochs: int = 400,
-            batch_size: int = 64, step_size: float = 1e-3,
-            mse_target: float = DISTILL_MSE_TARGET) -> tuple[GaussianPolicy, float]:
-    """Fit a Gaussian head onto one sub-policy's first-step actions by :func:`fit_head`.
+            rng: np.random.Generator, **settings) -> tuple[GaussianPolicy, float]:
+    """Fit a Gaussian head onto one sub-policy's first-step actions by
+    :func:`fit_head`, which takes the keyword ``settings``.
 
     The sub-policy is the deterministic fixed-seed sampler, so every pool state
     gets the target sample(policy, [s], [seed])[0, 0]; the shared seed keeps
@@ -171,8 +170,7 @@ def distill(policy: diffusion.DiffusionPolicy, seed: int, states: np.ndarray,
     :func:`diffusion.sample` call on the pool, and agree with one-at-a-time
     samples to 1e-12."""
     targets = diffusion.sample(policy, states, [seed] * len(states))[:, 0]
-    return fit_head(states, targets, policy.action_low, policy.action_high, rng, hidden,
-                    epochs, batch_size, step_size, mse_target)
+    return fit_head(states, targets, policy.action_low, policy.action_high, rng, **settings)
 
 
 def fit_head(states: np.ndarray, targets: np.ndarray, action_low, action_high, rng,
@@ -189,7 +187,7 @@ def fit_head(states: np.ndarray, targets: np.ndarray, action_low, action_high, r
         raise ShapeError(f"targets of shape {targets.shape} for {len(states)} states; "
                          f"need (N, d_a)")
     head = make_head(states.shape[1], targets.shape[1], hidden, rng, action_low, action_high)
-    ws = nets.Workspace(head.net, len(states))
+    ws = nets.Workspace(head.net)
 
     def grad(x, y):
         acts = nets.forward_activations(head.net, x, ws)
@@ -344,13 +342,12 @@ def ppo_finetune(head: GaussianPolicy, env, cfg: PpoConfig, iterations: int,
     """
     require("iterations", iterations, "> 0")
     value_net = nets.mlp_init([head.d_s, 64, 64, 1], rng)
-    opt_net = nets.adam_init(nets.param_count(head.net), step_size=cfg.step_size)
+    opt_net = nets.adam_init(head.net.params.size, step_size=cfg.step_size)
     opt_std = nets.adam_init(head.d_a, step_size=cfg.step_size)
-    opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
+    opt_val = nets.adam_init(value_net.params.size, step_size=cfg.value_step_size)
     curve: list[tuple[float, float]] = []
     bound = RATIO_GUARD * cfg.clip_ratio
-    rows = cfg.batch_episodes * env.horizon
-    ws, v_ws = nets.Workspace(head.net, rows), nets.Workspace(value_net, rows)
+    ws, v_ws = nets.Workspace(head.net), nets.Workspace(value_net)
     for _ in range(iterations):
         stable = _snapshot(head, value_net)
         states, us, rewards, ep_returns = collect_episodes(head, env, cfg.batch_episodes, rng)

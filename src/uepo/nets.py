@@ -7,15 +7,15 @@ vector in one canonical order -- layer by layer, weight matrix
 it; optimizers update it in place, and checkpoint files hold it as is.
 
 In a training loop the net's passes and its Adam steps make no new
-arrays. The loop passes one :class:`Workspace` to
-:func:`forward_activations` and :func:`backward`, which write each
-step's activations, deltas, tanh derivatives and gradient into its
-buffers. The next call that uses the workspace
-overwrites them, so a workspace's arrays never leave their training
-loop; a call without one makes a fresh workspace, so what it returns is
-the caller's to keep. Adam (:func:`optimizer_step`) runs in place: it
-updates the parameters and both moments through two scratch vectors that
-its state holds.
+arrays once the loop's largest batch has been seen. The loop passes one
+:class:`Workspace` to :func:`forward_activations` and :func:`backward`,
+which write each step's activations, deltas, tanh derivatives and
+gradient into its buffers; the workspace sizes them from the batches it
+is handed. The next call that uses the workspace overwrites them, so a
+workspace's arrays never leave their training loop; a call without one
+makes a fresh workspace, so what it returns is the caller's to keep.
+Adam (:func:`optimizer_step`) runs in place: it updates the parameters
+and both moments through two scratch vectors that its state holds.
 
 Checkpoints are written by :func:`save_checkpoint` and read by
 :func:`load_checkpoint` alone. The layout (little-endian): magic
@@ -29,7 +29,7 @@ order, each integer as one u32 and each vector as raw f64:
 - head (``finetune.save_head``): d_a, log_std, action_low and
   action_high (d_a values each).
 
-Round-trips are bit-exact.
+Round-trips are bit-exact, and a load refuses a NaN or infinity.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ def mlp_init(layer_widths, rng: np.random.Generator) -> Mlp:
     return m
 
 
-def param_count(m: Mlp) -> int:
-    return m.params.size
-
-
 def get_params(m: Mlp) -> np.ndarray:
     """A copy of the flat parameter vector (canonical order)."""
     return m.params.copy()
@@ -124,17 +120,17 @@ def set_params(m: Mlp, flat: np.ndarray) -> None:
 
 class Workspace:
     """Buffers that :func:`forward_activations` and :func:`backward` write
-    into, for batches of up to ``rows`` rows of one net: every layer's
-    activations; the deltas and tanh derivatives of the hidden layers and
-    one gradient vector. Each set is made by the first call that needs it.
+    into, for batches of one net: every layer's activations; the deltas and
+    tanh derivatives of the hidden layers and one gradient vector. Each set
+    is made by the first call that needs it, with as many rows as the
+    largest batch handed in so far, and made again for a larger batch.
 
     Each call that uses a workspace overwrites what the previous one left
     there, so its arrays never leave the training loop that owns it.
     """
 
-    def __init__(self, m: Mlp, rows: int):
-        require("rows", rows, "> 0")
-        self.rows = rows
+    def __init__(self, m: Mlp):
+        self.rows = 0
         self.layer_widths = list(m.layer_widths)
         self.acts = self.deltas = self.derivs = None
         self.grad = self.grads_w = self.grads_b = None
@@ -144,7 +140,7 @@ class Workspace:
             raise ShapeError(f"workspace for widths {self.layer_widths} used with a "
                              f"{m.layer_widths} net")
         if n > self.rows:
-            raise ShapeError(f"batch of {n} rows exceeds a {self.rows}-row workspace")
+            self.rows, self.acts, self.grad = n, None, None
 
     def forward_buffers(self, m: Mlp, n: int) -> list[np.ndarray]:
         """Each layer's (n, width) output buffer."""
@@ -178,9 +174,7 @@ def forward_activations(m: Mlp, x: np.ndarray, ws: Workspace | None = None) -> l
     h = x[None, :] if x.ndim == 1 else x
     if h.ndim != 2 or h.shape[1] != m.in_width:
         raise ShapeError(f"input width {x.shape} incompatible with net input {m.in_width}")
-    if ws is None:
-        ws = Workspace(m, h.shape[0])
-    outs = ws.forward_buffers(m, h.shape[0])
+    outs = (ws or Workspace(m)).forward_buffers(m, h.shape[0])
     acts = [h]
     n_layers = len(m.weights)
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
@@ -217,8 +211,7 @@ def backward(m: Mlp, acts: list[np.ndarray], upstream: np.ndarray,
         raise ShapeError(
             f"upstream shape {upstream.shape} incompatible with net output {acts[-1].shape}"
         )
-    if ws is None:
-        ws = Workspace(m, upstream.shape[0])
+    ws = ws or Workspace(m)
     deltas, derivs = ws.backward_buffers(m, upstream.shape[0])
     delta = upstream
     for l in range(len(m.weights) - 1, -1, -1):
@@ -246,8 +239,8 @@ class AdamState:
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int = 0
-    step_size: float = 1e-3
+    step_count: int
+    step_size: float
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -371,8 +364,9 @@ def load_checkpoint(path: str, parse):
     floats)``, where ``ints(n)`` reads the owner's next n u32 fields as a
     list and ``floats(n)`` its next n f64 values as a vector.
 
-    A bad header, a file cut short anywhere, bytes left after ``parse`` and
-    any ValueError that ``parse`` raises become a ConfigError naming the path.
+    A bad header, a file cut short anywhere, a NaN or infinity among the
+    f64 values, bytes left after ``parse`` and any ValueError that
+    ``parse`` raises become a ConfigError naming the path.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -391,7 +385,10 @@ def load_checkpoint(path: str, parse):
         return take(n, "<u4").tolist()
 
     def floats(n: int) -> np.ndarray:
-        return take(n, "<f8").astype(float)
+        out = take(n, "<f8").astype(float)
+        if not np.isfinite(out).all():
+            raise ConfigError("a non-finite number (NaN or infinity)")
+        return out
 
     try:
         if buf[:4] != CHECKPOINT_MAGIC:

@@ -9,6 +9,7 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -501,6 +502,24 @@ def _bad_magic(path):
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
 
 
+def _nan_first_param(path):
+    # the parameters follow the magic, the version, the width count and the widths
+    buf = bytearray(path.read_bytes())
+    struct.pack_into("<d", buf, 12 + 4 * struct.unpack_from("<I", buf, 8)[0], float("nan"))
+    path.write_bytes(bytes(buf))
+
+
+def _nan_last_beta(path):
+    # a policy checkpoint ends with beta's last value, then T, d_a and d_s as u32
+    buf = bytearray(path.read_bytes())
+    struct.pack_into("<d", buf, len(buf) - 20, float("nan"))
+    path.write_bytes(bytes(buf))
+
+
+def _header_only(path):
+    path.write_text(path.read_text().split("\n")[0] + "\n")
+
+
 # a run of every stage in about a second
 _SMALL = ("env.n_traj = 4\ndiffusion.widths = 8\ndiffusion.train_steps = 1\n"
           "filter.epsilon = 1000.0\nfilter.max_attempts = 4\ndynamics.widths = 8\n"
@@ -532,10 +551,14 @@ _SMALL = ("env.n_traj = 4\ndiffusion.widths = 8\ndiffusion.train_steps = 1\n"
      "train-diffusion", "record 1: a non-finite number (NaN or infinity)"),
     ("dataset.jsonl", _edit_line(3, lambda rec: rec.update(env="pendulum")), "train-diffusion",
      "record 3: env 'pendulum' differs from the header's 'point_mass'"),
+    ("dataset.jsonl", _header_only, "train-diffusion", "no trajectory records"),
+    ("head.bin", _nan_first_param, "eval", "a non-finite number (NaN or infinity)"),
+    ("policy.bin", _nan_last_beta, "sample-ensemble", "a non-finite number (NaN or infinity)"),
 ], ids=["header-without-d_s", "non-json-line", "cut-checkpoint", "bad-magic",
         "header-without-env", "states-not-whole-rows", "one-action-short", "policy-cut-trailer",
         "dynamics-cut-trailer", "head-cut-trailer", "empty-record", "nan-state",
-        "infinite-reward", "record-of-another-env"])
+        "infinite-reward", "record-of-another-env", "header-only-dataset", "nan-head-param",
+        "nan-policy-beta"])
 def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil, stage,
                                                   detail):
     out = tmp_path / "o"
@@ -547,6 +570,7 @@ def test_malformed_input_file_is_exit_1_naming_it(tmp_path, capsys, name, spoil,
     assert cli.main([stage, "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert str(out / name) in err and detail in err, err
+    assert not (out / f"{stage}.manifest").exists()
 
 
 @pytest.fixture(scope="module")

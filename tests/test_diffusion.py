@@ -46,6 +46,9 @@ def test_schedule_validation():
         diffusion.make_linear_schedule(5, 0.0, 0.02)
     with pytest.raises(ConfigError):
         diffusion.make_linear_schedule(5, 1e-4, 1.0)
+    # a checkpoint's beta reaches the schedule without make_linear_schedule's checks
+    with pytest.raises(ConfigError, match=re.escape("entries in (0, 1)")):
+        diffusion.schedule_from_beta([0.1, np.nan])
 
 
 def test_linear_schedule_wants_beta_min_below_beta_max():

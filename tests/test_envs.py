@@ -24,7 +24,7 @@ def test_point_mass_step_formula():
     env = envs.make_env("point_mass")
     s = np.array([0.1, -0.2, 0.5, 0.3])
     a = np.array([0.4, -0.6])
-    got = envs.step(env, s, a, None)
+    got = envs.true_dist(env, s, a)[0]
     v_next = (1.0 - env.damping) * s[2:] + env.dt * a
     p_next = s[:2] + env.dt * s[2:]
     assert np.allclose(got, np.concatenate([p_next, v_next]), atol=1e-15)
@@ -33,8 +33,8 @@ def test_point_mass_step_formula():
 def test_point_mass_clips_actions():
     env = envs.make_env("point_mass")
     s = np.zeros(4)
-    wild = envs.step(env, s, np.array([10.0, -10.0]), None)
-    capped = envs.step(env, s, np.array([1.0, -1.0]), None)
+    wild = envs.true_dist(env, s, np.array([10.0, -10.0]))[0]
+    capped = envs.true_dist(env, s, np.array([1.0, -1.0]))[0]
     assert np.array_equal(wild, capped)
 
 
@@ -42,7 +42,7 @@ def test_pendulum_step_formula_and_wrap():
     env = envs.make_env("pendulum")
     s = np.array([3.0, 2.0])
     a = np.array([1.5])
-    got = envs.step(env, s, a, None)
+    got = envs.true_dist(env, s, a)[0]
     omega = s[1] + env.dt * (env.gravity * np.sin(s[0]) + a[0])
     theta = envs.wrap_angle(s[0] + env.dt * s[1])
     assert np.allclose(got, [theta, omega], atol=1e-14)
@@ -61,7 +61,7 @@ def test_true_dist_matches_step_statistics():
     s = np.array([0.1, 0.2, -0.1, 0.4])
     a = np.array([0.5, 0.5])
     mean, var = envs.true_dist(env, s, a)
-    assert np.array_equal(mean, envs.step(env, s, a, None))
+    assert np.array_equal(mean, envs.step(env, s, a, np.zeros(4)))
     assert np.array_equal(var, np.full(4, 0.09))
     z = np.random.default_rng(0).standard_normal((4000, 4))
     draws = envs.step(env, np.tile(s, (4000, 1)), np.tile(a, (4000, 1)), z)
@@ -89,9 +89,9 @@ def test_stacked_laws_equal_per_row_calls(name):
     raw_mean = env._mean(s, a)
     rew = envs.reward(env, s, a, s_next)
     z = np.random.default_rng(15).standard_normal(s.shape)
-    stepped, stepped_mean = envs.step(env, s, a, z), envs.step(env, s, a, None)
+    stepped = envs.step(env, s, a, z)
     assert mean.shape == raw_mean.shape == var.shape == s.shape and rew.shape == (400,)
-    assert stepped.shape == s.shape and np.array_equal(stepped_mean, mean)
+    assert stepped.shape == s.shape
     for i in range(len(s)):
         row_mean, row_var = envs.true_dist(env, s[i], a[i])
         assert np.array_equal(mean[i], row_mean) and np.array_equal(var[i], row_var)
@@ -159,9 +159,9 @@ def test_rewards():
 def test_step_validates_state_shape():
     env = envs.make_env("point_mass")
     with pytest.raises(ShapeError):
-        envs.step(env, np.zeros(3), np.zeros(2), None)
+        envs.step(env, np.zeros(3), np.zeros(2), np.zeros(3))
     with pytest.raises(ShapeError):
-        envs.step(env, np.zeros((5, 4)), np.zeros((4, 2)), None)
+        envs.step(env, np.zeros((5, 4)), np.zeros((4, 2)), np.zeros((5, 4)))
     with pytest.raises(ShapeError):
         envs.step(env, np.zeros((5, 4)), np.zeros((5, 2)), np.zeros(4))
     with pytest.raises(ShapeError):
@@ -311,7 +311,7 @@ def test_goal_distances_uses_noise_free_rollout():
     for i in range(2):
         s, pos = np.zeros(4), []
         for a in actions[i]:
-            s = envs.step(env, s, a, None)
+            s = envs.true_dist(env, s, a)[0]
             pos.append(s[:2])
         assert d_plus[i] == np.min(np.linalg.norm(np.subtract(pos, env.goal_plus), axis=1))
         assert d_minus[i] == np.min(np.linalg.norm(np.subtract(pos, env.goal_minus), axis=1))

@@ -74,7 +74,6 @@ _LIBRARY_CHECKS = [
     (lambda: finetune.PpoConfig(epochs_per_batch=0), "epochs_per_batch must be > 0, got 0"),
     (lambda: finetune.PpoConfig(batch_episodes=0), "batch_episodes must be > 0, got 0"),
     (lambda: finetune.collect_episodes(None, _ENV, 0, None), "n_episodes must be > 0, got 0"),
-    (lambda: nets.Workspace(None, 0), "rows must be > 0, got 0"),
     (lambda: nets.adam_init(3, 0.0), "step_size must be > 0, got 0.0"),
 ]
 

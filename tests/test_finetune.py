@@ -385,9 +385,9 @@ def test_ppo_finetune_matches_reference_loop():
     ref = small_head(seed=23, d_s=4, d_a=2, low=-1.0, high=1.0, hidden=(16,))
     rng = np.random.default_rng(24)
     value_net = nets.mlp_init([4, 64, 64, 1], rng)
-    opt_net = nets.adam_init(nets.param_count(ref.net), step_size=cfg.step_size)
+    opt_net = nets.adam_init(ref.net.params.size, step_size=cfg.step_size)
     opt_std = nets.adam_init(2, step_size=cfg.step_size)
-    opt_val = nets.adam_init(nets.param_count(value_net), step_size=cfg.value_step_size)
+    opt_val = nets.adam_init(value_net.params.size, step_size=cfg.value_step_size)
     ref_curve, epochs_kept, rollbacks = [], 0, 0
     for _ in range(4):
         states, us, rewards, ep_returns = finetune.collect_episodes(ref, env, 4, rng)

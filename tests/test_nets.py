@@ -48,7 +48,7 @@ def test_param_round_trip_and_copy():
     rng = np.random.default_rng(1)
     m = nets.mlp_init([4, 6, 3], rng)
     flat = nets.get_params(m)
-    assert flat.size == nets.param_count(m)
+    assert flat.size == m.params.size
     flat[0] += 100.0
     # get_params hands back a copy, so the net must be untouched
     assert nets.get_params(m)[0] != flat[0]
@@ -66,7 +66,7 @@ def test_adam_step_on_params_updates_the_net(tmp_path):
     x = rng.standard_normal((4, 3))
     for m in (built, nets.load_checkpoint(path, _bare_net)):
         before = nets.forward(m, x)
-        g = rng.standard_normal(nets.param_count(m))
+        g = rng.standard_normal(m.params.size)
         nets.optimizer_step(nets.adam_init(g.size, step_size=0.1), m.params, g)
         assert not np.array_equal(nets.forward(m, x), before)
         fresh = nets.mlp_init([3, 5, 2], np.random.default_rng(0))
@@ -84,7 +84,7 @@ def test_mlp_rejects_a_buffer_it_cannot_view():
 def test_set_params_rejects_wrong_size():
     m = nets.mlp_init([2, 3, 1], np.random.default_rng(2))
     with pytest.raises(ShapeError):
-        nets.set_params(m, np.zeros(nets.param_count(m) + 1))
+        nets.set_params(m, np.zeros(m.params.size + 1))
 
 
 def test_backward_matches_finite_differences():
@@ -231,7 +231,7 @@ def test_warm_workspace_pass_allocates_less_than_one_parameter_vector():
     m = nets.mlp_init([16, 128, 128, 16], rng)
     assert m.params.size >= 20_000
     x, up = rng.standard_normal((256, 16)), rng.standard_normal((256, 16))
-    ws = nets.Workspace(m, 256)
+    ws = nets.Workspace(m)
 
     def step():
         nets.backward(m, nets.forward_activations(m, x, ws), up, ws)
@@ -241,41 +241,46 @@ def test_warm_workspace_pass_allocates_less_than_one_parameter_vector():
 
 
 def test_workspace_gives_fresh_call_results_and_short_batches():
-    # an epoch's short last minibatch uses the first rows of the buffers
+    # an epoch's short last minibatch uses the first rows of the buffers;
+    # a growing sequence makes them again at each larger batch
     rng = np.random.default_rng(15)
     m = nets.mlp_init([3, 7, 5, 2], rng)
-    ws = nets.Workspace(m, 8)
-    for n in (8, 5, 1, 8):
-        x, up = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
-        fresh = nets.forward_activations(m, x)
-        acts = nets.forward_activations(m, x, ws)
-        assert all(np.array_equal(a, b) for a, b in zip(acts, fresh))
-        assert np.array_equal(nets.forward(m, x, ws), nets.forward(m, x))
-        grad = nets.backward(m, acts, up, ws)
-        assert grad is ws.grad
-        assert np.array_equal(grad, nets.backward(m, fresh, up))
+    for sizes in ((8, 5, 1, 8), (1, 2, 5, 3, 8)):
+        ws = nets.Workspace(m)
+        for n in sizes:
+            x, up = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
+            fresh = nets.forward_activations(m, x)
+            acts = nets.forward_activations(m, x, ws)
+            assert all(np.array_equal(a, b) for a, b in zip(acts, fresh))
+            assert np.array_equal(nets.forward(m, x, ws), nets.forward(m, x))
+            grad = nets.backward(m, acts, up, ws)
+            assert grad is ws.grad
+            assert np.array_equal(grad, nets.backward(m, fresh, up))
 
 
-def test_workspace_rejects_a_larger_batch_or_another_net():
+def test_workspace_grows_for_a_larger_batch_and_rejects_another_net():
     rng = np.random.default_rng(16)
     m = nets.mlp_init([3, 4, 2], rng)
-    ws = nets.Workspace(m, 4)
+    ws = nets.Workspace(m)
     acts = nets.forward_activations(m, rng.standard_normal((4, 3)), ws)
-    with pytest.raises(ShapeError):
-        nets.forward_activations(m, rng.standard_normal((5, 3)), ws)
-    with pytest.raises(ShapeError):
-        nets.backward(m, nets.forward_activations(m, rng.standard_normal((5, 3))),
-                      np.zeros((5, 2)), ws)
+    assert [a.shape for a in ws.acts] == [(4, 4), (4, 2)]
+    big = nets.forward_activations(m, rng.standard_normal((5, 3)), ws)
+    assert [a.shape for a in ws.acts] == [(5, 4), (5, 2)]
+    # the smaller batch's arrays are left as they were
+    assert acts[-1].shape == (4, 2) and not np.shares_memory(acts[-1], big[-1])
+    nets.backward(m, big, np.zeros((5, 2)), ws)
+    assert [d.shape for d in ws.deltas] == [(5, 4)]
+    held = ws.acts
+    nets.backward(m, nets.forward_activations(m, big[0][:3], ws), np.zeros((3, 2)), ws)
+    assert ws.acts is held and ws.rows == 5
     with pytest.raises(ShapeError):
         nets.forward_activations(nets.mlp_init([3, 5, 2], rng), acts[0], ws)
-    with pytest.raises(ConfigError):
-        nets.Workspace(m, 0)
 
 
 def test_forward_without_workspace_returns_arrays_no_later_call_overwrites():
     rng = np.random.default_rng(17)
     m = nets.mlp_init([3, 6, 2], rng)
-    ws = nets.Workspace(m, 4)
+    ws = nets.Workspace(m)
     x = rng.standard_normal((4, 3))
     out, acts = nets.forward(m, x), nets.forward_activations(m, x)
     kept = [out.copy()] + [a.copy() for a in acts]
